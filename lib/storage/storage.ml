@@ -5,21 +5,18 @@
    / [union] — a lint rule (tools/lint) keeps [Unix.map_file]/[Bigarray]
    confined here.
 
-   Format v2 adds two multi-file shapes around the v1 base layout
-   (which is unchanged byte for byte):
+   Three file kinds share one container (see [kind] below):
+   - base stores, the v1 layout (unchanged byte for byte in v2);
    - delta segments [<base>.d1, .d2, ...]: append-only add/delete logs
      with their own dictionary-growth block, chained by parent stamp
      and merged at load through [Overlay] into the same flat views;
-   - a shard manifest naming member stores split by predicate hash
+   - shard manifests naming member stores split by predicate hash
      slice, loaded as a lazily-forced [Encoded_graph.union]. *)
 
 module E = Encoded.Encoded_graph
 module Err = Wdsparql_error
 module A1 = Bigarray.Array1
 
-let magic = "WDSTORE1"
-let delta_magic = "WDSDELT1"
-let manifest_magic = "WDSMANI1"
 let format_version = 2
 let header_size = 256
 
@@ -28,50 +25,126 @@ let header_size = 256
    valid OCaml int everywhere we run. *)
 let byte_order_mark = 0x0123456789ABCDEF
 
-(* Header word offsets (bytes). The section table holds (offset, length)
-   pairs for the seven sections in [section_count] order: dict-offsets,
-   term-sort, dict-blob, spo, pos, osp, pstats. *)
-let off_version = 8
-let off_bom = 16
-let off_triples = 24
-let off_terms = 32
-let off_stamp = 40
-let off_preds = 48
-let off_distinct_s = 56
-let off_distinct_o = 64
-let off_distinct_p = 72
-let off_table = 80
-let section_count = 7
-
-let section_names =
-  [|
-    "dict-offsets"; "term-sort"; "dict-blob"; "spo-index"; "pos-index";
-    "osp-index"; "pred-stats";
-  |]
-
-(* Segment header word offsets. Four sections: new-dict-offsets,
-   new-dict-blob, adds, dels. *)
-let soff_parent = 24
-let soff_stamp = 32
-let soff_adds = 40
-let soff_dels = 48
-let soff_new_terms = 56
-let soff_parent_terms = 64
-let soff_table = 72
-let seg_section_count = 4
-
-(* Manifest header word offsets. One section: the member table. *)
-let moff_members = 24
-let moff_slices = 32
-let moff_stamp = 40
-let moff_triples = 48
-let moff_terms = 56
-let moff_distinct_s = 64
-let moff_distinct_o = 72
-let moff_distinct_p = 80
-let moff_table = 88
-
 let fail path fault msg = Err.fail (Err.Store_error { path; fault; msg })
+
+(* ------------------------------------------------------------------ *)
+(* The container                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every file is an 8-byte magic, the format version, the byte-order
+   mark, then the kind's count words from byte 24, then its section
+   table of (offset, length) word pairs, zero padding to [header_size],
+   and the sections, each 16-byte aligned. A kind describes its words
+   and the length each section must have: [Sized (w, width, extra)] is
+   [width * (word w + extra)] bytes, [Free] any length. *)
+type extent = Free | Sized of int * int * int
+
+type file = {
+  f_path : string;
+  f_words : int array;  (* the kind's count words *)
+  f_table : (int * int) array;  (* (offset, length) per section *)
+  f_bytes : int;  (* the whole file *)
+}
+
+type kind = {
+  k_magic : string;
+  k_words : int;
+  k_stamp : int;  (* the word holding the payload stamp *)
+  k_sections : (string * extent) array;
+  k_check : file -> unit;
+      (* the kind's header semantics, run before the table is trusted *)
+}
+
+(* Base-store words. *)
+let b_triples = 0
+let b_terms = 1
+let b_stamp = 2
+let b_preds = 3
+let b_distinct = 4 (* distinct subjects, objects, predicates: 4, 5, 6 *)
+
+(* Segment words. *)
+let s_parent = 0
+let s_stamp = 1
+let s_adds = 2
+let s_dels = 3
+let s_new_terms = 4
+let s_parent_terms = 5
+
+(* Manifest words. *)
+let m_members = 0
+let m_slices = 1
+let m_stamp = 2
+let m_triples = 3
+let m_terms = 4
+let m_distinct = 5
+
+let check_distinct ~terms ~first h =
+  for i = first to first + 2 do
+    if h.f_words.(i) > h.f_words.(terms) then
+      fail h.f_path Err.Corrupt "distinct-count statistics out of range"
+  done
+
+let base_kind =
+  {
+    k_magic = "WDSTORE1";
+    k_words = 7;
+    k_stamp = b_stamp;
+    k_sections =
+      [|
+        ("dict-offsets", Sized (b_terms, 8, 1));
+        ("term-sort", Sized (b_terms, 8, 0));
+        ("dict-blob", Free);
+        ("spo-index", Sized (b_triples, 24, 0));
+        ("pos-index", Sized (b_triples, 24, 0));
+        ("osp-index", Sized (b_triples, 24, 0));
+        ("pred-stats", Sized (b_preds, 32, 0));
+      |];
+    k_check = check_distinct ~terms:b_terms ~first:b_distinct;
+  }
+
+let segment_kind =
+  {
+    k_magic = "WDSDELT1";
+    k_words = 6;
+    k_stamp = s_stamp;
+    k_sections =
+      [|
+        ("new-dict-offsets", Sized (s_new_terms, 8, 1));
+        ("new-dict-blob", Free);
+        ("adds", Sized (s_adds, 24, 0));
+        ("dels", Sized (s_dels, 24, 0));
+      |];
+    k_check = ignore;
+  }
+
+let manifest_kind =
+  {
+    k_magic = "WDSMANI1";
+    k_words = 8;
+    k_stamp = m_stamp;
+    k_sections = [| ("member-table", Free) |];
+    k_check =
+      (fun h ->
+        let members = h.f_words.(m_members) in
+        if members < 1 || members <> h.f_words.(m_slices) then
+          fail h.f_path Err.Corrupt
+            "manifest member count disagrees with slices";
+        (* each member record is at least four words *)
+        if members > h.f_bytes / 32 then
+          fail h.f_path Err.Truncated "file too short for the member table";
+        check_distinct ~terms:m_terms ~first:m_distinct h);
+  }
+
+(* What a file's leading bytes make it: a kind, by its magic; [`Short],
+   a proper prefix of a magic (a store cut off mid-write, or empty); or
+   foreign. *)
+let classify head =
+  let kinds = [ base_kind; segment_kind; manifest_kind ] in
+  let is_prefix a b = String.starts_with ~prefix:a b in
+  match List.find_opt (fun k -> is_prefix k.k_magic head) kinds with
+  | Some k -> `Kind k
+  | None when List.exists (fun k -> is_prefix head k.k_magic) kinds -> `Short
+  | None -> `Foreign
 
 (* ------------------------------------------------------------------ *)
 (* Content stamp: FNV-1a folded into 62 bits so the stamp is a
@@ -135,27 +208,33 @@ let rot_pos (s, p, o) = (p, o, s)
 let rot_osp (s, p, o) = (o, s, p)
 
 (* ------------------------------------------------------------------ *)
-(* Writer plumbing                                                     *)
+(* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let add_word buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-(* Concatenate section buffers 16-byte aligned after the header,
-   returning the payload and the (offset, length) table. *)
-let build_sections bufs =
-  let payload = Buffer.create 4096 in
-  let table =
-    Array.map
-      (fun buf ->
-        let pos = header_size + Buffer.length payload in
-        let pad = (16 - (pos mod 16)) mod 16 in
-        Buffer.add_string payload (String.make pad '\000');
-        let entry = (pos + pad, Buffer.length buf) in
-        Buffer.add_buffer payload buf;
-        entry)
-      bufs
-  in
-  (payload, table)
+(* Dictionary sections of serialized terms: [n + 1] offsets delimiting
+   each term's bytes, and the blob. *)
+let dict_sections ser =
+  let offsets = Buffer.create ((Array.length ser + 1) * 8) in
+  let blob = Buffer.create 1024 in
+  Array.iter
+    (fun s ->
+      add_word offsets (Buffer.length blob);
+      Buffer.add_string blob s)
+    ser;
+  add_word offsets (Buffer.length blob);
+  (offsets, blob)
+
+let triples_section n nth =
+  let buf = Buffer.create (n * 24) in
+  for i = 0 to n - 1 do
+    let s, p, o = nth i in
+    add_word buf s;
+    add_word buf p;
+    add_word buf o
+  done;
+  buf
 
 (* Persist the enclosing directory entry (after a rename). Best-effort:
    some filesystems refuse directory opens or fsync, and the file is
@@ -191,7 +270,41 @@ let atomic_write path ~header ~payload =
   (try Sys.rename tmp path with Sys_error msg -> io_fail msg);
   fsync_dir path
 
-let save enc path =
+(* Write one file of [kind] atomically: the header with [words] (the
+   payload stamp replaces the kind's stamp slot), the section table, and
+   [sections] 16-byte aligned after the header. Returns the stamp. *)
+let write_file kind path ~words ~sections =
+  assert (Array.length words = kind.k_words);
+  let payload = Buffer.create 4096 in
+  let table =
+    Array.map
+      (fun buf ->
+        let pos = header_size + Buffer.length payload in
+        let pad = (16 - (pos mod 16)) mod 16 in
+        Buffer.add_string payload (String.make pad '\000');
+        Buffer.add_buffer payload buf;
+        (pos + pad, Buffer.length buf))
+      sections
+  in
+  let stamp = fnv_string fnv_basis (Buffer.contents payload) in
+  let header = Buffer.create header_size in
+  Buffer.add_string header kind.k_magic;
+  add_word header format_version;
+  add_word header byte_order_mark;
+  Array.iteri
+    (fun i w -> add_word header (if i = kind.k_stamp then stamp else w))
+    words;
+  Array.iter
+    (fun (off, len) ->
+      add_word header off;
+      add_word header len)
+    table;
+  Buffer.add_string header
+    (String.make (header_size - Buffer.length header) '\000');
+  atomic_write path ~header ~payload;
+  stamp
+
+let write_store enc path =
   let n = E.cardinal enc in
   let dict = E.dictionary enc in
   let n_terms = Rdf.Dictionary.size dict in
@@ -202,30 +315,9 @@ let save enc path =
   in
   let order = Array.init n_terms Fun.id in
   Array.sort (fun a b -> String.compare ser.(a) ser.(b)) order;
-  let offsets = Buffer.create ((n_terms + 1) * 8) in
-  let blob = Buffer.create 1024 in
-  Array.iter
-    (fun s ->
-      add_word offsets (Buffer.length blob);
-      Buffer.add_string blob s)
-    ser;
-  add_word offsets (Buffer.length blob);
+  let offsets, blob = dict_sections ser in
   let term_sort = Buffer.create (n_terms * 8) in
   Array.iter (fun id -> add_word term_sort id) order;
-  (* Index sections: the raw tuples of each permutation, in its order. *)
-  let index_section nth =
-    let buf = Buffer.create (n * 24) in
-    for i = 0 to n - 1 do
-      let s, p, o = nth enc i in
-      add_word buf s;
-      add_word buf p;
-      add_word buf o
-    done;
-    buf
-  in
-  let spo = index_section E.nth_spo
-  and pos = index_section E.nth_pos
-  and osp = index_section E.nth_osp in
   (* Statistics rows: one per distinct predicate, ascending pid (the POS
      permutation enumerates predicates in order). Computed now — loads
      answer the planner from these without scanning the mapping. *)
@@ -248,77 +340,66 @@ let save enc path =
       add_word pstats s.E.distinct_subjects;
       add_word pstats s.E.distinct_objects)
     preds;
-  let payload, table =
-    build_sections [| offsets; term_sort; blob; spo; pos; osp; pstats |]
-  in
-  let stamp = fnv_string fnv_basis (Buffer.contents payload) in
-  let header = Buffer.create header_size in
-  Buffer.add_string header magic;
-  add_word header format_version;
-  add_word header byte_order_mark;
-  add_word header n;
-  add_word header n_terms;
-  add_word header stamp;
-  add_word header (List.length preds);
-  add_word header (E.distinct_subjects enc);
-  add_word header (E.distinct_objects enc);
-  add_word header (E.distinct_predicates enc);
-  Array.iter
-    (fun (off, len) ->
-      add_word header off;
-      add_word header len)
-    table;
-  Buffer.add_string header
-    (String.make (header_size - Buffer.length header) '\000');
-  atomic_write path ~header ~payload
+  (* Index sections: the raw tuples of each permutation, in its order. *)
+  let index nth = triples_section n (nth enc) in
+  write_file base_kind path
+    ~words:
+      [|
+        n;
+        n_terms;
+        0 (* stamp *);
+        List.length preds;
+        E.distinct_subjects enc;
+        E.distinct_objects enc;
+        E.distinct_predicates enc;
+      |]
+    ~sections:
+      [|
+        offsets;
+        term_sort;
+        blob;
+        index E.nth_spo;
+        index E.nth_pos;
+        index E.nth_osp;
+        pstats;
+      |]
+
+let save enc path = ignore (write_store enc path)
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A file shorter than the magic itself is [Truncated] only when the
-   bytes present are a prefix of one of the family magics — a real
-   store cut off mid-write; anything else was never a store at all
-   ([Bad_magic]). An empty file counts as truncated. *)
-let read_magic path ic ~size ~expected =
-  let mlen = String.length expected in
-  if size < mlen then begin
-    let have = really_input_string ic size in
-    let is_prefix m =
-      String.length m >= size && String.equal (String.sub m 0 size) have
-    in
-    if List.exists is_prefix [ magic; delta_magic; manifest_magic ] then
-      fail path Err.Truncated "file shorter than the store magic"
-    else fail path Err.Bad_magic "not a compiled store"
-  end
-  else
-    let found = really_input_string ic mlen in
-    if not (String.equal found expected) then
-      fail path Err.Bad_magic "not a compiled store"
+let get_word s i = Int64.to_int (String.get_int64_le s (8 * i))
 
-let check_version_bom path header =
-  let word off = Int64.to_int (String.get_int64_le header off) in
-  let version = word off_version in
-  if version <> format_version then
-    fail path
-      (Err.Version_mismatch { found = version; expected = format_version })
-      "";
-  if word off_bom <> byte_order_mark then
-    fail path Err.Corrupt "byte-order mark mismatch (endianness or corruption)"
+let with_channel path f =
+  let ic =
+    try open_in_bin path
+    with Sys_error msg -> Err.fail (Err.Io_error { path; msg })
+  in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+let sniff path =
+  with_channel path (fun ic ->
+      classify (really_input_string ic (min (in_channel_length ic) 8)))
 
 (* Bounds, expected lengths (a negative expectation means free-form) and
    pairwise disjointness of a section table: in-bounds but overlapping
    offsets would alias dictionary/index bytes and yield wrong answers
-   without any out-of-bounds access to catch it. *)
+   without any out-of-bounds access to catch it. Only an extent past
+   end-of-file is a truncation; anything else is corruption. *)
 let validate_sections path ~size ~table ~expected =
   Array.iteri
     (fun k (off, len) ->
-      if off < header_size || len < 0 || len > size || off > size - len then
-        fail path Err.Truncated
-          (Printf.sprintf "section %d extends past end-of-file" k);
+      let bad fault what =
+        fail path fault (Printf.sprintf "section %d %s" k what)
+      in
+      if off < header_size then bad Err.Corrupt "starts inside the header";
+      if len < 0 then bad Err.Corrupt "has a negative length";
+      if len > size || off > size - len then
+        bad Err.Truncated "extends past end-of-file";
       if expected.(k) >= 0 && len <> expected.(k) then
-        fail path Err.Corrupt
-          (Printf.sprintf "section %d length disagrees with header counts" k))
+        bad Err.Corrupt "length disagrees with header counts")
     table;
   let order = Array.init (Array.length table) Fun.id in
   Array.sort (fun a b -> compare (fst table.(a)) (fst table.(b))) order;
@@ -334,72 +415,6 @@ let validate_sections path ~size ~table ~expected =
       end)
     order
 
-type header = {
-  h_triples : int;
-  h_terms : int;
-  h_stamp : int;
-  h_preds : int;
-  h_distinct_s : int;
-  h_distinct_o : int;
-  h_distinct_p : int;
-  h_table : (int * int) array;
-  h_file_bytes : int;
-}
-
-(* Read and validate the fixed header through ordinary channel I/O (the
-   mappings come later, and only for a header that checked out). *)
-let read_header path ic =
-  let size = in_channel_length ic in
-  read_magic path ic ~size ~expected:magic;
-  if size < header_size then fail path Err.Truncated "incomplete header";
-  let rest = really_input_string ic (header_size - String.length magic) in
-  let header = magic ^ rest in
-  check_version_bom path header;
-  let word off = Int64.to_int (String.get_int64_le header off) in
-  let h =
-    {
-      h_triples = word off_triples;
-      h_terms = word off_terms;
-      h_stamp = word off_stamp;
-      h_preds = word off_preds;
-      h_distinct_s = word off_distinct_s;
-      h_distinct_o = word off_distinct_o;
-      h_distinct_p = word off_distinct_p;
-      h_table =
-        Array.init section_count (fun k ->
-            (word (off_table + (16 * k)), word (off_table + (16 * k) + 8)));
-      h_file_bytes = size;
-    }
-  in
-  if h.h_triples < 0 || h.h_terms < 0 || h.h_preds < 0 || h.h_stamp < 0 then
-    fail path Err.Corrupt "negative count in header";
-  (* counts must physically fit in the file BEFORE the expected-length
-     multiplications below — a flipped high bit would wrap them mod the
-     int range and alias a valid length *)
-  if
-    h.h_triples > size / 24 || h.h_terms > size / 8 || h.h_preds > size / 32
-  then fail path Err.Truncated "file too short for the header counts";
-  if
-    h.h_distinct_s < 0
-    || h.h_distinct_s > h.h_terms
-    || h.h_distinct_o < 0
-    || h.h_distinct_o > h.h_terms
-    || h.h_distinct_p < 0
-    || h.h_distinct_p > h.h_terms
-  then fail path Err.Corrupt "distinct-count statistics out of range";
-  validate_sections path ~size ~table:h.h_table
-    ~expected:
-      [|
-        8 * (h.h_terms + 1);
-        8 * h.h_terms;
-        -1 (* blob: free-form length *);
-        24 * h.h_triples;
-        24 * h.h_triples;
-        24 * h.h_triples;
-        32 * h.h_preds;
-      |];
-  h
-
 let map_section path fd kind ~pos ~bytes ~elt_bytes =
   if bytes = 0 then None
   else
@@ -414,12 +429,12 @@ let map_section path fd kind ~pos ~bytes ~elt_bytes =
         (Err.Io_error
            { path; msg = "mmap failed: " ^ Unix.error_message e })
 
-let verify_payload path fd ~file_bytes ~expect =
-  let payload_bytes = file_bytes - header_size in
+let verify_payload h fd ~expect =
+  let payload_bytes = h.f_bytes - header_size in
   let stamp =
     match
-      map_section path fd Bigarray.char ~pos:header_size ~bytes:payload_bytes
-        ~elt_bytes:1
+      map_section h.f_path fd Bigarray.char ~pos:header_size
+        ~bytes:payload_bytes ~elt_bytes:1
     with
     | None -> fnv_basis
     | Some bytes ->
@@ -430,24 +445,69 @@ let verify_payload path fd ~file_bytes ~expect =
         !hash
   in
   if stamp <> expect then
-    fail path Err.Checksum_mismatch
+    fail h.f_path Err.Checksum_mismatch
       (Printf.sprintf "payload hashes to %#x, header says %#x" stamp expect)
 
-let verify_stamp path fd h =
-  verify_payload path fd ~file_bytes:h.h_file_bytes ~expect:h.h_stamp
+(* Open a file of [kind] and validate its header through ordinary channel
+   I/O — magic, version, byte-order mark, counts, the kind's semantics,
+   the section table — and under [~verify] its payload hash, then run
+   [f] on the header and the open channel. Mappings made from the
+   channel's descriptor outlive it. *)
+let with_file ?(verify = false) kind path f =
+  with_channel path (fun ic ->
+      let size = in_channel_length ic in
+      let head = really_input_string ic (min size header_size) in
+      (match classify head with
+      | `Kind k when k == kind -> ()
+      | `Short -> fail path Err.Truncated "file shorter than the store magic"
+      | _ -> fail path Err.Bad_magic "not a compiled store");
+      if size < header_size then fail path Err.Truncated "incomplete header";
+      let word = get_word head in
+      if word 1 <> format_version then
+        fail path
+          (Err.Version_mismatch { found = word 1; expected = format_version })
+          "";
+      if word 2 <> byte_order_mark then
+        fail path Err.Corrupt
+          "byte-order mark mismatch (endianness or corruption)";
+      let words = Array.init kind.k_words (fun i -> word (3 + i)) in
+      if Array.exists (fun w -> w < 0) words then
+        fail path Err.Corrupt "negative count in header";
+      (* each count must physically fit in the file BEFORE its length
+         multiplication — a flipped high bit would wrap the product mod
+         the int range and alias a valid length *)
+      let expected =
+        Array.map
+          (function
+            | _, Free -> -1
+            | _, Sized (w, width, extra) ->
+                if words.(w) > size / width then
+                  fail path Err.Truncated
+                    "file too short for the header counts";
+                width * (words.(w) + extra))
+          kind.k_sections
+      in
+      let table =
+        Array.init (Array.length kind.k_sections) (fun k ->
+            let i = 3 + kind.k_words + (2 * k) in
+            (word i, word (i + 1)))
+      in
+      let h =
+        { f_path = path; f_words = words; f_table = table; f_bytes = size }
+      in
+      kind.k_check h;
+      validate_sections path ~size ~table ~expected;
+      if verify then
+        verify_payload h (Unix.descr_of_in_channel ic)
+          ~expect:words.(kind.k_stamp);
+      f h ic)
 
-let with_store path f =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> Err.fail (Err.Io_error { path; msg })
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let h = read_header path ic in
-      (* The mappings outlive the descriptor: closing the channel after
-         [f] returns does not unmap anything. *)
-      f h (Unix.descr_of_in_channel ic))
+(* The small sections of segments and manifests are read eagerly
+   through the channel, no mapping needed. *)
+let read_section ic h k =
+  let off, len = h.f_table.(k) in
+  seek_in ic off;
+  really_input_string ic len
 
 (* The dictionary view over the mapped offsets / sort / blob sections.
    Offsets are validated at each decode (not eagerly: an O(n_terms)
@@ -509,7 +569,10 @@ let dict_view path ~offsets ~term_sort ~blob ~blob_len ~n_terms =
   in
   { Rdf.Dictionary.view_size = n_terms; view_term; view_find }
 
-let triple_view path section n =
+(* Ids leave the store here, so each is range-checked against the
+   dictionary: a corrupt one would otherwise surface far away, as a raw
+   [Invalid_argument] from the dictionary at decode. *)
+let triple_view path ~n_terms section n =
   match section with
   | None ->
       {
@@ -520,14 +583,24 @@ let triple_view path section n =
       {
         E.fn = n;
         fget =
-          (fun i -> (A1.get a (3 * i), A1.get a ((3 * i) + 1), A1.get a ((3 * i) + 2)));
+          (fun i ->
+            let s = A1.get a (3 * i)
+            and p = A1.get a ((3 * i) + 1)
+            and o = A1.get a ((3 * i) + 2) in
+            if
+              s lor p lor o < 0 || s >= n_terms || p >= n_terms
+              || o >= n_terms
+            then fail path Err.Corrupt "index id out of range";
+            (s, p, o));
       }
 
 (* Per-predicate rows, pid-ascending; checked eagerly (rows = distinct
    predicates, a tiny section) so binary search is sound. A predicate
    with no row genuinely has no triples: the writer emits a row for
    every distinct predicate. *)
-let stats_seed path ~pstats ~h =
+let stats_seed ~pstats h =
+  let path = h.f_path in
+  let n_preds = h.f_words.(b_preds) in
   let zero = { E.triples = 0; distinct_subjects = 0; distinct_objects = 0 } in
   let row rank =
     match pstats with
@@ -540,7 +613,7 @@ let stats_seed path ~pstats ~h =
             distinct_objects = A1.get a ((4 * rank) + 3);
           } )
   in
-  for rank = 0 to h.h_preds - 1 do
+  for rank = 0 to n_preds - 1 do
     let pid, s = row rank in
     if
       pid < 0
@@ -551,21 +624,54 @@ let stats_seed path ~pstats ~h =
     then fail path Err.Corrupt "statistics rows unsorted or out of range"
   done;
   let seed_predicate p =
-    let lo = ref 0 and hi = ref h.h_preds in
+    let lo = ref 0 and hi = ref n_preds in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if fst (row mid) < p then lo := mid + 1 else hi := mid
     done;
-    if !lo < h.h_preds then
+    if !lo < n_preds then
       let pid, s = row !lo in
       Some (if pid = p then s else zero)
     else Some zero
   in
   {
-    E.seed_subjects = Some h.h_distinct_s;
-    seed_objects = Some h.h_distinct_o;
-    seed_predicates = Some h.h_distinct_p;
+    E.seed_subjects = Some h.f_words.(b_distinct);
+    seed_objects = Some h.f_words.(b_distinct + 1);
+    seed_predicates = Some h.f_words.(b_distinct + 2);
     seed_predicate;
+  }
+
+type base = {
+  b_dict : Rdf.Dictionary.view;
+  b_spo : E.flat_view;
+  b_pos : E.flat_view;
+  b_osp : E.flat_view;
+  b_seed : E.stats_seed;
+}
+
+(* Map the sections of an open base store (or shard member). *)
+let map_base h ic =
+  let path = h.f_path and fd = Unix.descr_of_in_channel ic in
+  let map kind elt_bytes k =
+    let pos, bytes = h.f_table.(k) in
+    map_section path fd kind ~pos ~bytes ~elt_bytes
+  in
+  let ints = map Bigarray.int 8 in
+  let offsets =
+    match ints 0 with
+    | Some a -> a
+    | None -> fail path Err.Corrupt "dictionary offsets section empty"
+  in
+  let n_terms = h.f_words.(b_terms) in
+  let index k = triple_view path ~n_terms (ints k) h.f_words.(b_triples) in
+  {
+    b_dict =
+      dict_view path ~offsets ~term_sort:(ints 1)
+        ~blob:(map Bigarray.char 1 2) ~blob_len:(snd h.f_table.(2)) ~n_terms;
+    b_spo = index 3;
+    b_pos = index 4;
+    b_osp = index 5;
+    b_seed = stats_seed ~pstats:(ints 6) h;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -593,227 +699,101 @@ let discover_segments path =
   in
   go [] 1
 
-type seg_header = {
-  sg_parent : int;
-  sg_stamp : int;
-  sg_adds : int;
-  sg_dels : int;
-  sg_new_terms : int;
-  sg_parent_terms : int;
-  sg_table : (int * int) array;
-  sg_file_bytes : int;
-}
-
-type seg_data = {
-  sd_path : string;
-  sd_header : seg_header;
-  sd_new_terms : string array;  (* serialized, ids from sg_parent_terms *)
+type segment = {
+  sd : file;
+  sd_new_terms : string array;  (* serialized, ids from the parent terms *)
   sd_adds : (int * int * int) array;  (* sorted by (s,p,o) *)
   sd_dels : (int * int * int) array;
 }
 
-(* Segments are O(delta): read them eagerly through the channel, no
-   mapping needed. *)
-let read_segment ?(verify = false) path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> Err.fail (Err.Io_error { path; msg })
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      read_magic path ic ~size ~expected:delta_magic;
-      if size < header_size then
-        fail path Err.Truncated "incomplete segment header";
-      let rest = really_input_string ic (header_size - String.length delta_magic) in
-      let header = delta_magic ^ rest in
-      check_version_bom path header;
-      let word off = Int64.to_int (String.get_int64_le header off) in
-      let sg =
-        {
-          sg_parent = word soff_parent;
-          sg_stamp = word soff_stamp;
-          sg_adds = word soff_adds;
-          sg_dels = word soff_dels;
-          sg_new_terms = word soff_new_terms;
-          sg_parent_terms = word soff_parent_terms;
-          sg_table =
-            Array.init seg_section_count (fun k ->
-                (word (soff_table + (16 * k)), word (soff_table + (16 * k) + 8)));
-          sg_file_bytes = size;
-        }
-      in
-      if
-        sg.sg_parent < 0 || sg.sg_stamp < 0 || sg.sg_adds < 0 || sg.sg_dels < 0
-        || sg.sg_new_terms < 0 || sg.sg_parent_terms < 0
-      then fail path Err.Corrupt "negative count in segment header";
-      (* fit check before the length multiplications (overflow aliasing) *)
-      if
-        sg.sg_adds > size / 24 || sg.sg_dels > size / 24
-        || sg.sg_new_terms > size / 8
-      then fail path Err.Truncated "file too short for the segment counts";
-      validate_sections path ~size ~table:sg.sg_table
-        ~expected:
-          [|
-            8 * (sg.sg_new_terms + 1);
-            -1 (* blob *);
-            24 * sg.sg_adds;
-            24 * sg.sg_dels;
-          |];
-      if verify then begin
-        seek_in ic header_size;
-        let payload = really_input_string ic (size - header_size) in
-        let stamp = fnv_string fnv_basis payload in
-        if stamp <> sg.sg_stamp then
-          fail path Err.Checksum_mismatch
-            (Printf.sprintf "payload hashes to %#x, header says %#x" stamp
-               sg.sg_stamp)
-      end;
-      let section k =
-        let off, len = sg.sg_table.(k) in
-        seek_in ic off;
-        really_input_string ic len
-      in
-      let words s =
-        Array.init (String.length s / 8) (fun i ->
-            Int64.to_int (String.get_int64_le s (8 * i)))
-      in
-      let offsets = words (section 0) in
-      let blob = section 1 in
+(* Segments are O(delta): read them eagerly, ids range-checked against
+   the dictionary they extend. *)
+let read_segment ?verify path =
+  with_file ?verify segment_kind path (fun h ic ->
+      let w = h.f_words in
+      let offsets = read_section ic h 0 and blob = read_section ic h 1 in
       let new_terms =
-        Array.init sg.sg_new_terms (fun i ->
-            let lo = offsets.(i) and hi = offsets.(i + 1) in
+        Array.init w.(s_new_terms) (fun i ->
+            let lo = get_word offsets i and hi = get_word offsets (i + 1) in
             if lo < 0 || hi < lo || hi > String.length blob then
               fail path Err.Corrupt "segment dictionary offsets out of range";
             String.sub blob lo (hi - lo))
       in
-      let triples s n =
-        Array.init n (fun i ->
-            let w j = Int64.to_int (String.get_int64_le s ((24 * i) + (8 * j))) in
-            (w 0, w 1, w 2))
+      let n_terms = w.(s_parent_terms) + w.(s_new_terms) in
+      let triples k =
+        let sec = read_section ic h k in
+        Array.init (String.length sec / 24) (fun i ->
+            let id j =
+              let v = get_word sec ((3 * i) + j) in
+              if v < 0 || v >= n_terms then
+                fail path Err.Corrupt "segment triple id out of range";
+              v
+            in
+            (id 0, id 1, id 2))
       in
       {
-        sd_path = path;
-        sd_header = sg;
+        sd = h;
         sd_new_terms = new_terms;
-        sd_adds = triples (section 2) sg.sg_adds;
-        sd_dels = triples (section 3) sg.sg_dels;
+        sd_adds = triples 2;
+        sd_dels = triples 3;
       })
 
-let write_segment path ~parent_stamp ~parent_terms ~new_terms ~adds ~dels =
-  let offsets = Buffer.create ((Array.length new_terms + 1) * 8) in
-  let blob = Buffer.create 256 in
-  Array.iter
-    (fun s ->
-      add_word offsets (Buffer.length blob);
-      Buffer.add_string blob s)
-    new_terms;
-  add_word offsets (Buffer.length blob);
-  let triples_buf arr =
-    let buf = Buffer.create (Array.length arr * 24) in
-    Array.iter
-      (fun (s, p, o) ->
-        add_word buf s;
-        add_word buf p;
-        add_word buf o)
-      arr;
-    buf
-  in
-  let payload, table =
-    build_sections [| offsets; blob; triples_buf adds; triples_buf dels |]
-  in
-  let stamp = fnv_string fnv_basis (Buffer.contents payload) in
-  let header = Buffer.create header_size in
-  Buffer.add_string header delta_magic;
-  add_word header format_version;
-  add_word header byte_order_mark;
-  add_word header parent_stamp;
-  add_word header stamp;
-  add_word header (Array.length adds);
-  add_word header (Array.length dels);
-  add_word header (Array.length new_terms);
-  add_word header parent_terms;
-  Array.iter
-    (fun (off, len) ->
-      add_word header off;
-      add_word header len)
-    table;
-  Buffer.add_string header
-    (String.make (header_size - Buffer.length header) '\000');
-  atomic_write path ~header ~payload;
-  stamp
-
-(* Chain validation: each segment must name the running chain stamp as
-   its parent and agree on where the dictionary stood. Returns the final
-   (chain stamp, total terms). *)
-let fold_chain h segs =
-  List.fold_left
-    (fun (stamp, terms) sd ->
-      let sg = sd.sd_header in
-      if sg.sg_parent <> stamp then
-        fail sd.sd_path
-          (Err.Delta_chain_broken
-             { expected_parent = stamp; found_parent = sg.sg_parent })
-          "";
-      if sg.sg_parent_terms <> terms then
-        fail sd.sd_path Err.Corrupt
-          "segment dictionary base disagrees with the chain";
-      (fold_stamp stamp sg.sg_stamp, terms + sg.sg_new_terms))
-    (h.h_stamp, h.h_terms) segs
+(* Open the base store at [path] under its segment chain. Each segment
+   must name the running chain stamp as its parent and agree on where
+   the dictionary stood; [f] gets the base header and channel, the
+   final chain stamp and term count, and each segment with the chain
+   stamp after it. *)
+let with_chain ?verify path f =
+  let segs = List.map (read_segment ?verify) (discover_segments path) in
+  with_file ?verify base_kind path (fun h ic ->
+      let (chain_stamp, terms), steps =
+        List.fold_left_map
+          (fun (stamp, terms) sd ->
+            let w = sd.sd.f_words in
+            if w.(s_parent) <> stamp then
+              fail sd.sd.f_path
+                (Err.Delta_chain_broken
+                   { expected_parent = stamp; found_parent = w.(s_parent) })
+                "";
+            if w.(s_parent_terms) <> terms then
+              fail sd.sd.f_path Err.Corrupt
+                "segment dictionary base disagrees with the chain";
+            let stamp = fold_stamp stamp w.(s_stamp) in
+            ((stamp, terms + w.(s_new_terms)), (sd, stamp)))
+          (h.f_words.(b_stamp), h.f_words.(b_terms))
+          segs
+      in
+      f h ic ~chain_stamp ~terms steps)
 
 (* ------------------------------------------------------------------ *)
 (* Loading: base store (possibly under a segment chain)                *)
 (* ------------------------------------------------------------------ *)
 
-let load_store ?(verify = false) path =
-  let segs = List.map (read_segment ~verify) (discover_segments path) in
-  with_store path (fun h fd ->
-      if verify then verify_stamp path fd h;
-      let sec k = h.h_table.(k) in
-      let map_ints k =
-        let pos, bytes = sec k in
-        map_section path fd Bigarray.int ~pos ~bytes ~elt_bytes:8
-      in
-      let offsets =
-        match map_ints 0 with
-        | Some a -> a
-        | None -> fail path Err.Corrupt "dictionary offsets section empty"
-      in
-      let term_sort = map_ints 1 in
-      let blob =
-        let pos, bytes = sec 2 in
-        map_section path fd Bigarray.char ~pos ~bytes ~elt_bytes:1
-      in
-      let base_dict_view =
-        dict_view path ~offsets ~term_sort ~blob ~blob_len:(snd (sec 2))
-          ~n_terms:h.h_terms
-      in
-      let base_spo = triple_view path (map_ints 3) h.h_triples
-      and base_pos = triple_view path (map_ints 4) h.h_triples
-      and base_osp = triple_view path (map_ints 5) h.h_triples in
-      let base_seed = stats_seed path ~pstats:(map_ints 6) ~h in
-      match segs with
+let load_store ?verify path =
+  with_chain ?verify path (fun h ic ~chain_stamp ~terms steps ->
+      let b = map_base h ic in
+      let identity = identity_of_stamp chain_stamp in
+      match List.map fst steps with
       | [] ->
-          E.of_views
-            ~identity:(identity_of_stamp h.h_stamp)
-            ~dict:(Rdf.Dictionary.of_view base_dict_view)
-            ~spo:base_spo ~pos:base_pos ~osp:base_osp ~stats:base_seed ()
+          E.of_views ~identity ~dict:(Rdf.Dictionary.of_view b.b_dict)
+            ~spo:b.b_spo ~pos:b.b_pos ~osp:b.b_osp ~stats:b.b_seed ()
       | segs ->
-          let chain_stamp, total_terms = fold_chain h segs in
           (* Composed dictionary: base ids unchanged, segment growth
              appended above them. A find that misses the base scans the
              segment entries linearly — O(delta), and memoized by the
              Dictionary wrapper. *)
-          let extra = Array.concat (List.map (fun sd -> sd.sd_new_terms) segs) in
+          let base_terms = h.f_words.(b_terms) in
+          let extra =
+            Array.concat (List.map (fun sd -> sd.sd_new_terms) segs)
+          in
           let view_term id =
-            if id < h.h_terms then base_dict_view.Rdf.Dictionary.view_term id
-            else if id - h.h_terms < Array.length extra then
-              deserialize_term path extra.(id - h.h_terms)
+            if id < base_terms then b.b_dict.Rdf.Dictionary.view_term id
+            else if id - base_terms < Array.length extra then
+              deserialize_term path extra.(id - base_terms)
             else fail path Err.Corrupt "term id beyond the segment dictionary"
           in
           let view_find term =
-            match base_dict_view.Rdf.Dictionary.view_find term with
+            match b.b_dict.Rdf.Dictionary.view_find term with
             | Some id -> Some id
             | None ->
                 let probe = serialize_term term in
@@ -821,30 +801,30 @@ let load_store ?(verify = false) path =
                 Array.iteri
                   (fun i s ->
                     if !found = None && String.equal s probe then
-                      found := Some (h.h_terms + i))
+                      found := Some (base_terms + i))
                   extra;
                 !found
           in
           let dict =
             Rdf.Dictionary.of_view
-              { Rdf.Dictionary.view_size = total_terms; view_term; view_find }
+              { Rdf.Dictionary.view_size = terms; view_term; view_find }
           in
           let adds, dels =
             Overlay.compose
-              ~base_mem:(fun t -> Overlay.view_mem base_spo rot_spo t)
+              ~base_mem:(fun t -> Overlay.view_mem b.b_spo rot_spo t)
               ~segments:(List.map (fun sd -> (sd.sd_adds, sd.sd_dels)) segs)
               ()
           in
-          let spo = Overlay.merge ~base:base_spo ~rot:rot_spo ~adds ~dels ()
-          and pos = Overlay.merge ~base:base_pos ~rot:rot_pos ~adds ~dels ()
-          and osp = Overlay.merge ~base:base_osp ~rot:rot_osp ~adds ~dels () in
+          let spo = Overlay.merge ~base:b.b_spo ~rot:rot_spo ~adds ~dels ()
+          and pos = Overlay.merge ~base:b.b_pos ~rot:rot_pos ~adds ~dels ()
+          and osp = Overlay.merge ~base:b.b_osp ~rot:rot_osp ~adds ~dels () in
           (* Stats under the overlay: predicates the delta never touched
              keep their exact base rows; touched predicates (and the
              global distinct counts) fall back to the encoded layer's
              exact scans over the merged views, so the planner's figures
              match a monolithic recompile bit for bit. *)
           let stats =
-            if Array.length adds = 0 && Array.length dels = 0 then base_seed
+            if Array.length adds = 0 && Array.length dels = 0 then b.b_seed
             else begin
               let touched = Hashtbl.create 16 in
               Array.iter (fun (_, p, _) -> Hashtbl.replace touched p ()) adds;
@@ -856,13 +836,11 @@ let load_store ?(verify = false) path =
                 seed_predicate =
                   (fun p ->
                     if Hashtbl.mem touched p then None
-                    else base_seed.E.seed_predicate p);
+                    else b.b_seed.E.seed_predicate p);
               }
             end
           in
-          E.of_views
-            ~identity:(identity_of_stamp chain_stamp)
-            ~dict ~spo ~pos ~osp ~stats ())
+          E.of_views ~identity ~dict ~spo ~pos ~osp ~stats ())
 
 (* ------------------------------------------------------------------ *)
 (* Shard manifests                                                     *)
@@ -875,120 +853,10 @@ type member_rec = {
   mr_file : string;  (* relative to the manifest's directory *)
 }
 
-type man_header = {
-  mh_members : int;
-  mh_slices : int;
-  mh_stamp : int;
-  mh_triples : int;
-  mh_terms : int;
-  mh_distinct_s : int;
-  mh_distinct_o : int;
-  mh_distinct_p : int;
-  mh_table : (int * int) array;
-  mh_file_bytes : int;
-}
-
-let write_manifest path ~slices ~members ~totals =
-  let records = Buffer.create 256 in
-  List.iter
-    (fun r ->
-      add_word records r.mr_slice;
-      add_word records r.mr_stamp;
-      add_word records r.mr_triples;
-      add_word records (String.length r.mr_file);
-      Buffer.add_string records r.mr_file;
-      let pad = (8 - (String.length r.mr_file mod 8)) mod 8 in
-      Buffer.add_string records (String.make pad '\000'))
-    members;
-  let payload, table = build_sections [| records |] in
-  (* The stamp covers the member table — and with it every member's
-     stamp — so the manifest identity folds the member identities. *)
-  let stamp = fnv_string fnv_basis (Buffer.contents payload) in
-  let total_triples, n_terms, d_s, d_o, d_p = totals in
-  let header = Buffer.create header_size in
-  Buffer.add_string header manifest_magic;
-  add_word header format_version;
-  add_word header byte_order_mark;
-  add_word header (List.length members);
-  add_word header slices;
-  add_word header stamp;
-  add_word header total_triples;
-  add_word header n_terms;
-  add_word header d_s;
-  add_word header d_o;
-  add_word header d_p;
-  Array.iter
-    (fun (off, len) ->
-      add_word header off;
-      add_word header len)
-    table;
-  Buffer.add_string header
-    (String.make (header_size - Buffer.length header) '\000');
-  atomic_write path ~header ~payload;
-  stamp
-
-let read_manifest ?(verify = false) path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> Err.fail (Err.Io_error { path; msg })
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      read_magic path ic ~size ~expected:manifest_magic;
-      if size < header_size then
-        fail path Err.Truncated "incomplete manifest header";
-      let rest =
-        really_input_string ic (header_size - String.length manifest_magic)
-      in
-      let header = manifest_magic ^ rest in
-      check_version_bom path header;
-      let word off = Int64.to_int (String.get_int64_le header off) in
-      let mh =
-        {
-          mh_members = word moff_members;
-          mh_slices = word moff_slices;
-          mh_stamp = word moff_stamp;
-          mh_triples = word moff_triples;
-          mh_terms = word moff_terms;
-          mh_distinct_s = word moff_distinct_s;
-          mh_distinct_o = word moff_distinct_o;
-          mh_distinct_p = word moff_distinct_p;
-          mh_table = [| (word moff_table, word (moff_table + 8)) |];
-          mh_file_bytes = size;
-        }
-      in
-      if
-        mh.mh_members < 1 || mh.mh_slices < 1 || mh.mh_stamp < 0
-        || mh.mh_triples < 0 || mh.mh_terms < 0
-      then fail path Err.Corrupt "negative or empty count in manifest header";
-      if mh.mh_members <> mh.mh_slices then
-        fail path Err.Corrupt "manifest member count disagrees with slices";
-      (* each member record is at least four words *)
-      if mh.mh_members > size / 32 then
-        fail path Err.Truncated "file too short for the member table";
-      if
-        mh.mh_distinct_s < 0
-        || mh.mh_distinct_s > mh.mh_terms
-        || mh.mh_distinct_o < 0
-        || mh.mh_distinct_o > mh.mh_terms
-        || mh.mh_distinct_p < 0
-        || mh.mh_distinct_p > mh.mh_terms
-      then fail path Err.Corrupt "distinct-count statistics out of range";
-      validate_sections path ~size ~table:mh.mh_table ~expected:[| -1 |];
-      if verify then begin
-        seek_in ic header_size;
-        let payload = really_input_string ic (size - header_size) in
-        let stamp = fnv_string fnv_basis payload in
-        if stamp <> mh.mh_stamp then
-          fail path Err.Checksum_mismatch
-            (Printf.sprintf "payload hashes to %#x, header says %#x" stamp
-               mh.mh_stamp)
-      end;
-      let off, len = mh.mh_table.(0) in
-      seek_in ic off;
-      let table = really_input_string ic len in
+let read_manifest ?verify path =
+  with_file ?verify manifest_kind path (fun h ic ->
+      let table = read_section ic h 0 in
+      let len = String.length table in
       let cursor = ref 0 in
       let next_word () =
         if !cursor + 8 > len then
@@ -998,7 +866,7 @@ let read_manifest ?(verify = false) path =
         v
       in
       let records =
-        List.init mh.mh_members (fun _ ->
+        List.init h.f_words.(m_members) (fun _ ->
             let slice = next_word () in
             let stamp = next_word () in
             let triples = next_word () in
@@ -1007,12 +875,14 @@ let read_manifest ?(verify = false) path =
               fail path Err.Corrupt "manifest member path out of range";
             let file = String.sub table !cursor plen in
             cursor := !cursor + plen + ((8 - (plen mod 8)) mod 8);
-            if slice < 0 || slice >= mh.mh_slices || stamp < 0 || triples < 0
+            if
+              slice < 0 || slice >= h.f_words.(m_slices) || stamp < 0
+              || triples < 0
             then fail path Err.Corrupt "manifest member record out of range";
             { mr_slice = slice; mr_stamp = stamp; mr_triples = triples;
               mr_file = file })
       in
-      (mh, records))
+      (h, records))
 
 (* A member must exist, carry the pinned stamp and the full dictionary,
    and have no trailing delta segments (those would make its content
@@ -1026,72 +896,56 @@ let check_member manifest_path ~dir ~terms ~verify r =
   (match discover_segments mp with
   | [] -> ()
   | _ -> mismatch "member store has delta segments (compact or re-shard)");
-  with_store mp (fun h fd ->
-      if h.h_stamp <> r.mr_stamp then
+  with_file ~verify base_kind mp (fun h _ ->
+      let w = h.f_words in
+      if w.(b_stamp) <> r.mr_stamp then
         mismatch
-          (Printf.sprintf "member stamp %#x, manifest pins %#x" h.h_stamp
+          (Printf.sprintf "member stamp %#x, manifest pins %#x" w.(b_stamp)
              r.mr_stamp);
-      if h.h_terms <> terms then
+      if w.(b_terms) <> terms then
         mismatch "member dictionary disagrees with the manifest";
-      if h.h_triples <> r.mr_triples then
+      if w.(b_triples) <> r.mr_triples then
         mismatch "member triple count disagrees with the manifest";
-      if verify then verify_stamp mp fd h;
       h)
 
 let load_manifest ?(verify = false) path =
   let mh, records = read_manifest ~verify path in
+  let w = mh.f_words in
+  let slices = w.(m_slices) and n_terms = w.(m_terms) in
   let dir = Filename.dirname path in
-  let headers =
-    List.map (fun r -> (r, check_member path ~dir ~terms:mh.mh_terms ~verify r))
-      records
-  in
-  let by_slice = Array.make mh.mh_slices None in
   List.iter
-    (fun (r, _) ->
+    (fun r -> ignore (check_member path ~dir ~terms:n_terms ~verify r))
+    records;
+  let by_slice = Array.make slices None in
+  List.iter
+    (fun r ->
       if by_slice.(r.mr_slice) <> None then
         fail path Err.Corrupt "manifest member slices not a permutation";
       by_slice.(r.mr_slice) <- Some r)
-    headers;
+    records;
   let slot k =
     match by_slice.(k) with
     | Some r -> r
     | None -> fail path Err.Corrupt "manifest member slices not a permutation"
   in
   let members_sum =
-    List.fold_left (fun acc (r, _) -> acc + r.mr_triples) 0 headers
+    List.fold_left (fun acc r -> acc + r.mr_triples) 0 records
   in
-  if members_sum <> mh.mh_triples then
+  if members_sum <> w.(m_triples) then
     fail path Err.Corrupt "member triple counts disagree with the manifest total";
-  let member_path k = Filename.concat dir (slot k).mr_file in
+  let with_member k f =
+    with_file base_kind (Filename.concat dir (slot k).mr_file) (fun h ic ->
+        f h (map_base h ic))
+  in
   (* Shared dictionary: every member carries the full term table, so ids
      are global — serve it from slice 0's sections, mapped on first
      touch. The Dictionary wrapper serializes view calls, so the lazy
      force is domain-safe. *)
-  let dict_view0 =
-    lazy
-      (let mp = member_path 0 in
-       with_store mp (fun h fd ->
-           let sec k = h.h_table.(k) in
-           let map_ints k =
-             let pos, bytes = sec k in
-             map_section mp fd Bigarray.int ~pos ~bytes ~elt_bytes:8
-           in
-           let offsets =
-             match map_ints 0 with
-             | Some a -> a
-             | None -> fail mp Err.Corrupt "dictionary offsets section empty"
-           in
-           let blob =
-             let pos, bytes = sec 2 in
-             map_section mp fd Bigarray.char ~pos ~bytes ~elt_bytes:1
-           in
-           dict_view mp ~offsets ~term_sort:(map_ints 1) ~blob
-             ~blob_len:(snd (sec 2)) ~n_terms:h.h_terms))
-  in
+  let dict_view0 = lazy (with_member 0 (fun _ b -> b.b_dict)) in
   let dict =
     Rdf.Dictionary.of_view
       {
-        Rdf.Dictionary.view_size = mh.mh_terms;
+        Rdf.Dictionary.view_size = n_terms;
         view_term =
           (fun id -> (Lazy.force dict_view0).Rdf.Dictionary.view_term id);
         view_find =
@@ -1100,62 +954,42 @@ let load_manifest ?(verify = false) path =
   in
   let load_member k =
     lazy
-      (let mp = member_path k in
-       with_store mp (fun h fd ->
-           let sec i = h.h_table.(i) in
-           let map_ints i =
-             let pos, bytes = sec i in
-             map_section mp fd Bigarray.int ~pos ~bytes ~elt_bytes:8
-           in
+      (with_member k (fun h b ->
            E.of_views
-             ~identity:(identity_of_stamp h.h_stamp)
-             ~dict
-             ~spo:(triple_view mp (map_ints 3) h.h_triples)
-             ~pos:(triple_view mp (map_ints 4) h.h_triples)
-             ~osp:(triple_view mp (map_ints 5) h.h_triples)
-             ~stats:(stats_seed mp ~pstats:(map_ints 6) ~h)
-             ()))
+             ~identity:(identity_of_stamp h.f_words.(b_stamp))
+             ~dict ~spo:b.b_spo ~pos:b.b_pos ~osp:b.b_osp ~stats:b.b_seed ()))
   in
   (* Slice routing hashes the predicate's serialized bytes — identical
      in every store that contains the term, so the route is
      id-independent and stable across compiles. *)
   let owner p =
-    if p < 0 || p >= mh.mh_terms then 0
+    if p < 0 || p >= n_terms then 0
     else
       fnv_string fnv_basis (serialize_term (Rdf.Dictionary.term_of dict p))
-      mod mh.mh_slices
+      mod slices
   in
   let stats =
     {
-      E.seed_subjects = Some mh.mh_distinct_s;
-      seed_objects = Some mh.mh_distinct_o;
-      seed_predicates = Some mh.mh_distinct_p;
+      E.seed_subjects = Some w.(m_distinct);
+      seed_objects = Some w.(m_distinct + 1);
+      seed_predicates = Some w.(m_distinct + 2);
       seed_predicate = (fun _ -> None)
       (* per-predicate rows live in the owning member; the union layer
          routes there *);
     }
   in
   E.union
-    ~identity:(identity_of_stamp mh.mh_stamp)
+    ~identity:(identity_of_stamp w.(m_stamp))
     ~dict
-    ~members:(Array.init mh.mh_slices load_member)
-    ~owner ~total:mh.mh_triples ~stats ()
+    ~members:(Array.init slices load_member)
+    ~owner ~total:w.(m_triples) ~stats ()
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let sniff path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Err.fail (Err.Io_error { path; msg })
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = min (in_channel_length ic) (String.length magic) in
-          really_input_string ic n)
-
-let is_manifest path = String.equal (sniff path) manifest_magic
+let is_manifest path =
+  match sniff path with `Kind k -> k == manifest_kind | _ -> false
 
 let load ?(verify = false) path =
   if is_manifest path then load_manifest ~verify path
@@ -1174,6 +1008,12 @@ let load_graph ?verify path =
         acc := Rdf.Dictionary.decode_triple dict (E.nth_spo enc i) :: !acc
       done;
       Rdf.Index.of_triples !acc)
+
+let looks_like_store path =
+  match sniff path with
+  | `Kind k -> k == base_kind || k == manifest_kind
+  | `Short | `Foreign -> false
+  | exception (Err.Error _ | Sys_error _) -> false
 
 (* ------------------------------------------------------------------ *)
 (* Append / compact / shard                                            *)
@@ -1243,9 +1083,20 @@ let append ?(adds = []) ?(dels = []) path =
     in
     let parent_stamp = -1 - E.epoch enc in
     let file = seg_path path (n_existing + 1) in
+    let offsets, blob = dict_sections new_terms in
+    let triples arr = triples_section (Array.length arr) (Array.get arr) in
     let seg_stamp =
-      write_segment file ~parent_stamp ~parent_terms ~new_terms ~adds:add_ids
-        ~dels:del_ids
+      write_file segment_kind file
+        ~words:
+          [|
+            parent_stamp;
+            0 (* stamp *);
+            Array.length add_ids;
+            Array.length del_ids;
+            Array.length new_terms;
+            parent_terms;
+          |]
+        ~sections:[| offsets; blob; triples add_ids; triples del_ids |]
     in
     Some
       {
@@ -1276,12 +1127,10 @@ let compact path =
      unlinked after, and a crash in the window leaves segments whose
      parent stamp no longer matches — the next load fails loudly with
      [Delta_chain_broken] instead of replaying stale deltas. *)
-  let fresh = E.of_graph (Rdf.Graph.of_triples !acc) in
-  save fresh path;
+  let stamp = write_store (E.of_graph (Rdf.Graph.of_triples !acc)) path in
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) segs;
   fsync_dir path;
-  with_store path (fun h _ ->
-      { folded = List.length segs; compact_stamp = h.h_stamp })
+  { folded = List.length segs; compact_stamp = stamp }
 
 type shard_result = {
   sh_file : string;
@@ -1325,37 +1174,50 @@ let shard ?(slices = 8) ~src out =
   let heap arr = { E.fn = Array.length arr; fget = (fun i -> arr.(i)) } in
   let dir = Filename.dirname out in
   let member_file k = Printf.sprintf "%s.s%d" (Filename.basename out) k in
-  let members =
+  let stamps =
     List.init slices (fun k ->
-        let file = Filename.concat dir (member_file k) in
         (* Every member carries the full dictionary (ids stay global);
            only its index and statistics sections are slice-local. *)
         let m =
           E.of_views ~identity:0 ~dict ~spo:(heap spo.(k)) ~pos:(heap pos.(k))
             ~osp:(heap osp.(k)) ()
         in
-        save m file;
-        let stamp = with_store file (fun h _ -> h.h_stamp) in
-        {
-          mr_slice = k;
-          mr_stamp = stamp;
-          mr_triples = Array.length spo.(k);
-          mr_file = member_file k;
-        })
+        write_store m (Filename.concat dir (member_file k)))
   in
-  let totals =
-    ( n,
-      Rdf.Dictionary.size dict,
-      E.distinct_subjects enc,
-      E.distinct_objects enc,
-      E.distinct_predicates enc )
+  let records = Buffer.create 256 in
+  List.iteri
+    (fun k stamp ->
+      let file = member_file k in
+      add_word records k;
+      add_word records stamp;
+      add_word records (Array.length spo.(k));
+      add_word records (String.length file);
+      Buffer.add_string records file;
+      Buffer.add_string records
+        (String.make ((8 - (String.length file mod 8)) mod 8) '\000'))
+    stamps;
+  (* The stamp covers the member table — and with it every member's
+     stamp — so the manifest identity folds the member identities. *)
+  let stamp =
+    write_file manifest_kind out
+      ~words:
+        [|
+          slices;
+          slices;
+          0 (* stamp *);
+          n;
+          Rdf.Dictionary.size dict;
+          E.distinct_subjects enc;
+          E.distinct_objects enc;
+          E.distinct_predicates enc;
+        |]
+      ~sections:[| records |]
   in
-  let stamp = write_manifest out ~slices ~members ~totals in
   {
     sh_file = out;
     sh_slices = slices;
     sh_stamp = stamp;
-    sh_members = List.map (fun r -> r.mr_file) members;
+    sh_members = List.init slices member_file;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1402,104 +1264,79 @@ type info = {
   chain : chain;
 }
 
+let sections_of kind h =
+  Array.to_list
+    (Array.map2
+       (fun (sec_name, _) (_, sec_bytes) -> { sec_name; sec_bytes })
+       kind.k_sections h.f_table)
+
 let info ?(verify = false) path =
   if is_manifest path then begin
     let mh, records = read_manifest ~verify path in
+    let w = mh.f_words in
     let dir = Filename.dirname path in
     let members =
       List.map
         (fun r ->
-          let h = check_member path ~dir ~terms:mh.mh_terms ~verify r in
+          let h = check_member path ~dir ~terms:w.(m_terms) ~verify r in
           {
             mem_file = r.mr_file;
             mem_slice = r.mr_slice;
             mem_stamp = r.mr_stamp;
             mem_triples = r.mr_triples;
-            mem_bytes = h.h_file_bytes;
+            mem_bytes = h.f_bytes;
           })
         records
     in
     {
       version = format_version;
-      triples = mh.mh_triples;
-      base_triples = mh.mh_triples;
-      terms = mh.mh_terms;
-      predicates = mh.mh_distinct_p;
-      stamp = mh.mh_stamp;
-      chain_stamp = mh.mh_stamp;
-      identity = identity_of_stamp mh.mh_stamp;
-      file_bytes = mh.mh_file_bytes;
+      triples = w.(m_triples);
+      base_triples = w.(m_triples);
+      terms = w.(m_terms);
+      predicates = w.(m_distinct + 2);
+      stamp = w.(m_stamp);
+      chain_stamp = w.(m_stamp);
+      identity = identity_of_stamp w.(m_stamp);
+      file_bytes = mh.f_bytes;
       total_bytes =
-        mh.mh_file_bytes
-        + List.fold_left (fun a m -> a + m.mem_bytes) 0 members;
-      sections =
-        [ { sec_name = "member-table"; sec_bytes = snd mh.mh_table.(0) } ];
-      chain = Sharded { slices = mh.mh_slices; members };
+        mh.f_bytes + List.fold_left (fun a m -> a + m.mem_bytes) 0 members;
+      sections = sections_of manifest_kind mh;
+      chain = Sharded { slices = w.(m_slices); members };
     }
   end
   else
-    let segs = List.map (read_segment ~verify) (discover_segments path) in
-    with_store path (fun h fd ->
-        if verify then verify_stamp path fd h;
-        let live, terms, chain_stamp, rev_segs =
-          List.fold_left
-            (fun (live, terms, stamp, acc) sd ->
-              let sg = sd.sd_header in
-              if sg.sg_parent <> stamp then
-                fail sd.sd_path
-                  (Err.Delta_chain_broken
-                     { expected_parent = stamp; found_parent = sg.sg_parent })
-                  "";
-              if sg.sg_parent_terms <> terms then
-                fail sd.sd_path Err.Corrupt
-                  "segment dictionary base disagrees with the chain";
-              let stamp' = fold_stamp stamp sg.sg_stamp in
-              ( live + sg.sg_adds - sg.sg_dels,
-                terms + sg.sg_new_terms,
-                stamp',
-                {
-                  seg_file = sd.sd_path;
-                  seg_adds = sg.sg_adds;
-                  seg_dels = sg.sg_dels;
-                  seg_new_terms = sg.sg_new_terms;
-                  seg_stamp = sg.sg_stamp;
-                  seg_chain_stamp = stamp';
-                  seg_bytes = sg.sg_file_bytes;
-                }
-                :: acc ))
-            (h.h_triples, h.h_terms, h.h_stamp, [])
-            segs
+    with_chain ~verify path (fun h _ ~chain_stamp ~terms steps ->
+        let w = h.f_words in
+        let segs =
+          List.map
+            (fun (sd, seg_chain_stamp) ->
+              let sw = sd.sd.f_words in
+              {
+                seg_file = sd.sd.f_path;
+                seg_adds = sw.(s_adds);
+                seg_dels = sw.(s_dels);
+                seg_new_terms = sw.(s_new_terms);
+                seg_stamp = sw.(s_stamp);
+                seg_chain_stamp;
+                seg_bytes = sd.sd.f_bytes;
+              })
+            steps
         in
-        let seg_infos = List.rev rev_segs in
         {
           version = format_version;
-          triples = live;
-          base_triples = h.h_triples;
+          triples =
+            List.fold_left
+              (fun live s -> live + s.seg_adds - s.seg_dels)
+              w.(b_triples) segs;
+          base_triples = w.(b_triples);
           terms;
-          predicates = h.h_preds;
-          stamp = h.h_stamp;
+          predicates = w.(b_preds);
+          stamp = w.(b_stamp);
           chain_stamp;
           identity = identity_of_stamp chain_stamp;
-          file_bytes = h.h_file_bytes;
+          file_bytes = h.f_bytes;
           total_bytes =
-            h.h_file_bytes
-            + List.fold_left (fun a s -> a + s.seg_bytes) 0 seg_infos;
-          sections =
-            Array.to_list
-              (Array.mapi
-                 (fun k (_, len) ->
-                   { sec_name = section_names.(k); sec_bytes = len })
-                 h.h_table);
-          chain = (match seg_infos with [] -> Single | l -> Chained l);
+            h.f_bytes + List.fold_left (fun a s -> a + s.seg_bytes) 0 segs;
+          sections = sections_of base_kind h;
+          chain = (match segs with [] -> Single | l -> Chained l);
         })
-
-let looks_like_store path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (String.length magic) with
-          | s -> String.equal s magic || String.equal s manifest_magic
-          | exception End_of_file -> false)

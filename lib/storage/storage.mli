@@ -5,62 +5,66 @@
 
     {2 File layout (format version 2)}
 
-    The base store is a fixed 256-byte header followed by seven
-    16-byte-aligned sections (see [docs/PERFORMANCE.md] for diagrams):
+    Three file kinds share one container (diagram in
+    [docs/PERFORMANCE.md]): an 8-byte magic, the format version, a
+    byte-order mark, N count words from byte 24, a table of K (offset,
+    length) pairs, zero padding to 256 bytes, then the K sections, each
+    16-byte aligned. All integers are 64-bit little-endian words.
 
-    - header: magic ["WDSTORE1"], format version, a byte-order mark,
-      triple/term/predicate counts, the content stamp, the three
-      distinct-count statistics, and a (offset, length) table of the
-      sections;
-    - [dict-offsets]: [n_terms + 1] ints delimiting each term's bytes in
-      the blob;
-    - [term-sort]: the term ids sorted by their serialized bytes, so the
-      reverse lookup (term → id) is a binary search over the mapping;
-    - [dict-blob]: the serialized terms, each a one-byte tag ('I' IRI,
-      'V' variable) followed by the term's text;
-    - [spo] / [pos] / [osp]: the raw (s, p, o) id triples of each
-      permutation in its sort order, 3 ints per triple — exactly what
-      {!Encoded.Encoded_graph} binary-searches;
-    - [pstats]: per-predicate statistics rows (pid, triples,
-      distinct subjects, distinct objects), sorted by pid.
+    {v
+ kind            magic     N  count words                      K  sections
+ base store      WDSTORE1  7  triples terms stamp predicates   7  dict-offsets term-sort
+                              distinct-s distinct-o distinct-p    dict-blob spo pos osp pstats
+ delta segment   WDSDELT1  6  parent stamp adds dels           4  new-dict-offsets
+                              new-terms parent-terms              new-dict-blob adds dels
+ shard manifest  WDSMANI1  8  members slices stamp triples     1  member-table
+                              terms distinct-s distinct-o distinct-p
+    v}
 
-    Format v2 keeps the base layout byte for byte and adds two multi-file
-    shapes around it:
+    - [dict-offsets] delimits each term's bytes in [dict-blob], where a
+      term is a one-byte tag ('I' IRI, 'V' variable) and its text;
+      [term-sort] holds the ids sorted by those bytes, so the reverse
+      lookup (term → id) is a binary search over the mapping;
+    - [spo] / [pos] / [osp] are the raw (s, p, o) id triples of each
+      permutation in its sort order — exactly what
+      {!Encoded.Encoded_graph} binary-searches; [pstats] holds
+      per-predicate rows (pid, triples, distinct subjects, distinct
+      objects), sorted by pid.
+    - {b Delta segments} [<base>.d1, <base>.d2, ...] are append-only
+      add/delete logs with a dictionary-growth block, each pinned to its
+      parent by the chain stamp it extends. {!load} merges the chain
+      over the base through positional overlay views ({!Overlay}) —
+      O(Δ log n) setup, no rewrite of the base; {!append} writes one in
+      O(Δ).
+    - {b Shard manifests} name member stores that partition the triples
+      by predicate hash slice, each pinned by its content stamp. {!load}
+      wraps them into a lazily-forced union — a predicate-bound query
+      maps only the owning member.
 
-    - {b Delta segments} [<base>.d1, <base>.d2, ...] (magic
-      ["WDSDELT1"]): append-only add/delete logs with a dictionary-growth
-      block, each pinned to its parent by the chain stamp it extends.
-      {!load} discovers the chain and merges it over the base through
-      positional overlay views ({!Overlay}) — O(Δ log n) setup, no
-      rewrite of the base; {!append} writes one in O(Δ).
-    - {b Shard manifests} (magic ["WDSMANI1"]): a small file naming
-      member stores that partition the triples by predicate hash slice,
-      each member pinned by its content stamp. {!load} wraps them into a
-      lazily-forced union — a predicate-bound query maps only the owning
-      member.
-
-    All integers are 64-bit little-endian words; the byte-order mark
-    rejects a store read on a machine of the other endianness. Content
-    stamps are FNV-1a hashes of the payload folded to 62 bits; the
-    identity of a chained or sharded store folds the member stamps, so
-    every distinct (base, segments) prefix and every manifest has a
+    Content stamps are FNV-1a hashes of the payload folded to 62 bits;
+    the identity of a chained or sharded store folds the member stamps,
+    so every distinct (base, segments) prefix and every manifest has a
     distinct stable identity.
 
     {2 Failure discipline}
 
-    Every way a file can be unusable — wrong magic, a file shorter than
-    the magic ({!Wdsparql_error.Truncated}, distinguished from
-    {!Wdsparql_error.Bad_magic} by whether the bytes prefix a known
-    magic), newer format version, corrupt structure, checksum mismatch, a
-    segment whose parent stamp does not extend the chain
-    ({!Wdsparql_error.Delta_chain_broken}), a gap in the segment
-    numbering, or a shard member missing or disagreeing with its manifest
-    ({!Wdsparql_error.Manifest_mismatch}) — raises
-    {!Wdsparql_error.Store_error} with the precise fault; a corrupt store
-    never surfaces as a raw [Failure], [Invalid_argument], or a crash
-    inside a mapping. Validation is layered: headers, section tables and
-    chain linkage eagerly at load, dictionary bytes lazily at first
-    decode, and full payloads only under [~verify:true]. *)
+    Every way a file can be unusable raises {!Wdsparql_error.Store_error}
+    with the precise fault: wrong magic ({!Wdsparql_error.Bad_magic}); a
+    file shorter than the magic whose bytes prefix a known magic, or a
+    section extending past end-of-file ({!Wdsparql_error.Truncated});
+    newer format version; corrupt structure, including a section
+    starting inside the header, a negative or miscounted length,
+    overlapping sections, and any id outside the dictionary
+    ({!Wdsparql_error.Corrupt}); checksum mismatch; a segment whose
+    parent stamp does not extend the chain
+    ({!Wdsparql_error.Delta_chain_broken}); a gap in the segment
+    numbering; or a shard member missing or disagreeing with its
+    manifest ({!Wdsparql_error.Manifest_mismatch}). A corrupt store never
+    surfaces as a raw [Failure], [Invalid_argument], or a crash inside a
+    mapping. Validation is layered: headers, section tables, chain
+    linkage and segment ids eagerly at load; dictionary bytes lazily at
+    first decode; base and member index ids as a probe reads them; and
+    full payloads only under [~verify:true]. *)
 
 type section_info = {
   sec_name : string;
@@ -107,19 +111,12 @@ type info = {
   chain : chain;
 }
 
-val magic : string
-(** The 8-byte base-store magic prefix, ["WDSTORE1"]. *)
-
 val format_version : int
 
 val looks_like_store : string -> bool
 (** Whether the file starts with a store or manifest magic — the cheap
     sniff the CLI uses to accept a compiled store anywhere a Turtle file
     is. False on any read error. *)
-
-val is_manifest : string -> bool
-(** Whether the file starts with the shard-manifest magic. Raises
-    {!Wdsparql_error.Io_error} if it cannot be opened. *)
 
 val seg_path : string -> int -> string
 (** [seg_path base k] is the path of the k-th delta segment

@@ -332,7 +332,9 @@ let test_segment_fuzz () =
           true
           (structured_only (fun () -> Storage.load path))
       done;
-      (* payload flips under ~verify: caught by the segment stamp *)
+      (* payload flips under ~verify: caught by the segment stamp; without
+         ~verify the load may succeed, but decoding every triple of the
+         merged store must then stay structured *)
       let step = max 1 ((size - 256) / 16) in
       let pos = ref 256 in
       while !pos < size do
@@ -343,6 +345,18 @@ let test_segment_fuzz () =
           (Printf.sprintf "payload flip at %d" !pos)
           true
           (structured_only (fun () -> Storage.load ~verify:true path));
+        Alcotest.(check bool)
+          (Printf.sprintf "unverified use after payload flip at %d" !pos)
+          true
+          (structured_only (fun () ->
+               let enc = Storage.load path in
+               let d = E.dictionary enc in
+               for i = 0 to E.cardinal enc - 1 do
+                 List.iter
+                   (fun nth ->
+                     ignore (Rdf.Dictionary.decode_triple d (nth enc i)))
+                   [ E.nth_spo; E.nth_pos; E.nth_osp ]
+               done));
         pos := !pos + step
       done;
       write_file seg whole;

@@ -320,6 +320,12 @@ let test_bit_flips () =
                    let enc = Storage.load tmp in
                    let d = E.dictionary enc in
                    E.iter_matching enc ~f:ignore ();
+                   for i = 0 to E.cardinal enc - 1 do
+                     List.iter
+                       (fun nth ->
+                         ignore (Rdf.Dictionary.decode_triple d (nth enc i)))
+                       [ E.nth_spo; E.nth_pos; E.nth_osp ]
+                   done;
                    for id = 0 to Rdf.Dictionary.size d - 1 do
                      ignore (Rdf.Dictionary.term_of d id)
                    done;
@@ -343,28 +349,37 @@ let test_version_gate () =
           | Some (Err.Version_mismatch { found = 9; expected = 2 }) -> ()
           | _ -> Alcotest.fail "expected Version_mismatch {found = 9}"))
 
-(* In-bounds but overlapping sections must be rejected as Corrupt: the
-   per-section bounds and length checks alone would admit them, and the
-   aliased bytes would silently yield wrong answers. *)
+(* Section-table entries that stay inside the file but cannot be a
+   section must be rejected as Corrupt, not as a truncation. In-bounds
+   but overlapping sections matter most: the per-section bounds and
+   length checks alone would admit them, and the aliased bytes would
+   silently yield wrong answers. *)
 let test_overlapping_sections () =
   let g = graph_of 7 in
   with_store_file (E.of_graph g) (fun path ->
       let whole = read_file path in
-      let b = Bytes.of_string whole in
       (* The section table starts at byte 80, one (offset, length) pair of
-         two 64-bit words per section. Point section 1 (term-sort) at
-         section 0's offset: both sections stay inside the file and keep
-         their expected lengths, so only the disjointness check fires. *)
-      let sec0_off = Bytes.get_int64_le b 80 in
-      Bytes.set_int64_le b (80 + 16) sec0_off;
+         two 64-bit words per section. *)
+      let sec0_off = String.get_int64_le whole 80 in
       let tmp = Filename.temp_file "wdsparql_overlap" ".wds" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
         (fun () ->
-          write_file tmp (Bytes.to_string b);
-          Alcotest.(check (option fault_t))
-            "overlapping sections rejected" (Some Err.Corrupt)
-            (fault_of (fun () -> Storage.load tmp))))
+          List.iter
+            (fun (what, word_at, value) ->
+              let b = Bytes.of_string whole in
+              Bytes.set_int64_le b word_at value;
+              write_file tmp (Bytes.to_string b);
+              Alcotest.(check (option fault_t)) what (Some Err.Corrupt)
+                (fault_of (fun () -> Storage.load tmp)))
+            [
+              (* section 1 (term-sort) at section 0's offset: both stay
+                 inside the file with their expected lengths, so only the
+                 disjointness check fires *)
+              ("overlapping sections rejected", 80 + 16, sec0_off);
+              ("section offset inside the header", 80, 0L);
+              ("negative section length", 80 + 8, -8L);
+            ]))
 
 (* Regression: view-backed dictionaries memoize decodes and reverse
    lookups on the read path, so concurrent access from worker domains
@@ -422,6 +437,51 @@ let test_not_a_store () =
   | exception _ -> Alcotest.fail "missing file must raise Io_error"
 
 (* ------------------------------------------------------------------ *)
+(* Format identity                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The MD5 of every file the three writers produce for one fixed
+   fixture — a base store, one appended segment, and a 3-slice manifest
+   with its members. Stamps are only ever compared within one run, so
+   this is the pin that keeps the on-disk bytes identical across
+   commits: a change here is a format change. *)
+let golden_digests =
+  [
+    ("g.wds", "55ba47cd0916f12dec79b5d46a8e102b");
+    ("g.wds.d1", "e5e27ca7509d88567a14a62b0e310203");
+    ("g.man", "4ad5d0e666cb12f1facce542a908262e");
+    ("g.man.s0", "b7736a87011b6df3962bb14bbc0ce58a");
+    ("g.man.s1", "f7bbdda56824e6752e602a7daee0430c");
+    ("g.man.s2", "e2bd27b9425e7c5eb9616590ff23219a");
+  ]
+
+let test_format_identity () =
+  let dir = Filename.temp_file "wdsparql_golden" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let file name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (file e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let g = graph_of 17 in
+      Storage.save (E.of_graph g) (file "g.wds");
+      let delta =
+        Rdf.Generator.random_graph ~seed:18 ~n:11
+          ~predicates:[ "q1"; "q3" ] ~m:12
+      in
+      ignore
+        (Storage.append
+           ~adds:(Rdf.Graph.triples delta)
+           ~dels:(List.filteri (fun i _ -> i mod 5 = 0) (Rdf.Graph.triples g))
+           (file "g.wds"));
+      ignore (Storage.shard ~slices:3 ~src:(file "g.wds") (file "g.man"));
+      List.iter
+        (fun (name, digest) ->
+          Alcotest.(check string) name digest
+            (Digest.to_hex (Digest.string (read_file (file name)))))
+        golden_digests)
 
 let () =
   Alcotest.run "persist"
@@ -434,6 +494,8 @@ let () =
             test_empty_graph;
           Alcotest.test_case "identity stable across loads" `Quick
             test_identity_stable;
+          Alcotest.test_case "format identity: golden file digests" `Quick
+            test_format_identity;
         ] );
       ( "differential",
         [
