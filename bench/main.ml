@@ -1941,11 +1941,11 @@ let a12 () =
   ignore (Storage.shard ~slices ~src:whole man);
   Encoded.Encoded_graph.clear_cache ();
   let sharded = Storage.load man in
-  E.register sharded;
   let graph =
     Rdf.Graph.deferred ~epoch:(E.epoch sharded) (fun () ->
         failwith "A12: sharded handle left the encoded path")
   in
+  E.register graph sharded;
   ignore (full graph);
   let touched =
     Option.value ~default:slices (E.members_touched sharded)

@@ -155,27 +155,44 @@ let union ~identity ~dict ~members ~owner ~total ?stats () =
 let cache_capacity = 8
 let cache : (int * t) list ref = ref []
 
-(* Loaded persistent stores, pinned outside the MRU churn and keyed on
-   their stable identity: a deferred graph handle resolves here first,
-   so evaluating through the handle runs on the mmap'd arrays instead of
-   forcing the handle's term-level decode. Entries stay until
-   [clear_cache] (or a re-register of the same identity); dropping one
-   never unmaps anything a live evaluation still sees — every borrowed
-   view is a closure that keeps its mapping reachable on its own. *)
-let registered : (int, t) Hashtbl.t = Hashtbl.create 8
+(* Loaded persistent stores, outside the MRU churn and keyed on the
+   graph handle they back: a deferred handle resolves here first, so
+   evaluating through it runs on the mmap'd arrays instead of forcing
+   the handle's term-level decode. The table is ephemeral — an entry
+   lives exactly as long as its handle is reachable, so a server that
+   reloads its store again and again keeps only the stores some handle
+   still refers to. Keys compare physically (two loads of one file are
+   two handles, each pinning its own store) and hash on the epoch. A
+   forced [deferred] lazy drops its thunk, so the handle itself — not
+   the thunk — is the key. Dropping an entry never unmaps anything a
+   live evaluation still sees: every borrowed view is a closure that
+   keeps its mapping reachable on its own. *)
+module Registered = Ephemeron.K1.Make (struct
+  type t = Rdf.Graph.t
+
+  let equal = ( == )
+  let hash g = Hashtbl.hash (Rdf.Graph.epoch g)
+end)
+
+let registered : t Registered.t = Registered.create 8
 
 (* Guards [cache] and [registered]: worker domains resolve stores
    through [of_graph_cached] while the main domain may [register] or
    [clear_cache], so every touch of either table is serialized. *)
 let cache_lock = Mutex.create ()
 
-let register t =
-  Mutex.protect cache_lock (fun () -> Hashtbl.replace registered t.identity t)
+let register graph t =
+  Mutex.protect cache_lock (fun () -> Registered.replace registered graph t)
+
+let registered_live () =
+  Mutex.protect cache_lock (fun () ->
+      Registered.clean registered;
+      Registered.length registered)
 
 let clear_cache () =
   Mutex.protect cache_lock (fun () ->
       cache := [];
-      Hashtbl.reset registered)
+      Registered.reset registered)
 
 let of_graph_cached graph =
   let rec take n = function
@@ -186,7 +203,7 @@ let of_graph_cached graph =
   let key = Rdf.Graph.epoch graph in
   let cached =
     Mutex.protect cache_lock (fun () ->
-        match Hashtbl.find_opt registered key with
+        match Registered.find_opt registered graph with
         | Some enc -> Some enc
         | None -> (
             match List.find_opt (fun (e, _) -> e = key) !cache with
@@ -205,7 +222,7 @@ let of_graph_cached graph =
       let enc = of_graph graph in
       Mutex.protect cache_lock (fun () ->
           match
-            ( Hashtbl.find_opt registered key,
+            ( Registered.find_opt registered graph,
               List.find_opt (fun (e, _) -> e = key) !cache )
           with
           | Some winner, _ | None, Some (_, winner) ->

@@ -76,12 +76,19 @@ val members_touched : t -> int option
     forced so far (the lazy-mapping ablation counter). [None] for flat
     stores. *)
 
-val register : t -> unit
-(** Pin a store into the {!of_graph_cached} resolution table under its
-    {!epoch} identity, outside the MRU churn: a {!Rdf.Graph.deferred}
-    handle carrying the same identity then evaluates against this store
-    directly, never forcing its term-level decode. Re-registering the
-    same identity replaces the entry (same content by construction). *)
+val register : Rdf.Graph.t -> t -> unit
+(** [register graph store] makes [store] what {!of_graph_cached}
+    resolves [graph] to, outside the MRU churn: a {!Rdf.Graph.deferred}
+    handle then evaluates against the store directly, never forcing its
+    term-level decode. The entry lives exactly as long as [graph] is
+    reachable (an ephemeron keyed on the handle itself, not on its
+    epoch), so dropping the handle of a reloaded store releases that
+    store. Re-registering the same handle replaces its entry. *)
+
+val registered_live : unit -> int
+(** How many {!register}ed entries are still live (their handle not yet
+    collected). Mainly for tests: after dropping handles and a
+    [Gc.full_major], the count falls back. *)
 
 val of_graph_cached : Rdf.Graph.t -> t
 (** Like {!of_graph}, but resolved through the {!register}ed persistent

@@ -1,10 +1,12 @@
 (* The long-running endpoint: an accept thread feeding a bounded queue
-   of connections to a small pool of worker threads. Robustness over
-   raw speed: every request runs under a private budget carved from the
-   admission controller, overload is shed promptly at three watermarks
-   (queue depth at accept, in-flight count, global token bucket), every
-   socket operation has a deadline, and SIGINT/SIGTERM drains —
-   stop accepting, cancel in-flight budgets, flush the final stats. *)
+   of connections to a small pool of worker threads, which block on a
+   condition variable and wake as soon as a connection is queued — no
+   worker polls. Robustness over raw speed: every request runs under a
+   private budget carved from the admission controller, overload is shed
+   promptly at three watermarks (queue depth at accept, in-flight count,
+   global token bucket), every socket operation has a deadline, and
+   SIGINT/SIGTERM drains — stop accepting, wake idle workers, cancel
+   in-flight budgets, flush the final stats. *)
 
 module Budget = Resource.Budget
 module Engine = Wd_core.Engine
@@ -19,7 +21,8 @@ type config = {
   graph : Rdf.Graph.t;
   reload : (unit -> Rdf.Graph.t) option;
       (* re-resolve the graph (e.g. re-discover a store's delta
-         segments); run by a worker between requests on [request_reload] *)
+         segments); on [request_reload], run by the worker that dequeues
+         the next connection, before it serves that connection *)
   host : string;
   port : int;  (* 0 = ephemeral, see [port] *)
   workers : int;
@@ -49,7 +52,6 @@ type plan_entry = {
   first_query : string;
       (* raw text of the query that built the entry: a later hit with
          different text is a cross-query canonical hit, counted apart *)
-  mutable poisoned : bool;  (* fault injection: next use fails + evicts *)
   mutable last_used : int;  (* LRU stamp *)
 }
 
@@ -69,6 +71,9 @@ type t = {
   reload_failures : int Atomic.t;
   queue : job Queue.t;
   queue_lock : Mutex.t;
+  queue_ready : Condition.t;
+      (* signalled (under [queue_lock]) when a connection is queued and
+         broadcast when the drain starts; idle workers block on it *)
   next_index : int Atomic.t;  (* 1-based request index, accept order *)
   admission : Admission.t;
   active : (int, Budget.t) Hashtbl.t;  (* in-flight budgets, for drain *)
@@ -188,6 +193,7 @@ let create config =
     reload_failures = Atomic.make 0;
     queue = Queue.create ();
     queue_lock = Mutex.create ();
+    queue_ready = Condition.create ();
     next_index = Atomic.make 1;
     admission = Admission.create config.admission;
     active = Hashtbl.create 64;
@@ -299,7 +305,7 @@ let plan_entry_for t ~graph ~budget query =
       Atomic.incr t.plans_compiled;
       let fresh =
         { plan; lock = Mutex.create (); first_query = query;
-          poisoned = false; last_used = stamp () }
+          last_used = stamp () }
       in
       Mutex.lock t.plans_lock;
       match Hashtbl.find_opt t.plans key with
@@ -490,12 +496,14 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
            the same store even if a reload lands mid-request *)
         let graph = Atomic.get t.graph in
         let key, entry, canon = plan_entry_for t ~graph ~budget query in
-        if fault = Some Faults.Poison then entry.poisoned <- true;
         Mutex.lock entry.lock;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock entry.lock)
           (fun () ->
-            if entry.poisoned then begin
+            (* the fault is this request's own: it evicts the shared
+               entry and fails only itself, never a request that happens
+               to take the entry's lock first *)
+            if fault = Some Faults.Poison then begin
               evict_entry t key;
               E.fail (E.Internal "poisoned plan-cache entry (injected)")
             end;
@@ -696,13 +704,23 @@ let handle_conn t ((conn, idx, fault) : job) =
 (* Threads                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Block until a connection is queued or the drain starts. [stop] is
+   re-checked under [queue_lock] before every wait, and [join]
+   broadcasts under the same lock after setting it, so no worker can
+   miss the wake-up. [None] means the drain started and the queue is
+   empty: the worker is done. *)
 let pop_job t =
   Mutex.lock t.queue_lock;
-  let j = if Queue.is_empty t.queue then None else Some (Queue.pop t.queue) in
+  while Queue.is_empty t.queue && not (Atomic.get t.stop) do
+    Condition.wait t.queue_ready t.queue_lock
+  done;
+  let j = Queue.take_opt t.queue in
   Mutex.unlock t.queue_lock;
   j
 
-(* Service a pending reload between requests. The compare-and-set means
+(* Service a pending reload before serving the dequeued request: a
+   reload requested while the server idles lands before the next
+   request, and no thread polls for the flag. The compare-and-set means
    exactly one worker runs the thunk; the graph handle is swapped whole,
    so connections never see a half-reloaded store and none are dropped.
    A failing reload (e.g. a broken segment chain just appended) keeps
@@ -720,7 +738,6 @@ let maybe_reload t =
 
 let worker_loop t =
   let rec serve () =
-    maybe_reload t;
     match pop_job t with
     | Some job ->
         (* once draining, queued requests are not evaluated — they get a
@@ -736,14 +753,12 @@ let worker_loop t =
                in
                respond t conn ~deadline ~headers:(retry_after 1.) ~status
                  body)
-         else handle_conn t job);
+         else begin
+           maybe_reload t;
+           handle_conn t job
+         end);
         serve ()
-    | None ->
-        if Atomic.get t.stop then ()
-        else begin
-          Thread.delay 0.002;
-          serve ()
-        end
+    | None -> ()
   in
   (try serve () with _ -> ());
   Atomic.incr t.workers_done
@@ -781,6 +796,7 @@ let accept_loop t =
               end
               else begin
                 Queue.push (conn, idx, fault) t.queue;
+                Condition.signal t.queue_ready;
                 Mutex.unlock t.queue_lock
               end
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
@@ -809,11 +825,19 @@ let cancel_active t =
   Hashtbl.iter (fun _ b -> Budget.cancel b) t.active;
   Mutex.unlock t.active_lock
 
+(* Wake every worker blocked in [pop_job] so it re-checks [stop]. The
+   signal handler only sets the flag — it must not take [queue_lock] —
+   so the broadcast is [join]'s job. *)
+let wake_workers t =
+  Mutex.lock t.queue_lock;
+  Condition.broadcast t.queue_ready;
+  Mutex.unlock t.queue_lock
+
 (* Wait for the drain to be initiated, then see it through: the accept
-   thread closes the listener and exits; in-flight budgets are cancelled
-   (repeatedly, to catch requests admitted in the race window) until the
-   workers have flushed the queue with 503s and exited. Returns the
-   final stats snapshot. *)
+   thread closes the listener and exits; then, repeatedly until the
+   workers have flushed the queue with 503s and exited, in-flight
+   budgets are cancelled (to catch requests admitted in the race window)
+   and idle workers are woken. Returns the final stats snapshot. *)
 let join t =
   while not (Atomic.get t.stop) do
     Thread.delay 0.02
@@ -823,6 +847,7 @@ let join t =
   let n = List.length t.worker_threads in
   while Atomic.get t.workers_done < n do
     cancel_active t;
+    wake_workers t;
     Thread.delay 0.01
   done;
   List.iter Thread.join t.worker_threads;
@@ -835,8 +860,8 @@ let install_signal_handlers t =
    with Invalid_argument _ | Sys_error _ -> ());
   (try Sys.set_signal Sys.sigint handler
    with Invalid_argument _ | Sys_error _ -> ());
-  (* SIGHUP = pick up appended delta segments; only sets a flag, a
-     worker does the load between requests *)
+  (* SIGHUP = pick up appended delta segments; only sets a flag, the
+     worker that dequeues the next connection does the load first *)
   try Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> request_reload t))
   with Invalid_argument _ | Sys_error _ -> ()
 

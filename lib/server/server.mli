@@ -1,10 +1,12 @@
 (** The long-running SPARQL endpoint: an accept thread feeding a bounded
-    queue of worker threads, every request under a private
-    {!Resource.Budget} carved from {!Admission}, overload shed promptly
-    at three watermarks (accept-queue depth, in-flight count, global
-    token bucket) with [503 + Retry-After], graceful drain on
-    SIGINT/SIGTERM. See docs/ROBUSTNESS.md for the overload policy and
-    the HTTP ↔ error-taxonomy table.
+    queue of worker threads — idle workers block on a condition variable
+    and the accept thread wakes one per queued connection, so no worker
+    polls — every request under a private {!Resource.Budget} carved from
+    {!Admission}, overload shed promptly at three watermarks
+    (accept-queue depth, in-flight count, global token bucket) with
+    [503 + Retry-After], graceful drain on SIGINT/SIGTERM. See
+    docs/ROBUSTNESS.md for the overload policy and the HTTP ↔
+    error-taxonomy table.
 
     Routes: [GET/POST /sparql?query=…] (SPARQL JSON results),
     [GET/POST /analyze?query=…] (the static analyzer's JSON report),
@@ -44,23 +46,26 @@ val draining : t -> bool
 val initiate_drain : t -> unit
 (** Begin graceful shutdown: stop accepting, answer queued connections
     with [503 draining], cancel in-flight budgets. Async-signal-safe
-    (only sets a flag); {!join} does the actual work. *)
+    (only sets a flag); {!join} does the actual work, including waking
+    the idle workers. *)
 
 val join : t -> Analysis.Json.t
 (** Block until a drain is initiated (by {!initiate_drain} or a signal
-    handler), then see it through — listener closed, queue flushed with
-    prompt 503s, in-flight budgets cancelled via [Budget.cancel],
-    threads joined — and return the final stats snapshot (the same
-    document [/stats] serves). *)
+    handler), then see it through — listener closed, idle workers woken,
+    queue flushed with prompt 503s, in-flight budgets cancelled via
+    [Budget.cancel], threads joined — and return the final stats
+    snapshot (the same document [/stats] serves). *)
 
 val request_reload : t -> unit
 (** Ask for the graph to be re-resolved through [config.reload] (a no-op
-    when it is [None]). Async-signal-safe (only sets a flag): a single
-    worker runs the thunk between requests and swaps the graph handle
-    atomically — no connection is dropped, in-flight evaluations finish
-    on the store they started with, and plan-cache entries for the old
-    epoch age out of the LRU. A failing reload keeps the old graph and
-    increments the [reload_failures] stat. *)
+    when it is [None]). Async-signal-safe (only sets a flag): the worker
+    that dequeues the next connection runs the thunk first, before
+    serving that connection, and swaps the graph handle atomically. No
+    connection is dropped; in-flight evaluations, and requests other
+    workers pick up while the thunk runs, finish on the store they
+    started with; plan-cache entries for the old epoch age out of the
+    LRU. A failing reload keeps the old graph and increments the
+    [reload_failures] stat. *)
 
 val install_signal_handlers : t -> unit
 (** Route SIGINT and SIGTERM to {!initiate_drain}, and SIGHUP to

@@ -997,17 +997,20 @@ let load ?(verify = false) path =
 
 let load_graph ?verify path =
   let enc = load ?verify path in
-  E.register enc;
   (* The deferred term-level decode: only forced by consumers outside
      the encoded path (naive evaluation, printing); runs on the same
      dictionary, so decoded terms are shared with the store's memo. *)
-  Rdf.Graph.deferred ~epoch:(E.epoch enc) (fun () ->
-      let dict = E.dictionary enc in
-      let acc = ref [] in
-      for i = E.cardinal enc - 1 downto 0 do
-        acc := Rdf.Dictionary.decode_triple dict (E.nth_spo enc i) :: !acc
-      done;
-      Rdf.Index.of_triples !acc)
+  let graph =
+    Rdf.Graph.deferred ~epoch:(E.epoch enc) (fun () ->
+        let dict = E.dictionary enc in
+        let acc = ref [] in
+        for i = E.cardinal enc - 1 downto 0 do
+          acc := Rdf.Dictionary.decode_triple dict (E.nth_spo enc i) :: !acc
+        done;
+        Rdf.Index.of_triples !acc)
+  in
+  E.register graph enc;
+  graph
 
 let looks_like_store path =
   match sniff path with

@@ -152,12 +152,14 @@ val load : ?verify:bool -> string -> Encoded.Encoded_graph.t
     {!Wdsparql_error.Io_error} if it cannot be opened. *)
 
 val load_graph : ?verify:bool -> string -> Rdf.Graph.t
-(** {!load}, then {!Encoded.Encoded_graph.register} the store and return
-    a {!Rdf.Graph.deferred} handle carrying its identity: the handle
-    drops into every API that takes a graph, the encoded evaluation path
-    resolves it straight to the mapped store, and only term-level
-    consumers (the naive evaluator, Turtle printing) force its lazy
-    decode. *)
+(** {!load}, then return a {!Rdf.Graph.deferred} handle carrying the
+    store's identity, {!Encoded.Encoded_graph.register}ed to the store:
+    the handle drops into every API that takes a graph, the encoded
+    evaluation path resolves it straight to the mapped store, and only
+    term-level consumers (the naive evaluator, Turtle printing) force its
+    lazy decode. The registration lasts as long as the handle is
+    reachable, so dropping the handle of a replaced version releases its
+    store. *)
 
 val info : ?verify:bool -> string -> info
 (** Header, section and chain summary without touching the data sections

@@ -737,6 +737,49 @@ let test_codebase_lint_raw_io () =
              && Astring.String.is_infix ~affix:"Unix.read" s)
            rendered))
 
+(* Idle threads block on a condition instead of sleep-polling: each
+   file has a sleep allowance and every occurrence past it is flagged. *)
+let test_codebase_lint_sleep_poll () =
+  with_scratch_tree
+    [
+      (* seeded violation: a worker polling its queue on a timer, past
+         the two drain-time waits the server module is allowed *)
+      ( "server/server.ml",
+        "let join t = Thread.delay 0.02; Thread.delay 0.01; t
+         let rec worker_loop t =
+        \  if Queue.is_empty t then (Thread.delay 0.002; worker_loop t)
+" );
+      (* a poll anywhere else has no allowance at all, line 2 *)
+      ("workload/poller.ml", "let a = 1
+let wait () = Unix.sleepf 0.002
+");
+      (* the io module's one injected stall is allowed *)
+      ("server/io.ml", "let stall d = Unix.sleepf (min 0.05 d)
+");
+      (* string/comment mentions do not count *)
+      ( "server/http.ml",
+        "let doc = \"Thread.delay\" (* never Unix.sleepf here *)\n" );
+    ]
+    (fun root ->
+      let violations = Lint_rules.check_tree ~manifest:[] ~root () in
+      let rendered =
+        List.map (Fmt.str "%a" Lint_rules.pp_violation) violations
+      in
+      check Alcotest.int "exactly the two seeded polls" 2
+        (List.length violations);
+      check Alcotest.bool "the worker poll is flagged with file:line" true
+        (List.exists
+           (fun s ->
+             Astring.String.is_infix ~affix:"server/server.ml:3" s
+             && Astring.String.is_infix ~affix:"Thread.delay" s)
+           rendered);
+      check Alcotest.bool "a poll outside the server is flagged" true
+        (List.exists
+           (fun s ->
+             Astring.String.is_infix ~affix:"workload/poller.ml:2" s
+             && Astring.String.is_infix ~affix:"Unix.sleep" s)
+           rendered))
+
 (* PR 7 satellite: the cost-based planner's greedy loop is itself an
    exponential-adjacent kernel — it must stay under the budget
    discipline, so its module is in the manifest and a tickless
@@ -925,6 +968,8 @@ let () =
             test_codebase_lint_seeded;
           Alcotest.test_case "raw I/O confined to lib/server/io.ml" `Quick
             test_codebase_lint_raw_io;
+          Alcotest.test_case "sleep-polling flagged past the allowance"
+            `Quick test_codebase_lint_sleep_poll;
           Alcotest.test_case "optimizer planner is budget-disciplined" `Quick
             test_codebase_lint_optimizer;
           Alcotest.test_case "mapped-store bytes confined to lib/storage"

@@ -501,6 +501,47 @@ let test_short_magic () =
           ("NOTASTORE!", Err.Bad_magic, "foreign long file is bad magic");
         ])
 
+(* ------------------------------------------------------------------ *)
+(* Reload                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A server reloading after every append swaps its graph handle and
+   drops the old one. The registered-store table must not pin the
+   dropped versions: once their handles are collected, only the live
+   handle's store stays registered. *)
+let test_reload_releases_stores () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "s.wds" in
+      Storage.save (E.of_graph (base_graph 17)) path;
+      Gc.full_major ();
+      let baseline = E.registered_live () in
+      let r = Rdf.Term.iri "p:r" in
+      let n k = Rdf.Term.iri (Printf.sprintf "n:%d" k) in
+      let pattern =
+        match Sparql.Parser.parse "{ ?a p:r ?b }" with
+        | Ok p -> p
+        | Error msg -> Alcotest.fail msg
+      in
+      let current = ref (Storage.load_graph path) in
+      for v = 1 to 20 do
+        ignore (Storage.append ~adds:[ Rdf.Triple.make (n v) r (n (v + 1)) ] path);
+        current := Storage.load_graph path;
+        Alcotest.(check int)
+          (Printf.sprintf "version %d answers on the swapped handle" v)
+          v
+          (Sparql.Mapping.Set.cardinal
+             (solutions ~optimize:true pattern !current))
+      done;
+      Gc.full_major ();
+      Alcotest.(check int) "only the live handle's store stays registered"
+        (baseline + 1) (E.registered_live ());
+      Alcotest.(check int) "the live handle still answers after the sweep" 20
+        (Sparql.Mapping.Set.cardinal (solutions ~optimize:true pattern !current));
+      current := Rdf.Graph.empty;
+      Gc.full_major ();
+      Alcotest.(check int) "dropping the last handle releases its store"
+        baseline (E.registered_live ()))
+
 let () =
   Alcotest.run "delta"
     [
@@ -536,5 +577,10 @@ let () =
         [
           Alcotest.test_case "short files: Truncated vs Bad_magic" `Quick
             test_short_magic;
+        ] );
+      ( "reload",
+        [
+          Alcotest.test_case "dropped versions leave the registry" `Quick
+            test_reload_releases_stores;
         ] );
     ]

@@ -317,6 +317,37 @@ let smoke_config () =
     plan_capacity = 4;
   }
 
+(* Poll [ok] until it holds, failing the test after [seconds]. *)
+let wait_until ~seconds ~what ok =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    if ok () then ()
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "%s: not within %.0f s" what seconds
+    else begin
+      Thread.delay 0.005;
+      go ()
+    end
+  in
+  go ()
+
+(* Run [Server.join] on a helper thread and wait at most [seconds] for
+   it: a drain that hangs fails the test instead of hanging the suite. *)
+let join_within ~seconds t =
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () ->
+         Atomic.set result
+           (Some (match Server.join t with s -> Ok s | exception e -> Error e)))
+       ());
+  wait_until ~seconds ~what:"join returns" (fun () ->
+      Option.is_some (Atomic.get result));
+  match Atomic.get result with
+  | Some (Ok stats) -> stats
+  | Some (Error e) -> raise e
+  | None -> assert false
+
 let test_smoke () =
   let fd_baseline = Io.live () in
   let t = Server.start (smoke_config ()) in
@@ -352,7 +383,7 @@ let test_smoke () =
         (response_status (get ~port "/nope"));
       (* SIGTERM drains: join completes, the port closes, no fd leaks *)
       Unix.kill (Unix.getpid ()) Sys.sigterm;
-      let final = Server.join t in
+      let final = join_within ~seconds:5. t in
       (match
          Json.member "responses" final |> Option.get |> Json.member "200"
        with
@@ -413,7 +444,7 @@ let test_reload_picks_up_segments () =
       Fun.protect
         ~finally:(fun () ->
           Server.initiate_drain t;
-          ignore (Server.join t))
+          ignore (join_within ~seconds:5. t))
         (fun () ->
           let before = post_query ~port "{ ?a p:knows ?b }" in
           check Alcotest.int "query before reload is 200" 200
@@ -429,26 +460,76 @@ let test_reload_picks_up_segments () =
           | Some _ -> ()
           | None -> Alcotest.fail "append was a no-op");
           Server.request_reload t;
-          (* a worker services the reload between requests; poll *)
-          let deadline = Unix.gettimeofday () +. 5. in
-          let rec wait () =
-            let resp = post_query ~port "{ ?a p:knows ?b }" in
-            check Alcotest.int "query during reload window is 200" 200
-              (response_status resp);
-            if count_bindings resp = 3 then ()
-            else if Unix.gettimeofday () > deadline then
-              Alcotest.failf "reload never surfaced (last saw %d bindings)"
-                (count_bindings resp)
-            else begin
-              Thread.delay 0.05;
-              wait ()
-            end
-          in
-          wait ();
+          (* the worker that dequeues the next connection runs the
+             reload before serving it: the very first query sees the
+             appended segment *)
+          let after = post_query ~port "{ ?a p:knows ?b }" in
+          check Alcotest.int "first query after the reload request is 200"
+            200 (response_status after);
+          check Alcotest.int "first query after the reload request sees it" 3
+            (count_bindings after);
           let stats = get ~port "/stats" in
           check Alcotest.bool "stats count the reload" true
             (Astring.String.is_infix ~affix:"\"reloads\": 1" stats
             || Astring.String.is_infix ~affix:"\"reloads\":1" stats)))
+
+let server_field t key =
+  match
+    Option.bind (Json.member "server" (Server.stats_json t)) (Json.member key)
+  with
+  | Some v -> Option.value ~default:(-1) (Json.to_int v)
+  | None -> Alcotest.failf "stats lack server.%s" key
+
+let connect ~port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let drain_config ~io_timeout =
+  { (smoke_config ()) with Server.workers = 4; queue_capacity = 8; io_timeout }
+
+(* Idle workers block on the queue's condition variable; the drain must
+   wake them, or [join] would wait forever. *)
+let test_idle_drain () =
+  let fd_baseline = Io.live () in
+  let t = Server.start (drain_config ~io_timeout:2.) in
+  (* let all four workers reach their wait *)
+  Thread.delay 0.1;
+  Server.initiate_drain t;
+  ignore (join_within ~seconds:2. t);
+  check Alcotest.int "every server descriptor closed" fd_baseline (Io.live ())
+
+(* Same, with a connection still queued when the drain starts: four
+   silent clients hold the four workers until their read deadline, so a
+   fifth connection waits in the queue and must get the prompt 503. *)
+let test_drain_with_queued () =
+  let fd_baseline = Io.live () in
+  let t = Server.start (drain_config ~io_timeout:1.) in
+  let port = Server.port t in
+  let silent = List.init 4 (fun _ -> connect ~port) in
+  let queued = connect ~port in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (queued :: silent))
+    (fun () ->
+      wait_until ~seconds:5. ~what:"four busy workers, one queued connection"
+        (fun () ->
+          server_field t "requests" = 5 && server_field t "queue_depth" = 1);
+      (* the queued client sends nothing: a drained connection is
+         answered without being read, and unread bytes would turn the
+         server's close into a reset that can swallow the response *)
+      Server.initiate_drain t;
+      ignore (join_within ~seconds:2. t);
+      let buf = Bytes.create 4096 in
+      let n = Unix.read queued buf 0 (Bytes.length buf) in
+      let resp = Bytes.sub_string buf 0 n in
+      check Alcotest.int "the queued connection gets 503" 503
+        (response_status resp);
+      check Alcotest.bool "it says draining" true
+        (Astring.String.is_infix ~affix:"draining" resp));
+  check Alcotest.int "every server descriptor closed" fd_baseline (Io.live ())
 
 let () =
   Alcotest.run "server"
@@ -482,5 +563,12 @@ let () =
           Alcotest.test_case "serve, shed, reject, drain" `Quick test_smoke;
           Alcotest.test_case "reload picks up appended segments" `Quick
             test_reload_picks_up_segments;
+        ] );
+      ( "drain",
+        [
+          Alcotest.test_case "idle workers wake and exit" `Quick
+            test_idle_drain;
+          Alcotest.test_case "a queued connection gets 503" `Quick
+            test_drain_with_queued;
         ] );
     ]

@@ -143,6 +143,41 @@ let occurrences ~needle hay =
   in
   go 0 1 []
 
+(* No sleep-polling: a thread that wants work or a state change blocks
+   on a [Condition.t] (or a deadline-aware select) instead of waking on
+   a timer to look. The needles are prefixes ([Unix.sleep] also catches
+   [Unix.sleepf]). Each file has an allowance of occurrences: the
+   injected slow-client [Stall] in the io module, and the two waits of
+   the server's drain ([join] polls for the signal-set stop flag and for
+   the workers to finish). Every occurrence past the allowance is
+   flagged. *)
+let sleep_needles = [ "Thread.delay"; "Unix.sleep" ]
+
+let sleep_allowance = function
+  | "server/io.ml" -> 1
+  | "server/server.ml" -> 2
+  | _ -> 0
+
+let forbidden_sleeps ~rel stripped =
+  let allowance = sleep_allowance rel in
+  List.concat_map
+    (fun needle ->
+      List.map (fun (off, line) -> (off, line, needle))
+        (occurrences ~needle stripped))
+    sleep_needles
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i >= allowance)
+  |> List.map (fun (_, line, needle) ->
+         {
+           path = rel;
+           line;
+           message =
+             Printf.sprintf
+               "%s past this file's sleep allowance (%d): block on a \
+                Condition.t instead of polling on a timer"
+               needle allowance;
+         })
+
 (* Shared-state discipline for the multi-domain build: a module that
    creates its own [Mutex.t] is advertising that it is touched from more
    than one domain, so every mutation of one of its top-level hash
@@ -345,6 +380,7 @@ let check_file ?(manifest = kernel_modules) ?(wins_allowed = wins_allowed)
         mmap_needles
   in
   missing_tick @ forbidden_wins @ forbidden_raw_io @ forbidden_mmap
+  @ forbidden_sleeps ~rel stripped
   @ unguarded_table_mutations ~rel stripped
 
 let check_tree ?(manifest = kernel_modules)

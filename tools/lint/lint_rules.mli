@@ -10,6 +10,11 @@
     - [Unix.map_file] and [Bigarray] are confined to [lib/storage]: the
       rest of the tree consumes a compiled store only through the
       closure views, keeping the query kernels backend-blind;
+    - no sleep-polling: [Thread.delay] and [Unix.sleep]/[Unix.sleepf]
+      are counted per file against an allowance ([server/io.ml] 1, the
+      injected slow-client stall; [server/server.ml] 2, the drain-time
+      waits of [join]; 0 everywhere else) — a thread waiting for work
+      blocks on a [Condition.t] instead;
     - a module (outside [lib/parallel]) that creates a [Mutex.t] must
       not mutate a top-level [Hashtbl] unguarded: every
       [Hashtbl.replace]/[Hashtbl.add] on a [let name = Hashtbl.create …]
