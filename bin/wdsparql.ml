@@ -599,8 +599,11 @@ let compile_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"DATA"
-          ~doc:"Input to compile: a Turtle file (or an existing store, \
-                which is rewritten canonically).")
+          ~doc:"Input to compile: a Turtle file (duplicate triples are \
+                dropped), or an existing store — plain, chained or \
+                sharded — whose live triples are rewritten canonically: \
+                the output is the file compact would leave, byte for \
+                byte.")
   in
   let out_arg =
     Arg.(
@@ -619,8 +622,17 @@ let compile_cmd =
       E.fail
         (E.Invalid_input
            (Fmt.str "%s exists (pass --force to overwrite)" out));
-    let graph = load_graph input in
-    Storage.save (Encoded.Encoded_graph.of_graph_cached graph) out;
+    (* Both inputs go through the canonical builder straight from ids:
+       no term-level graph is built. *)
+    let enc =
+      if Storage.looks_like_store input then
+        Storage.canonical (Storage.load input)
+      else
+        match Rdf.Turtle.parse_ground_err ~source:input (read_file input) with
+        | Ok triples -> Encoded.Encoded_graph.of_triples ~identity:0 triples
+        | Error e -> E.fail e
+    in
+    Storage.save enc out;
     let i = Storage.info out in
     Fmt.pr
       "compiled %s: %d triple(s), %d term(s), %d predicate(s), %d bytes, \

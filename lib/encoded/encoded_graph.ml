@@ -5,7 +5,7 @@ type predicate_stats = {
 }
 
 (* One sorted index permutation, behind a backend the query kernels never
-   see through: either a heap array of id triples (built by [of_graph])
+   see through: either a heap array of id triples (built by [canonical])
    or a closure-provided flat view (an mmap'd section of a compiled
    store, [of_views] — possibly an overlay merging a base store with
    delta segments). Every access below goes through [clen]/[cget], so
@@ -82,70 +82,164 @@ let rot_spo (s, p, o) = (s, p, o)
 let rot_pos (s, p, o) = (p, o, s)
 let rot_osp (s, p, o) = (o, s, p)
 
-let sorted_by rot triples =
-  let arr = Array.of_list triples in
-  Array.sort (fun a b -> compare (rot a) (rot b)) arr;
-  arr
+(* ------------------------------------------------------------------ *)
+(* The canonical builder                                               *)
+(* ------------------------------------------------------------------ *)
 
-let of_graph graph =
-  let dict = Rdf.Dictionary.of_graph graph in
-  let triples =
-    List.map (Rdf.Dictionary.encode_triple dict) (Rdf.Graph.triples graph)
+(* One stable counting-sort pass: [perm] reordered by [key.(perm.(i))],
+   every key in [0, range). O(n + range). *)
+let counting_pass ~range key perm =
+  let n = Array.length perm in
+  let count = Array.make (range + 1) 0 in
+  for i = 0 to n - 1 do
+    let k = key.(perm.(i)) + 1 in
+    count.(k) <- count.(k) + 1
+  done;
+  for k = 1 to range do
+    count.(k) <- count.(k) + count.(k - 1)
+  done;
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let j = perm.(i) in
+    let k = key.(j) in
+    out.(count.(k)) <- j;
+    count.(k) <- count.(k) + 1
+  done;
+  out
+
+(* Positions [0, n) ordered lexicographically by (k1, k2, k3): an LSD
+   radix sort, least significant column first. *)
+let sort_positions ~range k1 k2 k3 =
+  Array.init (Array.length k1) Fun.id
+  |> counting_pass ~range k3
+  |> counting_pass ~range k2
+  |> counting_pass ~range k1
+
+(* The three permutations of the id columns [ss, ps, os] (ids in
+   [0, range)), sharing one tuple per triple. A stable pass over a
+   sorted order rotates its key: SPO order sorted by o is OSP order,
+   and that sorted by p is POS order — five passes in all. *)
+let permutations ~range ss ps os =
+  let tuples =
+    Array.init (Array.length ss) (fun i -> (ss.(i), ps.(i), os.(i)))
   in
+  let spo = sort_positions ~range ss ps os in
+  let osp = counting_pass ~range os spo in
+  let pos = counting_pass ~range ps osp in
+  let cells perm = Heap (Array.map (fun i -> tuples.(i)) perm) in
+  { a_spo = cells spo; a_pos = cells pos; a_osp = cells osp }
+
+let make ~identity ~dict ?seed rep =
   {
-    identity = Rdf.Graph.epoch graph;
+    identity;
     dict;
-    rep =
-      Flat
-        {
-          a_spo = Heap (sorted_by rot_spo triples);
-          a_pos = Heap (sorted_by rot_pos triples);
-          a_osp = Heap (sorted_by rot_osp triples);
-        };
-    seed = None;
+    rep;
+    seed;
     pstats = Hashtbl.create 16;
     subject_count = -1;
     object_count = -1;
     predicate_count = -1;
   }
+
+let canonical ~identity dict ids =
+  let m = Rdf.Dictionary.size dict in
+  Array.iter
+    (fun (s, p, o) ->
+      if s < 0 || s >= m || p < 0 || p >= m || o < 0 || o >= m then
+        invalid_arg "Encoded_graph.canonical: id outside the dictionary")
+    ids;
+  (* Rank every id by its term (equal terms share a rank), so that
+     ordering by ranks is ordering by [Rdf.Term.compare]. *)
+  let terms = Array.init m (Rdf.Dictionary.term_of dict) in
+  let by_term = Array.init m Fun.id in
+  Array.sort (fun a b -> Rdf.Term.compare terms.(a) terms.(b)) by_term;
+  let rank = Array.make m 0 and ranks = ref 0 in
+  let term_of_rank = Array.make m (Rdf.Term.iri "x:x") in
+  Array.iteri
+    (fun i id ->
+      if i > 0 && Rdf.Term.compare terms.(by_term.(i - 1)) terms.(id) <> 0
+      then incr ranks;
+      rank.(id) <- !ranks;
+      term_of_rank.(!ranks) <- terms.(id))
+    by_term;
+  let ranks = if m = 0 then 0 else !ranks + 1 in
+  let col f = Array.map (fun t -> rank.(f t)) ids in
+  let rs = col (fun (s, _, _) -> s)
+  and rp = col (fun (_, p, _) -> p)
+  and ro = col (fun (_, _, o) -> o) in
+  (* [Rdf.Triple.compare] order, duplicates adjacent. *)
+  let order = sort_positions ~range:ranks rs rp ro in
+  (* Fresh ids by first encounter in that order — subject, predicate,
+     object — which is what interning [Rdf.Graph.triples] assigns, so
+     the ids (and every byte written from them) are those of a compile
+     of the same triple set. Ranks no live triple uses get no id. The
+     three [let]s below fix that order, which a tuple would not. *)
+  let fresh = Array.make ranks (-1) and next = ref 0 in
+  let fresh_terms = ref [] in
+  let id r =
+    if fresh.(r) < 0 then begin
+      fresh.(r) <- !next;
+      fresh_terms := term_of_rank.(r) :: !fresh_terms;
+      incr next
+    end;
+    fresh.(r)
+  in
+  let n = Array.length order in
+  let ss = Array.make n 0 and ps = Array.make n 0 and os = Array.make n 0 in
+  let live = ref 0 in
+  Array.iteri
+    (fun k i ->
+      let dup =
+        k > 0
+        &&
+        let j = order.(k - 1) in
+        rs.(i) = rs.(j) && rp.(i) = rp.(j) && ro.(i) = ro.(j)
+      in
+      if not dup then begin
+        let s = id rs.(i) in
+        let p = id rp.(i) in
+        let o = id ro.(i) in
+        ss.(!live) <- s;
+        ps.(!live) <- p;
+        os.(!live) <- o;
+        incr live
+      end)
+    order;
+  let cut a = Array.sub a 0 !live in
+  make ~identity
+    ~dict:(Rdf.Dictionary.of_terms (List.rev !fresh_terms))
+    (Flat (permutations ~range:!next (cut ss) (cut ps) (cut os)))
+
+let of_triples ~identity triples =
+  let dict = Rdf.Dictionary.create () in
+  let ids =
+    Array.of_list (List.map (Rdf.Dictionary.encode_triple dict) triples)
+  in
+  canonical ~identity dict ids
+
+let of_graph graph =
+  of_triples ~identity:(Rdf.Graph.epoch graph) (Rdf.Graph.triples graph)
 
 let of_views ~identity ~dict ~spo ~pos ~osp ?stats () =
   if spo.fn <> pos.fn || pos.fn <> osp.fn then
     invalid_arg "Encoded_graph.of_views: permutations disagree on length";
-  {
-    identity;
-    dict;
-    rep = Flat { a_spo = View spo; a_pos = View pos; a_osp = View osp };
-    seed = stats;
-    pstats = Hashtbl.create 16;
-    subject_count = -1;
-    object_count = -1;
-    predicate_count = -1;
-  }
+  make ~identity ~dict ?seed:stats
+    (Flat { a_spo = View spo; a_pos = View pos; a_osp = View osp })
 
 let union ~identity ~dict ~members ~owner ~total ?stats () =
   if total < 0 then invalid_arg "Encoded_graph.union: negative total";
   if Array.length members = 0 then
     invalid_arg "Encoded_graph.union: no members";
-  {
-    identity;
-    dict;
-    rep =
-      Union
-        {
-          u_members =
-            Array.map (fun m -> { m_store = m; m_touched = false }) members;
-          u_owner = owner;
-          u_total = total;
-          u_lock = Mutex.create ();
-          u_merged = None;
-        };
-    seed = stats;
-    pstats = Hashtbl.create 16;
-    subject_count = -1;
-    object_count = -1;
-    predicate_count = -1;
-  }
+  make ~identity ~dict ?seed:stats
+    (Union
+       {
+         u_members =
+           Array.map (fun m -> { m_store = m; m_touched = false }) members;
+         u_owner = owner;
+         u_total = total;
+         u_lock = Mutex.create ();
+         u_merged = None;
+       })
 
 (* Bounded MRU memo for [of_graph], keyed on the graph's epoch: graphs
    are immutable and each constructed store carries a globally unique
@@ -262,27 +356,33 @@ let rec arrays t =
           match u.u_merged with
           | Some a -> a
           | None ->
-              let all = Array.make u.u_total (0, 0, 0) in
-              let w = ref 0 in
-              Array.iter
-                (fun m ->
-                  m.m_touched <- true;
-                  let mt = Lazy.force m.m_store in
-                  let ma = arrays mt in
-                  for i = 0 to clen ma.a_spo - 1 do
-                    all.(!w) <- cget ma.a_spo i;
-                    incr w
-                  done)
-                u.u_members;
-              if !w <> u.u_total then
+              let spos =
+                Array.map
+                  (fun m ->
+                    m.m_touched <- true;
+                    (arrays (Lazy.force m.m_store)).a_spo)
+                  u.u_members
+              in
+              let n = u.u_total in
+              if Array.fold_left (fun k c -> k + clen c) 0 spos <> n then
                 invalid_arg
                   "Encoded_graph: shard members disagree with union total";
-              let by rot a b = compare (rot a) (rot b) in
-              let pos = Array.copy all and osp = Array.copy all in
-              Array.sort (by rot_spo) all;
-              Array.sort (by rot_pos) pos;
-              Array.sort (by rot_osp) osp;
-              let a = { a_spo = Heap all; a_pos = Heap pos; a_osp = Heap osp } in
+              let ss = Array.make n 0 and ps = Array.make n 0 in
+              let os = Array.make n 0 and w = ref 0 in
+              Array.iter
+                (fun c ->
+                  for i = 0 to clen c - 1 do
+                    let s, p, o = cget c i in
+                    ss.(!w) <- s;
+                    ps.(!w) <- p;
+                    os.(!w) <- o;
+                    incr w
+                  done)
+                spos;
+              (* member ids are global, so one id range sorts them all *)
+              let a =
+                permutations ~range:(Rdf.Dictionary.size t.dict) ss ps os
+              in
               u.u_merged <- Some a;
               a)
 

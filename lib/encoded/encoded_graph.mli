@@ -35,7 +35,26 @@ type stats_seed = {
     has invalidated the base store's figures (falls back to a one-shot
     counting scan over the merged views). *)
 
+val canonical :
+  identity:int -> Rdf.Dictionary.t -> (int * int * int) array -> t
+(** [canonical ~identity dict ids] is the heap store of the triples
+    [ids] (ids of [dict], in any order, duplicates allowed) with
+    canonical ids: a fresh dictionary interning, in {!Rdf.Triple.compare}
+    order of the distinct triples, each triple's subject, predicate and
+    object. These are the ids {!Rdf.Dictionary.of_graph} assigns over
+    {!Rdf.Graph.triples}, so the store — and every file written from it
+    — depends only on the triple set, never on [dict]'s id order or on
+    terms no triple uses. Sorting is by counting sort, O(n + terms) per
+    column, after one sort of the terms. Raises [Invalid_argument] on an
+    id outside [dict]. *)
+
+val of_triples : identity:int -> Rdf.Triple.t list -> t
+(** {!canonical} over the triples interned into a fresh dictionary. The
+    triples are not checked for groundness. *)
+
 val of_graph : Rdf.Graph.t -> t
+(** {!of_triples} of the graph's triples, with its {!Rdf.Graph.epoch} as
+    identity. *)
 
 val of_views :
   identity:int ->

@@ -20,7 +20,7 @@ let iris t =
       | Term.Var _ -> acc)
     Iri.Set.empty (terms t)
 
-let is_ground t = Variable.Set.is_empty (vars t)
+let is_ground t = not (Term.is_var t.s || Term.is_var t.p || Term.is_var t.o)
 
 let map f t = { s = f t.s; p = f t.p; o = f t.o }
 

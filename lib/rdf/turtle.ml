@@ -168,16 +168,19 @@ let located ?source src parse =
 
 let parse_triples_err ?source src = located ?source src parse_tokens
 
-let parse_graph_err ?source src =
+let parse_ground_err ?source src =
   match parse_triples_err ?source src with
   | Error _ as e -> e
   | Ok triples -> (
-      match Graph.of_triples triples with
-      | graph -> Ok graph
-      | exception Graph.Not_ground t ->
+      match List.find_opt (fun t -> not (Triple.is_ground t)) triples with
+      | None -> Ok triples
+      | Some t ->
           Error
             (Wdsparql_error.Invalid_input
                (Fmt.str "non-ground triple in data: %a" Triple.pp t)))
+
+let parse_graph_err ?source src =
+  Result.map Graph.of_triples (parse_ground_err ?source src)
 
 let parse_triples src =
   Result.map_error Wdsparql_error.to_string (parse_triples_err src)

@@ -21,10 +21,16 @@ val parse_triples_err :
     input (e.g. a file path) in diagnostics. Syntax errors come back as
     {!Wdsparql_error.Parse_error} with 1-based line/column. *)
 
+val parse_ground_err :
+  ?source:string -> string -> (Triple.t list, Wdsparql_error.t) result
+(** As {!parse_triples_err} but requires every triple to be ground: the
+    first non-ground one is reported as {!Wdsparql_error.Invalid_input}
+    ["non-ground triple in data: ..."]. The triples come back in document
+    order, duplicates kept. *)
+
 val parse_graph_err :
   ?source:string -> string -> (Graph.t, Wdsparql_error.t) result
-(** As {!parse_triples_err} but requires every triple to be ground
-    (non-ground data is reported as {!Wdsparql_error.Invalid_input}). *)
+(** {!parse_ground_err}, collected into a graph. *)
 
 val parse_triples : string -> (Triple.t list, string) result
 (** {!parse_triples_err} with the error rendered as a one-line

@@ -8,13 +8,21 @@
 
 module E = Encoded.Encoded_graph
 
+let compare_ids (a1, a2, a3) (b1, b2, b3) =
+  let c = Int.compare a1 b1 in
+  if c <> 0 then c
+  else
+    let c = Int.compare a2 b2 in
+    if c <> 0 then c else Int.compare a3 b3
+
 (* First index of [v] whose rotated triple is >= [key] (rot-sorted
    view). *)
 let view_lower_bound v rot key =
   let lo = ref 0 and hi = ref v.E.fn in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare (rot (v.E.fget mid)) key < 0 then lo := mid + 1 else hi := mid
+    if compare_ids (rot (v.E.fget mid)) key < 0 then lo := mid + 1
+    else hi := mid
   done;
   !lo
 
@@ -69,7 +77,7 @@ let compose ?(budget = Resource.Budget.unlimited) ~base_mem ~segments () =
    monotone predicate and the position is q + d. Probe cost O(log Δ) on
    top of the base view's own cost. *)
 let merge ?(budget = Resource.Budget.unlimited) ~base ~rot ~adds ~dels () =
-  let by_rot a b = compare (rot a) (rot b) in
+  let by_rot a b = compare_ids (rot a) (rot b) in
   let adds = Array.copy adds and dels = Array.copy dels in
   Array.sort by_rot adds;
   Array.sort by_rot dels;

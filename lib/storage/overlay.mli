@@ -9,6 +9,10 @@
     O(log Δ) on top of the base probe. Both entry points tick the
     resource budget once per delta entry (budget-lint kernel). *)
 
+val compare_ids : int * int * int -> int * int * int -> int
+(** Lexicographic order of id triples, on ints — the order of every
+    sorted permutation once its key is rotated first. *)
+
 val view_lower_bound :
   Encoded.Encoded_graph.flat_view ->
   (int * int * int -> int * int * int) ->

@@ -158,7 +158,9 @@ let fnv_byte h b = ((h lxor b) * fnv_prime) land max_int
 
 let fnv_string h s =
   let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let identity_of_stamp stamp = -1 - stamp
@@ -213,28 +215,32 @@ let rot_osp (s, p, o) = (o, s, p)
 
 let add_word buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
+(* A section of [n] words, the i-th being [word i]: filled in place,
+   with no buffer growth or copy. *)
+let words_section n word =
+  let b = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.of_int (word i))
+  done;
+  Bytes.unsafe_to_string b
+
 (* Dictionary sections of serialized terms: [n + 1] offsets delimiting
    each term's bytes, and the blob. *)
 let dict_sections ser =
-  let offsets = Buffer.create ((Array.length ser + 1) * 8) in
-  let blob = Buffer.create 1024 in
-  Array.iter
-    (fun s ->
-      add_word offsets (Buffer.length blob);
-      Buffer.add_string blob s)
-    ser;
-  add_word offsets (Buffer.length blob);
-  (offsets, blob)
+  let starts = Array.make (Array.length ser + 1) 0 in
+  Array.iteri (fun i s -> starts.(i + 1) <- starts.(i) + String.length s) ser;
+  ( words_section (Array.length starts) (Array.get starts),
+    String.concat "" (Array.to_list ser) )
 
 let triples_section n nth =
-  let buf = Buffer.create (n * 24) in
+  let b = Bytes.create (24 * n) in
   for i = 0 to n - 1 do
     let s, p, o = nth i in
-    add_word buf s;
-    add_word buf p;
-    add_word buf o
+    Bytes.set_int64_le b (24 * i) (Int64.of_int s);
+    Bytes.set_int64_le b ((24 * i) + 8) (Int64.of_int p);
+    Bytes.set_int64_le b ((24 * i) + 16) (Int64.of_int o)
   done;
-  buf
+  Bytes.unsafe_to_string b
 
 (* Persist the enclosing directory entry (after a rename). Best-effort:
    some filesystems refuse directory opens or fsync, and the file is
@@ -246,13 +252,12 @@ let fsync_dir path =
       (try Unix.fsync dir with Unix.Unix_error _ -> ());
       Unix.close dir
 
-let atomic_write path ~header ~payload =
+let atomic_write path output =
   let io_fail msg = Err.fail (Err.Io_error { path; msg }) in
   let tmp = path ^ ".tmp" in
   let oc = try open_out_bin tmp with Sys_error msg -> io_fail msg in
   (try
-     Buffer.output_buffer oc header;
-     Buffer.output_buffer oc payload;
+     output oc;
      flush oc;
      (* The temp file's bytes must reach the disk before the rename
         publishes it, or a crash right after could leave a truncated
@@ -272,21 +277,26 @@ let atomic_write path ~header ~payload =
 
 (* Write one file of [kind] atomically: the header with [words] (the
    payload stamp replaces the kind's stamp slot), the section table, and
-   [sections] 16-byte aligned after the header. Returns the stamp. *)
+   [sections] 16-byte aligned after the header. The payload — padding
+   and sections in file order — is hashed and written section by
+   section, never joined into one string. Returns the stamp. *)
 let write_file kind path ~words ~sections =
   assert (Array.length words = kind.k_words);
-  let payload = Buffer.create 4096 in
+  let stamp = ref fnv_basis and pos = ref header_size in
   let table =
     Array.map
-      (fun buf ->
-        let pos = header_size + Buffer.length payload in
-        let pad = (16 - (pos mod 16)) mod 16 in
-        Buffer.add_string payload (String.make pad '\000');
-        Buffer.add_buffer payload buf;
-        (pos + pad, Buffer.length buf))
+      (fun sec ->
+        let pad = (16 - (!pos mod 16)) mod 16 in
+        for _ = 1 to pad do
+          stamp := fnv_byte !stamp 0
+        done;
+        stamp := fnv_string !stamp sec;
+        let off = !pos + pad in
+        pos := off + String.length sec;
+        (off, String.length sec))
       sections
   in
-  let stamp = fnv_string fnv_basis (Buffer.contents payload) in
+  let stamp = !stamp in
   let header = Buffer.create header_size in
   Buffer.add_string header kind.k_magic;
   add_word header format_version;
@@ -301,7 +311,16 @@ let write_file kind path ~words ~sections =
     table;
   Buffer.add_string header
     (String.make (header_size - Buffer.length header) '\000');
-  atomic_write path ~header ~payload;
+  atomic_write path (fun oc ->
+      Buffer.output_buffer oc header;
+      let at = ref header_size in
+      Array.iteri
+        (fun i sec ->
+          let off, len = table.(i) in
+          output_string oc (String.make (off - !at) '\000');
+          output_string oc sec;
+          at := off + len)
+        sections);
   stamp
 
 let write_store enc path =
@@ -316,30 +335,43 @@ let write_store enc path =
   let order = Array.init n_terms Fun.id in
   Array.sort (fun a b -> String.compare ser.(a) ser.(b)) order;
   let offsets, blob = dict_sections ser in
-  let term_sort = Buffer.create (n_terms * 8) in
-  Array.iter (fun id -> add_word term_sort id) order;
-  (* Statistics rows: one per distinct predicate, ascending pid (the POS
-     permutation enumerates predicates in order). Computed now — loads
-     answer the planner from these without scanning the mapping. *)
-  let preds = ref [] in
-  let last = ref min_int in
+  (* Statistics rows (predicate, triples, distinct subjects, distinct
+     objects): one per distinct predicate, ascending pid, from one pass
+     over POS. A predicate's triples are one block sorted by (o, s), so
+     its objects are runs; a subject is new to the block unless the
+     block's predicate is the last one it was seen with. Computed now —
+     loads answer the planner from these without scanning the mapping. *)
+  let pstats = Buffer.create 64 and rows = ref 0 in
+  let last_pred = Array.make n_terms (-1) in
+  let pred = ref (-1) and triples = ref 0 and subjects = ref 0 in
+  let objects = ref 0 and last_obj = ref (-1) in
+  let close_row () =
+    if !triples > 0 then begin
+      incr rows;
+      List.iter (add_word pstats) [ !pred; !triples; !subjects; !objects ]
+    end
+  in
   for i = 0 to n - 1 do
-    let _, p, _ = E.nth_pos enc i in
-    if p <> !last then begin
-      preds := p :: !preds;
-      last := p
+    let s, p, o = E.nth_pos enc i in
+    if p <> !pred then begin
+      close_row ();
+      pred := p;
+      triples := 0;
+      subjects := 0;
+      objects := 0;
+      last_obj := -1
+    end;
+    incr triples;
+    if o <> !last_obj then begin
+      incr objects;
+      last_obj := o
+    end;
+    if last_pred.(s) <> p then begin
+      incr subjects;
+      last_pred.(s) <- p
     end
   done;
-  let preds = List.rev !preds in
-  let pstats = Buffer.create 64 in
-  List.iter
-    (fun p ->
-      let s = E.predicate_stats enc p in
-      add_word pstats p;
-      add_word pstats s.E.triples;
-      add_word pstats s.E.distinct_subjects;
-      add_word pstats s.E.distinct_objects)
-    preds;
+  close_row ();
   (* Index sections: the raw tuples of each permutation, in its order. *)
   let index nth = triples_section n (nth enc) in
   write_file base_kind path
@@ -348,7 +380,7 @@ let write_store enc path =
         n;
         n_terms;
         0 (* stamp *);
-        List.length preds;
+        !rows;
         E.distinct_subjects enc;
         E.distinct_objects enc;
         E.distinct_predicates enc;
@@ -356,12 +388,12 @@ let write_store enc path =
     ~sections:
       [|
         offsets;
-        term_sort;
+        words_section n_terms (Array.get order);
         blob;
         index E.nth_spo;
         index E.nth_pos;
         index E.nth_osp;
-        pstats;
+        Buffer.contents pstats;
       |]
 
 let save enc path = ignore (write_store enc path)
@@ -1077,8 +1109,8 @@ let append ?(adds = []) ?(dels = []) path =
       Array.of_list
         (List.map (fun t -> Option.get (encode_opt t)) (TS.elements dels_n))
     in
-    Array.sort compare add_ids;
-    Array.sort compare del_ids;
+    Array.sort Overlay.compare_ids add_ids;
+    Array.sort Overlay.compare_ids del_ids;
     let new_total = Rdf.Dictionary.size dict in
     let new_terms =
       Array.init (new_total - parent_terms) (fun i ->
@@ -1111,26 +1143,25 @@ let append ?(adds = []) ?(dels = []) path =
       }
   end
 
+(* The live triples of [enc], as overlay ids straight from its SPO
+   view, rebuilt in canonical id space — no term-level decode. *)
+let canonical enc =
+  E.canonical ~identity:0 (E.dictionary enc)
+    (Array.init (E.cardinal enc) (E.nth_spo enc))
+
 type compact_result = { folded : int; compact_stamp : int }
 
 let compact path =
   if is_manifest path then
     Err.fail (Err.Invalid_input "cannot compact a shard manifest");
   let segs = discover_segments path in
-  let enc = load_store path in
-  let dict = E.dictionary enc in
-  let acc = ref [] in
-  for i = E.cardinal enc - 1 downto 0 do
-    acc := Rdf.Dictionary.decode_triple dict (E.nth_spo enc i) :: !acc
-  done;
-  (* Term-level rebuild: encoding the decoded triple set from scratch
-     assigns the same canonical ids a fresh compile of the same graph
-     would, so the compacted stamp equals the monolithic one. Crash
-     safety: the new base lands first (atomic rename); segments are
-     unlinked after, and a crash in the window leaves segments whose
+  (* The canonical rebuild assigns the ids a fresh compile of the same
+     triples would, so the compacted stamp equals the monolithic one.
+     Crash safety: the new base lands first (atomic rename); segments
+     are unlinked after, and a crash in the window leaves segments whose
      parent stamp no longer matches — the next load fails loudly with
      [Delta_chain_broken] instead of replaying stale deltas. *)
-  let stamp = write_store (E.of_graph (Rdf.Graph.of_triples !acc)) path in
+  let stamp = write_store (canonical (load_store path)) path in
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) segs;
   fsync_dir path;
   { folded = List.length segs; compact_stamp = stamp }
@@ -1214,7 +1245,7 @@ let shard ?(slices = 8) ~src out =
           E.distinct_objects enc;
           E.distinct_predicates enc;
         |]
-      ~sections:[| records |]
+      ~sections:[| Buffer.contents records |]
   in
   {
     sh_file = out;

@@ -124,11 +124,24 @@ val seg_path : string -> int -> string
 
 val save : Encoded.Encoded_graph.t -> string -> unit
 (** [save enc path] compiles the store to [path] (atomically: written to
-    a temporary sibling and renamed over, fsync'd). Statistics for every
-    distinct predicate are computed now so loads never pay for them.
-    Does {e not} touch delta segments of an earlier store at [path] —
-    callers replacing a chained store should {!compact} instead. Raises
-    {!Wdsparql_error.Io_error} on filesystem failure. *)
+    a temporary sibling and renamed over, fsync'd). The bytes are those
+    of [enc] as it is — its ids, its dictionary (dead terms included) —
+    so two stores of the same triples write the same file only if both
+    are canonical: built by {!Encoded.Encoded_graph.canonical} (which
+    [of_graph] and {!canonical} call), not a loaded chained store.
+    Statistics for every distinct predicate are computed now, in one
+    pass over POS, so loads never pay for them. Sections are hashed and
+    written one after another. Does {e not} touch delta segments of an
+    earlier store at [path] — callers replacing a chained store should
+    {!compact} instead. Raises {!Wdsparql_error.Io_error} on filesystem
+    failure. *)
+
+val canonical : Encoded.Encoded_graph.t -> Encoded.Encoded_graph.t
+(** The live triples of a store — e.g. a loaded chain or shard set —
+    rebuilt by {!Encoded.Encoded_graph.canonical} straight from their
+    ids, with no term-level decode: dead terms drop out and ids become
+    those a fresh compile of the same triples assigns. What {!compact}
+    writes, and what [wdsparql compile] of a store writes. *)
 
 val load : ?verify:bool -> string -> Encoded.Encoded_graph.t
 (** [load path] maps the store and wraps its sections into an encoded
@@ -199,8 +212,10 @@ type compact_result = {
 
 val compact : string -> compact_result
 (** Fold the whole chain at [path] into a fresh monolithic base store
-    (atomically) and delete the segments. The compacted store's stamp
-    equals what a fresh compile of the same triple set produces — the
+    (atomically) and delete the segments. The overlay's live id triples
+    go straight to the canonical builder ({!canonical}) — no decode to
+    terms, no term-level graph — so the compacted store's stamp equals
+    what a fresh compile of the same triple set produces, and the
     round-trip is exact. Crash safety: the new base is renamed into
     place before segments are unlinked; a crash in the window leaves
     stale segments whose parent stamp no longer matches, which the next

@@ -165,6 +165,19 @@ let test_append_differential () =
           let overlay = Storage.load ~verify:true path in
           let ctx = Printf.sprintf "seed %d step %d" seed step in
           check_equivalent ~ctx overlay mono;
+          (* compacting a copy of the chain — real overlay ids, dead
+             terms and all — writes the monolithic compile's bytes *)
+          let copy = Filename.concat dir "c.wds" in
+          write_file copy (read_file path);
+          for k = 1 to step do
+            write_file (Storage.seg_path copy k)
+              (read_file (Storage.seg_path path k))
+          done;
+          let whole = Filename.concat dir "m.wds" in
+          Storage.save mono whole;
+          Alcotest.(check int) (ctx ^ ": compacted copy stamp = monolithic")
+            (Storage.info whole).Storage.stamp
+            (Storage.compact copy).Storage.compact_stamp;
           E.clear_cache ();
           check_answers ~ctx ~seed (Storage.load_graph path) mono_graph;
           (* the chain's identity changed with the append, and info

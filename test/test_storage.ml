@@ -154,6 +154,105 @@ let encoded_matches_index =
              = Encoded.Encoded_graph.match_count enc ~o:(id t) ())
         terms)
 
+(* The canonical builder against the builder it replaced: intern every
+   term of [Graph.triples] in order, then sort the encoded triples three
+   times with polymorphic [compare] on rotated tuples. *)
+let oracle g =
+  let dict = Rdf.Dictionary.of_graph g in
+  let triples =
+    Array.of_list
+      (List.map (Rdf.Dictionary.encode_triple dict) (Graph.triples g))
+  in
+  let sorted rot =
+    let a = Array.copy triples in
+    Array.sort (fun x y -> compare (rot x) (rot y)) a;
+    a
+  in
+  ( dict,
+    [ sorted Fun.id; sorted (fun (s, p, o) -> (p, o, s));
+      sorted (fun (s, p, o) -> (o, s, p)) ] )
+
+let agrees_with_oracle g enc =
+  let module E = Encoded.Encoded_graph in
+  let dict, perms = oracle g in
+  let d = E.dictionary enc in
+  let term = Rdf.Dictionary.term_of in
+  Rdf.Dictionary.size d = Rdf.Dictionary.size dict
+  && List.for_all
+       (fun id -> Term.equal (term d id) (term dict id))
+       (List.init (Rdf.Dictionary.size dict) Fun.id)
+  && List.for_all2
+       (fun nth expected ->
+         E.cardinal enc = Array.length expected
+         && Array.for_all Fun.id
+              (Array.mapi (fun i t -> nth enc i = t) expected))
+       [ E.nth_spo; E.nth_pos; E.nth_osp ]
+       perms
+
+(* Input as the builder meets it from a store: a dictionary whose ids
+   follow some other intern order and carry a dead term, and a triple
+   array in any order with repeats. Terms share one pool, so a term can
+   be subject, predicate and object at once. *)
+let canonical_matches_oracle =
+  qcheck ~count:200 "canonical = Dictionary.of_graph + polymorphic sorts"
+    seed_arb (fun seed ->
+      let st = Random.State.make [| seed; 15 |] in
+      let pool =
+        List.init (2 + Random.State.int st 10) (fun i ->
+            Term.iri (Printf.sprintf "t:%d" i))
+      in
+      let term () = List.nth pool (Random.State.int st (List.length pool)) in
+      let triples =
+        List.init (Random.State.int st 30) (fun _ ->
+            Triple.make (term ()) (term ()) (term ()))
+      in
+      let shuffle l =
+        let a = Array.of_list l in
+        for i = Array.length a - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        a
+      in
+      let dict =
+        Rdf.Dictionary.of_terms
+          (Array.to_list (shuffle (Term.iri "dead:0" :: pool)))
+      in
+      let repeats = List.filteri (fun i _ -> i mod 3 = 0) triples in
+      let ids =
+        Array.map (Rdf.Dictionary.encode_triple dict)
+          (shuffle (triples @ repeats))
+      in
+      agrees_with_oracle (Graph.of_triples triples)
+        (Encoded.Encoded_graph.canonical ~identity:0 dict ids))
+
+let test_canonical_small () =
+  let module E = Encoded.Encoded_graph in
+  let iri = Term.iri in
+  let empty =
+    E.canonical ~identity:0 (Rdf.Dictionary.of_terms [ iri "n:x" ]) [||]
+  in
+  check Alcotest.int "empty: no triples" 0 (E.cardinal empty);
+  check Alcotest.int "empty: dead term dropped" 0
+    (Rdf.Dictionary.size (E.dictionary empty));
+  check Alcotest.bool "empty graph = oracle" true
+    (agrees_with_oracle Graph.empty (E.of_graph Graph.empty));
+  let one = Triple.make (iri "n:b") (iri "p:q") (iri "n:a") in
+  let dict = Rdf.Dictionary.of_terms [ iri "n:a"; iri "p:q"; iri "n:b" ] in
+  let enc = E.canonical ~identity:0 dict [| (2, 1, 0); (2, 1, 0) |] in
+  check Alcotest.bool "one triple, repeated = oracle" true
+    (agrees_with_oracle (Graph.of_triples [ one ]) enc);
+  check Alcotest.(list string) "fresh ids: s, then p, then o"
+    [ "n:b"; "p:q"; "n:a" ]
+    (List.init 3 (fun id ->
+         Fmt.str "%a" Term.pp (Rdf.Dictionary.term_of (E.dictionary enc) id)));
+  check Alcotest.bool "id outside the dictionary rejected" true
+    (match E.canonical ~identity:0 dict [| (0, 1, 3) |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Encoded homomorphism engine                                         *)
 (* ------------------------------------------------------------------ *)
@@ -372,6 +471,9 @@ let () =
         [
           Alcotest.test_case "matching" `Quick test_encoded_matching;
           encoded_matches_index;
+          canonical_matches_oracle;
+          Alcotest.test_case "canonical: empty and one triple" `Quick
+            test_canonical_small;
         ] );
       ( "encoded joins",
         [
