@@ -224,7 +224,7 @@ let f1 () =
         let forest = Query_families.f_k k in
         let g, mu = Graph_families.tournament_instance ~seed:1 ~n in
         let naive_ans, t_naive =
-          time_median ~runs:1 (fun () -> Wd_core.Naive_eval.check forest g mu)
+          time_median ~runs:1 (fun () -> Wdpt.Semantics.check forest g mu)
         in
         let pebble_ans, t_pebble =
           time_median ~runs:3 (fun () -> Wd_core.Pebble_eval.check ~k:1 forest g mu)
@@ -265,7 +265,7 @@ let f2 () =
       let forest = [ Query_families.clique_child k ] in
       let g, mu = Graph_families.tournament_instance ~seed:3 ~n in
       let naive_ans, t_naive =
-        time_median (fun () -> Wd_core.Naive_eval.check forest g mu)
+        time_median (fun () -> Wdpt.Semantics.check forest g mu)
       in
       let p2_ans, t_p2 =
         time_median (fun () -> Wd_core.Pebble_eval.check ~k:1 forest g mu)
@@ -280,7 +280,7 @@ let f2 () =
   (* the fooling instance: 2 pebbles give the wrong answer *)
   let forest = [ Query_families.clique_child 3 ] in
   let g, mu = Graph_families.cyclic_triangles_instance ~m:4 in
-  let naive_ans = Wd_core.Naive_eval.check forest g mu in
+  let naive_ans = Wdpt.Semantics.check forest g mu in
   let p2_ans = Wd_core.Pebble_eval.check ~k:1 forest g mu in
   let p3_ans = Wd_core.Pebble_eval.check ~k:2 forest g mu in
   Fmt.pr "@.fooling instance (directed 3-cycles, no transitive triangle):@.";
@@ -344,7 +344,7 @@ let f3 () =
   List.iter
     (fun n ->
       let g, mu = Graph_families.tournament_instance ~seed:2 ~n in
-      let _, t_naive = time_median (fun () -> Wd_core.Naive_eval.check forest g mu) in
+      let _, t_naive = time_median (fun () -> Wdpt.Semantics.check forest g mu) in
       let _, t_pebble =
         time_median (fun () -> Wd_core.Pebble_eval.check ~k:1 forest g mu)
       in
@@ -382,7 +382,7 @@ let t3 () =
           let answer, t =
             time_median ~runs:1 (fun () ->
                 not
-                  (Wd_core.Naive_eval.check inst.Hardness.Reduction.forest
+                  (Wdpt.Semantics.check inst.Hardness.Reduction.forest
                      inst.Hardness.Reduction.graph inst.Hardness.Reduction.mu))
           in
           let brute = Hardness.Clique.has_clique h k in
@@ -813,7 +813,7 @@ let f7 () =
       if not !stop then begin
         let forest = Query_families.f_k k in
         let g, mu = Graph_families.tournament_instance ~seed:1 ~n in
-        let a1, t_naive = time_median ~runs:1 (fun () -> Wd_core.Naive_eval.check forest g mu) in
+        let a1, t_naive = time_median ~runs:1 (fun () -> Wdpt.Semantics.check forest g mu) in
         let a2, t_td = time_median ~runs:1 (fun () -> Wd_core.Td_eval.check forest g mu) in
         let a3, t_pebble =
           time_median ~runs:1 (fun () -> Wd_core.Pebble_eval.check ~k:1 forest g mu)
@@ -834,7 +834,7 @@ let f7 () =
       let noise = Rdf.Graph.triples (Rdf.Generator.random_digraph ~seed:4 ~n ~m:(3 * n) ~pred:"r") in
       let g = Rdf.Graph.of_triples (loop :: noise) in
       let mu = Sparql.Mapping.of_list [ (Rdf.Variable.of_string "y", Rdf.Iri.of_string "d:0") ] in
-      let _, t_naive = time_median (fun () -> Wd_core.Naive_eval.check [ tree ] g mu) in
+      let _, t_naive = time_median (fun () -> Wdpt.Semantics.check [ tree ] g mu) in
       let _, t_td = time_median (fun () -> Wd_core.Td_eval.check [ tree ] g mu) in
       let _, t_pebble =
         time_median (fun () -> Wd_core.Pebble_eval.check ~k:1 [ tree ] g mu)
@@ -1067,20 +1067,19 @@ let a6 () =
   header "A6" "ablation: evaluation-wide pebble cache on/off"
     "ISSUE 2 tentpole: compiled-game reuse + verdict memoization";
   Fmt.pr "Theorem-1 membership streams (one Pebble_eval.check per candidate@.";
-  Fmt.pr "mapping) with three kernels: the term-level game, the encoded kernel@.";
-  Fmt.pr "without memoization, and the full cache (games compiled once,@.";
-  Fmt.pr "verdicts keyed on µ|shared).  Plus one end-to-end enumeration@.";
-  Fmt.pr "workload, where the shared homomorphism join dilutes the gain.@.@.";
-  Fmt.pr "%-28s %8s %10s %12s %10s %8s %8s %6s@." "workload" "answers"
-    "term(ms)" "nocache(ms)" "cache(ms)" "speedup" "hits" "games";
+  Fmt.pr "mapping) over the encoded kernel, without memoization and with the@.";
+  Fmt.pr "full cache (games compiled once, verdicts keyed on µ|shared).  Plus@.";
+  Fmt.pr "one full Pebble_eval.solutions workload, where the homomorphism@.";
+  Fmt.pr "join dilutes the gain.@.@.";
+  Fmt.pr "%-28s %8s %12s %10s %8s %8s %6s@." "workload" "answers"
+    "nocache(ms)" "cache(ms)" "speedup" "hits" "games";
   let speedups = ref [] in
-  let report name answers t_term t_nocache t_cached stats =
-    let speedup = t_term /. t_cached in
+  let report name answers t_nocache t_cached stats =
+    let speedup = t_nocache /. t_cached in
     speedups := speedup :: !speedups;
-    record ~experiment:"A6" ~metric:(name ^ ".term_ms") (ms t_term);
     record ~experiment:"A6" ~metric:(name ^ ".nocache_ms") (ms t_nocache);
     record ~experiment:"A6" ~metric:(name ^ ".cache_ms") (ms t_cached);
-    record ~experiment:"A6" ~metric:(name ^ ".speedup_vs_term") speedup;
+    record ~experiment:"A6" ~metric:(name ^ ".speedup_vs_nocache") speedup;
     record ~experiment:"A6" ~metric:(name ^ ".cache_hits")
       (float_of_int stats.Wd_core.Pebble_cache.hits);
     record ~experiment:"A6" ~metric:(name ^ ".cache_misses")
@@ -1089,9 +1088,27 @@ let a6 () =
       (float_of_int stats.Wd_core.Pebble_cache.compiled);
     record ~experiment:"A6" ~metric:(name ^ ".families_explored")
       (float_of_int stats.Wd_core.Pebble_cache.families);
-    Fmt.pr "%-28s %8d %10.3f %12.3f %10.3f %7.1fx %8d %6d@." name answers
-      (ms t_term) (ms t_nocache) (ms t_cached) speedup
-      stats.Wd_core.Pebble_cache.hits stats.Wd_core.Pebble_cache.compiled
+    Fmt.pr "%-28s %8d %12.3f %10.3f %7.1fx %8d %6d@." name answers
+      (ms t_nocache) (ms t_cached) speedup stats.Wd_core.Pebble_cache.hits
+      stats.Wd_core.Pebble_cache.compiled
+  in
+  (* Time [run] once per cache variant: a memo-disabled cache, then a
+     fresh full cache whose stats are reported. *)
+  let measure graph run =
+    let runs = 3 in
+    let nocache_ans, t_nocache =
+      time_median ~runs (fun () ->
+          run (Wd_core.Pebble_cache.create ~memo:false graph))
+    in
+    let cache = ref None in
+    let cached_ans, t_cached =
+      time_median ~runs (fun () ->
+          let c = Wd_core.Pebble_cache.create graph in
+          cache := Some c;
+          run c)
+    in
+    (nocache_ans, cached_ans, t_nocache, t_cached,
+     Wd_core.Pebble_cache.stats (Option.get !cache))
   in
   (* membership-check streams *)
   let n = if !fast then 10 else 14 and anchors = if !fast then 6 else 8 in
@@ -1105,82 +1122,46 @@ let a6 () =
   List.iter
     (fun (name, k, forest, seed) ->
       let graph, mus = stream_instance ~seed ~n ~anchors in
-      let runs = 3 in
-      let stream kernel =
-        List.map
-          (fun mu -> Wd_core.Pebble_eval.check ~k ~kernel forest graph mu)
-          mus
+      let nocache_ans, cached_ans, t_nocache, t_cached, stats =
+        measure graph (fun cache ->
+            List.map
+              (fun mu -> Wd_core.Pebble_eval.check ~k ~cache forest graph mu)
+              mus)
       in
-      let term_ans, t_term =
-        time_median ~runs (fun () -> stream Wd_core.Pebble_eval.Term)
-      in
-      let nocache_ans, t_nocache =
-        time_median ~runs (fun () ->
-            stream
-              (Wd_core.Pebble_eval.Cached
-                 (Wd_core.Pebble_cache.create ~memo:false graph)))
-      in
-      let cache = ref None in
-      let cached_ans, t_cached =
-        time_median ~runs (fun () ->
-            let c = Wd_core.Pebble_cache.create graph in
-            cache := Some c;
-            stream (Wd_core.Pebble_eval.Cached c))
-      in
-      assert (term_ans = nocache_ans && term_ans = cached_ans);
-      let stats = Wd_core.Pebble_cache.stats (Option.get !cache) in
-      let answers = List.length (List.filter Fun.id term_ans) in
-      report name answers t_term t_nocache t_cached stats)
+      assert (nocache_ans = cached_ans);
+      let answers = List.length (List.filter Fun.id cached_ans) in
+      report name answers t_nocache t_cached stats)
     stream_workloads;
-  (* end-to-end enumeration: the kernel is only part of the wall time *)
+  (* full answer enumeration: the kernel is only part of the wall time *)
   let () =
     let forest = Query_families.f_k 4 in
     let graph =
       fst (Graph_families.tournament_instance ~seed:1 ~n:(if !fast then 10 else 14))
     in
-    let enumerate kernel =
-      Wd_core.Enumerate.solutions ~maximality:(`Pebble 1) ~kernel forest graph
+    let nocache_ans, cached_ans, t_nocache, t_cached, stats =
+      measure graph (fun cache ->
+          Wd_core.Pebble_eval.solutions ~cache ~k:1 forest graph)
     in
-    let runs = 3 in
-    let term_ans, t_term =
-      time_median ~runs (fun () -> enumerate Wd_core.Pebble_eval.Term)
-    in
-    let nocache_ans, t_nocache =
-      time_median ~runs (fun () ->
-          enumerate
-            (Wd_core.Pebble_eval.Cached
-               (Wd_core.Pebble_cache.create ~memo:false graph)))
-    in
-    let cache = ref None in
-    let cached_ans, t_cached =
-      time_median ~runs (fun () ->
-          let c = Wd_core.Pebble_cache.create graph in
-          cache := Some c;
-          enumerate (Wd_core.Pebble_eval.Cached c))
-    in
-    assert (Sparql.Mapping.Set.equal term_ans nocache_ans);
-    assert (Sparql.Mapping.Set.equal term_ans cached_ans);
-    let stats = Wd_core.Pebble_cache.stats (Option.get !cache) in
-    report "f4-enumerate" (Sparql.Mapping.Set.cardinal term_ans) t_term
-      t_nocache t_cached stats
+    assert (Sparql.Mapping.Set.equal nocache_ans cached_ans);
+    report "f4-solutions" (Sparql.Mapping.Set.cardinal cached_ans) t_nocache
+      t_cached stats
   in
   let median_speedup =
     let sorted = List.sort compare !speedups in
     List.nth sorted (List.length sorted / 2)
   in
-  record ~experiment:"A6" ~metric:"median_speedup_vs_term" median_speedup;
-  Fmt.pr "@.median cached speedup vs term kernel: %.1fx (target: >= 3x)@."
+  record ~experiment:"A6" ~metric:"median_speedup_vs_nocache" median_speedup;
+  Fmt.pr "@.median cached speedup vs the memo-disabled cache: %.1fx@."
     median_speedup
 
 let a7 () =
   header "A7" "ablation: encoded hom-join + plan cache in full enumeration"
     "ISSUE 3 tentpole: candidate generation over the dictionary store";
-  Fmt.pr "Full Theorem-1 enumeration three ways: the PR 2 baseline (term-@.";
-  Fmt.pr "level hom-join, fresh pebble cache per evaluation), the encoded@.";
-  Fmt.pr "join with a cold plan cache (sources + games compiled per run),@.";
-  Fmt.pr "and the encoded join with a warm plan cache (compiled sources,@.";
-  Fmt.pr "games and verdicts reused across evaluations).  Every variant's@.";
-  Fmt.pr "answer set is checked against the reference algebra evaluator.@.@.";
+  Fmt.pr "Full Theorem-1 enumeration two ways: the encoded join with a@.";
+  Fmt.pr "cold plan cache (sources + games compiled per run), and with a@.";
+  Fmt.pr "warm plan cache (compiled sources, games and verdicts reused@.";
+  Fmt.pr "across evaluations).  Every variant's answer set is checked@.";
+  Fmt.pr "against the reference algebra evaluator.@.@.";
   let n = if !fast then 10 else 14 in
   let anchors = if !fast then 4 else 6 in
   let uni_graph =
@@ -1215,8 +1196,8 @@ let a7 () =
         uni_forest "department-roster", uni2_graph );
     ]
   in
-  Fmt.pr "%-26s %8s %10s %10s %10s %7s %7s@." "workload" "answers" "term(ms)"
-    "cold(ms)" "warm(ms)" "cold-x" "warm-x";
+  Fmt.pr "%-26s %8s %10s %10s %7s@." "workload" "answers" "cold(ms)"
+    "warm(ms)" "warm-x";
   let warm_speedups = ref [] in
   List.iter
     (fun (name, k, forest, graph) ->
@@ -1231,14 +1212,6 @@ let a7 () =
           exit 1
         end
       in
-      (* PR 2 baseline: term-level join; each evaluation builds its own
-         pebble cache, exactly as the PR 2 engine did per call *)
-      let term () =
-        Wd_core.Enumerate.solutions ~join:`Term ~maximality:(`Pebble k)
-          ~kernel:
-            (Wd_core.Pebble_eval.Cached (Wd_core.Pebble_cache.create graph))
-          forest graph
-      in
       (* encoded join, cold: a fresh plan cache per evaluation *)
       let cold () =
         Wd_core.Enumerate.solutions ~maximality:(`Pebble k)
@@ -1252,7 +1225,7 @@ let a7 () =
       in
       (* Interleaved sampling: probe each variant once (verifying its
          answers and sizing a batch so every sample spans >= 20ms of
-         work), then take all three variants' samples round-robin so
+         work), then take both variants' samples round-robin so
          machine-throughput drift hits the ratios symmetrically instead
          of whichever variant happened to run during a slow stretch. *)
       Gc.compact ();
@@ -1261,8 +1234,7 @@ let a7 () =
         verify variant ans;
         (max 1 (min 1000 (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6)))), f)
       in
-      let variants = [| probe "term" term; probe "encoded-cold" cold;
-                        probe "encoded-warm" warm |] in
+      let variants = [| probe "encoded-cold" cold; probe "encoded-warm" warm |] in
       let samples = Array.map (fun _ -> ref []) variants in
       for _ = 1 to runs do
         Array.iteri
@@ -1279,35 +1251,31 @@ let a7 () =
         let sorted = List.sort compare !(samples.(i)) in
         List.nth sorted (List.length sorted / 2)
       in
-      let t_term = median_of 0
-      and t_cold = median_of 1
-      and t_warm = median_of 2 in
-      let term_ans = term () in
-      let speedup_cold = t_term /. t_cold
-      and speedup_warm = t_term /. t_warm in
+      let t_cold = median_of 0 and t_warm = median_of 1 in
+      let speedup_warm = t_cold /. t_warm in
       warm_speedups := speedup_warm :: !warm_speedups;
-      record ~experiment:"A7" ~metric:(name ^ ".term_ms") (ms t_term);
       record ~experiment:"A7" ~metric:(name ^ ".cold_ms") (ms t_cold);
       record ~experiment:"A7" ~metric:(name ^ ".warm_ms") (ms t_warm);
-      record ~experiment:"A7" ~metric:(name ^ ".speedup_cold") speedup_cold;
-      record ~experiment:"A7" ~metric:(name ^ ".speedup_warm") speedup_warm;
+      record ~experiment:"A7" ~metric:(name ^ ".speedup_warm_vs_cold")
+        speedup_warm;
       record ~experiment:"A7" ~metric:(name ^ ".answers")
-        (float_of_int (Sparql.Mapping.Set.cardinal term_ans));
+        (float_of_int (Sparql.Mapping.Set.cardinal reference));
       let stats = Wd_core.Plan_cache.stats cache in
       record ~experiment:"A7" ~metric:(name ^ ".hom_sources")
         (float_of_int stats.Wd_core.Plan_cache.hom_sources);
       record ~experiment:"A7" ~metric:(name ^ ".verdict_hits")
         (float_of_int stats.Wd_core.Plan_cache.pebble.Wd_core.Pebble_cache.hits);
-      Fmt.pr "%-26s %8d %10.3f %10.3f %10.3f %6.1fx %6.1fx@." name
-        (Sparql.Mapping.Set.cardinal term_ans)
-        (ms t_term) (ms t_cold) (ms t_warm) speedup_cold speedup_warm)
+      Fmt.pr "%-26s %8d %10.3f %10.3f %6.1fx@." name
+        (Sparql.Mapping.Set.cardinal reference)
+        (ms t_cold) (ms t_warm) speedup_warm)
     workloads;
   let median_speedup_warm =
     let sorted = List.sort compare !warm_speedups in
     List.nth sorted (List.length sorted / 2)
   in
-  record ~experiment:"A7" ~metric:"median_speedup_warm" median_speedup_warm;
-  Fmt.pr "@.median warm speedup vs PR 2 term baseline: %.1fx (target: >= 5x)@."
+  record ~experiment:"A7" ~metric:"median_speedup_warm_vs_cold"
+    median_speedup_warm;
+  Fmt.pr "@.median warm speedup vs a cold plan cache: %.1fx@."
     median_speedup_warm
 
 let a8 () =
@@ -1460,18 +1428,18 @@ let a8 () =
   Fmt.pr "verdict caches keep that overhead bounded (see PERFORMANCE.md).@."
 
 (* ------------------------------------------------------------------ *)
-(* A10 — ablation: cost-based planning vs per-prefix rescoring         *)
+(* A10 — ablation: cost-based planning vs textual-order fail-first     *)
 (* ------------------------------------------------------------------ *)
 
 let a10 () =
   header "A10" "ablation: cost-based join planning on skewed stores"
     "ISSUE 7 tentpole: compiled orders + incremental fail-first refinement";
-  Fmt.pr "Warm full enumeration on Zipf-skewed graphs under three join@.";
-  Fmt.pr "planning modes: per-prefix rescoring (the PR 3 exact fail-first@.";
-  Fmt.pr "baseline, --optimize off), the compiled static order, and the@.";
-  Fmt.pr "compiled order with incremental refinement plus per-node@.";
-  Fmt.pr "pebble-vs-naive maximality choices (--optimize on). Every variant@.";
-  Fmt.pr "is verified against the reference algebra evaluator.@.@.";
+  Fmt.pr "Warm full enumeration on Zipf-skewed graphs under the two join@.";
+  Fmt.pr "planning modes: fail-first with ties broken by textual pattern@.";
+  Fmt.pr "order (--optimize off; the choices of per-prefix rescoring), and@.";
+  Fmt.pr "the compiled order as tie-break plus per-node pebble-vs-naive@.";
+  Fmt.pr "maximality choices (--optimize on). Every variant is verified@.";
+  Fmt.pr "against the reference algebra evaluator.@.@.";
   let preds = [ "q0"; "q1"; "q2"; "q3"; "q4"; "q5" ] in
   (* Zipf-skewed stores: node 0 is the heaviest hub and predicate
      cardinalities fall off steeply, so uniform-guess join orders are
@@ -1515,8 +1483,8 @@ let a10 () =
         zg 25 120 1100 1.2 );
     ]
   in
-  Fmt.pr "%-20s %8s %11s %10s %11s %9s %9s@." "workload" "answers"
-    "rescore(ms)" "static(ms)" "adaptive(ms)" "static-x" "adapt-x";
+  Fmt.pr "%-20s %8s %11s %11s %9s@." "workload" "answers" "rescore(ms)"
+    "adaptive(ms)" "adapt-x";
   let adaptive_speedups = ref [] in
   List.iter
     (fun (name, forest, graph) ->
@@ -1541,12 +1509,10 @@ let a10 () =
           Wd_core.Enumerate.solutions ~maximality:(`Pebble dw) ~cache
             ~optimize forest graph
       in
-      let rescore = eval `Off
-      and static = eval `Static
-      and adaptive = eval `On in
+      let rescore = eval `Off and adaptive = eval `On in
       (* interleaved round-robin sampling, as in A7: probe each variant
          (verifying answers, sizing a >= 20ms batch), then sample the
-         three variants alternately so throughput drift hits the ratios
+         two variants alternately so throughput drift hits the ratios
          symmetrically *)
       Gc.compact ();
       let probe variant f =
@@ -1555,12 +1521,7 @@ let a10 () =
         ( max 1 (min 1000 (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6)))),
           f )
       in
-      let variants =
-        [|
-          probe "rescore" rescore; probe "static" static;
-          probe "adaptive" adaptive;
-        |]
-      in
+      let variants = [| probe "rescore" rescore; probe "adaptive" adaptive |] in
       let samples = Array.map (fun _ -> ref []) variants in
       for _ = 1 to runs do
         Array.iteri
@@ -1577,25 +1538,18 @@ let a10 () =
         let sorted = List.sort compare !(samples.(i)) in
         List.nth sorted (List.length sorted / 2)
       in
-      let t_rescore = median_of 0
-      and t_static = median_of 1
-      and t_adaptive = median_of 2 in
-      let speedup_static = t_rescore /. t_static
-      and speedup_adaptive = t_rescore /. t_adaptive in
+      let t_rescore = median_of 0 and t_adaptive = median_of 1 in
+      let speedup_adaptive = t_rescore /. t_adaptive in
       adaptive_speedups := speedup_adaptive :: !adaptive_speedups;
       record ~experiment:"A10" ~metric:(name ^ ".rescore_ms") (ms t_rescore);
-      record ~experiment:"A10" ~metric:(name ^ ".static_ms") (ms t_static);
       record ~experiment:"A10" ~metric:(name ^ ".adaptive_ms") (ms t_adaptive);
-      record ~experiment:"A10" ~metric:(name ^ ".speedup_static")
-        speedup_static;
       record ~experiment:"A10" ~metric:(name ^ ".speedup_adaptive")
         speedup_adaptive;
       record ~experiment:"A10" ~metric:(name ^ ".answers")
         (float_of_int (Sparql.Mapping.Set.cardinal reference));
-      Fmt.pr "%-20s %8d %11.3f %10.3f %11.3f %8.2fx %8.2fx@." name
+      Fmt.pr "%-20s %8d %11.3f %11.3f %8.2fx@." name
         (Sparql.Mapping.Set.cardinal reference)
-        (ms t_rescore) (ms t_static) (ms t_adaptive) speedup_static
-        speedup_adaptive)
+        (ms t_rescore) (ms t_adaptive) speedup_adaptive)
     workloads;
   let median_speedup =
     let sorted = List.sort compare !adaptive_speedups in
@@ -1603,8 +1557,7 @@ let a10 () =
   in
   record ~experiment:"A10" ~metric:"median_speedup_adaptive" median_speedup;
   Fmt.pr
-    "@.median optimizer-on speedup vs per-prefix rescoring: %.2fx (target: \
-     >= 1.3x)@."
+    "@.median optimizer-on speedup vs --optimize off: %.2fx@."
     median_speedup
 
 (* ------------------------------------------------------------------ *)
@@ -2157,7 +2110,7 @@ let bechamel_suite () =
       Test.make ~name:"T1/wdpf-enumeration"
         (Staged.stage (fun () -> Wdpt.Semantics.solutions t1_forest t1_graph));
       Test.make ~name:"F1/naive-check-F8"
-        (Staged.stage (fun () -> Wd_core.Naive_eval.check f1_forest f1_g f1_mu));
+        (Staged.stage (fun () -> Wdpt.Semantics.check f1_forest f1_g f1_mu));
       Test.make ~name:"F1/pebble-check-F8"
         (Staged.stage (fun () -> Wd_core.Pebble_eval.check ~k:1 f1_forest f1_g f1_mu));
       Test.make ~name:"F2/pebble2-clique-child4"

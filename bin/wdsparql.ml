@@ -198,11 +198,12 @@ let optimize_arg =
     value
     & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "optimize" ] ~docv:"on|off"
-        ~doc:"Cost-based planning (default on): compiled per-node join \
-              orders from store statistics with adaptive fail-first \
-              refinement, and per-node pebble-vs-naive maximality choices. \
-              'off' falls back to exact per-prefix rescoring. Answers are \
-              identical either way.")
+        ~doc:"Cost-based planning (default on): every join is fail-first \
+              with cached scores; 'on' breaks score ties by per-node join \
+              orders compiled from store statistics and picks naive or \
+              pebble maximality per node, 'off' breaks ties by textual \
+              pattern order and runs the planned maximality test at every \
+              node. Answers are identical either way.")
 
 (* Resource limits: a spec, from which each processing stage gets a fresh
    budget (so with --timeout T, planning and evaluation may each take up
@@ -358,7 +359,7 @@ let check_cmd =
           Sparql.Eval.check ~budget:(fresh_budget spec) pattern graph mu
       | Some `Naive ->
           let forest = Wdpt.Pattern_forest.of_algebra pattern in
-          Wd_core.Naive_eval.check ~budget:(fresh_budget spec) forest graph mu
+          Wdpt.Semantics.check ~budget:(fresh_budget spec) forest graph mu
       | Some `Pebble | None ->
           let force = Option.map (fun k -> Wd_core.Engine.Pebble k) k in
           let plan =

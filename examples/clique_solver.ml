@@ -23,7 +23,7 @@ let describe name h k =
       let start = Unix.gettimeofday () in
       let via_wdeval =
         not
-          (Wd_core.Naive_eval.check inst.Hardness.Reduction.forest
+          (Wdpt.Semantics.check inst.Hardness.Reduction.forest
              inst.Hardness.Reduction.graph inst.Hardness.Reduction.mu)
       in
       let elapsed = Unix.gettimeofday () -. start in

@@ -62,5 +62,5 @@ let () =
       ]
   in
   Fmt.pr "@.µ = %a@." Sparql.Mapping.pp mu;
-  Fmt.pr "µ ∈ ⟦P⟧G (naive):  %b@." (Wd_core.Naive_eval.check forest graph mu);
+  Fmt.pr "µ ∈ ⟦P⟧G (naive):  %b@." (Wdpt.Semantics.check forest graph mu);
   Fmt.pr "µ ∈ ⟦P⟧G (pebble): %b@." (Wd_core.Pebble_eval.check ~k forest graph mu)

@@ -67,22 +67,21 @@ let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
 
 let check ?budget plan graph mu =
   match plan.algorithm with
-  | Naive -> Naive_eval.check ?budget plan.forest graph mu
+  | Naive -> Wdpt.Semantics.check ?budget plan.forest graph mu
   | Pebble k ->
-      Pebble_eval.check ?budget
-        ~kernel:(Pebble_eval.Cached (Plan_cache.pebble plan.cache graph))
-        ~k plan.forest graph mu
+      Pebble_eval.check ?budget ~cache:(Plan_cache.pebble plan.cache graph) ~k
+        plan.forest graph mu
 
 let solutions_stats ?budget ?domains plan graph =
-  match plan.algorithm with
-  | Naive -> (Wdpt.Semantics.solutions ?budget plan.forest graph, None)
-  | Pebble k ->
-      let answers =
-        Enumerate.solutions ?budget ?domains ~maximality:(`Pebble k)
-          ~optimize:(if plan.optimize then `On else `Off)
-          ~cache:plan.cache plan.forest graph
-      in
-      (answers, Some (Plan_cache.stats plan.cache))
+  let maximality =
+    match plan.algorithm with Naive -> `Hom | Pebble k -> `Pebble k
+  in
+  let answers =
+    Enumerate.solutions ?budget ?domains ~maximality
+      ~optimize:(if plan.optimize then `On else `Off)
+      ~cache:plan.cache plan.forest graph
+  in
+  (answers, Some (Plan_cache.stats plan.cache))
 
 let solutions ?budget ?domains plan graph =
   fst (solutions_stats ?budget ?domains plan graph)
@@ -116,4 +115,4 @@ let pp_plan ppf plan =
       | Pebble k -> Fmt.pf ppf "pebble with k = %d (%d pebbles)" k (k + 1))
     plan.algorithm
     (if plan.optimize then "on (cost-based join orders, adaptive fail-first)"
-     else "off (exact per-prefix rescoring)")
+     else "off (fail-first in textual pattern order)")

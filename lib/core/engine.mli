@@ -82,19 +82,20 @@ val check :
 val solutions :
   ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
   Sparql.Mapping.Set.t
-(** All answers: the shared-prefix enumerator under [Pebble], the baseline
-    enumerator under [Naive]. [domains] (default 1 — exactly the
-    sequential path) runs the per-candidate maximality tests on a domain
-    pool ({!Enumerate.solutions}); answers are identical for every
-    value. *)
+(** All answers from the shared-prefix enumerator
+    ({!Enumerate.solutions}) on the plan's cache: maximality by the
+    pebble game under [Pebble k], by the exact homomorphism test under
+    [Naive]. [domains] (default 1 — exactly the sequential path) runs the
+    per-candidate pebble tests on a domain pool; answers are identical
+    for every value. *)
 
 val solutions_stats :
   ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
   Sparql.Mapping.Set.t * Plan_cache.stats option
 (** Like {!solutions}, also returning the plan-cache counters accumulated
     over the plan's lifetime — pebble hits/misses/compiled/evictions,
-    hom sources compiled, epoch invalidations ([None] under [Naive]) —
-    what [--explain] prints. Parallel workers' counters are merged in
+    hom sources compiled, epoch invalidations (always [Some]) — what
+    [--explain] prints. Parallel workers' counters are merged in
     before returning, so hits + misses always equals the number of
     lookups regardless of [domains]. Because the cache lives on the
     plan, repeated calls on the same graph reuse compiled artefacts and

@@ -326,8 +326,8 @@ let id_of_var dict mu v =
 
 (* The shared back half of the child test: anchor triples checked with
    grounded ids, then the verdict memo / kernel run. [mu_ids] is a thunk
-   so the term-level caller keeps its dictionary lookups lazy on anchor
-   failure. *)
+   so the mapping-level caller keeps its dictionary lookups lazy on
+   anchor failure. *)
 let run_child_test t ~budget cg ~anchor_ids ~mu_ids =
   let value = function C id -> id | V j -> anchor_ids.(j) in
   let anchor_ok =
@@ -388,8 +388,8 @@ let slots_for cg vars =
           if i >= Array.length vars then
             invalid_arg
               (Fmt.str
-                 "Pebble_cache.child_test_ids: variable %a missing from the \
-                  table"
+                 "Pebble_cache.stage_child_test_ids: variable %a missing from \
+                  the table"
                  Variable.pp v)
           else if Variable.equal vars.(i) v then i
           else go (i + 1)
@@ -419,6 +419,3 @@ let stage_child_test_ids t ?(budget = Budget.unlimited) ~k tree ~vars subtree
     let anchor_ids = Array.map (Array.get assignment) anchor_slots in
     run_child_test t ~budget cg ~anchor_ids ~mu_ids:(fun () ->
         Array.map (Array.get assignment) game_slots)
-
-let child_test_ids t ?budget ~k tree ~vars ~assignment subtree n =
-  stage_child_test_ids t ?budget ~k tree ~vars subtree n assignment

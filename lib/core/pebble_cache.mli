@@ -4,7 +4,8 @@
     {!Enumerate.solutions} under [`Pebble k]) issues the relaxed
     extension test [(pat(T') ∪ pat(n), vars(T')) →µ_{k+1} G] for many
     (mapping, subtree, child) combinations against one fixed graph. This
-    layer makes the repeated work incremental:
+    layer is the engine's only kernel for that test, and makes the
+    repeated work incremental:
 
     - the graph is dictionary-encoded once ({!Encoded_graph}), shared by
       every test;
@@ -16,8 +17,9 @@
       decomposes exactly into "subtree pattern ground under µ is in G"
       plus the game on [(pat(n), shared)] with [µ|shared].
 
-    Results are identical to the uncached {!Pebble.Pebble_game.wins}
-    path (cross-checked by qcheck in the tests). *)
+    Results are identical to {!Pebble.Pebble_game.wins} on the union
+    game (cross-checked by qcheck in the tests, where that term-level
+    game is the oracle). *)
 
 open Rdf
 
@@ -50,8 +52,8 @@ val create : ?memo:bool -> ?verdict_capacity:int -> Graph.t -> t
 
 val graph : t -> Graph.t
 (** The graph this cache was created for. Callers must not use the
-    cache against any other graph (checked by epoch equality in
-    {!Pebble_eval}). *)
+    cache against any other graph ({!Pebble_eval} raises
+    [Invalid_argument] on an epoch mismatch). *)
 
 val child_test :
   t ->
@@ -62,33 +64,16 @@ val child_test :
   Wdpt.Subtree.t ->
   Wdpt.Pattern_tree.node ->
   bool
-(** Cached equivalent of {!Pebble_eval.child_test} (same arguments minus
-    the graph, which the cache owns). Budget-transparent: ticks through
-    {!Encoded_pebble.run} on misses and at least once on hits.
+(** The relaxed extension test
+    [(pat(T') ∪ pat(n), vars(T')) →µ_{k+1} G] for a term mapping µ, as
+    {!Pebble_eval.check} issues it. Budget-transparent: ticks through
+    {!Encoded_pebble.run} on misses and at least once on hits. Raises
+    [Invalid_argument] if [k < 1].
 
     Precondition: [dom µ = vars(subtree)] — which is exactly what
-    {!Wdpt.Subtree.matching} and the enumerator produce. (The term-level
-    kernel would ground a child variable bound by a larger µ, whereas
-    the compiled game quantifies it existentially.) *)
-
-val child_test_ids :
-  t ->
-  ?budget:Resource.Budget.t ->
-  k:int ->
-  Wdpt.Pattern_tree.t ->
-  vars:Variable.t array ->
-  assignment:int array ->
-  Wdpt.Subtree.t ->
-  Wdpt.Pattern_tree.node ->
-  bool
-(** Id-level variant of {!child_test} for the encoded enumerator: the
-    candidate is the flat dictionary-id [assignment] over the shared
-    variable table [vars] ({!Plan_cache.variables}) instead of a term
-    mapping, so no decode/re-encode round-trip happens per candidate.
-    [assignment] must cover [vars(subtree)] with ids valid for this
-    cache's graph (which the encoded join guarantees). Same precondition
-    and verdict memoization as {!child_test}; param-to-slot resolution
-    is cached per game keyed on [vars]'s physical identity. *)
+    {!Wdpt.Subtree.matching} produces. (The union game would ground a
+    child variable bound by a larger µ, whereas the compiled game
+    quantifies it existentially.) *)
 
 val stage_child_test_ids :
   t ->
@@ -100,11 +85,16 @@ val stage_child_test_ids :
   Wdpt.Pattern_tree.node ->
   int array ->
   bool
-(** Staged form of {!child_test_ids}: resolves the game and the
-    param-to-slot tables once for a (subtree, child) pair and returns
-    the per-assignment test. The enumerator stages each child's test
-    once per candidate batch instead of re-resolving them per
-    candidate. *)
+(** Id-level, staged variant of {!child_test} for the enumerator:
+    resolves the game and the param-to-slot tables once for a
+    (subtree, child) pair and returns the per-candidate test. A
+    candidate is the flat dictionary-id assignment over the shared
+    variable table [vars] ({!Plan_cache.variables}) instead of a term
+    mapping, so no decode/re-encode round-trip happens per candidate.
+    The assignment must cover [vars(subtree)] with ids valid for this
+    cache's graph (which the encoded join guarantees). Same precondition
+    and verdict memoization as {!child_test}; param-to-slot resolution
+    is cached per game keyed on [vars]'s physical identity. *)
 
 val worker_view : t -> t
 (** A domain-private view over the same cache for one pool worker.

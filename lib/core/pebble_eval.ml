@@ -1,29 +1,16 @@
 open Rdf
-open Tgraphs
 module Budget = Resource.Budget
 
-type kernel = Term | Cached of Pebble_cache.t
+let cache_for graph = function
+  | None -> Pebble_cache.create graph
+  | Some cache ->
+      if Graph.epoch (Pebble_cache.graph cache) <> Graph.epoch graph then
+        invalid_arg "Pebble_eval: the cache was built for another graph";
+      cache
 
-let child_test ?budget ?(kernel = Term) ~k tree graph mu subtree n =
-  match kernel with
-  | Cached cache when Graph.epoch (Pebble_cache.graph cache) = Graph.epoch graph
-    ->
-      Pebble_cache.child_test cache ?budget ~k tree mu subtree n
-  | Cached _ | Term ->
-      let s =
-        Tgraph.union (Wdpt.Subtree.pat subtree) (Wdpt.Pattern_tree.pat tree n)
-      in
-      let g = Gtgraph.make s (Wdpt.Subtree.vars subtree) in
-      Pebble.Pebble_game.wins ?budget ~k:(k + 1) g
-        ~mu:(Sparql.Mapping.to_assignment mu) graph
-
-let check ?(budget = Budget.unlimited) ?kernel ~k forest graph mu =
+let check ?(budget = Budget.unlimited) ?cache ~k forest graph mu =
   if k < 1 then invalid_arg "Pebble_eval.check: k must be at least 1";
-  let kernel =
-    match kernel with
-    | Some kernel -> kernel
-    | None -> Cached (Pebble_cache.create graph)
-  in
+  let cache = cache_for graph cache in
   Budget.with_phase budget "pebble-eval" @@ fun () ->
   List.exists
     (fun tree ->
@@ -32,24 +19,20 @@ let check ?(budget = Budget.unlimited) ?kernel ~k forest graph mu =
       | Some subtree ->
           not
             (List.exists
-               (child_test ~budget ~kernel ~k tree graph mu subtree)
+               (Pebble_cache.child_test cache ~budget ~k tree mu subtree)
                (Wdpt.Subtree.children subtree)))
     forest
 
-let check_pattern ?budget ?kernel ~k p graph mu =
-  check ?budget ?kernel ~k (Wdpt.Pattern_forest.of_algebra p) graph mu
+let check_pattern ?budget ?cache ~k p graph mu =
+  check ?budget ?cache ~k (Wdpt.Pattern_forest.of_algebra p) graph mu
 
-let check_auto ?budget ?kernel forest graph mu =
-  check ?budget ?kernel
+let check_auto ?budget ?cache forest graph mu =
+  check ?budget ?cache
     ~k:(Domination_width.of_forest ?budget forest)
     forest graph mu
 
-let solutions ?(budget = Budget.unlimited) ?kernel ~k forest graph =
-  let kernel =
-    match kernel with
-    | Some kernel -> kernel
-    | None -> Cached (Pebble_cache.create graph)
-  in
+let solutions ?(budget = Budget.unlimited) ?cache ~k forest graph =
+  let cache = cache_for graph cache in
   Budget.with_phase budget "pebble-eval" @@ fun () ->
   let enc = Encoded.Encoded_graph.of_graph_cached graph in
   List.fold_left
@@ -67,7 +50,7 @@ let solutions ?(budget = Budget.unlimited) ?kernel ~k forest graph =
               | Some mu ->
                   if
                     (not (Sparql.Mapping.Set.mem mu acc))
-                    && check ~budget ~kernel ~k forest graph mu
+                    && check ~budget ~cache ~k forest graph mu
                   then begin
                     Budget.solution budget;
                     Sparql.Mapping.Set.add mu acc

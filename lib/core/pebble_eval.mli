@@ -10,50 +10,36 @@
     - {b completeness} holds whenever [dw(F) ≤ k] (the completeness proof
       of Theorem 1).
 
-    For fixed [k] the algorithm runs in polynomial time in [|F| + |G|]. *)
+    For fixed [k] the algorithm runs in polynomial time in [|F| + |G|].
+    Every child game runs on the dictionary-encoded store through a
+    {!Pebble_cache.t}, which compiles each (subtree, child) game once and
+    memoizes its verdicts. When no [cache] is given, a fresh one is
+    created for the call; a given [cache] must have been created for
+    [graph] (same {!Rdf.Graph.epoch}), else [Invalid_argument] is
+    raised. *)
 
 open Rdf
 
-type kernel =
-  | Term  (** the reference term-level {!Pebble.Pebble_game.wins} *)
-  | Cached of Pebble_cache.t
-      (** the dictionary-encoded kernel with compiled-game reuse and
-          verdict memoization; results are identical to [Term] *)
-
-val child_test :
-  ?budget:Resource.Budget.t -> ?kernel:kernel -> k:int ->
-  Wdpt.Pattern_tree.t -> Graph.t ->
-  Sparql.Mapping.t -> Wdpt.Subtree.t -> Wdpt.Pattern_tree.node -> bool
-(** The relaxed extension test of the algorithm:
-    [(pat(T') ∪ pat(n), vars(T')) →µ_{k+1} G]. Exposed for the optimised
-    enumerator and for tests. [kernel] defaults to [Term] here (a single
-    test has nothing to reuse); a [Cached] kernel is used only when its
-    cache was created for [graph] (physical equality), otherwise the
-    term path runs. *)
-
 val check :
-  ?budget:Resource.Budget.t -> ?kernel:kernel -> k:int ->
+  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t -> k:int ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.t -> bool
 (** [check ~k F G µ] decides [µ ∈ ⟦F⟧G], exactly when [dw(F) ≤ k].
-    Raises [Invalid_argument] if [k < 1]. When no [kernel] is given, a
-    fresh {!Pebble_cache.t} is created for the call, so the per-child
-    games are compiled once across the forest. *)
+    Raises [Invalid_argument] if [k < 1]. *)
 
 val check_pattern :
-  ?budget:Resource.Budget.t -> ?kernel:kernel -> k:int -> Sparql.Algebra.t ->
-  Graph.t -> Sparql.Mapping.t -> bool
+  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t -> k:int ->
+  Sparql.Algebra.t -> Graph.t -> Sparql.Mapping.t -> bool
 
 val check_auto :
-  ?budget:Resource.Budget.t -> ?kernel:kernel -> Wdpt.Pattern_forest.t ->
-  Graph.t -> Sparql.Mapping.t -> bool
+  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t ->
+  Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.t -> bool
 (** Compute [dw(F)] first (exponential in the query only), then run
     {!check} with that bound — always exact. *)
 
 val solutions :
-  ?budget:Resource.Budget.t -> ?kernel:kernel -> k:int ->
+  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t -> k:int ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.Set.t
 (** Answer enumeration built on the polynomial membership test: candidate
     mappings are generated per subtree from homomorphisms of its pattern
-    and filtered with the pebble test. Exact when [dw(F) ≤ k]. When no
-    [kernel] is given, one evaluation-wide {!Pebble_cache.t} is shared by
-    every membership test of the call. *)
+    and filtered with the pebble test. Exact when [dw(F) ≤ k]. One cache
+    is shared by every membership test of the call. *)

@@ -209,8 +209,8 @@ let node_decision ?budget t graph tree n =
       (* Bound at node entry: the variables of the strict ancestors of
          [n] — every subtree the enumerator extends into [n] from
          contains the full root-to-parent path, so these are guaranteed
-         bound (further subtree nodes may bind more; the adaptive
-         strategy picks those up at run time). *)
+         bound (further subtree nodes may bind more; the join's
+         fail-first selection picks those up at run time). *)
       let bound_set =
         let rec up acc = function
           | None -> acc
@@ -235,7 +235,7 @@ let node_decision ?budget t graph tree n =
       Hashtbl.add ts.node_decisions n d;
       d
 
-let naive_child_test ?budget ?strategy t graph tree n =
+let naive_child_test ?budget ?order t graph tree n =
   let source = node_source t graph tree n in
   let ts = tree_sources t graph tree in
   let table =
@@ -257,7 +257,7 @@ let naive_child_test ?budget ?strategy t graph tree n =
     | Some v -> v
     | None ->
         let v =
-          Encoded.Encoded_hom.fold ?budget ?strategy ~pre:assignment source
+          Encoded.Encoded_hom.fold ?budget ?order ~pre:assignment source
             ~init:false
             ~f:(fun _ _ -> (true, `Stop))
         in

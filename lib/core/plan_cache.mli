@@ -77,19 +77,20 @@ val node_decision :
 
 val naive_child_test :
   ?budget:Resource.Budget.t ->
-  ?strategy:Encoded.Encoded_hom.strategy ->
+  ?order:int array ->
   t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node ->
   int array -> bool
-(** A memoized naive maximality test for child [n]: does any
+(** A memoized exact maximality test for child [n]: does any
     homomorphism of [pat tree n] extend the given encoded assignment?
     Verdicts are cached per node, keyed on the assignment's values at
     the child's {!Encoded.Encoded_hom.own_slots} (the only slots the
-    answer depends on), for as long as [graph]'s epoch entry lives —
-    the naive counterpart of the pebble cache's verdict memo, chosen by
-    the optimizer when the child join is estimated cheaper to run
-    directly than to stage a pebble game for. Exact, like the pebble
-    test at [k >= dw]. Not safe for concurrent callers (the enumerator
-    only uses it from its sequential path). *)
+    answer depends on), for as long as [graph]'s epoch entry lives — the
+    counterpart of the pebble cache's verdict memo. {!Enumerate} runs it
+    for every child under [`Hom], and under [`Pebble k] for the children
+    the optimizer estimates cheaper to join directly than to stage a
+    pebble game for. [order] is the child join's tie-break order
+    ({!Encoded.Encoded_hom.fold}). Not safe for concurrent callers (the
+    enumerator only uses it from its sequential path). *)
 
 val stats : t -> stats
 val pp_stats : stats Fmt.t

@@ -1,7 +1,7 @@
 (** The evaluation algorithm with the {e exact} tree-decomposition-guided
     extension test ({!Tgraphs.Td_hom}) in place of the pebble relaxation.
 
-    Semantically this always equals {!Naive_eval} (the inner test is
+    Semantically this always equals {!Wdpt.Semantics} (the inner test is
     exact, not a relaxation — tested). Its cost profile is the interesting
     part: polynomial whenever every tested child instance has small
     {e ctw}, which covers bounded branch treewidth (hence all UNION-free

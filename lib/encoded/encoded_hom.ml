@@ -27,22 +27,9 @@ type source = {
          "domain = vars(source)" contract *)
   touch : int list array;
       (* incidence: [touch.(v)] lists the indices (into [pats]) of the
-         patterns mentioning variable slot [v] — what the adaptive join
-         re-scores when [v] gets bound *)
+         patterns mentioning variable slot [v] — what the join re-scores
+         when [v] gets bound *)
 }
-
-(* How the backtracking join picks the next pattern at each depth. *)
-type strategy =
-  | Rescore
-      (* exact fail-first: re-score every remaining pattern at every
-         node entry (the pre-optimizer behaviour, kept as the fallback) *)
-  | Fixed of int array
-      (* a compiled static order (a permutation of pattern indices),
-         followed verbatim — zero scoring at run time *)
-  | Adaptive of int array
-      (* the compiled order seeds the ranking; scores are maintained
-         incrementally — only patterns touching a newly bound variable
-         are re-counted, everything else keeps its cached score *)
 
 let compile ?vars tgraph graph =
   let dict = Encoded_graph.dictionary graph in
@@ -156,8 +143,7 @@ let validate_order npat ord =
       seen.(i) <- true)
     ord
 
-let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
-    source ~init ~f =
+let fold ?(budget = Resource.Budget.unlimited) ?order ?pre source ~init ~f =
   Resource.Budget.with_phase budget "hom" @@ fun () ->
   let { graph; pats; vars; touch; _ } = source in
   let npat = Array.length pats in
@@ -172,7 +158,7 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
   in
   (* Zero-pattern node: exactly one homomorphism — the prefix itself.
      Guarded explicitly (not via the depth = npat base case below) so the
-     degenerate shape can never trip over the strategy machinery. *)
+     degenerate shape never reaches the selection machinery. *)
   if npat = 0 then fst (f init assignment)
   else begin
     let used = Array.make npat false in
@@ -180,76 +166,48 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
       let s, p, o = pattern_lookup assignment pats.(i) in
       Encoded_graph.match_count graph ?s ?p ?o ()
     in
-    (* [rank] breaks score ties (lower = preferred): the compiled order's
-       position under [Adaptive], the textual pattern order under
-       [Rescore] — which reproduces the pre-optimizer fail-first
-       tie-breaking exactly. *)
-    let mode, rank =
-      match strategy with
-      | Rescore -> (`Rescore, [||])
-      | Fixed ord ->
-          validate_order npat ord;
-          (`Fixed ord, [||])
-      | Adaptive ord ->
+    (* [rank] breaks score ties (lower = preferred): the position in
+       [order] when one is given, the textual pattern order otherwise. *)
+    let rank =
+      match order with
+      | None -> Array.init npat Fun.id
+      | Some ord ->
           validate_order npat ord;
           let rank = Array.make npat 0 in
           Array.iteri (fun pos i -> rank.(i) <- pos) ord;
-          (`Adaptive, rank)
+          rank
     in
-    (* Lazily cached scores for the adaptive mode. A pattern's match
-       count only changes when one of its own variables is (un)bound, so
-       (un)binding [v] marks [touch.(v)] stale — a cheap flag — and the
-       count is recomputed only if the pattern is actually considered at
-       a later selection. Selection is therefore exact fail-first (every
-       compared score reflects the current assignment), but the number
-       of [match_count] probes is a subset of the Rescore strategy's:
-       patterns whose variables did not change keep their cached
-       score. *)
-    let score, stale =
-      match mode with
-      | `Adaptive -> (Array.make npat 0, Array.make npat true)
-      | `Rescore | `Fixed _ -> ([||], [||])
-    in
-    let select depth =
-      match mode with
-      | `Fixed ord -> ord.(depth)
-      | `Adaptive ->
-          let best = ref (-1) in
-          for i = 0 to npat - 1 do
-            if not used.(i) then begin
-              if stale.(i) then begin
-                score.(i) <- count_pat i;
-                stale.(i) <- false
-              end;
-              if
-                !best < 0
-                || score.(i) < score.(!best)
-                || (score.(i) = score.(!best) && rank.(i) < rank.(!best))
-              then best := i
-            end
-          done;
-          !best
-      | `Rescore ->
-          (* fail-first: pattern with the fewest matches under the
-             current prefix (including [pre]'s bindings), re-scored from
-             scratch at every node entry *)
-          let best = ref (-1) and best_count = ref max_int in
-          for i = 0 to npat - 1 do
-            if not used.(i) then begin
-              let c = count_pat i in
-              if c < !best_count then begin
-                best := i;
-                best_count := c
-              end
-            end
-          done;
-          !best
+    (* Lazily cached scores. A pattern's match count only changes when
+       one of its own variables is (un)bound, so (un)binding [v] marks
+       [touch.(v)] stale — a cheap flag — and the count is recomputed
+       only if the pattern is actually considered at a later selection.
+       Selection is therefore exact fail-first (every compared score
+       reflects the current assignment), but patterns whose variables
+       did not change keep their cached score instead of being re-counted
+       at every depth. *)
+    let score = Array.make npat 0 and stale = Array.make npat true in
+    let select () =
+      let best = ref (-1) in
+      for i = 0 to npat - 1 do
+        if not used.(i) then begin
+          if stale.(i) then begin
+            score.(i) <- count_pat i;
+            stale.(i) <- false
+          end;
+          if
+            !best < 0
+            || score.(i) < score.(!best)
+            || (score.(i) = score.(!best) && rank.(i) < rank.(!best))
+          then best := i
+        end
+      done;
+      !best
     in
     let rec go depth acc =
       if depth = npat then f acc assignment
       else begin
         Resource.Budget.tick budget;
-        let best = select depth in
+        let best = select () in
         used.(best) <- true;
         let ((ps, pp, po) as pat) = pats.(best) in
         let s, p, o = pattern_lookup assignment pat in
@@ -274,25 +232,24 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
                     else false
               in
               let ok = unify_pos ps ts && unify_pos pp tp && unify_pos po to_ in
-              (* incremental refinement: only the patterns touching a
-                 variable bound by THIS triple can have changed their
-                 match count — flag them stale and let the next selection
-                 that actually considers them recompute *)
+              (* only the patterns touching a variable bound by THIS
+                 triple can have changed their match count — flag them
+                 stale and let the next selection that actually considers
+                 them recompute; unbinding changes the same counts back *)
               let touch_bound () =
                 List.iter
                   (fun v -> List.iter (fun i -> stale.(i) <- true) touch.(v))
                   !bound_here
               in
-              if ok && mode = `Adaptive then touch_bound ();
               if ok then begin
-                match go (depth + 1) !acc with
+                touch_bound ();
+                (match go (depth + 1) !acc with
                 | acc', `Continue -> acc := acc'
                 | acc', `Stop ->
                     acc := acc';
-                    continue_ := false
+                    continue_ := false);
+                touch_bound ()
               end;
-              (* unbinding changes the same patterns' counts back *)
-              if ok && mode = `Adaptive then touch_bound ();
               List.iter (fun v -> assignment.(v) <- unassigned) !bound_here
             end)
           ();
@@ -303,8 +260,8 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
     fst (go 0 init)
   end
 
-let iter ?budget ?strategy ?pre source ~f =
-  fold ?budget ?strategy ?pre source ~init:() ~f:(fun () assignment ->
+let iter ?budget ?order ?pre source ~f =
+  fold ?budget ?order ?pre source ~init:() ~f:(fun () assignment ->
       (f assignment, `Continue))
 
 let exists ?budget ?pre source =

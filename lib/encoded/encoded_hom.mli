@@ -2,7 +2,7 @@
     fail-first backtracking join as {!Tgraphs.Homomorphism}, operating on
     integer ids and sorted-array range lookups instead of terms and hash
     probes. Results are identical (cross-checked in the tests); bench A4
-    and A7 compare throughput.
+    compares throughput.
 
     Assignments are flat int arrays indexed by dense variable ids. A
     source can be compiled against a {e shared} variable table ([?vars]),
@@ -40,32 +40,13 @@ val variables : source -> Variable.t array
 
 val patterns : source -> (pterm * pterm * pterm) array
 (** The compiled patterns, in the t-graph's triple order (a fresh copy).
-    Pattern indices in a {!strategy} order refer to positions in this
+    Pattern indices in a {!fold} [order] refer to positions in this
     array — the optimizer reads it to compile join orders. *)
 
 val own_slots : source -> int list
 (** Indices (into {!variables}) of the compiled t-graph's {e own}
     variables. A {!fold} with [pre] depends on [pre] only through these
     slots — the key a caller needs to memoise existence verdicts on. *)
-
-(** How {!fold} picks the next pattern at each depth of the backtracking
-    join. *)
-type strategy =
-  | Rescore
-      (** exact fail-first: re-score {e every} remaining pattern at every
-          node entry with a fresh range count — the pre-optimizer
-          behaviour, kept as the fallback *)
-  | Fixed of int array
-      (** follow a compiled static order (a permutation of pattern
-          indices) verbatim; zero scoring at run time *)
-  | Adaptive of int array
-      (** fail-first with incremental re-ranking: the compiled order
-          seeds the ranking (and breaks score ties), scores start from
-          one range count per pattern under [pre], and afterwards only
-          the remaining patterns touching a {e newly bound} variable are
-          re-counted (scores are restored on backtrack). Selects exactly
-          the same fail-first pattern as {!Rescore} up to tie-breaking,
-          at a fraction of the counting work. *)
 
 val unassigned : int
 (** Sentinel for a free slot in an assignment array ([-1]). *)
@@ -85,7 +66,7 @@ val decode : source -> int array -> Tgraphs.Homomorphism.assignment
 
 val fold :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy ->
+  ?order:int array ->
   ?pre:int array ->
   source ->
   init:'acc ->
@@ -94,17 +75,24 @@ val fold :
 (** Fold over all homomorphisms extending [pre] (an encoded assignment
     of {!variables}'s width, e.g. from {!encode_pre} or a previous
     solution), with early exit. [f] receives the {e live} working array:
-    copy it ([Array.copy]) to retain it beyond the callback. The
-    strategy (default {!Rescore}) only affects the order the search
-    explores patterns in — the set of homomorphisms folded over is the
-    same for every strategy (tested). A source with zero patterns folds
+    copy it ([Array.copy]) to retain it beyond the callback.
+
+    The join is fail-first: at each depth it takes the remaining pattern
+    with the fewest matches under the current prefix. Scores are cached
+    and a pattern is re-counted only after one of its own variables was
+    bound or unbound, so the choice is exact at a fraction of the range
+    counts. Ties go to the earlier position in [order] (a permutation of
+    pattern indices, e.g. the optimizer's compiled order), or to the
+    textual pattern order when no [order] is given. [order] only affects
+    the order the search explores patterns in, never the set of
+    homomorphisms folded over (tested). A source with zero patterns folds
     over exactly one homomorphism: [pre] itself. Raises
-    [Invalid_argument] if a strategy order is not a permutation of the
-    source's patterns. *)
+    [Invalid_argument] if [order] is not a permutation of the source's
+    patterns. *)
 
 val iter :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy ->
+  ?order:int array ->
   ?pre:int array -> source -> f:(int array -> unit) -> unit
 
 val exists :

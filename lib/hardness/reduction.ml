@@ -37,4 +37,4 @@ let decide ~k ~h =
   match build ~k ~h with
   | Error _ as e -> e
   | Ok { forest; graph; mu; _ } ->
-      Ok (not (Wd_core.Naive_eval.check forest graph mu))
+      Ok (not (Wdpt.Semantics.check forest graph mu))

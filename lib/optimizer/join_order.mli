@@ -4,11 +4,12 @@
     of the node's triple patterns: seeded by the most selective pattern
     (smallest {!Cost_model.estimate}), then extended greedily under
     bound-variable propagation — after a pattern is placed, its variables
-    count as bound for every later estimate. The compiled order feeds
-    {!Encoded.Encoded_hom.fold}'s [Fixed]/[Adaptive] strategies, and the
-    estimated extension count decides whether the Lemma-1 maximality test
-    for the node runs as a naive (exact backtracking) check or the pebble
-    relaxation — bench F1's crossover made concrete per node. *)
+    count as bound for every later estimate. The compiled order is the
+    tie-break [order] of {!Encoded.Encoded_hom.fold}'s fail-first join,
+    and the estimated extension count decides whether the Lemma-1
+    maximality test for the node runs as a naive (exact backtracking)
+    check or the pebble relaxation — bench F1's crossover made concrete
+    per node. *)
 
 type maximality = [ `Naive | `Pebble ]
 

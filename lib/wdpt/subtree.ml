@@ -91,13 +91,22 @@ let with_vars tree target_vars =
   | None -> None
   | Some t -> if Variable.Set.equal (vars t) target_vars then Some t else None
 
+(* Membership is tested on dictionary ids through the graph's encoded
+   store, so a mapped store's deferred term index is never forced. A
+   term outside the dictionary makes its triple a non-member. *)
 let matching tree graph mu =
   let dom = Sparql.Mapping.dom mu in
+  let enc = Encoded.Encoded_graph.of_graph_cached graph in
+  let id = Dictionary.find (Encoded.Encoded_graph.dictionary enc) in
+  let mem triple =
+    let { Triple.s; p; o } = Sparql.Mapping.apply mu triple in
+    match (id s, id p, id o) with
+    | Some s, Some p, Some o -> Encoded.Encoded_graph.mem enc (s, p, o)
+    | _ -> false
+  in
   let admit n =
     Variable.Set.subset (Pattern_tree.vars_of_node tree n) dom
-    && List.for_all
-         (fun triple -> Graph.mem graph (Sparql.Mapping.apply mu triple))
-         (Tgraph.triples (Pattern_tree.pat tree n))
+    && List.for_all mem (Tgraph.triples (Pattern_tree.pat tree n))
   in
   match grow tree admit with
   | None -> None

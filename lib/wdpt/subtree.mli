@@ -40,7 +40,10 @@ val with_vars : Pattern_tree.t -> Variable.Set.t -> t option
 val matching : Pattern_tree.t -> Graph.t -> Sparql.Mapping.t -> t option
 (** [T^µ]: the unique subtree such that [µ] is a homomorphism from
     [pat(T^µ)] to [G] with [vars(T^µ) = dom(µ)] — the subtree the
-    evaluation algorithms of Section 3.1 search for. *)
+    evaluation algorithms of Section 3.1 search for. Triple membership is
+    tested on dictionary ids through
+    {!Encoded.Encoded_graph.of_graph_cached}, so a registered store's
+    deferred term index is never forced. *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -665,7 +665,8 @@ let test_codebase_lint_clean () =
        (with_scratch_tree
           [
             ("core/kernel.ml", "let search b = Resource.Budget.tick b\n");
-            ("core/caller.ml", "let go = Pebble_game.wins\n");
+            ("pebble/caller.ml", "let go = Pebble_game.wins\n");
+            ("tgraph/target.ml", "let idx g = Rdf.Graph.to_index g\n");
           ]
           (fun root ->
             Lint_rules.check_tree ~manifest:[ "core/kernel.ml" ] ~root ())))
@@ -677,12 +678,19 @@ let test_codebase_lint_seeded () =
       ("core/kernel.ml", "let search x = x + 1 (* Budget.tick mentioned *)\n");
       (* forbidden direct call outside lib/core, on line 2 *)
       ("wdpt/sneaky.ml", "let a = 1\nlet b = Pebble.Pebble_game.wins\n");
+      (* the engine itself may not call the term game either *)
+      ("core/caller.ml", "let go = Pebble_game.wins\n");
+      (* nor force the term index, in lib/core or lib/server (line 3) *)
+      ("core/indexed.ml", "let a = 1\nlet b = 2\nlet i = Graph.to_index\n");
+      ("server/indexed.ml", "let i g = Rdf.Graph.to_index g\n");
       (* string/comment mentions do not count *)
       ("rdf/honest.ml", "let s = \"Pebble_game.wins\" (* Pebble_game.wins *)\n");
+      ( "core/honest.ml",
+        "let s = \"Graph.to_index\" (* Graph.to_index *)\n" );
     ]
     (fun root ->
       let violations = Lint_rules.check_tree ~manifest:[ "core/kernel.ml" ] ~root () in
-      check Alcotest.int "exactly the two seeded violations" 2
+      check Alcotest.int "exactly the five seeded violations" 5
         (List.length violations);
       let rendered = List.map (Fmt.str "%a" Lint_rules.pp_violation) violations in
       check Alcotest.bool "missing tick reported with file" true
@@ -694,7 +702,20 @@ let test_codebase_lint_seeded () =
       check Alcotest.bool "forbidden wins reported with file:line" true
         (List.exists
            (fun s -> Astring.String.is_infix ~affix:"wdpt/sneaky.ml:2" s)
-           rendered));
+           rendered);
+      check Alcotest.bool "wins under lib/core flagged" true
+        (List.exists
+           (fun s -> Astring.String.is_infix ~affix:"core/caller.ml:1" s)
+           rendered);
+      List.iter
+        (fun at ->
+          check Alcotest.bool ("Graph.to_index flagged at " ^ at) true
+            (List.exists
+               (fun s ->
+                 Astring.String.is_infix ~affix:at s
+                 && Astring.String.is_infix ~affix:"Graph.to_index" s)
+               rendered))
+        [ "core/indexed.ml:3"; "server/indexed.ml:1" ]);
   (* a manifest entry that vanished (renamed kernel) is itself flagged *)
   with_scratch_tree
     [ ("core/present.ml", "let f b = Resource.Budget.tick b\n") ]

@@ -149,10 +149,10 @@ let test_f_k_evaluators_agree () =
   List.iter
     (fun seed ->
       let g, mu = Graph_families.tournament_instance ~seed ~n:16 in
-      check Alcotest.bool "tournament agreement" (Naive_eval.check forest g mu)
+      check Alcotest.bool "tournament agreement" (Wdpt.Semantics.check forest g mu)
         (Pebble_eval.check ~k:1 forest g mu);
       let g, mu = Graph_families.planted_instance ~seed ~n:16 ~k:4 in
-      check Alcotest.bool "planted agreement" (Naive_eval.check forest g mu)
+      check Alcotest.bool "planted agreement" (Wdpt.Semantics.check forest g mu)
         (Pebble_eval.check ~k:1 forest g mu))
     [ 1; 2; 3; 4; 5 ]
 
@@ -161,7 +161,7 @@ let test_frontier_disagreement () =
      algorithm is incomplete, and becomes exact at k = dw *)
   let forest = [ Query_families.clique_child 3 ] in
   let g, mu = Graph_families.cyclic_triangles_instance ~m:3 in
-  check Alcotest.bool "naive accepts" true (Naive_eval.check forest g mu);
+  check Alcotest.bool "naive accepts" true (Wdpt.Semantics.check forest g mu);
   check Alcotest.bool "2 pebbles incomplete" false (Pebble_eval.check ~k:1 forest g mu);
   check Alcotest.bool "3 pebbles exact" true (Pebble_eval.check ~k:2 forest g mu);
   check Alcotest.bool "check_auto picks the right k" true
@@ -179,7 +179,7 @@ let evaluators_agree_on_random =
         (fun i ->
           let mu = Testutil.mapping_for p g (seed + i) in
           let reference = Sparql.Eval.check p g mu in
-          Naive_eval.check forest g mu = reference
+          Wdpt.Semantics.check forest g mu = reference
           && Pebble_eval.check ~k:dw forest g mu = reference)
         [ 1; 2; 3 ])
 
@@ -195,7 +195,7 @@ let td_eval_equals_naive =
       List.for_all
         (fun i ->
           let mu = Testutil.mapping_for p g (seed + i) in
-          Td_eval.check forest g mu = Naive_eval.check forest g mu)
+          Td_eval.check forest g mu = Wdpt.Semantics.check forest g mu)
         [ 1; 2; 3 ])
 
 let test_td_eval_families () =
@@ -203,7 +203,7 @@ let test_td_eval_families () =
   List.iter
     (fun seed ->
       let g, mu = Graph_families.tournament_instance ~seed ~n:10 in
-      check Alcotest.bool "F_3 agreement" (Naive_eval.check forest g mu)
+      check Alcotest.bool "F_3 agreement" (Wdpt.Semantics.check forest g mu)
         (Td_eval.check forest g mu))
     [ 1; 2; 3 ];
   (* td is exact even where pebble(2) is fooled *)
@@ -223,7 +223,7 @@ let pebble_soundness_any_k =
       List.for_all
         (fun i ->
           let mu = Testutil.mapping_for p g (seed + i) in
-          (not (Pebble_eval.check ~k:1 forest g mu)) || Naive_eval.check forest g mu)
+          (not (Pebble_eval.check ~k:1 forest g mu)) || Wdpt.Semantics.check forest g mu)
         [ 1; 2; 3 ])
 
 let test_pebble_solutions () =

@@ -1,7 +1,8 @@
 (* Cross-checks for the dictionary-encoded pebble kernel and the
    evaluation-wide cache: Encoded_pebble must agree with the reference
    Pebble_game on every input, and the cached evaluators must return
-   exactly the answer sets of the term-level ones. *)
+   exactly the answer sets of a term-level Theorem-1 oracle built on
+   that reference game. *)
 
 open Rdf
 open Tgraphs
@@ -124,7 +125,47 @@ let test_kernel_stats () =
 let forest_of_seed seed =
   Wdpt.Pattern_forest.of_algebra (Testutil.wd_pattern_of_seed ~triples:5 seed)
 
-let term_kernel = Wd_core.Pebble_eval.Term
+(* The term-level Theorem-1 algorithm, kept here as the oracle the
+   cached evaluators are checked against: the child test is the
+   reference Pebble_game on the union game
+   [(pat(T') ∪ pat(n), vars(T')) →µ_{k+1} G], and candidates come from
+   the term-level homomorphism solver. *)
+let term_child_test ~k tree graph mu subtree n =
+  let s =
+    Tgraph.union (Wdpt.Subtree.pat subtree) (Wdpt.Pattern_tree.pat tree n)
+  in
+  let g = Gtgraph.make s (Wdpt.Subtree.vars subtree) in
+  Pebble.Pebble_game.wins ~k:(k + 1) g
+    ~mu:(Sparql.Mapping.to_assignment mu) graph
+
+let term_check ~k forest graph mu =
+  List.exists
+    (fun tree ->
+      match Wdpt.Subtree.matching tree graph mu with
+      | None -> false
+      | Some subtree ->
+          not
+            (List.exists
+               (term_child_test ~k tree graph mu subtree)
+               (Wdpt.Subtree.children subtree)))
+    forest
+
+let term_solutions ~k forest graph =
+  let target = Graph.to_index graph in
+  List.fold_left
+    (fun acc tree ->
+      List.fold_left
+        (fun acc subtree ->
+          List.fold_left
+            (fun acc h ->
+              match Sparql.Mapping.of_assignment h with
+              | Some mu when term_check ~k forest graph mu ->
+                  Sparql.Mapping.Set.add mu acc
+              | _ -> acc)
+            acc
+            (Homomorphism.all ~source:(Wdpt.Subtree.pat subtree) ~target ()))
+        acc (Wdpt.Subtree.all tree))
+    Sparql.Mapping.Set.empty forest
 
 let pebble_eval_solutions_agree =
   qcheck ~count:40 "Pebble_eval.solutions: cached = term kernel" seed_arb
@@ -133,11 +174,9 @@ let pebble_eval_solutions_agree =
       let graph =
         Testutil.graph_of_seed ~nodes:4 ~preds:2 ~triples:9 (seed + 23)
       in
-      let cached = Wd_core.Pebble_eval.solutions ~k:2 forest graph in
-      let term =
-        Wd_core.Pebble_eval.solutions ~kernel:term_kernel ~k:2 forest graph
-      in
-      Sparql.Mapping.Set.equal cached term)
+      Sparql.Mapping.Set.equal
+        (Wd_core.Pebble_eval.solutions ~k:2 forest graph)
+        (term_solutions ~k:2 forest graph))
 
 let pebble_eval_check_agrees =
   qcheck ~count:60 "Pebble_eval.check: cached = term kernel" seed_arb
@@ -149,7 +188,7 @@ let pebble_eval_check_agrees =
       in
       let mu = Testutil.mapping_for pattern graph seed in
       Wd_core.Pebble_eval.check ~k:2 forest graph mu
-      = Wd_core.Pebble_eval.check ~kernel:term_kernel ~k:2 forest graph mu)
+      = term_check ~k:2 forest graph mu)
 
 let enumerate_solutions_agree =
   qcheck ~count:40 "Enumerate.solutions: cached = term kernel" seed_arb
@@ -158,14 +197,9 @@ let enumerate_solutions_agree =
       let graph =
         Testutil.graph_of_seed ~nodes:4 ~preds:2 ~triples:9 (seed + 31)
       in
-      let cached =
-        Wd_core.Enumerate.solutions ~maximality:(`Pebble 2) forest graph
-      in
-      let term =
-        Wd_core.Enumerate.solutions ~maximality:(`Pebble 2)
-          ~kernel:term_kernel forest graph
-      in
-      Sparql.Mapping.Set.equal cached term)
+      Sparql.Mapping.Set.equal
+        (Wd_core.Enumerate.solutions ~maximality:(`Pebble 2) forest graph)
+        (term_solutions ~k:2 forest graph))
 
 let memo_off_agrees =
   qcheck ~count:40 "Enumerate.solutions: memoized = memo-disabled cache"
@@ -175,19 +209,16 @@ let memo_off_agrees =
       let graph =
         Testutil.graph_of_seed ~nodes:4 ~preds:2 ~triples:9 (seed + 37)
       in
-      let on =
-        Wd_core.Enumerate.solutions ~maximality:(`Pebble 2)
-          ~kernel:(Wd_core.Pebble_eval.Cached (Wd_core.Pebble_cache.create graph))
-          forest graph
+      let enumerated =
+        Wd_core.Enumerate.solutions ~maximality:(`Pebble 2) forest graph
       in
-      let off =
-        Wd_core.Enumerate.solutions ~maximality:(`Pebble 2)
-          ~kernel:
-            (Wd_core.Pebble_eval.Cached
-               (Wd_core.Pebble_cache.create ~memo:false graph))
-          forest graph
+      let with_cache cache =
+        Wd_core.Pebble_eval.solutions ~cache ~k:2 forest graph
       in
-      Sparql.Mapping.Set.equal on off)
+      Sparql.Mapping.Set.equal enumerated
+        (with_cache (Wd_core.Pebble_cache.create graph))
+      && Sparql.Mapping.Set.equal enumerated
+           (with_cache (Wd_core.Pebble_cache.create ~memo:false graph)))
 
 (* ------------------------------------------------------------------ *)
 (* Cache behaviour                                                     *)
@@ -205,10 +236,7 @@ let test_cache_stats () =
   let forest = Wdpt.Pattern_forest.of_algebra p in
   let graph = Generator.transitive_tournament ~n:6 ~pred:"r" in
   let cache = Wd_core.Pebble_cache.create graph in
-  let answers =
-    Wd_core.Enumerate.solutions ~maximality:(`Pebble 2)
-      ~kernel:(Wd_core.Pebble_eval.Cached cache) forest graph
-  in
+  let answers = Wd_core.Pebble_eval.solutions ~cache ~k:2 forest graph in
   let stats = Wd_core.Pebble_cache.stats cache in
   check Alcotest.bool "some answers" true
     (not (Sparql.Mapping.Set.is_empty answers));
@@ -216,13 +244,38 @@ let test_cache_stats () =
   check Alcotest.bool "misses counted" true (stats.misses > 0);
   check Alcotest.bool "verdicts were reused" true (stats.hits > 0);
   let off = Wd_core.Pebble_cache.create ~memo:false graph in
-  ignore
-    (Wd_core.Enumerate.solutions ~maximality:(`Pebble 2)
-       ~kernel:(Wd_core.Pebble_eval.Cached off) forest graph);
+  ignore (Wd_core.Pebble_eval.solutions ~cache:off ~k:2 forest graph);
   let off_stats = Wd_core.Pebble_cache.stats off in
   check Alcotest.int "memo off: no hits" 0 off_stats.hits;
   check Alcotest.bool "memo off: recompiles" true
     (off_stats.compiled > stats.compiled)
+
+let test_foreign_cache () =
+  let p =
+    Sparql.Algebra.(
+      opt
+        (triple (t (v "x") (iri "p:r") (v "y")))
+        (triple (t (v "y") (iri "p:r") (v "z"))))
+  in
+  let forest = Wdpt.Pattern_forest.of_algebra p in
+  let graph = Generator.transitive_tournament ~n:4 ~pred:"r" in
+  let other = Generator.path ~n:4 ~pred:"r" in
+  let foreign = Wd_core.Pebble_cache.create other in
+  let mu = Sparql.Mapping.empty in
+  let raises f =
+    Alcotest.check_raises "cache built for another graph"
+      (Invalid_argument "Pebble_eval: the cache was built for another graph")
+      (fun () -> ignore (f ()))
+  in
+  raises (fun () ->
+      Wd_core.Pebble_eval.check ~cache:foreign ~k:2 forest graph mu);
+  raises (fun () ->
+      Wd_core.Pebble_eval.solutions ~cache:foreign ~k:2 forest graph);
+  (* a cache for the very same graph is accepted *)
+  check Alcotest.bool "own cache accepted" false
+    (Sparql.Mapping.Set.is_empty
+       (Wd_core.Pebble_eval.solutions
+          ~cache:(Wd_core.Pebble_cache.create graph) ~k:2 forest graph))
 
 let test_engine_stats () =
   let p =
@@ -238,7 +291,8 @@ let test_engine_stats () =
   check Alcotest.bool "answers" true (not (Sparql.Mapping.Set.is_empty sols));
   let naive = Wd_core.Engine.plan ~force:Wd_core.Engine.Naive p in
   let sols', stats' = Wd_core.Engine.solutions_stats naive graph in
-  check Alcotest.bool "naive plan has no stats" true (stats' = None);
+  (* the naive plan runs the same enumerator, with the exact test *)
+  check Alcotest.bool "naive plan reports stats" true (stats' <> None);
   check Testutil.mapping_set "same answers" sols sols'
 
 let test_graph_encoding_memo () =
@@ -275,6 +329,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "stats and reuse" `Quick test_cache_stats;
+          Alcotest.test_case "foreign cache rejected" `Quick test_foreign_cache;
           Alcotest.test_case "engine surfacing" `Quick test_engine_stats;
           Alcotest.test_case "graph encoding memo" `Quick test_graph_encoding_memo;
         ] );

@@ -35,7 +35,7 @@ let all_evaluators_agree p g =
   check Testutil.mapping_set "pebble enumeration" reference pebble;
   Sparql.Mapping.Set.iter
     (fun mu ->
-      check Alcotest.bool "naive membership" true (Wd_core.Naive_eval.check forest g mu);
+      check Alcotest.bool "naive membership" true (Wdpt.Semantics.check forest g mu);
       check Alcotest.bool "pebble membership" true
         (Wd_core.Pebble_eval.check ~k:dw forest g mu))
     reference;

@@ -2,14 +2,17 @@
 
    The contract under test:
    - the optimizer never changes answers: 300 random (query, store)
-     instances evaluated with --optimize off / static / on all agree
-     with the reference algebra evaluator;
+     instances evaluated with --optimize off / on, and with the exact
+     homomorphism maximality test, all agree with the reference algebra
+     evaluator;
+   - without an order, Encoded_hom.fold makes exactly the choices of
+     per-depth rescoring: same homomorphisms in the same sequence;
    - compiled orders are permutations of the node's patterns, estimates
      are nonnegative and finite, and the cost model is monotone under
      binding (more bound variables can only shrink an estimate);
    - the zero-pattern guard in Encoded_hom.fold: a node with no triple
-     patterns yields exactly one homomorphism (the prefix itself) under
-     every strategy;
+     patterns yields exactly one homomorphism (the prefix itself), with
+     or without an order;
    - --explain surfaces the decisions: compiled order, estimates next
      to actuals, and the pebble-vs-naive maximality verdict. *)
 
@@ -41,17 +44,19 @@ let test_equivalence_300 () =
     let dw = Wd_core.Domination_width.of_forest forest in
     let reference = Sparql.Eval.eval pattern graph in
     List.iter
-      (fun (name, optimize) ->
-        let got =
-          Enumerate.solutions ~maximality:(`Pebble dw) ~optimize forest graph
-        in
+      (fun (name, maximality, optimize) ->
+        let got = Enumerate.solutions ~maximality ~optimize forest graph in
         if not (Sparql.Mapping.Set.equal got reference) then
           Alcotest.failf
             "seed %d: --optimize %s diverges from the reference evaluator\n\
              query: %s"
             s name
             (Sparql.Printer.to_string pattern))
-      [ ("off", `Off); ("static", `Static); ("on", `On) ]
+      [
+        ("off", `Pebble dw, `Off);
+        ("on", `Pebble dw, `On);
+        ("on, exact maximality", `Hom, `On);
+      ]
   done
 
 (* ------------------------------------------------------------------ *)
@@ -133,6 +138,123 @@ let monotone_prop =
            pats))
 
 (* ------------------------------------------------------------------ *)
+(* Fail-first with cached scores = per-depth rescoring                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Oracle: the join re-counts every remaining pattern at every depth and
+   takes the first one with the fewest matches; homomorphisms in the
+   order the search reaches them. *)
+let rescore_all ?pre source =
+  let graph = Encoded_hom.graph source in
+  let pats = Encoded_hom.patterns source in
+  let npat = Array.length pats in
+  let asg =
+    match pre with
+    | Some p -> Array.copy p
+    | None ->
+        Array.make
+          (Array.length (Encoded_hom.variables source))
+          Encoded_hom.unassigned
+  in
+  let used = Array.make npat false and out = ref [] in
+  let value = function
+    | Encoded_hom.Const id -> Some id
+    | Encoded_hom.Var v ->
+        if asg.(v) = Encoded_hom.unassigned then None else Some asg.(v)
+  in
+  let rec go depth =
+    if depth = npat then out := Array.copy asg :: !out
+    else begin
+      let best = ref (-1) and best_count = ref max_int in
+      Array.iteri
+        (fun i (s, p, o) ->
+          if not used.(i) then begin
+            let c =
+              Encoded_graph.match_count graph ?s:(value s) ?p:(value p)
+                ?o:(value o) ()
+            in
+            if c < !best_count then begin
+              best := i;
+              best_count := c
+            end
+          end)
+        pats;
+      used.(!best) <- true;
+      let ps, pp, po = pats.(!best) in
+      Encoded_graph.iter_matching graph ?s:(value ps) ?p:(value pp)
+        ?o:(value po)
+        ~f:(fun (ts, tp, to_) ->
+          let bound = ref [] in
+          let unify pt x =
+            match pt with
+            | Encoded_hom.Const id -> id = x
+            | Encoded_hom.Var v ->
+                asg.(v) = x
+                || asg.(v) = Encoded_hom.unassigned
+                   && begin
+                        asg.(v) <- x;
+                        bound := v :: !bound;
+                        true
+                      end
+          in
+          if unify ps ts && unify pp tp && unify po to_ then go (depth + 1);
+          List.iter (fun v -> asg.(v) <- Encoded_hom.unassigned) !bound)
+        ();
+      used.(!best) <- false
+    end
+  in
+  go 0;
+  List.rev !out
+
+let fold_matches_rescore_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400
+       ~name:"fold without order = per-depth rescoring, same sequence"
+       (QCheck.make QCheck.Gen.(pair (int_bound 1_000_000) (int_range 1 5)))
+       (fun (seed, triples) ->
+         (* patterns over the store's own vocabulary (n:i nodes, p:qj
+            predicates), so joins match and scores tie often *)
+         let state = Random.State.make [| seed; 41 |] in
+         let term () =
+           if Random.State.int state 10 < 7 then
+             Term.var (Printf.sprintf "v%d" (Random.State.int state 4))
+           else Generator.node (Random.State.int state 5)
+         in
+         let tgraph =
+           Tgraphs.Tgraph.of_triples
+             (List.init triples (fun _ ->
+                  Triple.make (term ())
+                    (Generator.pred
+                       (Printf.sprintf "q%d" (Random.State.int state 2)))
+                    (term ())))
+         in
+         let enc =
+           Encoded_graph.of_graph
+             (Testutil.graph_of_seed ~nodes:5 ~preds:2 ~triples:14 (seed + 1))
+         in
+         let source = Encoded_hom.compile tgraph enc in
+         (* every other instance starts from a prefix binding slot 0 *)
+         let pre =
+           if seed mod 2 = 0 || Array.length (Encoded_hom.variables source) = 0
+           then None
+           else begin
+             let p =
+               Array.make
+                 (Array.length (Encoded_hom.variables source))
+                 Encoded_hom.unassigned
+             in
+             p.(0) <- seed mod 5;
+             Some p
+           end
+         in
+         let folded =
+           List.rev
+             (Encoded_hom.fold ?pre source ~init:[] ~f:(fun acc h ->
+                  (Array.copy h :: acc, `Continue)))
+         in
+         folded = rescore_all ?pre source))
+
+(* ------------------------------------------------------------------ *)
 (* Zero-pattern guard                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -143,20 +265,16 @@ let test_zero_pattern_fold () =
   in
   let source = Encoded_hom.compile Tgraphs.Tgraph.empty enc in
   List.iter
-    (fun (name, strategy) ->
+    (fun (name, order) ->
       let folded =
-        Encoded_hom.fold ~strategy source ~init:[] ~f:(fun acc h ->
+        Encoded_hom.fold ?order source ~init:[] ~f:(fun acc h ->
             (Array.copy h :: acc, `Continue))
       in
       check Alcotest.int (name ^ ": exactly one homomorphism") 1
         (List.length folded);
       check Alcotest.int (name ^ ": empty count") 1
         (Encoded_hom.count source))
-    [
-      ("rescore", Encoded_hom.Rescore);
-      ("fixed", Encoded_hom.Fixed [||]);
-      ("adaptive", Encoded_hom.Adaptive [||]);
-    ]
+    [ ("no order", None); ("empty order", Some [||]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Explain surfaces the decisions                                      *)
@@ -205,7 +323,8 @@ let () =
           Alcotest.test_case "300 random instances, three modes" `Quick
             test_equivalence_300;
         ] );
-      ("properties", [ compile_prop; monotone_prop ]);
+      ( "properties",
+        [ compile_prop; monotone_prop; fold_matches_rescore_prop ] );
       ( "regressions",
         [
           Alcotest.test_case "zero-pattern node folds once" `Quick

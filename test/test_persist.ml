@@ -483,6 +483,59 @@ let test_format_identity () =
             (Digest.to_hex (Digest.string (read_file (file name)))))
         golden_digests)
 
+(* A deferred handle whose term index must never be built, registered
+   to a heap store: every engine entry point — membership under the
+   pebble and the naive plan, the natural algorithm, enumeration under
+   both plans — resolves it through the registered store, so the thunk
+   raising means some path fell back to the term index. Membership is
+   probed on every answer and on two near-misses per answer (a binding
+   dropped; a binding moved to an IRI outside the store). *)
+let test_deferred_index_never_forced () =
+  for seed = 1 to 25 do
+    let g = graph_of seed in
+    let pattern =
+      Workload.Query_families.random_wd_pattern ~seed ~triples:4 ~vars:4
+        ~preds:3 ~depth:2 ~union:1
+    in
+    let handle =
+      Rdf.Graph.deferred ~epoch:(-(1 lsl 40) - seed) (fun () ->
+          failwith "deferred term index forced")
+    in
+    E.register handle (E.of_graph g);
+    let forest = Wdpt.Pattern_forest.of_algebra pattern in
+    let pebble = Wd_core.Engine.plan pattern in
+    let naive = Wd_core.Engine.plan ~force:Wd_core.Engine.Naive pattern in
+    let reference = Sparql.Eval.eval pattern g in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check bool) (name "pebble solutions") true
+      (Sparql.Mapping.Set.equal reference
+         (Wd_core.Engine.solutions pebble handle));
+    Alcotest.(check bool) (name "naive solutions") true
+      (Sparql.Mapping.Set.equal reference
+         (Wd_core.Engine.solutions naive handle));
+    let probes =
+      Sparql.Mapping.Set.fold
+        (fun mu acc ->
+          match Sparql.Mapping.to_list mu with
+          | [] -> mu :: acc
+          | (x, _) :: rest ->
+              mu :: Sparql.Mapping.of_list rest
+              :: Sparql.Mapping.add x (Rdf.Iri.of_string "z:absent") mu
+              :: acc)
+        reference []
+    in
+    List.iter
+      (fun mu ->
+        let expected = Sparql.Eval.check pattern g mu in
+        Alcotest.(check bool) (name "pebble check") expected
+          (Wd_core.Engine.check pebble handle mu);
+        Alcotest.(check bool) (name "naive check") expected
+          (Wd_core.Engine.check naive handle mu);
+        Alcotest.(check bool) (name "Semantics.check") expected
+          (Wdpt.Semantics.check forest handle mu))
+      probes
+  done
+
 let () =
   Alcotest.run "persist"
     [
@@ -503,6 +556,8 @@ let () =
             `Quick test_differential;
           Alcotest.test_case "cache eviction mid-life (domains=2)" `Quick
             test_clear_cache_mid_life;
+          Alcotest.test_case "deferred handle: term index never forced"
+            `Quick test_deferred_index_never_forced;
         ] );
       ( "corruption",
         [

@@ -350,21 +350,16 @@ let test_encoded_pebble_game () =
 
 let test_naive_eval () =
   exhausts (fun () ->
-      Wd_core.Naive_eval.solutions ~budget:(tiny ()) (star_forest 8) big_data)
+      Wdpt.Semantics.solutions ~budget:(tiny ()) (star_forest 8) big_data)
 
 let test_domination_width () =
   exhausts (fun () ->
       Wd_core.Domination_width.of_forest ~budget:(tiny ()) (star_forest 8))
 
 let test_pebble_eval () =
-  (* default kernel: the evaluation-wide cache over the encoded store *)
+  (* the evaluation-wide cache over the encoded store *)
   exhausts (fun () ->
       Wd_core.Pebble_eval.solutions ~budget:(tiny ()) ~k:2 (star_forest 8) big_data)
-
-let test_pebble_eval_term () =
-  exhausts (fun () ->
-      Wd_core.Pebble_eval.solutions ~budget:(tiny ())
-        ~kernel:Wd_core.Pebble_eval.Term ~k:2 (star_forest 8) big_data)
 
 let test_enumerate () =
   exhausts (fun () ->
@@ -506,7 +501,6 @@ let () =
           Alcotest.test_case "naive eval" `Quick test_naive_eval;
           Alcotest.test_case "domination width" `Quick test_domination_width;
           Alcotest.test_case "pebble eval (cached)" `Quick test_pebble_eval;
-          Alcotest.test_case "pebble eval (term)" `Quick test_pebble_eval_term;
           Alcotest.test_case "enumerate" `Quick test_enumerate;
         ] );
       ( "degradation",

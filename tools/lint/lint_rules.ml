@@ -91,9 +91,19 @@ let kernel_modules =
     "wdpt/subtree.ml";
   ]
 
-let wins_allowed rel =
-  String.length rel >= 5 && String.sub rel 0 5 = "core/"
-  || String.length rel >= 7 && String.sub rel 0 7 = "pebble/"
+let under prefix rel =
+  String.length rel >= String.length prefix
+  && String.sub rel 0 (String.length prefix) = prefix
+
+(* The term-level pebble game is the test oracle: the engine runs every
+   child game through the encoded kernel, so only lib/pebble itself may
+   call it. *)
+let wins_allowed rel = under "pebble/" rel
+
+(* The engine evaluates on dictionary ids only: a [Graph.to_index] under
+   lib/core or lib/server would force a mapped store's deferred term
+   index and reopen the term-level data path. *)
+let to_index_forbidden rel = under "core/" rel || under "server/" rel
 
 (* Raw socket I/O is confined to the server's deadline-aware wrappers:
    a bare [Unix.read]/[Unix.write] elsewhere can block forever and
@@ -112,8 +122,7 @@ let raw_io_allowed rel = rel = "server/io.ml"
    must stay backend-blind. *)
 let mmap_needles = [ "Unix.map_file"; "Bigarray." ]
 
-let mmap_allowed rel =
-  String.length rel >= 8 && String.sub rel 0 8 = "storage/"
+let mmap_allowed rel = under "storage/" rel
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -187,8 +196,7 @@ let forbidden_sleeps ~rel stripped =
    binding it lives in; a [Mutex.protect] or [Mutex.lock] in between
    counts as the guard. lib/parallel houses the concurrency primitives
    themselves and is exempt. *)
-let domain_safety_allowed rel =
-  String.length rel >= 9 && String.sub rel 0 9 = "parallel/"
+let domain_safety_allowed rel = under "parallel/" rel
 
 let is_ident s =
   s <> ""
@@ -332,8 +340,22 @@ let check_file ?(manifest = kernel_modules) ?(wins_allowed = wins_allowed)
             path = rel;
             line;
             message =
-              "direct call to Pebble_game.wins outside lib/core and \
-               lib/pebble: use the cached Engine entry points";
+              "direct call to Pebble_game.wins outside lib/pebble: use \
+               the cached Engine entry points";
+          };
+        ]
+    | _ -> []
+  in
+  let forbidden_to_index =
+    match line_of ~needle:"Graph.to_index" stripped with
+    | Some line when to_index_forbidden rel ->
+        [
+          {
+            path = rel;
+            line;
+            message =
+              "Graph.to_index under lib/core or lib/server: the engine \
+               evaluates on the encoded store (Encoded_graph.of_graph_cached)";
           };
         ]
     | _ -> []
@@ -379,7 +401,8 @@ let check_file ?(manifest = kernel_modules) ?(wins_allowed = wins_allowed)
           | None -> None)
         mmap_needles
   in
-  missing_tick @ forbidden_wins @ forbidden_raw_io @ forbidden_mmap
+  missing_tick @ forbidden_wins @ forbidden_to_index @ forbidden_raw_io
+  @ forbidden_mmap
   @ forbidden_sleeps ~rel stripped
   @ unguarded_table_mutations ~rel stripped
 

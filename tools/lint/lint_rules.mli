@@ -4,9 +4,12 @@
     - every exponential kernel module listed in {!kernel_modules} must
       call [Budget.tick] (or go through [Budget.guard]) so that no
       exponential loop can run unbounded — the PR-1 discipline;
-    - [Pebble_game.wins] may only be called under [lib/core] and
-      [lib/pebble]: everything else must go through the cached engine
-      entry points, never the raw game;
+    - [Pebble_game.wins] may only be called under [lib/pebble]: it is
+      the test oracle, and everything else goes through the cached
+      engine entry points, never the raw game;
+    - [Graph.to_index] is forbidden under [lib/core] and [lib/server]:
+      the engine evaluates on the encoded store only, and the term
+      index of a mapped store must never be forced;
     - [Unix.map_file] and [Bigarray] are confined to [lib/storage]: the
       rest of the tree consumes a compiled store only through the
       closure views, keeping the query kernels backend-blind;
