@@ -200,10 +200,8 @@ let optimize_arg =
     & info [ "optimize" ] ~docv:"on|off"
         ~doc:"Cost-based planning (default on): every join is fail-first \
               with cached scores; 'on' breaks score ties by per-node join \
-              orders compiled from store statistics and picks naive or \
-              pebble maximality per node, 'off' breaks ties by textual \
-              pattern order and runs the planned maximality test at every \
-              node. Answers are identical either way.")
+              orders compiled from store statistics, 'off' by textual \
+              pattern order. Answers are identical either way.")
 
 (* Resource limits: a spec, from which each processing stage gets a fresh
    budget (so with --timeout T, planning and evaluation may each take up
@@ -332,10 +330,13 @@ let eval_cmd =
                   ~budget:(fresh_budget ~solutions:true spec)
                   ~domains plan graph
               in
-              if explain then
+              if explain then begin
                 Option.iter
                   (Fmt.pr "%a@." Wd_core.Plan_cache.pp_stats)
                   cache_stats;
+                Fmt.pr "%a@." Wd_core.Explain.pp_trees
+                  (Wd_core.Explain.trees plan graph)
+              end;
               sols)
     in
     Fmt.pr "%d solution(s)@." (Sparql.Mapping.Set.cardinal sols);
@@ -481,8 +482,8 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Show the evaluation plan: cost-based join orders with \
-             estimated vs actual cardinalities and per-node \
-             pebble-vs-naive maximality verdicts.")
+             estimated vs actual cardinalities and each node's \
+             maximality test (exact first, pebble past its cap).")
     Term.(const run $ graph_term $ query_arg $ budget_term $ optimize_arg)
 
 let stats_cmd =

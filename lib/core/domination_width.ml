@@ -1,33 +1,77 @@
 open Tgraphs
 module Budget = Resource.Budget
 
-let dominated_with_ctws ?budget with_ctw k =
-  let dominators = List.filter (fun (c, _) -> c <= k) with_ctw in
-  List.for_all
-    (fun (c, g) ->
-      c <= k
-      || List.exists (fun (_, g') -> Gtgraph.maps_to ?budget g' g) dominators)
-    with_ctw
+(* The lazy Definition-2 test described in the interface: cheap bounds
+   first, a core only where they cannot decide. Treewidths, ctws and hom
+   tests are memoised per family, so scanning k upward computes each
+   core at most once. *)
+type family = {
+  members : Gtgraph.t array;
+  tws : int array;
+  ctws : int option array;
+  maps : (int * int, bool) Hashtbl.t;  (* (j, i): members.(j) -> members.(i) *)
+}
+
+let family_of ?budget members =
+  let members = Array.of_list members in
+  {
+    members;
+    tws = Array.map (Gtgraph.tw ?budget) members;
+    ctws = Array.make (Array.length members) None;
+    maps = Hashtbl.create 16;
+  }
+
+let ctw ?budget f i =
+  match f.ctws.(i) with
+  | Some c -> c
+  | None ->
+      let c = Cores.ctw ?budget f.members.(i) in
+      f.ctws.(i) <- Some c;
+      c
+
+let maps_to ?budget f j i =
+  match Hashtbl.find_opt f.maps (j, i) with
+  | Some b -> b
+  | None ->
+      let b = Gtgraph.maps_to ?budget f.members.(j) f.members.(i) in
+      Hashtbl.add f.maps (j, i) b;
+      b
+
+let passes ?budget f k i =
+  let known_within j =
+    f.tws.(j) <= k
+    || match f.ctws.(j) with Some c -> c <= k | None -> false
+  in
+  let others p =
+    let rec go j =
+      j < Array.length f.members && ((j <> i && p j) || go (j + 1))
+    in
+    go 0
+  in
+  known_within i
+  || others (fun j -> known_within j && maps_to ?budget f j i)
+  || ctw ?budget f i <= k
+  || others (fun j ->
+         (not (known_within j))
+         && maps_to ?budget f j i
+         && ctw ?budget f j <= k)
+
+let dominated ?budget f k =
+  let rec go i =
+    i >= Array.length f.members || (passes ?budget f k i && go (i + 1))
+  in
+  go 0
 
 let dominated_at ?budget family k =
-  dominated_with_ctws ?budget
-    (List.map (fun g -> (Cores.ctw ?budget g, g)) family)
-    k
+  dominated ?budget (family_of ?budget family) k
 
-let domination_level ?budget family =
-  match family with
-  | [] -> 1
-  | _ ->
-      let with_ctw = List.map (fun g -> (Cores.ctw ?budget g, g)) family in
-      let candidates =
-        List.sort_uniq compare (1 :: List.map fst with_ctw)
-      in
-      let rec first = function
-        | [] -> List.fold_left (fun acc (c, _) -> max acc c) 1 with_ctw
-        | k :: rest ->
-            if dominated_with_ctws ?budget with_ctw k then k else first rest
-      in
-      first candidates
+(* Domination at k is monotone in k and holds at max tw, so the upward
+   scan stops at the least level. *)
+let level ?budget f =
+  let rec scan k = if dominated ?budget f k then k else scan (k + 1) in
+  scan 1
+
+let domination_level ?budget family = level ?budget (family_of ?budget family)
 
 let of_subtree ?budget forest subtree =
   domination_level ?budget (Wdpt.Children_assignment.gtg forest subtree)
@@ -88,11 +132,13 @@ type profile = {
 let profile ?budget forest =
   List.map
     (fun (i, st) ->
-      let gtg = Wdpt.Children_assignment.gtg forest st in
+      let f = family_of ?budget (Wdpt.Children_assignment.gtg forest st) in
+      (* every ctw first: the level's scan then reads them from the memo *)
+      let gtg_ctws = List.init (Array.length f.members) (ctw ?budget f) in
       {
         subtree_members = Wdpt.Subtree.members st;
         tree_index = i;
-        gtg_ctws = List.map (Cores.ctw ?budget) gtg;
-        level = domination_level ?budget gtg;
+        gtg_ctws;
+        level = level ?budget f;
       })
     (subtrees_of ?budget forest)

@@ -6,10 +6,19 @@
     its members of [ctw ≤ k] must homomorphically dominate the rest. The
     domination width is the least such [k] working for every subtree.
 
-    The computation below is a direct implementation and is exponential in
-    the query size (the recognition problem has a Πᵖ₂ upper bound and is
-    NP-hard already for UNION-free patterns, Section 5); queries are small
-    so this is fine in practice. *)
+    Recognition is hard (a Πᵖ₂ upper bound, NP-hard already for
+    UNION-free patterns, Section 5), so the computation pays for cores
+    only where cheap bounds cannot decide. It scans [k] upward; a member
+    passes level [k] if
+    - [tw(member) ≤ k] — its core is a subgraph with the same [X], so
+      [ctw ≤ tw];
+    - a member already known to have [ctw ≤ k] maps into it;
+    - as a last resort, its own [ctw], or that of a member mapping into
+      it, is [≤ k].
+    Treewidths, cores and homomorphism tests are memoised per family, so
+    each core is computed at most once and only when needed. The result
+    equals the direct Definition-2 computation (every member's [ctw] up
+    front; kept as the oracle of a qcheck property). *)
 
 open Tgraphs
 
@@ -51,4 +60,5 @@ type profile = {
 }
 
 val profile : ?budget:Resource.Budget.t -> Wdpt.Pattern_forest.t -> profile list
-(** Per-subtree diagnostics, used by the width-landscape experiment. *)
+(** Per-subtree diagnostics, used by the width-landscape experiment:
+    every member's exact [ctw] (computed here, eagerly) and the level. *)

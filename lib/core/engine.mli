@@ -1,12 +1,20 @@
 (** One-stop evaluation facade: translate once, measure the domination
     width once, and dispatch every subsequent operation to the right
-    algorithm. This is what the CLI and the examples use. *)
+    algorithm. This is what the CLI and the examples use.
+
+    Under a [Pebble k] plan, enumeration ({!solutions}) answers each
+    Lemma-1 child test exact first and asks the pebble game only where
+    the exact search outgrows the game's own polynomial bound
+    ({!Plan_cache.run}); membership ({!check}) is the paper's Theorem-1
+    algorithm as stated, pebble game only ({!Pebble_eval.check}). *)
 
 open Rdf
 
 type algorithm =
   | Naive  (** exact homomorphism tests (exponential in the query) *)
-  | Pebble of int  (** Theorem-1 algorithm with [k]+1 pebbles *)
+  | Pebble of int
+      (** Theorem-1 algorithm with [k]+1 pebbles; enumeration runs it
+          exact first *)
 
 type width_source =
   | Exact  (** the plan's width is the measured domination width *)
@@ -48,10 +56,9 @@ type plan = {
   algorithm : algorithm;
   optimize : bool;
       (** whether evaluation uses the cost-based planner: compiled
-          per-node join orders from store statistics with adaptive
-          fail-first refinement, and per-node pebble-vs-naive maximality
-          choices ({!Enumerate.optimize} [`On] vs [`Off]). On by
-          default; answers are identical either way (tested). *)
+          per-node join orders from store statistics as the fail-first
+          join's tie-break ({!Enumerate.optimize} [`On] vs [`Off]). On
+          by default; answers are identical either way (tested). *)
   cache : Plan_cache.t;
       (** compiled hom sources, cost-based node decisions, and pebble
           games, reused across every evaluation of this plan and
@@ -84,20 +91,22 @@ val solutions :
   Sparql.Mapping.Set.t
 (** All answers from the shared-prefix enumerator
     ({!Enumerate.solutions}) on the plan's cache: maximality by the
-    pebble game under [Pebble k], by the exact homomorphism test under
-    [Naive]. [domains] (default 1 — exactly the sequential path) runs the
-    per-candidate pebble tests on a domain pool; answers are identical
+    exact homomorphism test under [Naive], and under [Pebble k] by the
+    exact test first with the pebble game past its cap. [domains]
+    (default 1 — exactly the sequential path) runs the per-candidate
+    tests of [Pebble k] plans on a domain pool; answers are identical
     for every value. *)
 
 val solutions_stats :
   ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
   Sparql.Mapping.Set.t * Plan_cache.stats option
 (** Like {!solutions}, also returning the plan-cache counters accumulated
-    over the plan's lifetime — pebble hits/misses/compiled/evictions,
-    hom sources compiled, epoch invalidations (always [Some]) — what
+    over the plan's lifetime — child tests answered exact / by the
+    pebble game / capped, pebble hits/misses/compiled/evictions, hom
+    sources compiled, epoch invalidations (always [Some]) — what
     [--explain] prints. Parallel workers' counters are merged in
-    before returning, so hits + misses always equals the number of
-    lookups regardless of [domains]. Because the cache lives on the
+    before returning, so the number of child tests and pebble lookups
+    counted does not depend on [domains]. Because the cache lives on the
     plan, repeated calls on the same graph reuse compiled artefacts and
     the counters keep growing. *)
 

@@ -1,7 +1,7 @@
 module Budget = Resource.Budget
 module Encoded_hom = Encoded.Encoded_hom
 
-type maximality = [ `Hom | `Pebble of int ]
+type maximality = Plan_cache.maximality
 
 type optimize = [ `Off | `On ]
 
@@ -13,98 +13,79 @@ type optimize = [ `Off | `On ]
 let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
   Budget.with_phase budget "enumerate" @@ fun () ->
   let results = ref Sparql.Mapping.Set.empty in
-  let vars = Plan_cache.variables cache graph tree in
-  let pebble = Plan_cache.pebble cache graph in
   let source_of n = Plan_cache.node_source cache graph tree n in
-  let decision_of n = Plan_cache.node_decision ~budget cache graph tree n in
   let order_of n =
     match optimize with
     | `Off -> None
-    | `On -> Some (decision_of n).Optimizer.Join_order.order
-  in
-  (* The optimizer's pebble-vs-naive verdict: when a child's estimated
-     extension count is tiny, an exact backtracking existence check on
-     ids beats staging the pebble game. Both tests are exact here (the
-     engine always plans k >= dw), so this is a cost choice only. *)
-  let choose_naive n =
-    optimize = `On && (decision_of n).Optimizer.Join_order.maximality = `Naive
-  in
-  (* Stage the id-level child test once per candidate batch: the
-     (subtree, child) games and slot tables are fixed across the whole
-     batch, so only the per-assignment work stays in the loop. *)
-  let child_test subtree n =
-    match maximality with
-    | `Pebble k when not (choose_naive n) ->
-        Pebble_cache.stage_child_test_ids pebble ~budget ~k tree ~vars subtree
-          n
-    | `Pebble _ | `Hom ->
-        Plan_cache.naive_child_test ~budget ?order:(order_of n) cache graph
-          tree n
+    | `On ->
+        Some (Plan_cache.node_decision ~budget cache graph tree n).order
   in
   let root_source = source_of Wdpt.Pattern_tree.root in
-  (* Compile every node's source and decision up front when optimizing:
-     worker domains must never touch the plan cache's tables (they are
-     plain Hashtbls), and the sequential path pays the same cost on first
-     visit anyway. *)
+  (* Compile every node's source and decision up front when optimizing
+     (the sequential path pays the same cost on first visit anyway).
+     Worker domains never touch the plan cache's tables: child tests are
+     staged on this domain and only run on the workers. *)
   (if optimize = `On then
      List.iter
        (fun n ->
          ignore (source_of n);
-         ignore (decision_of n))
+         ignore (order_of n))
        (Wdpt.Pattern_tree.nodes tree));
+  (* Stage each child's test once per candidate batch: the (subtree,
+     child) pair is fixed across the whole batch. *)
+  let stage subtree =
+    List.map
+      (fun n ->
+        Plan_cache.stage_child_test ?order:(order_of n) cache graph maximality
+          tree subtree n)
+      (Wdpt.Subtree.children subtree)
+  in
   (* decoding any node's source decodes the whole shared array *)
   let decode h = Encoded_hom.decode root_source h in
   let add_solution mu =
     if not (Sparql.Mapping.Set.mem mu !results) then Budget.solution budget;
     results := Sparql.Mapping.Set.add mu !results
   in
-  let visit subtree =
-    let tests = List.map (child_test subtree) (Wdpt.Subtree.children subtree) in
-    fun h ->
-      if not (List.exists (fun test -> test h) tests) then
-        Option.iter add_solution (Sparql.Mapping.of_assignment (decode h))
+  let maximal tests h =
+    if List.exists (fun test -> test h) tests then None
+    else Sparql.Mapping.of_assignment (decode h)
   in
   (* Parallel candidate checking: the maximality test of each candidate
      in a batch is independent, so they fan out across the pool. Each
-     worker slot gets its own pebble-cache view (private verdict memo
-     and slot tables over the shared compiled games) and its own budget
-     view (shared fuel pool / cancellation flag), both staged lazily
-     per batch on the domain that owns the slot. The caller merges
-     results in input order, so [add_solution] — dedup, solution cap —
-     sees exactly the sequential sequence and answers are identical to
-     [domains:1]. Only [`Pebble] fans out: the naive verdict memo is a
-     plain shared Hashtbl. *)
+     worker slot runs the same exact-first tests as the sequential path
+     on its own {!Plan_cache.worker} (private verdict memo, counters and
+     pebble-cache view over the shared compiled games) and its own
+     budget view (shared fuel pool / cancellation flag). The caller
+     merges results in input order, so [add_solution] — dedup, solution
+     cap — sees exactly the sequential sequence and answers are
+     identical to [domains:1]. *)
   let par =
-    match (pool, maximality) with
-    | Some pool, `Pebble k when Parallel.Pool.size pool > 1 ->
-        Some (pool, Budget.fork budget (Parallel.Pool.size pool), k)
+    match pool with
+    | Some pool when Parallel.Pool.size pool > 1 ->
+        let n = Parallel.Pool.size pool in
+        Some
+          ( pool,
+            Budget.fork budget n,
+            Array.init n (Plan_cache.worker cache graph) )
     | _ -> None
   in
   let visit_batch =
     match par with
-    | Some (pool, wbudgets, k) ->
+    | Some (pool, wbudgets, workers) ->
         fun subtree homs ->
-          (* Workers always stage the pebble test, even for nodes the
-             optimizer would run naively: the pool's per-worker pebble
-             views already amortize the staging cost the naive choice
-             exists to avoid. Both tests are exact, so answers are
-             unchanged. *)
-          let stage slot =
-            let budget = wbudgets.(slot) in
-            let view = Pebble_cache.worker_view_for pebble slot in
-            List.map
-              (fun n ->
-                Pebble_cache.stage_child_test_ids view ~budget ~k tree ~vars
-                  subtree n)
-              (Wdpt.Subtree.children subtree)
-          in
-          Parallel.Pool.fold_ordered pool ~init:stage
-            ~f:(fun tests h ->
-              if List.exists (fun test -> test h) tests then None
-              else Sparql.Mapping.of_assignment (decode h))
+          let staged = stage subtree in
+          Parallel.Pool.fold_ordered pool
+            ~init:(fun slot ->
+              List.map
+                (Plan_cache.run ~budget:wbudgets.(slot) ~worker:workers.(slot))
+                staged)
+            ~f:maximal
             ~merge:(fun () -> Option.iter add_solution)
             () homs
-    | None -> fun subtree homs -> List.iter (visit subtree) homs
+    | None ->
+        fun subtree homs ->
+          let tests = List.map (Plan_cache.run ~budget) (stage subtree) in
+          List.iter (fun h -> Option.iter add_solution (maximal tests h)) homs
   in
   (* [last]: the node id added most recently — children are only added
      in increasing id order so each subtree is reached exactly once, via
@@ -142,14 +123,14 @@ let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
   in
   match par with
   | None -> run ()
-  | Some (_, wbudgets, _) ->
+  | Some (_, wbudgets, workers) ->
       (* also on exception paths: the budget views' spending folds back
-         into the caller's budget and the worker views' cache counters
-         into the shared cache *)
+         into the caller's budget and the workers' counters into the
+         shared cache *)
       Fun.protect
         ~finally:(fun () ->
           Budget.join budget wbudgets;
-          Pebble_cache.absorb_views pebble)
+          Array.iter (Plan_cache.absorb_worker cache graph tree) workers)
         run
 
 let solutions ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache

@@ -14,31 +14,33 @@
     homomorphisms are flat int arrays, and both maximality tests read
     those arrays directly. Only maximal candidates are decoded to terms.
 
-    The Lemma-1 maximality condition is checked per candidate answer:
+    The Lemma-1 maximality condition is checked per candidate answer
+    and child ({!Plan_cache.run}):
     - [`Hom] (default) uses the exact homomorphism test, memoized per
-      child ({!Plan_cache.naive_child_test}) — cheap when children are
-      easy to match;
-    - [`Pebble k] uses the existential (k+1)-pebble relaxation of
-      Theorem 1 on the plan cache's {!Pebble_cache} — polynomial even
-      when a child hides an NP-hard pattern, and exact whenever
-      [dw ≤ k]. *)
+      child;
+    - [`Pebble k] runs the same exact test first, under a tick cap equal
+      to the existential (k+1)-pebble game's own polynomial bound
+      [|adom|^(k+1)], and stages the game (Theorem 1, on the plan
+      cache's {!Pebble_cache}) only for the tests whose exact search
+      trips the cap. Per candidate the cost stays within a constant
+      factor of the game alone — polynomial even when a child hides an
+      NP-hard pattern — and the answers are exact whenever [dw ≤ k].
+      The paper's algorithm as stated, pebble game only, is
+      {!Pebble_eval}. *)
 
 open Rdf
 
-type maximality = [ `Hom | `Pebble of int ]
+type maximality = Plan_cache.maximality
 
 type optimize = [ `Off | `On ]
 (** Join planning mode (ablation A10). Every node join is fail-first
-    with cached scores ({!Encoded.Encoded_hom.fold}); the modes differ in
-    what breaks score ties and in the maximality test:
+    with cached scores ({!Encoded.Encoded_hom.fold}); the modes differ
+    only in what breaks score ties:
     - [`Off] (default): no compiled order — ties go to the textual
-      pattern order — and every child runs the [maximality] test;
+      pattern order;
     - [`On]: the cost-based compiled order of {!Plan_cache.node_decision}
-      breaks ties, and under [`Pebble k] each node's Lemma-1 test runs
-      naively instead of through the pebble relaxation when the
-      optimizer estimates very few candidate extensions (both exact
-      under the planner's [dw ≤ k] invariant, so answers never change —
-      tested). *)
+      breaks ties, in the node joins and in the exact child tests.
+    Answers never change (tested). *)
 
 val solutions :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
@@ -53,13 +55,15 @@ val solutions :
     [domains] (default 1) sets the total parallelism of the per-batch
     maximality tests under [`Pebble k]: with [domains > 1] a borrowed
     domain pool ({!Parallel.Pool.borrow}) fans the staged id-level child
-    tests of each candidate batch across workers, each with a private
-    pebble-cache view, merging results back in sequential order — the
-    answer {e set and its construction order} are identical to
-    [domains:1] for every [n] (tested as a qcheck property). [`Hom]
-    always evaluates sequentially. Budgets propagate: workers draw from
-    a shared fuel pool and a deadline or cancellation on any domain
-    stops the others within one lease ({!Resource.Budget.fork}). *)
+    tests of each candidate batch across workers — the same exact-first
+    tests, each worker with a private {!Plan_cache.worker} (verdict
+    memo, counters, pebble-cache view) — merging results back in
+    sequential order: the answer {e set and its construction order} are
+    identical to [domains:1] for every [n] (tested as a qcheck
+    property). [`Hom] always evaluates sequentially. Budgets propagate:
+    workers draw from a shared fuel pool and a deadline or cancellation
+    on any domain stops the others within one lease
+    ({!Resource.Budget.fork}). *)
 
 val count :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->

@@ -12,6 +12,12 @@ type node_plan = {
   new_vars : Variable.t list;
   triples : triple_plan list;
   decision : Optimizer.Join_order.decision option;
+  maximality : maximality option;
+}
+
+and maximality = {
+  exact_cap : int option;
+  tests : Plan_cache.tests;
 }
 
 type tree_plan = node_plan list
@@ -42,7 +48,32 @@ let actual_count enc triple =
   | Ok s, Ok p, Ok o -> Encoded.Encoded_graph.match_count enc ?s ?p ?o ()
   | _ -> 0
 
-let plan_tree stats enc decision_of tree =
+(* {!Rdf.Stats.estimated_matches}, read off the encoded store's
+   memoized predicate statistics: the same numbers without a term-level
+   pass over the graph (which would force a mapped store's deferred term
+   index). *)
+let estimated_matches enc triple =
+  let module E = Encoded.Encoded_graph in
+  let predicate iri =
+    match Dictionary.find (E.dictionary enc) (Term.Iri iri) with
+    | None -> None
+    | Some id ->
+        let s = E.predicate_stats enc id in
+        if s.E.triples = 0 then None
+        else
+          Some
+            {
+              Stats.triples = s.E.triples;
+              distinct_subjects = s.E.distinct_subjects;
+              distinct_objects = s.E.distinct_objects;
+            }
+  in
+  let total = E.cardinal enc in
+  Stats.selectivity_of ~total ~subjects:(E.distinct_subjects enc)
+    ~objects:(E.distinct_objects enc) ~predicate triple
+  *. float_of_int total
+
+let plan_tree enc decision_of maximality_of tree =
   let rec walk node depth =
     let parent_vars =
       match Wdpt.Pattern_tree.parent tree node with
@@ -58,7 +89,7 @@ let plan_tree stats enc decision_of tree =
       |> List.map (fun triple ->
              {
                triple;
-               estimated = Stats.estimated_matches stats triple;
+               estimated = estimated_matches enc triple;
                actual = actual_count enc triple;
              })
     in
@@ -74,32 +105,59 @@ let plan_tree stats enc decision_of tree =
           Array.to_list
             (Array.map (fun i -> arr.(i)) d.Optimizer.Join_order.order)
     in
-    { node; depth; new_vars; triples; decision }
+    {
+      node;
+      depth;
+      new_vars;
+      triples;
+      decision;
+      maximality = (if depth = 0 then None else Some (maximality_of tree node));
+    }
     :: List.concat_map
          (fun c -> walk c (depth + 1))
          (Wdpt.Pattern_tree.children tree node)
   in
   walk Wdpt.Pattern_tree.root 0
 
-let explain ?budget ?optimize pattern graph =
-  let stats = Stats.of_graph graph in
-  let plan = Engine.plan ?budget ?optimize pattern in
-  let enc = Plan_cache.encoded plan.Engine.cache graph in
+let trees ?budget plan graph =
+  let cache = plan.Engine.cache in
+  let enc = Plan_cache.encoded cache graph in
   let decision_of tree n =
     if plan.Engine.optimize then
-      Some (Plan_cache.node_decision ?budget plan.Engine.cache graph tree n)
+      Some (Plan_cache.node_decision ?budget cache graph tree n)
     else None
   in
+  let maximality_of tree n =
+    {
+      exact_cap =
+        (match plan.Engine.algorithm with
+        | Engine.Naive -> None
+        | Engine.Pebble k -> Some (Plan_cache.exact_cap cache graph tree n k));
+      tests = Plan_cache.node_tests cache graph tree n;
+    }
+  in
+  List.map (plan_tree enc decision_of maximality_of) plan.Engine.forest
+
+let explain ?budget ?optimize pattern graph =
+  let plan = Engine.plan ?budget ?optimize pattern in
   {
     classification = Classify.classify ?budget pattern;
     plan;
-    trees = List.map (plan_tree stats enc decision_of) plan.Engine.forest;
-    graph_triples = Stats.triples stats;
+    trees = trees ?budget plan graph;
+    graph_triples =
+      Encoded.Encoded_graph.cardinal (Plan_cache.encoded plan.Engine.cache graph);
   }
 
-let pp ppf t =
-  Fmt.pf ppf "%a@.@.%a@.@." Classify.pp t.classification Engine.pp_plan t.plan;
-  Fmt.pf ppf "data: %d triples@." t.graph_triples;
+let pp_maximality ppf m =
+  (match m.exact_cap with
+  | None -> Fmt.string ppf "maximality test: exact"
+  | Some cap ->
+      Fmt.pf ppf "maximality test: exact first, pebble past %d ticks" cap);
+  let t = m.tests in
+  if t.Plan_cache.exact + t.Plan_cache.pebble_answers > 0 then
+    Fmt.pf ppf "; answered %a" Plan_cache.pp_tests t
+
+let pp_trees ppf trees =
   List.iteri
     (fun i tree_plan ->
       Fmt.pf ppf "@.tree %d:@." (i + 1);
@@ -114,21 +172,24 @@ let pp ppf t =
                   (String.concat ", "
                      (List.map (fun v -> "?" ^ Variable.to_string v) vs))
           in
-          let decision_note =
-            match np.decision with
-            | None -> ""
+          let notes =
+            (match np.decision with
+            | None -> []
             | Some d ->
-                Fmt.str " [join: cost-based order, ~%.1f candidate(s)%s]"
-                  d.Optimizer.Join_order.est_candidates
-                  (if np.depth = 0 then ""
-                   else
-                     Fmt.str "; maximality test: %a"
-                       Optimizer.Join_order.pp_maximality
-                       d.Optimizer.Join_order.maximality)
+                [
+                  Fmt.str "join: cost-based order, ~%.1f candidate(s)"
+                    d.Optimizer.Join_order.est_candidates;
+                ])
+            @ (match np.maximality with
+              | None -> []
+              | Some m -> [ Fmt.str "%a" pp_maximality m ])
           in
           Fmt.pf ppf "%s%snode %d%s%s@." indent
             (if np.depth = 0 then "" else "OPTIONAL ")
-            np.node vars_note decision_note;
+            np.node vars_note
+            (match notes with
+            | [] -> ""
+            | _ -> " [" ^ String.concat "; " notes ^ "]");
           List.iteri
             (fun j tp ->
               match np.decision with
@@ -142,4 +203,9 @@ let pp ppf t =
                     Triple.pp tp.triple tp.estimated tp.actual)
             np.triples)
         tree_plan)
-    t.trees
+    trees
+
+let pp ppf t =
+  Fmt.pf ppf "%a@.@.%a@.@." Classify.pp t.classification Engine.pp_plan t.plan;
+  Fmt.pf ppf "data: %d triples@." t.graph_triples;
+  pp_trees ppf t.trees

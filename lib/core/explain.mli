@@ -6,10 +6,12 @@
     evaluate them. With the optimizer on (the default) that is the
     cost-based compiled order of {!Plan_cache.node_decision}, each step
     annotated with the model's estimated cardinality next to the exact
-    match count of its constant positions, and each non-root node with
-    its pebble-vs-naive maximality verdict; with it off, patterns appear
+    match count of its constant positions; with it off, patterns appear
     most selective first per {!Rdf.Stats.estimated_matches} — the
-    fail-first rescoring's initial view. *)
+    fail-first rescoring's initial view. Each non-root node also shows
+    its Lemma-1 maximality test: exact, or exact first with the pebble
+    game past the cap ({!Plan_cache.exact_cap}), and, once the plan has
+    been evaluated, how its child tests were answered. *)
 
 type triple_plan = {
   triple : Rdf.Triple.t;
@@ -29,8 +31,18 @@ type node_plan = {
   triples : triple_plan list;  (** in planned evaluation order *)
   decision : Optimizer.Join_order.decision option;
       (** the cost-based plan ([None] when the optimizer is off):
-          compiled join order, per-step estimates, expected candidate
-          count, and the maximality verdict *)
+          compiled join order, per-step estimates and expected candidate
+          count *)
+  maximality : maximality option;  (** [None] at the root *)
+}
+
+and maximality = {
+  exact_cap : int option;
+      (** the exact test's tick cap under a pebble plan; [None] for a
+          naive plan (exact only) *)
+  tests : Plan_cache.tests;
+      (** the node's child tests against this graph so far — zero until
+          the plan is evaluated *)
 }
 
 type tree_plan = node_plan list
@@ -52,4 +64,11 @@ val explain :
   ?budget:Resource.Budget.t -> ?optimize:bool ->
   Sparql.Algebra.t -> Rdf.Graph.t -> t
 
+val trees :
+  ?budget:Resource.Budget.t -> Engine.plan -> Rdf.Graph.t -> tree_plan list
+(** The per-tree part of the report for an existing plan — after an
+    evaluation, with its per-node child-test counters ([eval
+    --explain]). *)
+
+val pp_trees : tree_plan list Fmt.t
 val pp : t Fmt.t

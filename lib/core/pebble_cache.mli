@@ -1,7 +1,8 @@
 (** Evaluation-wide cache for the Theorem-1 pebble-game child tests.
 
-    A single evaluation ({!Pebble_eval.check}/[solutions], or
-    {!Enumerate.solutions} under [`Pebble k]) issues the relaxed
+    A single evaluation ({!Pebble_eval.check}/[solutions], or the child
+    tests {!Enumerate.solutions} hands over past their exact-search cap
+    under [`Pebble k]) issues the relaxed
     extension test [(pat(T') ∪ pat(n), vars(T')) →µ_{k+1} G] for many
     (mapping, subtree, child) combinations against one fixed graph. This
     layer is the engine's only kernel for that test, and makes the
@@ -89,8 +90,9 @@ val stage_child_test_ids :
     resolves the game and the param-to-slot tables once for a
     (subtree, child) pair and returns the per-candidate test. A
     candidate is the flat dictionary-id assignment over the shared
-    variable table [vars] ({!Plan_cache.variables}) instead of a term
-    mapping, so no decode/re-encode round-trip happens per candidate.
+    variable table [vars] (the one all of a tree's
+    {!Plan_cache.node_source}s use) instead of a term mapping, so no
+    decode/re-encode round-trip happens per candidate.
     The assignment must cover [vars(subtree)] with ids valid for this
     cache's graph (which the encoded join guarantees). Same precondition
     and verdict memoization as {!child_test}; param-to-slot resolution

@@ -5,10 +5,12 @@
     dictionary-encoded copy of the graph, (2) the compiled hom-join
     sources of every tree node (one per node, compiled against a
     tree-wide shared variable table so enumeration assignments are flat
-    int arrays), and (3) the {!Pebble_cache} of compiled child games and
-    memoized verdicts. This module holds all three in a small
-    most-recently-used store keyed on the graph's {!Rdf.Graph.epoch}
-    (epochs are unique per construction): evaluating the same plan
+    int arrays), (3) the memoized verdicts of the exact child tests, and
+    (4) the {!Pebble_cache} of compiled child games and their verdicts,
+    for the tests whose exact search trips its cap ({!run}). This
+    module holds all four in a small most-recently-used store keyed on
+    the graph's {!Rdf.Graph.epoch} (epochs are unique per
+    construction): evaluating the same plan
     against a recently-seen store reuses everything, so round-robin
     evaluation over a few stores stops rebuilding on every switch;
     only past the capacity does the coldest entry get dropped.
@@ -20,10 +22,26 @@ open Rdf
 
 type t
 
+type maximality = [ `Hom | `Pebble of int ]
+(** The Lemma-1 child test: exact only, or exact first with the
+    existential (k+1)-pebble game past a cap ({!stage_child_test}). *)
+
+type tests = {
+  exact : int;
+      (** child tests answered by the id-level exact test, memo hits
+          included *)
+  exact_hits : int;  (** of those, answered from the exact-verdict memo *)
+  pebble_answers : int;  (** child tests answered by the pebble game *)
+  capped : int;
+      (** exact searches cut by the cap (each handed its test to the
+          pebble game) *)
+}
+
 type stats = {
   pebble : Pebble_cache.stats;
       (** accumulated over every entry this cache has held, including
           ones dropped by eviction *)
+  tests : tests;  (** likewise accumulated *)
   hom_sources : int;  (** node join sources compiled over the lifetime *)
   invalidations : int;
       (** entries built for a store epoch the cache did not hold while
@@ -52,45 +70,99 @@ val encoded : t -> Graph.t -> Encoded.Encoded_graph.t
 val pebble : t -> Graph.t -> Pebble_cache.t
 (** The pebble-game cache of [graph]'s entry. *)
 
-val variables : t -> Graph.t -> Wdpt.Pattern_tree.t -> Variable.t array
-(** The tree's shared variable table: the decode table of every source
-    returned by {!node_source} for this tree. *)
-
 val node_source :
   t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node ->
   Encoded.Encoded_hom.source
 (** The compiled hom-join source of [pat tree n] against [graph],
     compiled on first use and reused while [graph]'s entry stays
-    cached. *)
+    cached. All sources of one tree share one variable table (the
+    decode table of each). *)
 
 val node_decision :
   ?budget:Resource.Budget.t ->
   t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node ->
   Optimizer.Join_order.decision
 (** The cost-based plan of node [n] against [graph]'s statistics: join
-    order, per-step cardinality estimates, and the pebble-vs-naive
-    maximality verdict, compiled on first use ({!Optimizer.Join_order})
-    with the node's ancestors as the bound-variable seed, and cached for
-    as long as [graph]'s epoch entry lives — the server's
-    cross-connection plan cache serves these without re-deriving
-    anything. *)
+    order and per-step cardinality estimates, compiled on first use
+    ({!Optimizer.Join_order}) with the node's ancestors as the
+    bound-variable seed, and cached for as long as [graph]'s epoch
+    entry lives — the server's cross-connection plan cache serves these
+    without re-deriving anything. *)
 
-val naive_child_test :
-  ?budget:Resource.Budget.t ->
+type child_test
+(** The Lemma-1 test of one child [n] below one subtree, resolved
+    against the cache: [n]'s compiled source and own variable slots,
+    its exact-verdict memo and counters, and the cap. *)
+
+val exact_cap :
+  t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node -> int -> int
+(** [exact_cap t graph tree n k]: the tick cap of child [n]'s exact
+    test under [`Pebble k] — the pebble game's own polynomial bound
+    [d^(k+1)], with [d] the largest candidate domain [n]'s game ranges
+    over ({!Encoded.Encoded_pebble.domain_bound}: a free variable's
+    µ-independent unary candidates, else the whole store dictionary;
+    at least 2), saturating at [max_int - 1]. Memoised per node for
+    [graph]'s epoch. Not configurable. *)
+
+val stage_child_test :
   ?order:int array ->
-  t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node ->
-  int array -> bool
-(** A memoized exact maximality test for child [n]: does any
-    homomorphism of [pat tree n] extend the given encoded assignment?
-    Verdicts are cached per node, keyed on the assignment's values at
-    the child's {!Encoded.Encoded_hom.own_slots} (the only slots the
-    answer depends on), for as long as [graph]'s epoch entry lives — the
-    counterpart of the pebble cache's verdict memo. {!Enumerate} runs it
-    for every child under [`Hom], and under [`Pebble k] for the children
-    the optimizer estimates cheaper to join directly than to stage a
-    pebble game for. [order] is the child join's tie-break order
-    ({!Encoded.Encoded_hom.fold}). Not safe for concurrent callers (the
-    enumerator only uses it from its sequential path). *)
+  t -> Graph.t -> maximality -> Wdpt.Pattern_tree.t -> Wdpt.Subtree.t ->
+  Wdpt.Pattern_tree.node -> child_test
+(** Stage the test "does some homomorphism of [pat tree n] extend the
+    candidate?" for child [n] of [subtree]. Touches the cache's tables,
+    so call it on the caller's domain; [order] is the child join's
+    tie-break order ({!Encoded.Encoded_hom.fold}). Raises
+    [Invalid_argument] under [`Pebble k] with [k < 1]. *)
+
+type worker
+(** One pool slot's private side of the tests: an exact-verdict memo,
+    counters and a {!Pebble_cache.worker_view_for} view. *)
+
+val worker : t -> Graph.t -> int -> worker
+(** [worker t graph slot], made on the caller's domain. *)
+
+val absorb_worker : t -> Graph.t -> Wdpt.Pattern_tree.t -> worker -> unit
+(** Fold a worker's counters (tests of [tree]'s nodes, and its pebble
+    view's) into the cache, after the workers quiesced. *)
+
+val run :
+  ?budget:Resource.Budget.t -> ?worker:worker -> child_test -> int array -> bool
+(** The per-candidate test on the flat id assignment of the tree's
+    variable table (which must cover [vars(subtree)]). Verdicts are
+    memoized keyed on the assignment's values at the child's
+    {!Encoded.Encoded_hom.own_slots} — the only slots the answer depends
+    on — on the cache (root) for as long as [graph]'s epoch entry lives,
+    or on [worker].
+
+    - [`Hom]: the exact test.
+    - [`Pebble k]: the exact test first, under a {!Resource.Budget.capped}
+      cap of {!exact_cap} ticks; only when the cap trips is the pebble
+      game staged ({!Pebble_cache.stage_child_test_ids}, on the worker's
+      view if any) and asked instead, and the key is remembered as
+      capped so it goes straight to the game's verdict memo next time.
+      Per candidate the cost stays within a constant factor of the
+      game's worst-case bound, so the PTIME guarantee holds. The game's
+      measured cost can be far below that bound (at k ≥ 2, or when
+      µ-bound unary triples narrow its domains); a child whose exact
+      search fits under the cap but not under the game's measured cost
+      runs the search to the end. A single relaxed test may
+      over-approximate an exact one, but both decide "some child
+      extends" alike whenever [dw ≤ k] (Theorem 1 with Lemma 1), so any
+      mix is exact there.
+
+    Budget-transparent: ticks once per call, the exact search's ticks
+    (inside the cap too) and the game's are charged to [budget]. *)
+
+val node_tests :
+  t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node -> tests
+(** Counters of node [n]'s child tests against [graph]'s entry so far. *)
 
 val stats : t -> stats
+
+val zero_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum (the server totals its plans' caches with it). *)
+
+val pp_tests : tests Fmt.t
 val pp_stats : stats Fmt.t

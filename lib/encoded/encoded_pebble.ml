@@ -27,7 +27,7 @@ type t = {
   params : Variable.t array;
   free_vars : Variable.t array;
   patterns : (pterm * pterm * pterm) array;
-  universe : int array;
+  universe : int array;  (* every dictionary id; [||] when unused *)
   (* Per free variable: sorted candidate ids from the µ-independent unary
      triples (those whose only variable is this one and contain no
      parameter), or [None] when unconstrained — then the whole term
@@ -156,8 +156,10 @@ let intersect_sorted a b =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile ?unary ~k g graph =
-  if k < 1 then invalid_arg "Encoded_pebble.compile: k must be at least 1";
+(* Everything [compile] derives from (S, X) and the store except the
+   term universe: the encoded patterns and the µ-independent base
+   domains of the free variables. *)
+let prepare ?unary g graph =
   let unary_candidates_cached pat =
     match unary with
     | None -> unary_candidates graph pat
@@ -227,8 +229,27 @@ let compile ?unary ~k g graph =
               | Some prev -> intersect_sorted prev cands)
       | _ -> ())
     patterns;
-  let universe = Array.init (Dictionary.size dict) Fun.id in
+  (params, free_vars, patterns, base)
+
+let compile ?unary ~k g graph =
+  if k < 1 then invalid_arg "Encoded_pebble.compile: k must be at least 1";
+  let params, free_vars, patterns, base = prepare ?unary g graph in
+  (* only an unconstrained free variable ranges over the universe *)
+  let universe =
+    if Array.exists Option.is_none (Array.sub base 0 (Array.length free_vars))
+    then
+      Array.init (Dictionary.size (Encoded_graph.dictionary graph)) Fun.id
+    else [||]
+  in
   { k; graph; params; free_vars; patterns; universe; base }
+
+let domain_bound ?unary g graph =
+  let _, free_vars, _, base = prepare ?unary g graph in
+  let universe = Dictionary.size (Encoded_graph.dictionary graph) in
+  let size v =
+    match base.(v) with Some c -> Array.length c | None -> universe
+  in
+  Array.fold_left max 0 (Array.init (Array.length free_vars) size)
 
 (* ------------------------------------------------------------------ *)
 (* Running the game for one frozen µ                                   *)

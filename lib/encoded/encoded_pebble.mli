@@ -41,6 +41,15 @@ val compile :
     candidate scans across compiles against the same store. Raises
     [Invalid_argument] if [k < 1]. *)
 
+val domain_bound : ?unary:unary_cache -> Tgraphs.Gtgraph.t -> Encoded_graph.t -> int
+(** The largest candidate domain {!run} enumerates a free variable of
+    [g] over before µ narrows it: the variable's µ-independent unary
+    candidates, or the whole dictionary when it has none (0 when [g]
+    has no free variable). A run of the k-pebble game enumerates partial
+    maps of at most k free variables over these domains, so
+    [domain_bound^k] is the game's own polynomial bound up to a factor
+    in the size of [g]. *)
+
 val params : t -> Rdf.Variable.t array
 (** The distinguished variables X, sorted; [run]'s [mu] array gives the
     image of each, positionally. *)

@@ -11,8 +11,8 @@
     same store epoch.
 
     Reused decisions are patched with the asking node's id; [order],
-    [est_cards], [est_candidates] and [maximality] carry over verbatim
-    (they are functions of the signature and the store statistics only).
+    [est_cards] and [est_candidates] carry over verbatim (they are
+    functions of the signature and the store statistics only).
 
     Not safe for concurrent callers — guard it like the structures next
     to it (the engine's plan cache is per-plan, the server serializes

@@ -1,23 +1,12 @@
 module Budget = Resource.Budget
 module H = Encoded.Encoded_hom
 
-type maximality = [ `Naive | `Pebble ]
-
 type decision = {
   node : int;
   order : int array;
   est_cards : float array;
   est_candidates : float;
-  maximality : maximality;
 }
-
-(* F1's crossover: below roughly nine patterns the naive (exact
-   backtracking) extension check beats compiling and running the pebble
-   relaxation; the candidate-count gate keeps pathological stores (huge
-   estimated extension counts at small pattern size) on the pebble
-   side. *)
-let naive_pattern_limit = 9
-let naive_candidate_limit = 256.
 
 let candidate_cap = 1e18
 
@@ -65,19 +54,9 @@ let compile ?(budget = Budget.unlimited) graph ~nvars ~bound ~node patterns =
       (fun acc c -> Float.min candidate_cap (acc *. c))
       1. est_cards
   in
-  let maximality =
-    if npat < naive_pattern_limit && est_candidates <= naive_candidate_limit
-    then `Naive
-    else `Pebble
-  in
-  { node; order; est_cards; est_candidates; maximality }
-
-let pp_maximality ppf = function
-  | `Naive -> Fmt.string ppf "naive"
-  | `Pebble -> Fmt.string ppf "pebble"
+  { node; order; est_cards; est_candidates }
 
 let pp ppf d =
-  Fmt.pf ppf "@[node %d: order [%a], ~%.1f candidate(s), maximality %a@]"
-    d.node
+  Fmt.pf ppf "@[node %d: order [%a], ~%.1f candidate(s)@]" d.node
     Fmt.(array ~sep:(any ";") int)
-    d.order d.est_candidates pp_maximality d.maximality
+    d.order d.est_candidates

@@ -5,13 +5,11 @@
     (smallest {!Cost_model.estimate}), then extended greedily under
     bound-variable propagation — after a pattern is placed, its variables
     count as bound for every later estimate. The compiled order is the
-    tie-break [order] of {!Encoded.Encoded_hom.fold}'s fail-first join,
-    and the estimated extension count decides whether the Lemma-1
-    maximality test for the node runs as a naive (exact backtracking)
-    check or the pebble relaxation — bench F1's crossover made concrete
-    per node. *)
-
-type maximality = [ `Naive | `Pebble ]
+    tie-break [order] of {!Encoded.Encoded_hom.fold}'s fail-first join.
+    The plan says nothing about the Lemma-1 maximality test: that is
+    decided per candidate at run time, exact first under the pebble
+    game's polynomial bound ([Wd_core.Plan_cache.run]), not from a
+    static estimate. *)
 
 type decision = {
   node : int;  (** the wdPT node this plan is for *)
@@ -25,11 +23,6 @@ type decision = {
   est_candidates : float;
       (** running product of [est_cards] — the expected number of full
           extensions of one parent binding *)
-  maximality : maximality;
-      (** whether the node's child-extension test should run naively or
-          through the pebble relaxation. Both are exact whenever the plan
-          width covers the true domination width (the planner's
-          invariant), so the choice affects cost only. *)
 }
 
 val compile :
@@ -51,4 +44,3 @@ val compile :
     a permutation of [0 .. Array.length patterns - 1] (property-tested). *)
 
 val pp : decision Fmt.t
-val pp_maximality : maximality Fmt.t

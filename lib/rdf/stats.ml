@@ -62,19 +62,19 @@ let distinct_subjects t = t.subjects
 let distinct_objects t = t.objects
 let dom_size t = t.dom
 
-let selectivity t triple =
-  if t.total = 0 then 0.
+let selectivity_of ~total ~subjects ~objects ~predicate triple =
+  if total = 0 then 0.
   else begin
     let base, subjects, objects =
       match triple.Triple.p with
       | Term.Iri p -> (
-          match predicate t p with
+          match predicate p with
           | Some s ->
-              ( float_of_int s.triples /. float_of_int t.total,
+              ( float_of_int s.triples /. float_of_int total,
                 max 1 s.distinct_subjects,
                 max 1 s.distinct_objects )
           | None -> (0., 1, 1))
-      | Term.Var _ -> (1., max 1 t.subjects, max 1 t.objects)
+      | Term.Var _ -> (1., max 1 subjects, max 1 objects)
     in
     let s_factor =
       if Term.is_var triple.Triple.s then 1. else 1. /. float_of_int subjects
@@ -84,6 +84,10 @@ let selectivity t triple =
     in
     min 1. (max 0. (base *. s_factor *. o_factor))
   end
+
+let selectivity t =
+  selectivity_of ~total:t.total ~subjects:t.subjects ~objects:t.objects
+    ~predicate:(predicate t)
 
 let estimated_matches t triple = selectivity t triple *. float_of_int t.total
 

@@ -30,6 +30,13 @@ val selectivity : t -> Triple.t -> float
     the predicate's distinct subject count, a bound object by its distinct
     object count; an unknown predicate estimates 0. Clamped to [0, 1]. *)
 
+val selectivity_of :
+  total:int -> subjects:int -> objects:int ->
+  predicate:(Iri.t -> predicate_stats option) -> Triple.t -> float
+(** {!selectivity} over summaries the caller supplies — [total]
+    triples, distinct [subjects] and [objects], and per-predicate
+    statistics — for instance read off an encoded store. *)
+
 val estimated_matches : t -> Triple.t -> float
 (** [selectivity × total triples] — the planner's cost unit. *)
 

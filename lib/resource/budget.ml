@@ -21,9 +21,15 @@ type t = {
   mutable shared : shared option;
       (* Some while enrolled in a fork group: on worker views for their
          whole life, on the parent between [fork] and [join] *)
+  mutable cap_left : int;
+      (* ticks left under the running [capped] region; max_int = none *)
 }
 
 exception Exhausted of { phase : string; spent : int }
+
+(* Raised by [tick] when the running cap is gone; never escapes
+   [capped]. *)
+exception Capped
 
 let deadline_check_interval = 64
 let lease = deadline_check_interval
@@ -38,6 +44,7 @@ let unlimited =
     limited = false;
     halted = Atomic.make false;
     shared = None;
+    cap_left = max_int;
   }
 
 let make ?fuel ?timeout ?max_solutions () =
@@ -75,6 +82,7 @@ let make ?fuel ?timeout ?max_solutions () =
         limited = true;
         halted = Atomic.make false;
         shared = None;
+        cap_left = max_int;
       }
 
 let exhaust b =
@@ -126,6 +134,11 @@ let tick b =
       if Atomic.get b.halted then exhaust b;
       if b.deadline < infinity && Unix.gettimeofday () > b.deadline then
         exhaust b
+    end;
+    (* after the outer limits, so those still fire on a capping tick *)
+    if b.cap_left <> max_int then begin
+      b.cap_left <- b.cap_left - 1;
+      if b.cap_left < 0 then raise_notrace Capped
     end
   end
 
@@ -155,6 +168,7 @@ let fork b n =
           limited = true;
           halted = b.halted;
           shared = Some s;
+          cap_left = max_int;
         })
   end
 
@@ -257,6 +271,27 @@ let with_phase b label f =
     b.phase <- label;
     Fun.protect ~finally:(fun () -> b.phase <- saved) f
   end
+
+let capped b n f =
+  if n < 0 then invalid_arg "Budget.capped: negative cap";
+  (* an unlimited budget has nothing to charge, so the cap runs on a
+     fresh limit-free view of its own *)
+  let b =
+    if b.limited then b
+    else { unlimited with limited = true; halted = Atomic.make false }
+  in
+  if b.cap_left <> max_int then invalid_arg "Budget.capped: nested cap";
+  b.cap_left <- min n (max_int - 1);
+  match f b with
+  | x ->
+      b.cap_left <- max_int;
+      Some x
+  | exception Capped ->
+      b.cap_left <- max_int;
+      None
+  | exception e ->
+      b.cap_left <- max_int;
+      raise e
 
 let is_limited b = b.limited
 let spent b = b.spent

@@ -107,6 +107,19 @@ val fuel_left : t -> int option
     lease when enrolled in a fork group — or [None] when fuel is
     unlimited. Observability hook for refill tests and [/stats]. *)
 
+val capped : t -> int -> (t -> 'a) -> 'a option
+(** [capped b n f] runs [f] on a budget that allows at most [n] ticks
+    (raises [Invalid_argument] on [n < 0]): [Some (f b')], or [None] —
+    "capped" — as soon as [f] ticks for the [(n+1)]-th time, without
+    raising. The cap only adds a limit: [b]'s fuel, deadline, solution
+    cap and {!cancel} still raise {!Exhausted} from inside [f], and
+    every tick [f] spends is charged to [b] ({!spent} and fuel). Caps do
+    not nest: calling [capped] on [b'] inside [f] raises
+    [Invalid_argument]. On a limited budget [b' = b]; on {!unlimited}
+    [b'] is a fresh view with no other limit. Works on {!fork} views
+    (each view carries its own cap). The engine's exact-first
+    maximality test runs under it. *)
+
 val is_limited : t -> bool
 (** [false] exactly for {!unlimited}. *)
 

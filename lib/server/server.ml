@@ -101,50 +101,6 @@ type t = {
 (* Stats plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let zero_pebble =
-  {
-    Pebble_cache.hits = 0;
-    misses = 0;
-    compiled = 0;
-    families = 0;
-    evictions = 0;
-    unary_hits = 0;
-    unary_misses = 0;
-  }
-
-let zero_plan_stats =
-  {
-    Plan_cache.pebble = zero_pebble;
-    hom_sources = 0;
-    invalidations = 0;
-    plan_evictions = 0;
-    live_entries = 0;
-    decision_hits = 0;
-    decision_misses = 0;
-  }
-
-let add_pebble (a : Pebble_cache.stats) (b : Pebble_cache.stats) =
-  {
-    Pebble_cache.hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    compiled = a.compiled + b.compiled;
-    families = a.families + b.families;
-    evictions = a.evictions + b.evictions;
-    unary_hits = a.unary_hits + b.unary_hits;
-    unary_misses = a.unary_misses + b.unary_misses;
-  }
-
-let add_plan_stats (a : Plan_cache.stats) (b : Plan_cache.stats) =
-  {
-    Plan_cache.pebble = add_pebble a.pebble b.pebble;
-    hom_sources = a.hom_sources + b.hom_sources;
-    invalidations = a.invalidations + b.invalidations;
-    plan_evictions = a.plan_evictions + b.plan_evictions;
-    live_entries = a.live_entries + b.live_entries;
-    decision_hits = a.decision_hits + b.decision_hits;
-    decision_misses = a.decision_misses + b.decision_misses;
-  }
-
 let tracked_statuses = [ 200; 400; 404; 405; 408; 413; 422; 500; 503 ]
 
 let count_status t status =
@@ -201,7 +157,7 @@ let create config =
     plans = Hashtbl.create 64;
     plans_lock = Mutex.create ();
     plan_stamp = Atomic.make 0;
-    plans_retired = zero_plan_stats;
+    plans_retired = Plan_cache.zero_stats;
     plans_compiled = Atomic.make 0;
     plan_hits = Atomic.make 0;
     canonical_hits = Atomic.make 0;
@@ -237,7 +193,7 @@ let plan_key graph (canon : Canonical.t) =
 let retire_entry t e =
   Atomic.incr t.plan_evictions;
   t.plans_retired <-
-    add_plan_stats t.plans_retired (Plan_cache.stats e.plan.Engine.cache)
+    Plan_cache.add_stats t.plans_retired (Plan_cache.stats e.plan.Engine.cache)
 
 let evict_entry t key =
   Mutex.lock t.plans_lock;
@@ -568,7 +524,8 @@ let stats_json t =
     Mutex.lock t.plans_lock;
     let totals =
       Hashtbl.fold
-        (fun _ e acc -> add_plan_stats acc (Plan_cache.stats e.plan.Engine.cache))
+        (fun _ e acc ->
+          Plan_cache.add_stats acc (Plan_cache.stats e.plan.Engine.cache))
         t.plans t.plans_retired
     in
     let live = Hashtbl.length t.plans in
@@ -640,7 +597,13 @@ let stats_json t =
                 [ ("hits", Json.Int p.Pebble_cache.hits);
                   ("misses", Json.Int p.Pebble_cache.misses);
                   ("compiled", Json.Int p.Pebble_cache.compiled);
-                  ("evictions", Json.Int p.Pebble_cache.evictions) ] ) ] ) ]
+                  ("evictions", Json.Int p.Pebble_cache.evictions) ] );
+            ( "child_tests",
+              Json.Obj
+                [ ("exact", Json.Int totals.Plan_cache.tests.exact);
+                  ("exact_hits", Json.Int totals.Plan_cache.tests.exact_hits);
+                  ("pebble", Json.Int totals.Plan_cache.tests.pebble_answers);
+                  ("capped", Json.Int totals.Plan_cache.tests.capped) ] ) ] ) ]
 
 let route t conn ~deadline ~idx ~fault req =
   match (req.Http.meth, req.Http.path) with

@@ -60,6 +60,28 @@ let f_k k =
   in
   [ t1; t2; t3 ]
 
+let class_t = Term.iri "c:T"
+
+let f_k_typed k =
+  let typed names =
+    Tgraph.of_triples
+      (List.map (fun o -> Triple.make (v o) (p "type") class_t) names)
+  in
+  let pat = Wdpt.Pattern_tree.pat in
+  match f_k k with
+  | [ t1; t2; t3 ] ->
+      [
+        Wdpt.Pattern_tree.make
+          ~labels:
+            [| pat t1 0; pat t1 1; Tgraph.union (pat t1 2) (typed (o_names k)) |]
+          ~parent:[| -1; 0; 0 |];
+        t2;
+        Wdpt.Pattern_tree.make
+          ~labels:[| pat t3 0; Tgraph.union (pat t3 1) (typed [ "o" ]) |]
+          ~parent:[| -1; 0 |];
+      ]
+  | _ -> assert false
+
 let t_prime_k k =
   if k < 2 then invalid_arg "Query_families.t_prime_k: k must be at least 2";
   Wdpt.Pattern_tree.make

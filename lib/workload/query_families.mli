@@ -20,6 +20,15 @@ val kk : int -> string list -> Tgraphs.Tgraph.t
 val f_k : int -> Wdpt.Pattern_forest.t
 (** Example 4's forest; requires [k ≥ 2]. *)
 
+val class_t : Term.t
+(** The class [c:T] of {!f_k_typed}. *)
+
+val f_k_typed : int -> Wdpt.Pattern_forest.t
+(** {!f_k} with every clique variable [?oi] of T1's clique child, and
+    [?o] of T3's child, typed [(?, p:type, c:T)]; still [dw = 1]. The
+    pebble game of the clique child then ranges over the members of
+    [c:T] only, not over the whole dictionary. *)
+
 val t_prime_k : int -> Wdpt.Pattern_tree.t
 (** Section 3.2's tree: root [{(?y, r, ?y)}], one child
     [{(?y, r, ?o1)} ∪ K_k]; requires [k ≥ 2]. *)

@@ -114,6 +114,170 @@ let test_profile () =
   check Alcotest.(list int) "ctws of GtG(T1[r1])" [ 1; 2 ]
     (List.sort compare root_entry.Domination_width.gtg_ctws)
 
+(* The eager Definition-2 computation the library used before it went
+   lazy: every member's ctw up front, then the least candidate level at
+   which the members of ctw <= k dominate the rest. Kept as the oracle
+   for the lazy level. *)
+let eager_level family =
+  let with_ctw = List.map (fun g -> (Tgraphs.Cores.ctw g, g)) family in
+  let dominated k =
+    List.for_all
+      (fun (c, g) ->
+        c <= k
+        || List.exists
+             (fun (c', g') -> c' <= k && Tgraphs.Gtgraph.maps_to g' g)
+             with_ctw)
+      with_ctw
+  in
+  List.find dominated (List.sort_uniq compare (1 :: List.map fst with_ctw))
+
+let subtrees forest =
+  List.concat_map
+    (fun tree -> Wdpt.Subtree.all tree)
+    forest
+
+let eager_of_forest forest =
+  List.fold_left
+    (fun acc st ->
+      max acc (eager_level (Wdpt.Children_assignment.gtg forest st)))
+    1 (subtrees forest)
+
+let lazy_equals_eager_forests =
+  qcheck ~count:150 "lazy dw = eager dw on random forests (UNION included)"
+    (QCheck.make ~print:string_of_int Testutil.seed_gen)
+    (fun seed ->
+      let p =
+        Testutil.wd_pattern_of_seed ~triples:7 ~vars:5 ~union:(1 + (seed mod 3))
+          ~depth:3 seed
+      in
+      let forest = Wdpt.Pattern_forest.of_algebra p in
+      Domination_width.of_forest forest = eager_of_forest forest
+      && List.for_all
+           (fun st ->
+             let gtg = Wdpt.Children_assignment.gtg forest st in
+             Domination_width.domination_level gtg = eager_level gtg)
+           (subtrees forest))
+
+(* Families straight from random generalised t-graphs over one shared
+   X: a common base plus random extra edges (self-loops included), so
+   cores collapse, members of ctw > 1 occur and members dominate each
+   other. *)
+let lazy_equals_eager_families =
+  qcheck ~count:300 "lazy level = eager level on random GtG-like families"
+    (QCheck.make ~print:string_of_int Testutil.seed_gen)
+    (fun seed ->
+      let x = Rdf.Variable.Set.singleton (Rdf.Variable.of_string "v0") in
+      let state = Random.State.make [| seed; 5 |] in
+      let var () =
+        Rdf.Term.var (Printf.sprintf "v%d" (Random.State.int state 6))
+      in
+      let edges n =
+        List.init n (fun _ ->
+            let a = var () in
+            let b = if Random.State.int state 6 = 0 then a else var () in
+            Rdf.Triple.make a (Rdf.Term.iri "q0") b)
+      in
+      let base =
+        Rdf.Triple.make (Rdf.Term.var "v0") (Rdf.Term.iri "q0")
+          (Rdf.Term.var "v1")
+        :: edges (Random.State.int state 4)
+      in
+      let family =
+        List.init
+          (2 + Random.State.int state 4)
+          (fun _ ->
+            Tgraphs.Gtgraph.make
+              (Tgraphs.Tgraph.of_triples
+                 (base @ edges (2 + Random.State.int state 6)))
+              x)
+      in
+      Domination_width.domination_level family = eager_level family)
+
+(* The last rule of the lazy level: [wide] has tw 2 but its triangle
+   folds onto the loop, so ctw 1; it maps into [cyclic], whose
+   X-anchored directed 3-cycle is a core of tw 2. [cyclic] comes first,
+   so level 1 needs [wide]'s core before [wide] is visited. *)
+let test_dominator_needs_its_core () =
+  let t a b =
+    Rdf.Triple.make (Rdf.Term.var a) (Rdf.Term.iri "q0") (Rdf.Term.var b)
+  in
+  let x = Rdf.Variable.Set.singleton (Rdf.Variable.of_string "v0") in
+  let wide =
+    [ t "v0" "v1"; t "v2" "v3"; t "v3" "v4"; t "v4" "v2"; t "v4" "v4" ]
+  in
+  let cyclic = wide @ [ t "v0" "a"; t "a" "b"; t "b" "c"; t "c" "a" ] in
+  let family =
+    List.map (fun ts -> Tgraphs.Gtgraph.make (Tgraphs.Tgraph.of_triples ts) x)
+      [ cyclic; wide ]
+  in
+  check Alcotest.(list int) "ctws" [ 2; 1 ] (List.map Tgraphs.Cores.ctw family);
+  check Alcotest.(list int) "tws" [ 2; 2 ]
+    (List.map (fun g -> Tgraphs.Gtgraph.tw g) family);
+  check Alcotest.int "eager level" 1 (eager_level family);
+  check Alcotest.int "lazy level" 1 (Domination_width.domination_level family);
+  check Alcotest.bool "dominated at 1" true
+    (Domination_width.dominated_at family 1)
+
+let test_at_most_matches_of_forest () =
+  let forests =
+    [
+      Query_families.f_k 3;
+      Query_families.f_k 5;
+      [ Query_families.clique_child 3 ];
+      [ Query_families.clique_child 4 ];
+      [ Query_families.clique_child 5 ];
+      [ Query_families.t_prime_k 4 ];
+      [ Query_families.grid_query ~rows:2 ~cols:3 ];
+      [ Query_families.comb_query 3 ];
+    ]
+    @ List.map
+        (fun seed ->
+          Wdpt.Pattern_forest.of_algebra
+            (Testutil.wd_pattern_of_seed ~triples:7 ~vars:5 seed))
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  List.iter
+    (fun forest ->
+      let dw = Domination_width.of_forest forest in
+      List.iter
+        (fun k ->
+          check Alcotest.bool
+            (Printf.sprintf "at_most %d = (dw %d <= %d)" k dw k)
+            (dw <= k)
+            (Domination_width.at_most forest k))
+        [ 1; 2; 3; 4 ])
+    forests
+
+(* T2's families: the lazy level reports the same profile rows — exact
+   per-member ctws and per-subtree levels — as the eager computation. *)
+let test_profile_rows_unchanged () =
+  let families =
+    [
+      [ Query_families.path_query 6 ];
+      [ Query_families.star_query 6 ];
+      [ Query_families.comb_query 4 ];
+    ]
+    @ List.map (fun k -> [ Query_families.t_prime_k k ]) [ 2; 3; 4; 5; 6 ]
+    @ List.map Query_families.f_k [ 2; 3; 4; 5; 6 ]
+    @ List.map (fun k -> [ Query_families.clique_child k ]) [ 2; 3; 4; 5 ]
+    @ List.map
+        (fun (rows, cols) -> [ Query_families.grid_query ~rows ~cols ])
+        [ (2, 2); (2, 4); (3, 3) ]
+  in
+  List.iter
+    (fun forest ->
+      List.iter2
+        (fun row st ->
+          let gtg = Wdpt.Children_assignment.gtg forest st in
+          check Alcotest.(list int) "exact member ctws"
+            (List.map Tgraphs.Cores.ctw gtg)
+            row.Domination_width.gtg_ctws;
+          check Alcotest.int "level" (eager_level gtg)
+            row.Domination_width.level)
+        (Domination_width.profile forest)
+        (subtrees forest))
+    families
+
 (* Proposition 5: dw = bw on UNION-free patterns. *)
 let prop5 =
   qcheck ~count:60 "Prop 5: dw = bw for UNION-free patterns"
@@ -283,6 +447,14 @@ let () =
           Alcotest.test_case "families" `Quick test_dw_families;
           Alcotest.test_case "empty family" `Quick test_domination_level;
           Alcotest.test_case "profile" `Quick test_profile;
+          lazy_equals_eager_forests;
+          lazy_equals_eager_families;
+          Alcotest.test_case "dominator needs its core" `Quick
+            test_dominator_needs_its_core;
+          Alcotest.test_case "at_most = (dw <= k), k in 1..4" `Quick
+            test_at_most_matches_of_forest;
+          Alcotest.test_case "profile rows = eager on T2 families" `Quick
+            test_profile_rows_unchanged;
           prop5;
           lt_bounds_dw;
         ] );

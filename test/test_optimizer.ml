@@ -14,7 +14,8 @@
      patterns yields exactly one homomorphism (the prefix itself), with
      or without an order;
    - --explain surfaces the decisions: compiled order, estimates next
-     to actuals, and the pebble-vs-naive maximality verdict. *)
+     to actuals, and each node's exact-first maximality test with its
+     cap. *)
 
 open Rdf
 module Enumerate = Wd_core.Enumerate
@@ -301,10 +302,21 @@ let test_explain_decisions () =
         tree_plan)
     report.Explain.trees;
   let rendered = Fmt.str "%a" Explain.pp report in
-  check Alcotest.bool "maximality verdict is visible" true
-    (Astring.String.is_infix ~affix:"maximality test:" rendered);
+  check Alcotest.bool "maximality test and its cap are visible" true
+    (Astring.String.is_infix
+       ~affix:"maximality test: exact first, pebble past" rendered);
   check Alcotest.bool "estimates shown next to actuals" true
     (Astring.String.is_infix ~affix:"est ~" rendered);
+  check Alcotest.bool "an unevaluated plan has no test counts" false
+    (Astring.String.is_infix ~affix:"answered" rendered);
+  (* once evaluated, each OPTIONAL node reports how its tests went *)
+  let plan = Wd_core.Engine.plan explain_pattern in
+  ignore (Wd_core.Engine.solutions plan explain_graph);
+  let evaluated =
+    Fmt.str "%a" Explain.pp_trees (Explain.trees plan explain_graph)
+  in
+  check Alcotest.bool "evaluated plan reports its child tests" true
+    (Astring.String.is_infix ~affix:"; answered " evaluated);
   (* and with the optimizer off, no decisions are computed *)
   let off = Explain.explain ~optimize:false explain_pattern explain_graph in
   List.iter

@@ -3,8 +3,9 @@
    forked budgets share one fuel account and one cancellation flag, so
    any member tripping stops the group within a lease; and
    [solutions ~domains:n] is indistinguishable from [~domains:1] —
-   same answers in the same order, same number of verdict lookups —
-   for every n. *)
+   same answers in the same order, same number of child tests, and the
+   same exact-first maximality portfolio (no pebble game staged where
+   the sequential path stages none) — for every n. *)
 
 open Rdf
 module Pool = Parallel.Pool
@@ -201,28 +202,69 @@ let pattern =
   Sparql.Parser.parse_exn
     "{ ?a p:knows ?b . OPTIONAL { ?b p:email ?m } OPTIONAL { ?a p:knows ?c } }"
 
-let graph = Generator.social ~seed:7 ~people:40
+(* On F_6 over a tournament with no transitive 6-clique the clique
+   child's exact search trips its cap, so both sides of the portfolio
+   run on the workers. *)
+let clique_forest = Workload.Query_families.f_k 6
+let clique_pattern = Wdpt.Pattern_forest.to_algebra clique_forest
+
+let tournament =
+  fst (Workload.Graph_families.tournament_instance ~seed:1 ~n:9)
 
 let test_stats_merge () =
   let lookups domains =
-    (* Pin the pebble path: with the optimizer on, the sequential walk
-       answers small-node maximality through the naive verdict memo
-       while worker domains always stage pebble tests, so the pebble
-       counters are only domain-invariant with the optimizer off. *)
-    let plan = Engine.plan ~optimize:false pattern in
-    let answers, s = Engine.solutions_stats ~domains plan graph in
-    let s = (Option.get s).Plan_cache.pebble in
+    let plan = Engine.plan clique_pattern in
+    let answers, s = Engine.solutions_stats ~domains plan tournament in
+    let s = Option.get s in
     check Alcotest.bool "answers match the reference" true
-      (Sparql.Mapping.Set.equal answers (Sparql.Eval.eval pattern graph));
-    (s.Pebble_cache.hits + s.Pebble_cache.misses, s.Pebble_cache.compiled)
+      (Sparql.Mapping.Set.equal answers
+         (Wdpt.Semantics.solutions clique_forest tournament));
+    let t = s.Plan_cache.tests in
+    ( t.Plan_cache.exact + t.Plan_cache.pebble_answers,
+      t.Plan_cache.pebble_answers,
+      s.Plan_cache.pebble.Pebble_cache.hits
+      + s.Plan_cache.pebble.Pebble_cache.misses,
+      s.Plan_cache.pebble.Pebble_cache.compiled )
   in
-  let l1, c1 = lookups 1 in
-  let l2, c2 = lookups 2 in
-  let l4, c4 = lookups 4 in
-  check Alcotest.int "verdict lookups invariant at 2 domains" l1 l2;
-  check Alcotest.int "verdict lookups invariant at 4 domains" l1 l4;
-  check Alcotest.int "games compiled once at 2 domains" c1 c2;
-  check Alcotest.int "games compiled once at 4 domains" c1 c4
+  let t1, p1, l1, c1 = lookups 1 in
+  check Alcotest.bool "the cap trips: games staged and asked" true
+    (p1 > 0 && l1 > 0 && c1 > 0);
+  List.iter
+    (fun n ->
+      let tn, pn, ln, cn = lookups n in
+      let at what = Printf.sprintf "%s invariant at %d domains" what n in
+      check Alcotest.int (at "child tests") t1 tn;
+      check Alcotest.int (at "pebble answers") p1 pn;
+      check Alcotest.int (at "verdict lookups") l1 ln;
+      check Alcotest.int (at "games compiled (once)") c1 cn)
+    [ 2; 4 ]
+
+(* Workers run the same exact-first portfolio as the sequential path:
+   on a comb query every child test is cheap, so no domain count stages
+   a pebble game (workers used to stage one at every node). *)
+let test_workers_exact_first () =
+  let forest = [ Workload.Query_families.comb_query 3 ] in
+  let p = Wdpt.Pattern_forest.to_algebra forest in
+  (* the comb's spine and teeth predicates *)
+  let g = Generator.random_graph ~seed:3 ~n:12 ~predicates:[ "p"; "t" ] ~m:40 in
+  let run domains =
+    let plan = Engine.plan p in
+    let answers, s = Engine.solutions_stats ~domains plan g in
+    let s = Option.get s in
+    (answers, s.Plan_cache.pebble.Pebble_cache.compiled,
+     s.Plan_cache.tests.Plan_cache.exact)
+  in
+  let a1, c1, e1 = run 1 in
+  let a2, c2, e2 = run 2 in
+  check Alcotest.bool "non-trivial answers" true
+    (Sparql.Mapping.Set.cardinal a1 > 1);
+  check Alcotest.bool "answers match the reference" true
+    (Sparql.Mapping.Set.equal a1 (Sparql.Eval.eval p g));
+  check Alcotest.bool "same answers at 2 domains" true
+    (Sparql.Mapping.Set.equal a1 a2);
+  check Alcotest.int "no pebble game at 1 domain" 0 c1;
+  check Alcotest.int "no pebble game at 2 domains" 0 c2;
+  check Alcotest.int "every child test answered exact at both" e1 e2
 
 (* ------------------------------------------------------------------ *)
 (* Budget propagation into workers                                     *)
@@ -282,6 +324,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest determinism_prop;
           Alcotest.test_case "stats merge consistent" `Quick test_stats_merge;
+          Alcotest.test_case "workers answer exact first" `Quick
+            test_workers_exact_first;
         ] );
       ( "budget propagation",
         [

@@ -486,8 +486,9 @@ let test_format_identity () =
 (* A deferred handle whose term index must never be built, registered
    to a heap store: every engine entry point — membership under the
    pebble and the naive plan, the natural algorithm, enumeration under
-   both plans — resolves it through the registered store, so the thunk
-   raising means some path fell back to the term index. Membership is
+   both plans, the explain report — resolves it through the registered
+   store, so the thunk raising means some path fell back to the term
+   index. Membership is
    probed on every answer and on two near-misses per answer (a binding
    dropped; a binding moved to an IRI outside the store). *)
 let test_deferred_index_never_forced () =
@@ -533,7 +534,19 @@ let test_deferred_index_never_forced () =
           (Wd_core.Engine.check naive handle mu);
         Alcotest.(check bool) (name "Semantics.check") expected
           (Wdpt.Semantics.check forest handle mu))
-      probes
+      probes;
+    (* [eval --explain]'s after-evaluation report reads the encoded
+       store's statistics: the term-level estimates, no term index *)
+    let stats = Rdf.Stats.of_graph g in
+    List.iter
+      (List.iter (fun (np : Wd_core.Explain.node_plan) ->
+           List.iter
+             (fun (tp : Wd_core.Explain.triple_plan) ->
+               Alcotest.(check (float 1e-9)) (name "explain estimate")
+                 (Rdf.Stats.estimated_matches stats tp.triple)
+                 tp.estimated)
+             np.triples))
+      (Wd_core.Explain.trees pebble handle)
   done
 
 let () =

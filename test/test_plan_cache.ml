@@ -1,9 +1,16 @@
-(* PR 3: plan-level caching across evaluations. The contract under test:
+(* Plan-level caching across evaluations. The contract under test:
    repeated [Engine.solutions] calls on one plan reuse compiled hom
-   sources and pebble games; mutating the graph (a new store, hence a new
-   epoch) invalidates and recompiles without changing answers; and the
-   size-capped verdict LRU only ever trades memory for recomputation,
-   never answers. *)
+   sources, exact verdicts and pebble games; mutating the graph (a new
+   store, hence a new epoch) invalidates and recompiles without changing
+   answers; and the size-capped verdict LRU only ever trades memory for
+   recomputation, never answers.
+
+   Evaluation answers each Lemma-1 child test exact first and stages a
+   pebble game only when the exact search trips its cap, so the pebble
+   side is exercised two ways: through evaluation on [clique_pattern]
+   (F_6 on a tournament with no transitive 6-clique: the exact search of
+   the clique child trips the cap) and through [Engine.check], which is
+   the pebble algorithm as stated and shares the plan's pebble cache. *)
 
 open Rdf
 module Engine = Wd_core.Engine
@@ -19,6 +26,14 @@ let pattern =
 let graph = Generator.social ~seed:5 ~people:30
 
 let reference g = Sparql.Eval.eval pattern g
+
+let clique_forest = Workload.Query_families.f_k 6
+let clique_pattern = Wdpt.Pattern_forest.to_algebra clique_forest
+
+let tournament seed =
+  fst (Workload.Graph_families.tournament_instance ~seed ~n:9)
+
+let clique_reference g = Wdpt.Semantics.solutions clique_forest g
 
 (* ------------------------------------------------------------------ *)
 (* Epoch stamps                                                        *)
@@ -42,10 +57,6 @@ let test_epochs () =
 (* Warm reuse on an unchanged graph                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* These counter assertions pin the pebble path explicitly: with the
-   cost-based optimizer on, tiny nodes run their maximality tests as
-   naive backtracking checks and never touch the verdict memo — which
-   is the point of the optimizer, but not what this suite tests. *)
 let test_warm_reuse () =
   let plan = Engine.plan ~optimize:false pattern in
   let a1, s1 = Engine.solutions_stats plan graph in
@@ -57,9 +68,40 @@ let test_warm_reuse () =
   check Alcotest.int "no invalidation" 0 s2.Plan_cache.invalidations;
   check Alcotest.int "hom sources compiled once, reused warm"
     s1.Plan_cache.hom_sources s2.Plan_cache.hom_sources;
+  check Alcotest.int "cheap children stage no pebble game" 0
+    s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
+  (* every child test of the warm run is a hit of the exact-verdict
+     memo the cold run filled *)
+  check Alcotest.int "warm run answers from the verdict memo"
+    (s2.Plan_cache.tests.exact - s1.Plan_cache.tests.exact)
+    (s2.Plan_cache.tests.exact_hits - s1.Plan_cache.tests.exact_hits);
+  check Alcotest.bool "warm run hits the verdict memo" true
+    (s2.Plan_cache.tests.exact_hits > s1.Plan_cache.tests.exact_hits)
+
+(* The pebble side of warm reuse: the cold run trips the cap and stages
+   the clique child's game; the warm run compiles nothing, trips no cap
+   (the capped key goes straight to the game) and answers from the
+   game's verdict memo. *)
+let test_warm_reuse_past_cap () =
+  let g = tournament 1 in
+  let plan = Engine.plan clique_pattern in
+  let a1, s1 = Engine.solutions_stats plan g in
+  let s1 = Option.get s1 in
+  let a2, s2 = Engine.solutions_stats plan g in
+  let s2 = Option.get s2 in
+  check Alcotest.bool "both runs match the reference" true
+    (set_equal a1 (clique_reference g) && set_equal a2 a1);
+  check Alcotest.bool "the cold run tripped the cap" true
+    (s1.Plan_cache.tests.capped > 0);
+  check Alcotest.bool "a game was compiled" true
+    (s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled > 0);
   check Alcotest.int "pebble games compiled once, reused warm"
     s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
     s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
+  check Alcotest.int "no cap tripped warm" s1.Plan_cache.tests.capped
+    s2.Plan_cache.tests.capped;
+  check Alcotest.bool "warm run asks the game again" true
+    (s2.Plan_cache.tests.pebble_answers > s1.Plan_cache.tests.pebble_answers);
   check Alcotest.bool "warm run hits the verdict memo" true
     (s2.Plan_cache.pebble.Wd_core.Pebble_cache.hits
     > s1.Plan_cache.pebble.Wd_core.Pebble_cache.hits)
@@ -69,25 +111,28 @@ let test_warm_reuse () =
 (* ------------------------------------------------------------------ *)
 
 let test_epoch_invalidation () =
-  let plan = Engine.plan ~optimize:false pattern in
-  let a1, s1 = Engine.solutions_stats plan graph in
+  let g1 = tournament 1 in
+  let plan = Engine.plan clique_pattern in
+  let a1, s1 = Engine.solutions_stats plan g1 in
   let s1 = Option.get s1 in
   check Alcotest.bool "first run matches the reference" true
-    (set_equal a1 (reference graph));
+    (set_equal a1 (clique_reference g1));
   (* "mutate" the graph: immutable stores make every mutation a new
      store with a fresh epoch *)
   let g2 =
-    Graph.union graph
+    Graph.union g1
       (Graph.of_triples
          [
-           Triple.make (Term.iri "n:fresh") (Term.iri "p:knows")
-             (Term.iri "n:person0");
+           Triple.make Workload.Graph_families.anchor (Term.iri "p:p")
+             (Workload.Graph_families.tnode 1);
          ])
   in
   let a2, s2 = Engine.solutions_stats plan g2 in
   let s2 = Option.get s2 in
   check Alcotest.bool "answers track the mutated graph" true
-    (set_equal a2 (reference g2));
+    (set_equal a2 (clique_reference g2));
+  check Alcotest.bool "the mutation is visible in the answers" false
+    (set_equal a1 a2);
   check Alcotest.int "stats report the invalidation" 1
     s2.Plan_cache.invalidations;
   check Alcotest.bool "sources were recompiled for the new store" true
@@ -102,6 +147,9 @@ let test_epoch_invalidation () =
   check Alcotest.int "no further invalidation" 1 s3.Plan_cache.invalidations;
   check Alcotest.int "no further compilation"
     s2.Plan_cache.hom_sources s3.Plan_cache.hom_sources;
+  check Alcotest.int "no further game compilation"
+    s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
+    s3.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
   (* membership checks share the plan cache and survive the swap too *)
   Sparql.Mapping.Set.iter
     (fun mu ->
@@ -119,33 +167,55 @@ let run_on plan g =
     (set_equal a (reference g));
   Option.get s
 
+(* On the clique fixture, so both stores' entries hold staged games and
+   capped keys: alternating must keep both. *)
+let run_clique plan g =
+  let a, s = Engine.solutions_stats plan g in
+  check Alcotest.bool "answers match the reference" true
+    (set_equal a (clique_reference g));
+  Option.get s
+
 let test_mru_two_stores () =
-  let plan = Engine.plan ~optimize:false pattern in
-  let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
-  let _ = run_on plan g1 in
-  let s2 = run_on plan g2 in
+  let plan = Engine.plan clique_pattern in
+  let g1 = tournament 1 and g2 = tournament 2 in
+  let s1 = run_clique plan g1 in
+  let s2 = run_clique plan g2 in
   check Alcotest.int "switching stores builds a second entry" 1
     s2.Plan_cache.invalidations;
+  check Alcotest.bool "each store trips the cap and stages its games" true
+    (s1.Plan_cache.tests.capped > 0
+    && s2.Plan_cache.tests.capped > s1.Plan_cache.tests.capped
+    && s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled > 0
+    && s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
+       > s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled);
   (* alternating between two live stores rebuilds nothing: each run is a
      front-of-list bump, not a recompile *)
   let s = ref s2 in
   for _ = 1 to 3 do
-    s := run_on plan g1;
-    s := run_on plan g2
+    s := run_clique plan g1;
+    s := run_clique plan g2
   done;
   check Alcotest.int "alternation never rebuilds" 1
     !s.Plan_cache.invalidations;
   check Alcotest.int "no eviction under the default capacity" 0
     !s.Plan_cache.plan_evictions;
   check Alcotest.int "both stores stay cached" 2 !s.Plan_cache.live_entries;
+  check Alcotest.int "no sources recompiled while alternating"
+    s2.Plan_cache.hom_sources !s.Plan_cache.hom_sources;
   check Alcotest.int "no games recompiled while alternating"
     s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
-    !s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
+    !s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
+  (* both exact-verdict memos survive: capped keys go straight to the
+     game, so no cap trips again *)
+  check Alcotest.int "no cap tripped while alternating"
+    s2.Plan_cache.tests.capped !s.Plan_cache.tests.capped;
+  check Alcotest.bool "the games keep answering" true
+    (!s.Plan_cache.tests.pebble_answers > s2.Plan_cache.tests.pebble_answers)
 
 let test_plan_capacity_eviction () =
   let plan = Engine.plan ~optimize:false ~plan_capacity:1 pattern in
   let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
-  let _ = run_on plan g1 in
+  let s1 = run_on plan g1 in
   let s2 = run_on plan g2 in
   let s3 = run_on plan g1 in
   check Alcotest.int "every switch rebuilds at capacity 1" 2
@@ -155,9 +225,11 @@ let test_plan_capacity_eviction () =
   check Alcotest.int "one live entry" 1 s3.Plan_cache.live_entries;
   (* counters from the evicted entries are retired, not lost: the third
      build adds to a total that still includes the first two *)
-  check Alcotest.bool "retired compile counts accumulate" true
-    (s3.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
-    > s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled)
+  check Alcotest.bool "retired child-test counts accumulate" true
+    (s3.Plan_cache.tests.exact > s2.Plan_cache.tests.exact);
+  check Alcotest.int "every child test counted once across evictions"
+    (s2.Plan_cache.tests.exact + s1.Plan_cache.tests.exact)
+    s3.Plan_cache.tests.exact
 
 (* ------------------------------------------------------------------ *)
 (* Shared unary base domains (PR 4)                                    *)
@@ -183,11 +255,17 @@ let test_unary_sharing () =
        OPTIONAL { ?b p:knows ?z . ?z p:active p:yes } }"
   in
   let plan = Engine.plan ~optimize:false p in
-  let answers, s = Engine.solutions_stats plan g in
-  let s = Option.get s in
+  let answers = Engine.solutions plan g in
   check Alcotest.bool "answers match the reference" true
     (set_equal answers (Sparql.Eval.eval p g));
-  let pb = s.Plan_cache.pebble in
+  (* evaluation answers these cheap children exact; [Engine.check] runs
+     the pebble algorithm on the same plan cache *)
+  Sparql.Mapping.Set.iter
+    (fun mu ->
+      check Alcotest.bool "check accepts every answer" true
+        (Engine.check plan g mu))
+    answers;
+  let pb = (Plan_cache.stats plan.Engine.cache).Plan_cache.pebble in
   check Alcotest.bool "some unary domains were scanned" true
     (pb.Wd_core.Pebble_cache.unary_misses > 0);
   check Alcotest.bool "the two children's games share unary scans" true
@@ -236,47 +314,63 @@ let test_eviction_absorbs_worker_views () =
     && after.Plan_cache.pebble.Pebble_cache.compiled
        >= before.Pebble_cache.compiled)
 
-(* Reconciliation under churn: the same evaluation sequence, with and
-   without eviction pressure, accounts for exactly the same number of
-   verdict lookups — eviction may force recompilation, never lose
-   counters — and every total is monotone run over run. *)
+(* Reconciliation under churn: the same evaluation sequence at 2
+   domains, with and without eviction pressure, accounts for exactly the
+   same child tests and pebble-verdict lookups — eviction may force
+   recompilation, never lose counters — and every total is monotone run
+   over run. On the clique fixture the cap trips, so both sides of the
+   portfolio count; at 2 domains every test runs on a
+   {!Plan_cache.worker} whose counters reach the entry through
+   [absorb_worker] and the retired totals through eviction. *)
 let test_retired_reconcile_churn () =
-  let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
-  let churn = Engine.plan ~optimize:false ~plan_capacity:1 pattern in
-  let roomy = Engine.plan ~optimize:false pattern in
+  let g1 = tournament 1 and g2 = tournament 2 in
+  let churn = Engine.plan ~plan_capacity:1 clique_pattern in
+  let roomy = Engine.plan clique_pattern in
+  let tests s =
+    s.Plan_cache.tests.Plan_cache.exact + s.Plan_cache.tests.pebble_answers
+  in
   let lookups s =
     s.Plan_cache.pebble.Pebble_cache.hits
     + s.Plan_cache.pebble.Pebble_cache.misses
   in
-  let last = ref 0 in
+  let last = ref (0, 0) in
   let run plan g =
     let a, s = Engine.solutions_stats ~domains:2 plan g in
     check Alcotest.bool "answers match the reference" true
-      (set_equal a (reference g));
+      (set_equal a (clique_reference g));
     Option.get s
   in
+  let monotone s =
+    let t, l = !last in
+    check Alcotest.bool "child-test total is monotone across churn" true
+      (tests s >= t);
+    check Alcotest.bool "lookup total is monotone across churn" true
+      (lookups s >= l);
+    last := (tests s, lookups s)
+  in
   let final_churn = ref None and final_roomy = ref None in
-  for i = 1 to 3 do
-    ignore i;
-    let sc = run churn g1 in
-    check Alcotest.bool "lookup total is monotone across churn" true
-      (lookups sc >= !last);
-    last := lookups sc;
+  for _ = 1 to 3 do
+    monotone (run churn g1);
     let sc = run churn g2 in
-    check Alcotest.bool "lookup total is monotone across churn" true
-      (lookups sc >= !last);
-    last := lookups sc;
+    monotone sc;
     final_churn := Some sc;
     ignore (run roomy g1);
     final_roomy := Some (run roomy g2)
   done;
   let sc = Option.get !final_churn and sr = Option.get !final_roomy in
+  check Alcotest.bool "both sides of the portfolio answered" true
+    (sr.Plan_cache.tests.exact > 0 && sr.Plan_cache.tests.pebble_answers > 0
+    && lookups sr > 0);
   check Alcotest.int
-    "evicting and non-evicting plans account the same lookups"
-    (lookups sr) (lookups sc);
+    "evicting and non-evicting plans account the same child tests"
+    (tests sr) (tests sc);
+  check Alcotest.int "... and the same pebble answers"
+    sr.Plan_cache.tests.pebble_answers sc.Plan_cache.tests.pebble_answers;
+  check Alcotest.int "... and the same verdict lookups" (lookups sr)
+    (lookups sc);
   check Alcotest.bool "churn recompiles, reconciled in retired totals" true
     (sc.Plan_cache.pebble.Pebble_cache.compiled
-    >= sr.Plan_cache.pebble.Pebble_cache.compiled);
+    > sr.Plan_cache.pebble.Pebble_cache.compiled);
   check Alcotest.int "capacity 1 evicted on every switch" 5
     sc.Plan_cache.plan_evictions
 
@@ -326,21 +420,130 @@ let test_absorb_views_worker_crash () =
 let test_verdict_lru () =
   let capped = Engine.plan ~optimize:false ~verdict_capacity:1 pattern in
   let uncapped = Engine.plan ~optimize:false pattern in
-  let ac, sc = Engine.solutions_stats capped graph in
-  let au, su = Engine.solutions_stats uncapped graph in
-  let sc = Option.get sc and su = Option.get su in
+  let ac = Engine.solutions capped graph in
+  let au = Engine.solutions uncapped graph in
   check Alcotest.bool "capped answers = uncapped answers" true
     (set_equal ac au);
   check Alcotest.bool "capped answers = reference" true
     (set_equal ac (reference graph));
+  (* the pebble verdicts: [Engine.check] runs the pebble algorithm on
+     each plan's cache for every answer *)
+  let pebble_stats plan =
+    Sparql.Mapping.Set.iter
+      (fun mu ->
+        check Alcotest.bool "check accepts every answer" true
+          (Engine.check plan graph mu))
+      au;
+    (Plan_cache.stats plan.Engine.cache).Plan_cache.pebble
+  in
+  let sc = pebble_stats capped and su = pebble_stats uncapped in
   check Alcotest.bool "a capacity of 1 must evict" true
-    (sc.Plan_cache.pebble.Wd_core.Pebble_cache.evictions > 0);
+    (sc.Wd_core.Pebble_cache.evictions > 0);
   check Alcotest.int "the generous default evicts nothing" 0
-    su.Plan_cache.pebble.Wd_core.Pebble_cache.evictions;
+    su.Wd_core.Pebble_cache.evictions;
   (* the cap trades memo hits for recomputation, nothing else *)
   check Alcotest.bool "capped run recomputes more" true
-    (sc.Plan_cache.pebble.Wd_core.Pebble_cache.misses
-    >= su.Plan_cache.pebble.Wd_core.Pebble_cache.misses)
+    (sc.Wd_core.Pebble_cache.misses >= su.Wd_core.Pebble_cache.misses)
+
+(* ------------------------------------------------------------------ *)
+(* Exact-first maximality                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Enumerate = Wd_core.Enumerate
+
+(* The portfolio is exact whenever k >= dw, at any domain count: a
+   per-candidate mix of exact and pebble child tests decides "some child
+   extends" exactly like either test alone (Theorem 1 with Lemma 1). *)
+let portfolio_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:120
+       ~name:"Pebble dw = Hom = algebra, at 1 and 2 domains"
+       (QCheck.make
+          ~print:(fun (g, q) ->
+            Printf.sprintf "graph seed %d, query seed %d" g q)
+          QCheck.Gen.(pair Testutil.seed_gen Testutil.seed_gen))
+       (fun (gseed, qseed) ->
+         let g = Testutil.graph_of_seed ~nodes:5 ~preds:2 ~triples:14 gseed in
+         let p = Testutil.wd_pattern_of_seed ~triples:6 qseed in
+         let forest = Wdpt.Pattern_forest.of_algebra p in
+         let dw = Wd_core.Domination_width.of_forest forest in
+         let reference = Sparql.Eval.eval p g in
+         List.for_all
+           (fun (maximality, domains) ->
+             set_equal reference
+               (Enumerate.solutions ~maximality ~domains ~optimize:`On forest
+                  g))
+           [ (`Hom, 1); (`Pebble dw, 1); (`Pebble dw, 2) ]))
+
+(* A cap that trips: F_6's clique child cannot embed in the tournament,
+   and the exact search for it outgrows |adom|^2 ticks, so the pebble
+   game (k = dw = 1) answers that test. *)
+let test_cap_trips () =
+  let g = tournament 3 in
+  let expected = clique_reference g in
+  List.iter
+    (fun domains ->
+      let cache = Plan_cache.create () in
+      let got =
+        Enumerate.solutions ~maximality:(`Pebble 1) ~domains ~cache
+          clique_forest g
+      in
+      let s = Plan_cache.stats cache in
+      let label = Printf.sprintf " (%d domain(s))" domains in
+      check Alcotest.bool ("answers = Wdpt.Semantics" ^ label) true
+        (set_equal got expected);
+      check Alcotest.bool ("the cap tripped" ^ label) true
+        (s.Plan_cache.tests.capped > 0);
+      check Alcotest.bool ("the pebble game answered" ^ label) true
+        (s.Plan_cache.tests.pebble_answers > 0);
+      check Alcotest.bool ("the cheap children stayed exact" ^ label) true
+        (s.Plan_cache.tests.exact > 0))
+    [ 1; 2 ];
+  (* the cap is the game's own bound d^(k+1), d the largest candidate
+     domain of the child's game: the whole dictionary for F_6's
+     unconstrained clique variables; T3's self-loop child has no
+     candidate in a tournament, so the floor 2 *)
+  let cache = Plan_cache.create () in
+  let enc = Encoded.Encoded_graph.of_graph_cached g in
+  let adom = Dictionary.size (Encoded.Encoded_graph.dictionary enc) in
+  let t1 = List.nth clique_forest 0 and t3 = List.nth clique_forest 2 in
+  check Alcotest.int "clique child: |adom|^2 at k = 1" (adom * adom)
+    (Plan_cache.exact_cap cache g t1 2 1);
+  check Alcotest.int "self-loop child: 2^2" 4
+    (Plan_cache.exact_cap cache g t3 1 1);
+  check Alcotest.int "saturates" (max_int - 1)
+    (Plan_cache.exact_cap cache g t1 2 60)
+
+(* {!Workload.Query_families.f_k_typed} on a tournament whose nodes
+   are the class, padded with unrelated terms. The game ranges over the
+   class only, so the cap is |class|^2, not |dictionary|^2, and the
+   clique search trips it. *)
+let test_cap_follows_unary_domains () =
+  let n = 9 in
+  let forest = Workload.Query_families.f_k_typed 6 in
+  check Alcotest.int "typing keeps dw = 1" 1
+    (Wd_core.Domination_width.of_forest forest);
+  let pad i = Term.iri (Printf.sprintf "u:%d" i) in
+  let g =
+    Graph.union (tournament 3)
+      (Graph.of_triples
+         (List.init n (fun i ->
+              Triple.make (Workload.Graph_families.tnode i) (Term.iri "p:type")
+                Workload.Query_families.class_t)
+         @ List.init 300 (fun i ->
+               Triple.make (pad i) (Term.iri "p:s") (pad (i + 1)))))
+  in
+  let cache = Plan_cache.create () in
+  let got =
+    Enumerate.solutions ~maximality:(`Pebble 1) ~optimize:`On ~cache forest g
+  in
+  check Alcotest.bool "answers = Wdpt.Semantics" true
+    (set_equal got (Wdpt.Semantics.solutions forest g));
+  check Alcotest.int "clique child: |class|^2" (n * n)
+    (Plan_cache.exact_cap cache g (List.hd forest) 2 1);
+  let s = Plan_cache.stats cache in
+  check Alcotest.bool "the clique search tripped the class-sized cap" true
+    (s.Plan_cache.tests.capped > 0 && s.Plan_cache.tests.pebble_answers > 0)
 
 let () =
   Alcotest.run "plan_cache"
@@ -349,6 +552,8 @@ let () =
       ( "reuse",
         [
           Alcotest.test_case "warm reuse" `Quick test_warm_reuse;
+          Alcotest.test_case "warm reuse past the cap" `Quick
+            test_warm_reuse_past_cap;
           Alcotest.test_case "epoch invalidation" `Quick
             test_epoch_invalidation;
         ] );
@@ -377,4 +582,12 @@ let () =
             test_absorb_views_worker_crash;
         ] );
       ("lru", [ Alcotest.test_case "verdict eviction" `Quick test_verdict_lru ]);
+      ( "portfolio",
+        [
+          portfolio_differential;
+          Alcotest.test_case "a tripped cap hands over to the game" `Quick
+            test_cap_trips;
+          Alcotest.test_case "the cap follows the game's unary domains"
+            `Quick test_cap_follows_unary_domains;
+        ] );
     ]

@@ -200,6 +200,77 @@ let test_fork_refill_join_conservation () =
    with Budget.Exhausted _ -> ());
   check Alcotest.int "unspent + refill returned on join" 139 !ticks
 
+(* [capped]: a local tick cap inside a budget, the exact-first
+   maximality test's bound. *)
+let spin b n = for _ = 1 to n do Budget.tick b done
+
+let test_capped_trips () =
+  check Alcotest.(option int) "within the cap" (Some 7)
+    (Budget.capped Budget.unlimited 10 (fun b -> spin b 10; 7));
+  check Alcotest.(option int) "tripped cap reports capped, no raise" None
+    (Budget.capped Budget.unlimited 10 (fun b -> spin b 11; 7));
+  check Alcotest.(option int) "cap 0 trips on the first tick" None
+    (Budget.capped Budget.unlimited 0 (fun b -> spin b 1; 7));
+  Alcotest.check_raises "negative cap"
+    (Invalid_argument "Budget.capped: negative cap") (fun () ->
+      ignore (Budget.capped Budget.unlimited (-1) Fun.id));
+  (* an exception from the region passes through untouched *)
+  Alcotest.check_raises "region exceptions propagate" Exit (fun () ->
+      ignore (Budget.capped Budget.unlimited 10 (fun _ -> raise Exit)))
+
+let test_capped_outer_limits () =
+  (* fuel: 20 units allow 19 ticks, so a 100-tick cap never trips first *)
+  let b = Budget.make ~fuel:20 () in
+  exhausts (fun () -> Budget.capped b 100 (fun b -> spin b 50));
+  let b = Budget.make ~timeout:0.01 () in
+  Unix.sleepf 0.02;
+  exhausts (fun () ->
+      Budget.capped b 1_000_000 (fun b ->
+          spin b (2 * Budget.deadline_check_interval)));
+  let b = Budget.make ~fuel:1_000_000 () in
+  Budget.cancel b;
+  exhausts (fun () ->
+      Budget.capped b 1_000_000 (fun b ->
+          spin b (2 * Budget.deadline_check_interval)));
+  (* the cap is gone again after the region: the outer budget runs on *)
+  let b = Budget.make ~fuel:1_000 () in
+  ignore (Budget.capped b 5 (fun b -> spin b 6));
+  spin b 100
+
+let test_capped_charges_outer () =
+  let b = Budget.make ~fuel:1_000 () in
+  spin b 3;
+  check Alcotest.(option unit) "completed region" (Some ())
+    (Budget.capped b 10 (fun b -> spin b 4));
+  check Alcotest.int "completed ticks charged" 7 (Budget.spent b);
+  check Alcotest.(option unit) "tripped region" None
+    (Budget.capped b 10 (fun b -> spin b 50));
+  check Alcotest.int "tripped ticks charged, the tripping one included" 18
+    (Budget.spent b);
+  check Alcotest.(option int) "fuel drawn by both regions" (Some (1_000 - 18))
+    (Budget.fuel_left b);
+  Alcotest.check_raises "caps do not nest"
+    (Invalid_argument "Budget.capped: nested cap") (fun () ->
+      ignore (Budget.capped b 10 (fun b -> Budget.capped b 5 Fun.id)));
+  check Alcotest.(option unit) "the cap is cleared after a rejected nesting"
+    (Some ())
+    (Budget.capped b 10 (fun b -> spin b 10))
+
+let test_capped_fork_view () =
+  let b = Budget.make ~fuel:500 () in
+  let views = Budget.fork b 2 in
+  let v = views.(0) in
+  check Alcotest.(option unit) "cap trips on a view" None
+    (Budget.capped v 10 (fun v -> spin v 20));
+  check Alcotest.(option unit) "view completes under a cap" (Some ())
+    (Budget.capped views.(1) 10 (fun v -> spin v 10));
+  check Alcotest.int "view charged" 11 (Budget.spent v);
+  (* the group's shared fuel still fires inside a cap *)
+  exhausts (fun () -> Budget.capped v 1_000_000 (fun v -> spin v 1_000));
+  Budget.join b views;
+  check Alcotest.bool "capped ticks fold into the parent" true
+    (Budget.spent b >= 21)
+
 module Token_bucket = Resource.Token_bucket
 
 let test_token_bucket_basic () =
@@ -469,6 +540,13 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "phases" `Quick test_phase;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "capped: trips without raising" `Quick
+            test_capped_trips;
+          Alcotest.test_case "capped: outer limits fire inside" `Quick
+            test_capped_outer_limits;
+          Alcotest.test_case "capped: ticks charged outside" `Quick
+            test_capped_charges_outer;
+          Alcotest.test_case "capped: fork views" `Quick test_capped_fork_view;
         ] );
       ( "refill",
         [

@@ -391,6 +391,18 @@ let test_smoke () =
           check Alcotest.bool "final stats count the successes" true
             (Option.value ~default:0 (Json.to_int n) >= 3)
       | None -> Alcotest.fail "final stats lack a responses section");
+      (match
+         Option.bind (Json.member "plan_cache" final)
+           (Json.member "child_tests")
+       with
+      | Some tests ->
+          List.iter
+            (fun key ->
+              check Alcotest.bool ("stats count child tests: " ^ key) true
+                (Option.is_some
+                   (Option.bind (Json.member key tests) Json.to_int)))
+            [ "exact"; "exact_hits"; "pebble"; "capped" ]
+      | None -> Alcotest.fail "final stats lack plan_cache.child_tests");
       (match http_request ~port "GET /health HTTP/1.1\r\n\r\n" with
       | _ -> Alcotest.fail "listener still accepting after drain"
       | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ECONNRESET), _, _)
