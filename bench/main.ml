@@ -737,40 +737,8 @@ let t6 () =
   Fmt.pr "canonical frozen instances catch the missing-optional case.@."
 
 (* ------------------------------------------------------------------ *)
-(* A1–A3 — ablations of this implementation's design choices           *)
+(* A2–A3 — ablations of this implementation's design choices           *)
 (* ------------------------------------------------------------------ *)
-
-let a1 () =
-  header "A1" "ablation: fail-first vs static pattern ordering in the solver"
-    "DESIGN.md: join-style backtracking with most-constrained-first";
-  let forest = Query_families.f_k 8 in
-  let g, mu = Graph_families.tournament_instance ~seed:1 ~n:(if !fast then 16 else 24) in
-  Fmt.pr "%-14s %12s %14s@." "strategy" "time(ms)" "search nodes";
-  List.iter
-    (fun (name, strategy) ->
-      Tgraphs.Homomorphism.reset_stats ();
-      (* run the naive evaluator with the solver pinned to [strategy] by
-         driving its inner tests directly *)
-      let _, t =
-        time_median ~runs:1 (fun () ->
-            List.for_all
-              (fun tree ->
-                match Wdpt.Subtree.matching tree g mu with
-                | None -> true
-                | Some subtree ->
-                    List.for_all
-                      (fun n ->
-                        not
-                          (Tgraphs.Homomorphism.exists ~strategy
-                             ~pre:(Sparql.Mapping.to_assignment mu)
-                             ~source:(Wdpt.Pattern_tree.pat tree n)
-                             ~target:(Rdf.Graph.to_index g) ()))
-                      (Wdpt.Subtree.children subtree))
-              forest)
-      in
-      Fmt.pr "%-14s %12.3f %14d@." name (ms t) (Tgraphs.Homomorphism.search_nodes ()))
-    [ ("fail-first", `Fail_first); ("static", `Static) ];
-  Fmt.pr "@.shape: fail-first expands far fewer backtracking nodes.@."
 
 let a2 () =
   header "A2" "ablation: unary candidate pruning in the pebble game"
@@ -1142,10 +1110,10 @@ let a6 () =
   header "A6" "ablation: evaluation-wide pebble cache on/off"
     "ISSUE 2 tentpole: compiled-game reuse + verdict memoization";
   Fmt.pr "Theorem-1 membership streams (one Pebble_eval.check per candidate@.";
-  Fmt.pr "mapping) over the encoded kernel, without memoization and with the@.";
-  Fmt.pr "full cache (games compiled once, verdicts keyed on µ|shared).  Plus@.";
-  Fmt.pr "one full Pebble_eval.solutions workload, where the homomorphism@.";
-  Fmt.pr "join dilutes the gain.@.@.";
+  Fmt.pr "mapping) over the encoded kernel, with a fresh plan cache per check@.";
+  Fmt.pr "and with one shared cache (one game per (node, k), verdicts keyed on@.";
+  Fmt.pr "µ|shared).  Plus one full Pebble_eval.solutions workload, where the@.";
+  Fmt.pr "homomorphism join dilutes the gain.@.@.";
   Fmt.pr "%-28s %8s %12s %10s %8s %8s %6s@." "workload" "answers"
     "nocache(ms)" "cache(ms)" "speedup" "hits" "games";
   let speedups = ref [] in
@@ -1167,23 +1135,24 @@ let a6 () =
       (ms t_nocache) (ms t_cached) speedup stats.Wd_core.Pebble_cache.hits
       stats.Wd_core.Pebble_cache.compiled
   in
-  (* Time [run] once per cache variant: a memo-disabled cache, then a
-     fresh full cache whose stats are reported. *)
-  let measure graph run =
+  (* Time [run] once per cache variant: a fresh plan cache for every
+     check (nothing carried from one check to the next), then one shared
+     cache whose stats are reported. *)
+  let measure run =
     let runs = 3 in
     let nocache_ans, t_nocache =
       time_median ~runs (fun () ->
-          run (Wd_core.Pebble_cache.create ~memo:false graph))
+          run (fun () -> Wd_core.Plan_cache.create ()))
     in
     let cache = ref None in
     let cached_ans, t_cached =
       time_median ~runs (fun () ->
-          let c = Wd_core.Pebble_cache.create graph in
+          let c = Wd_core.Plan_cache.create () in
           cache := Some c;
-          run c)
+          run (fun () -> c))
     in
     (nocache_ans, cached_ans, t_nocache, t_cached,
-     Wd_core.Pebble_cache.stats (Option.get !cache))
+     (Wd_core.Plan_cache.stats (Option.get !cache)).Wd_core.Plan_cache.pebble)
   in
   (* membership-check streams *)
   let n = if !fast then 10 else 14 and anchors = if !fast then 6 else 8 in
@@ -1198,9 +1167,10 @@ let a6 () =
     (fun (name, k, forest, seed) ->
       let graph, mus = stream_instance ~seed ~n ~anchors in
       let nocache_ans, cached_ans, t_nocache, t_cached, stats =
-        measure graph (fun cache ->
+        measure (fun cache ->
             List.map
-              (fun mu -> Wd_core.Pebble_eval.check ~k ~cache forest graph mu)
+              (fun mu ->
+                Wd_core.Pebble_eval.check ~k ~cache:(cache ()) forest graph mu)
               mus)
       in
       assert (nocache_ans = cached_ans);
@@ -1213,10 +1183,36 @@ let a6 () =
     let graph =
       fst (Graph_families.tournament_instance ~seed:1 ~n:(if !fast then 10 else 14))
     in
-    let nocache_ans, cached_ans, t_nocache, t_cached, stats =
-      measure graph (fun cache ->
-          Wd_core.Pebble_eval.solutions ~cache ~k:1 forest graph)
+    (* Pebble_eval.solutions's candidates (homomorphisms of every
+       subtree pattern), each checked on its own cache on the no-cache
+       side *)
+    let solutions cache =
+      let enc = Encoded.Encoded_graph.of_graph_cached graph in
+      List.fold_left
+        (fun acc tree ->
+          List.fold_left
+            (fun acc subtree ->
+              Encoded.Encoded_hom.all
+                (Encoded.Encoded_hom.compile (Wdpt.Subtree.pat subtree) enc)
+              |> List.filter_map Sparql.Mapping.of_assignment
+              |> List.fold_left
+                   (fun acc mu ->
+                     if
+                       (not (Sparql.Mapping.Set.mem mu acc))
+                       && Wd_core.Pebble_eval.check ~cache:(cache ()) ~k:1
+                            forest graph mu
+                     then Sparql.Mapping.Set.add mu acc
+                     else acc)
+                   acc)
+            acc (Wdpt.Subtree.all tree))
+        Sparql.Mapping.Set.empty forest
     in
+    let nocache_ans, cached_ans, t_nocache, t_cached, stats =
+      measure solutions
+    in
+    assert (
+      Sparql.Mapping.Set.equal cached_ans
+        (Wd_core.Pebble_eval.solutions ~k:1 forest graph));
     assert (Sparql.Mapping.Set.equal nocache_ans cached_ans);
     report "f4-solutions" (Sparql.Mapping.Set.cardinal cached_ans) t_nocache
       t_cached stats
@@ -1226,7 +1222,7 @@ let a6 () =
     List.nth sorted (List.length sorted / 2)
   in
   record ~experiment:"A6" ~metric:"median_speedup_vs_nocache" median_speedup;
-  Fmt.pr "@.median cached speedup vs the memo-disabled cache: %.1fx@."
+  Fmt.pr "@.median cached speedup vs a fresh cache per check: %.1fx@."
     median_speedup
 
 let a7 () =
@@ -1865,39 +1861,55 @@ let a12 () =
           (Rdf.Term.iri "p:knows")
           (Rdf.Term.iri (Printf.sprintf "urn:delta%d:%d" d (i + 1))))
   in
-  (* best-of-N on both paths symmetrically: a stray major GC inside a
-     ~4ms timed region would otherwise dominate the ratio *)
-  let best l = List.fold_left Float.min infinity l in
-  let runs = 5 in
-  Fmt.pr "%-8s %15s %18s %9s@." "delta" "append+query(ms)"
-    "recompile+query(ms)" "speedup";
+  (* [pairs] alternating append/recompile pairs per delta (the first
+     path of a pair alternates too), gated on the median per-pair
+     speedup: one slow run under a parallel test suite then moves a
+     quartile, not the gate *)
+  let pairs = 7 in
+  let quartiles l =
+    let a = Array.of_list (List.sort compare l) in
+    let at q = a.(q * (Array.length a - 1) / 4) in
+    (at 1, at 2, at 3)
+  in
+  Fmt.pr "%-8s %15s %18s %9s %15s@." "delta" "append+query(ms)"
+    "recompile+query(ms)" "speedup" "speedup q1-q3";
   let speedups =
     List.map
       (fun d ->
         let adds = delta d in
-        let t_inc =
-          best
-            (List.init runs (fun _ ->
-                 (* every run starts a fresh chain on a pristine base *)
-                 (try Sys.remove (Storage.seg_path inc 1)
-                  with Sys_error _ -> ());
-                 a12_copy_file wds inc;
-                 snd
-                   (time_once (fun () ->
-                        ignore (Storage.append ~adds inc);
-                        ttfs (fun () -> Storage.load_graph inc)))))
+        let append () =
+          (* every run starts a fresh chain on a pristine base *)
+          (try Sys.remove (Storage.seg_path inc 1) with Sys_error _ -> ());
+          a12_copy_file wds inc;
+          snd
+            (time_once (fun () ->
+                 ignore (Storage.append ~adds inc);
+                 ttfs (fun () -> Storage.load_graph inc)))
         in
-        let t_full =
-          best
-            (List.init runs (fun _ ->
-                 snd
-                   (time_once (fun () ->
-                        let g' = Rdf.Graph.of_triples (base_triples @ adds) in
-                        Storage.save (Encoded.Encoded_graph.of_graph g') whole;
-                        ttfs (fun () -> Storage.load_graph whole)))))
+        let recompile () =
+          snd
+            (time_once (fun () ->
+                 let g' = Rdf.Graph.of_triples (base_triples @ adds) in
+                 Storage.save (Encoded.Encoded_graph.of_graph g') whole;
+                 ttfs (fun () -> Storage.load_graph whole)))
         in
-        let speedup = t_full /. Float.max t_inc 1e-9 in
-        Fmt.pr "%-8d %15.3f %18.3f %8.1fx@." d (ms t_inc) (ms t_full) speedup;
+        let runs =
+          List.init pairs (fun i ->
+              if i mod 2 = 0 then
+                let t_inc = append () in
+                (t_inc, recompile ())
+              else
+                let t_full = recompile () in
+                (append (), t_full))
+        in
+        let _, t_inc, _ = quartiles (List.map fst runs) in
+        let _, t_full, _ = quartiles (List.map snd runs) in
+        let q1, speedup, q3 =
+          quartiles
+            (List.map (fun (i, f) -> f /. Float.max i 1e-9) runs)
+        in
+        Fmt.pr "%-8d %15.3f %18.3f %8.1fx %7.1f-%.1fx@." d (ms t_inc)
+          (ms t_full) speedup q1 q3;
         record ~experiment:"A12"
           ~metric:(Printf.sprintf "append_ms_%d" d)
           (ms t_inc);
@@ -1905,6 +1917,8 @@ let a12 () =
           ~metric:(Printf.sprintf "recompile_ms_%d" d)
           (ms t_full);
         record ~experiment:"A12" ~metric:(Printf.sprintf "speedup_%d" d) speedup;
+        record ~experiment:"A12" ~metric:(Printf.sprintf "speedup_%d_q1" d) q1;
+        record ~experiment:"A12" ~metric:(Printf.sprintf "speedup_%d_q3" d) q3;
         (d, speedup))
       [ 1; 10; 1000 ]
   in
@@ -1986,13 +2000,15 @@ let a12 () =
       slices;
     exit 1
   end;
-  (* hard gate: small-delta updates must be >= 10x cheaper end to end.
-     The 1k-delta point is informative under --fast (the base graph is
-     small enough that recompiling it is itself cheap). *)
+  (* hard gate: small-delta updates must be >= 10x cheaper end to end,
+     at the median of the alternating pairs. The 1k-delta point is
+     informative under --fast (the base graph is small enough that
+     recompiling it is itself cheap). *)
   List.iter
     (fun (d, s) ->
       if (d < 1000 || not !fast) && s < 10. then begin
-        Fmt.epr "A12: append speedup %.1fx at delta %d below the 10x target@."
+        Fmt.epr
+          "A12: median append speedup %.1fx at delta %d below the 10x target@."
           s d;
         exit 1
       end)
@@ -2244,7 +2260,7 @@ let experiments =
     ("T1", t1); ("F1", f1); ("F2", f2); ("T2", t2); ("F3", f3);
     ("T3", t3); ("T4", t4); ("F4", f4); ("T5", t5); ("F5", f5);
     ("F6", f6); ("F7", f7); ("T6", t6); ("T7", t7);
-    ("A1", a1); ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
+    ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
     (* A10 runs before A8: A8 leaves its borrowed worker domains alive
        (pool registry), and idle domains tax every minor GC with
        stop-the-world synchronization — uniform overhead that would

@@ -27,7 +27,7 @@ type plan = {
 }
 
 let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
-    ?(optimize = true) ?verdict_capacity ?plan_capacity pattern =
+    ?(optimize = true) ?plan_capacity pattern =
   let forest = Wdpt.Pattern_forest.of_algebra pattern in
   let domination_width, width_source =
     match hints.dw_exact with
@@ -62,15 +62,14 @@ let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
     width_source;
     algorithm;
     optimize;
-    cache = Plan_cache.create ?verdict_capacity ?plan_capacity ();
+    cache = Plan_cache.create ?plan_capacity ();
   }
 
 let check ?budget plan graph mu =
   match plan.algorithm with
   | Naive -> Wdpt.Semantics.check ?budget plan.forest graph mu
   | Pebble k ->
-      Pebble_eval.check ?budget ~cache:(Plan_cache.pebble plan.cache graph) ~k
-        plan.forest graph mu
+      Pebble_eval.check ?budget ~cache:plan.cache ~k plan.forest graph mu
 
 let solutions_stats ?budget ?domains plan graph =
   let maximality =

@@ -6,7 +6,9 @@
     Lemma-1 child test exact first and asks the pebble game only where
     the exact search outgrows the game's own polynomial bound
     ({!Plan_cache.run}); membership ({!check}) is the paper's Theorem-1
-    algorithm as stated, pebble game only ({!Pebble_eval.check}). *)
+    algorithm as stated, pebble game only ({!Pebble_eval.check}). Both
+    run on the plan's {!Plan_cache}: one game per (node, k), with exact
+    and relaxed verdicts memoized apart. *)
 
 open Rdf
 
@@ -67,7 +69,7 @@ type plan = {
 
 val plan :
   ?budget:Resource.Budget.t -> ?hints:hints -> ?force:algorithm ->
-  ?optimize:bool -> ?verdict_capacity:int -> ?plan_capacity:int ->
+  ?optimize:bool -> ?plan_capacity:int ->
   Sparql.Algebra.t -> plan
 (** Build a plan. By default the pebble algorithm at the query's measured
     domination width is chosen (always exact); [force] overrides. A
@@ -76,10 +78,8 @@ val plan :
     computation, the plan gracefully degrades to [hints.dw_upper] (when
     given) or a conservative treewidth upper bound, and records the
     downgrade in [width_source] so that {!pp_plan} and [Explain] surface
-    it. [verdict_capacity] bounds the
-    plan's memoized pebble verdicts ({!Pebble_cache.create});
-    [plan_capacity] how many stores the plan caches compiled artefacts
-    for at once ({!Plan_cache.create}, default 4). Raises
+    it. [plan_capacity] bounds how many stores the plan caches compiled
+    artefacts for at once ({!Plan_cache.create}, default 4). Raises
     {!Wdpt.Translate.Not_well_designed} on non-well-designed input. *)
 
 val check :

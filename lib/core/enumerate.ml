@@ -31,13 +31,12 @@ let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
          ignore (source_of n);
          ignore (order_of n))
        (Wdpt.Pattern_tree.nodes tree));
-  (* Stage each child's test once per candidate batch: the (subtree,
-     child) pair is fixed across the whole batch. *)
+  (* Stage each child's test once per candidate batch. *)
   let stage subtree =
     List.map
       (fun n ->
         Plan_cache.stage_child_test ?order:(order_of n) cache graph maximality
-          tree subtree n)
+          tree n)
       (Wdpt.Subtree.children subtree)
   in
   (* decoding any node's source decodes the whole shared array *)
@@ -53,8 +52,8 @@ let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
   (* Parallel candidate checking: the maximality test of each candidate
      in a batch is independent, so they fan out across the pool. Each
      worker slot runs the same exact-first tests as the sequential path
-     on its own {!Plan_cache.worker} (private verdict memo, counters and
-     pebble-cache view over the shared compiled games) and its own
+     on its own {!Plan_cache.worker} (private verdict memos and
+     counters; the compiled games are shared) and its own
      budget view (shared fuel pool / cancellation flag). The caller
      merges results in input order, so [add_solution] — dedup, solution
      cap — sees exactly the sequential sequence and answers are
@@ -66,7 +65,7 @@ let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
         Some
           ( pool,
             Budget.fork budget n,
-            Array.init n (Plan_cache.worker cache graph) )
+            Array.init n (fun _ -> Plan_cache.worker cache graph) )
     | _ -> None
   in
   let visit_batch =
@@ -130,14 +129,13 @@ let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
       Fun.protect
         ~finally:(fun () ->
           Budget.join budget wbudgets;
-          Array.iter (Plan_cache.absorb_worker cache graph tree) workers)
+          Array.iter (Plan_cache.absorb_worker cache tree) workers)
         run
 
 let solutions ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache
     ?(domains = 1) ?(optimize = `Off) forest graph =
-  (* One plan cache (and hence one pebble cache) across the whole forest:
-     trees share the graph and often the same child patterns, so games
-     and verdicts carry over. *)
+  (* One plan cache across the whole forest: the trees share the
+     store's encoding and unary candidate domains. *)
   let cache = match cache with Some c -> c | None -> Plan_cache.create () in
   let run pool =
     List.fold_left

@@ -20,11 +20,12 @@
       child;
     - [`Pebble k] runs the same exact test first, under a tick cap equal
       to the existential (k+1)-pebble game's own polynomial bound
-      [|adom|^(k+1)], and stages the game (Theorem 1, on the plan
-      cache's {!Pebble_cache}) only for the tests whose exact search
-      trips the cap. Per candidate the cost stays within a constant
-      factor of the game alone — polynomial even when a child hides an
-      NP-hard pattern — and the answers are exact whenever [dw ≤ k].
+      [|adom|^(k+1)], and asks the child node's game (Theorem 1: one
+      game per (node, k) on the plan cache, {!Plan_cache.run_pebble})
+      only for the tests whose exact search trips the cap. Per candidate
+      the cost stays within a constant factor of the game alone —
+      polynomial even when a child hides an NP-hard pattern — and the
+      answers are exact whenever [dw ≤ k].
       The paper's algorithm as stated, pebble game only, is
       {!Pebble_eval}. *)
 
@@ -57,7 +58,7 @@ val solutions :
     domain pool ({!Parallel.Pool.borrow}) fans the staged id-level child
     tests of each candidate batch across workers — the same exact-first
     tests, each worker with a private {!Plan_cache.worker} (verdict
-    memo, counters, pebble-cache view) — merging results back in
+    memos and counters) — merging results back in
     sequential order: the answer {e set and its construction order} are
     identical to [domains:1] for every [n] (tested as a qcheck
     property). [`Hom] always evaluates sequentially. Budgets propagate:

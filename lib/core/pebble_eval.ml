@@ -1,25 +1,27 @@
-open Rdf
 module Budget = Resource.Budget
-
-let cache_for graph = function
-  | None -> Pebble_cache.create graph
-  | Some cache ->
-      if Graph.epoch (Pebble_cache.graph cache) <> Graph.epoch graph then
-        invalid_arg "Pebble_eval: the cache was built for another graph";
-      cache
 
 let check ?(budget = Budget.unlimited) ?cache ~k forest graph mu =
   if k < 1 then invalid_arg "Pebble_eval.check: k must be at least 1";
-  let cache = cache_for graph cache in
+  let cache = match cache with Some c -> c | None -> Plan_cache.create () in
   Budget.with_phase budget "pebble-eval" @@ fun () ->
   List.exists
     (fun tree ->
       match Wdpt.Subtree.matching tree graph mu with
       | None -> false
       | Some subtree ->
+          (* µ(pat T^µ) ⊆ G holds here: the anchor half of every child
+             test, so only the per-node games remain *)
+          let assignment =
+            Encoded.Encoded_hom.encode_pre
+              (Plan_cache.node_source cache graph tree Wdpt.Pattern_tree.root)
+              (Sparql.Mapping.to_assignment mu)
+          in
           not
             (List.exists
-               (Pebble_cache.child_test cache ~budget ~k tree mu subtree)
+               (fun n ->
+                 Plan_cache.run_pebble ~budget
+                   (Plan_cache.pebble_test cache graph ~k tree n)
+                   assignment)
                (Wdpt.Subtree.children subtree)))
     forest
 
@@ -32,9 +34,9 @@ let check_auto ?budget ?cache forest graph mu =
     forest graph mu
 
 let solutions ?(budget = Budget.unlimited) ?cache ~k forest graph =
-  let cache = cache_for graph cache in
+  let cache = match cache with Some c -> c | None -> Plan_cache.create () in
   Budget.with_phase budget "pebble-eval" @@ fun () ->
-  let enc = Encoded.Encoded_graph.of_graph_cached graph in
+  let enc = Plan_cache.encoded cache graph in
   List.fold_left
     (fun acc tree ->
       List.fold_left

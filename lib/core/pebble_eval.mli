@@ -11,33 +11,35 @@
       of Theorem 1).
 
     For fixed [k] the algorithm runs in polynomial time in [|F| + |G|].
-    Every child game runs on the dictionary-encoded store through a
-    {!Pebble_cache.t}, which compiles each (subtree, child) game once and
-    memoizes its verdicts. When no [cache] is given, a fresh one is
-    created for the call; a given [cache] must have been created for
-    [graph] (same {!Rdf.Graph.epoch}), else [Invalid_argument] is
-    raised. *)
+    Once {!Wdpt.Subtree.matching} has found T^µ, µ is encoded once onto
+    the tree's variable table and each child [n] asks its node's
+    relaxed test on the {!Plan_cache.t} ({!Plan_cache.run_pebble}): one
+    game per (node, k) on the dictionary-encoded store, verdicts
+    memoized on µ|shared, pure pebble with no exact search first. The
+    cache keys its entries on the graph's {!Rdf.Graph.epoch}, so any
+    plan cache may be passed; when none is given, a fresh one is
+    created for the call. *)
 
 open Rdf
 
 val check :
-  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t -> k:int ->
+  ?budget:Resource.Budget.t -> ?cache:Plan_cache.t -> k:int ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.t -> bool
 (** [check ~k F G µ] decides [µ ∈ ⟦F⟧G], exactly when [dw(F) ≤ k].
     Raises [Invalid_argument] if [k < 1]. *)
 
 val check_pattern :
-  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t -> k:int ->
+  ?budget:Resource.Budget.t -> ?cache:Plan_cache.t -> k:int ->
   Sparql.Algebra.t -> Graph.t -> Sparql.Mapping.t -> bool
 
 val check_auto :
-  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t ->
+  ?budget:Resource.Budget.t -> ?cache:Plan_cache.t ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.t -> bool
 (** Compute [dw(F)] first (exponential in the query only), then run
     {!check} with that bound — always exact. *)
 
 val solutions :
-  ?budget:Resource.Budget.t -> ?cache:Pebble_cache.t -> k:int ->
+  ?budget:Resource.Budget.t -> ?cache:Plan_cache.t -> k:int ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.Set.t
 (** Answer enumeration built on the polynomial membership test: candidate
     mappings are generated per subtree from homomorphisms of its pattern

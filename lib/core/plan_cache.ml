@@ -48,58 +48,118 @@ let add_tests a b =
    (the key then goes straight to the pebble game). *)
 type verdict = Extends | No_extension | Capped
 
-(* Per-tree compiled join artefacts. Every node pattern of a tree is
-   compiled against ONE shared variable table covering vars(T), so the
-   enumerator's assignments are flat int arrays over that table: a
-   parent's solution doubles as the child join's [pre] with no
-   re-encoding, and the union of parent and extension bindings is
-   implicit in the array. *)
-type tree_sources = {
-  tvars : Variable.t array;
-  node_sources : (Wdpt.Pattern_tree.node, Encoded.Encoded_hom.source) Hashtbl.t;
-  node_decisions :
-    (Wdpt.Pattern_tree.node, Optimizer.Join_order.decision) Hashtbl.t;
-      (* cost-based plans, computed against this entry's store — epoch
-         keyed like everything else here, so the server's cross-connection
-         cache serves optimized plans until the graph changes *)
-  exact_verdicts :
-    (Wdpt.Pattern_tree.node, (int list, verdict) Hashtbl.t) Hashtbl.t;
-      (* per-node existence-verdict memo for the exact maximality test:
-         the verdict of "does a child extension exist?" depends on the
-         candidate only through the child's own variable slots, so it is
-         keyed on those ids. Shared across evaluations of the same store
-         epoch — the exact side's counterpart of Pebble_cache's verdict
-         memo. Never holds a pebble verdict: a single relaxed child test
-         may over-approximate, only the disjunction over a subtree's
-         children is exact (Theorem 1). *)
-  node_domains : (Wdpt.Pattern_tree.node, int) Hashtbl.t;
-      (* per child: the largest candidate domain its pebble game ranges
-         over, the base of the exact side's cap *)
-  tallies : (Wdpt.Pattern_tree.node, tests ref) Hashtbl.t;
-      (* per-node child-test counters, mutated only by the caller's
-         domain; a worker counts in its own table until
-         [absorb_worker] *)
+(* Child-test counters of one node, mutated only by the domain that owns
+   them: the cache's caller, or one worker until [absorb_worker]. *)
+type tally = {
+  mutable t_exact : int;
+  mutable t_exact_hits : int;
+  mutable t_capped : int;
+  mutable t_hits : int;  (* relaxed verdicts from the memo *)
+  mutable t_misses : int;  (* relaxed verdicts from a game run *)
+  mutable t_families : int;
+  mutable t_evictions : int;
 }
 
-(* Cap on each per-node exact-verdict table: past this, new verdicts are
-   computed but not remembered. Crude compared to the pebble cache's
-   LRU; a node this wide is one whose verdicts rarely repeat anyway. *)
-let exact_verdict_limit = 1 lsl 16
+let new_tally () =
+  {
+    t_exact = 0;
+    t_exact_hits = 0;
+    t_capped = 0;
+    t_hits = 0;
+    t_misses = 0;
+    t_families = 0;
+    t_evictions = 0;
+  }
+
+let add_tally into tl =
+  into.t_exact <- into.t_exact + tl.t_exact;
+  into.t_exact_hits <- into.t_exact_hits + tl.t_exact_hits;
+  into.t_capped <- into.t_capped + tl.t_capped;
+  into.t_hits <- into.t_hits + tl.t_hits;
+  into.t_misses <- into.t_misses + tl.t_misses;
+  into.t_families <- into.t_families + tl.t_families;
+  into.t_evictions <- into.t_evictions + tl.t_evictions
+
+let tests_of tl =
+  {
+    exact = tl.t_exact;
+    exact_hits = tl.t_exact_hits;
+    pebble_answers = tl.t_hits + tl.t_misses;
+    capped = tl.t_capped;
+  }
+
+(* A node's verdict memos and counters, on the cache or on a worker. The
+   two kinds of verdict live in separate tables: a single relaxed child
+   test may over-approximate an exact one (only the disjunction over a
+   subtree's children is exact, Theorem 1), so neither may answer for
+   the other. Both are keyed on the candidate's ids at the node's own
+   slots, the relaxed one with [k] in front. *)
+type memo = {
+  exact_verdicts : (int list, verdict) Hashtbl.t;
+  relaxed_verdicts : (int list, bool) Hashtbl.t;
+  tally : tally;
+}
+
+let new_memo () =
+  {
+    exact_verdicts = Hashtbl.create 64;
+    relaxed_verdicts = Hashtbl.create 64;
+    tally = new_tally ();
+  }
+
+(* Cap on each per-node verdict table: past this, new verdicts are
+   computed but not remembered. A node this wide is one whose verdicts
+   rarely repeat anyway. *)
+let verdict_limit = 1 lsl 16
+
+(* Remember a verdict unless the node's table is full; says whether it
+   did. *)
+let remember table key v =
+  Hashtbl.length table < verdict_limit
+  && (Hashtbl.replace table key v;
+      true)
+
+(* Every Lemma-1 artefact of one tree node against one store. In a
+   well-designed tree a child shares with any subtree exactly the
+   variables it shares with its ancestors, so the game, its parameters
+   and the verdict keys are fixed per node. *)
+type node_state = {
+  id : Wdpt.Pattern_tree.node;
+  source : Encoded.Encoded_hom.source;
+  slots : int array;
+      (* the node's own slots: a fold with [pre] depends on the prefix
+         only through them, so they key both verdict memos *)
+  mutable decision : Optimizer.Join_order.decision option;
+      (* cost-based plan, computed against this entry's store *)
+  shared : Tgraphs.Gtgraph.t;  (* (pat n, vars shared with the ancestors) *)
+  shared_slots : int array;  (* the game's parameters, in its order *)
+  mutable domain : int option;  (* the cap's base, once computed *)
+  games : (int, Encoded.Encoded_pebble.t) Hashtbl.t;
+      (* per k; read and written under the store's pebble lock *)
+  memo : memo;
+}
+
+(* Per-tree compiled artefacts. Every node pattern of a tree is compiled
+   against ONE shared variable table covering vars(T), so the
+   enumerator's assignments are flat int arrays: a parent's solution
+   doubles as the child join's [pre] with no re-encoding. *)
+type tree_state = {
+  tvars : Variable.t array;
+  nodes : (Wdpt.Pattern_tree.node, node_state) Hashtbl.t;
+}
 
 type entry = {
   epoch : int;
   enc : Encoded.Encoded_graph.t;
   pebble : Pebble_cache.t;
-  mutable trees : (Wdpt.Pattern_tree.t * tree_sources) list;
-      (* keyed on physical identity, like Pebble_cache's tree stamps:
-         plans hold their forest alive, so the same tree value flows
-         through every evaluation of a plan *)
+  mutable trees : (Wdpt.Pattern_tree.t * tree_state) list;
+      (* keyed on physical identity: plans hold their forest alive, so
+         the same tree value flows through every evaluation of a plan *)
 }
 
 let default_plan_capacity = 4
 
 type t = {
-  verdict_capacity : int option;
   plan_capacity : int;
   mutable entries : entry list;
       (* most-recently-used first, keyed by store epoch; at most
@@ -109,10 +169,9 @@ type t = {
   mutable invalidations : int;
   mutable plan_evictions : int;
   mutable retired : Pebble_cache.stats;
-  mutable retired_tests : tests;
-      (* accumulated stats of pebble caches and child-test tallies
-         dropped by eviction, so [stats] reports the plan's whole
-         history *)
+  retired_tally : tally;
+      (* store and child-test counters of entries dropped by eviction, so
+         [stats] reports the plan's whole history *)
   decisions : Optimizer.Decision_cache.t;
       (* join-order memo shared across entries and trees: epoch is part
          of its key, so an evicted store's decisions age out by FIFO
@@ -165,26 +224,27 @@ let add_stats (a : stats) (b : stats) =
     decision_misses = a.decision_misses + b.decision_misses;
   }
 
-let create ?verdict_capacity ?(plan_capacity = default_plan_capacity) () =
+let create ?(plan_capacity = default_plan_capacity) () =
   if plan_capacity < 1 then
     invalid_arg "Plan_cache.create: plan_capacity must be positive";
   {
-    verdict_capacity;
     plan_capacity;
     entries = [];
     hom_sources = 0;
     invalidations = 0;
     plan_evictions = 0;
     retired = zero_pebble_stats;
-    retired_tests = zero_tests;
+    retired_tally = new_tally ();
     decisions = Optimizer.Decision_cache.create ();
   }
 
-let entry_tests e =
-  List.fold_left
-    (fun acc (_, ts) ->
-      Hashtbl.fold (fun _ tl acc -> add_tests acc !tl) ts.tallies acc)
-    zero_tests e.trees
+let entry_tally e =
+  let sum = new_tally () in
+  List.iter
+    (fun (_, ts) ->
+      Hashtbl.iter (fun _ ns -> add_tally sum ns.memo.tally) ts.nodes)
+    e.trees;
+  sum
 
 let entry_for t graph =
   let epoch = Graph.epoch graph in
@@ -201,14 +261,9 @@ let entry_for t graph =
              single-entry cache counted as an invalidation; the count
              keeps that meaning (first-ever build is free). *)
           if entries <> [] then t.invalidations <- t.invalidations + 1;
+          let enc = Encoded.Encoded_graph.of_graph_cached graph in
           let e =
-            {
-              epoch;
-              enc = Encoded.Encoded_graph.of_graph_cached graph;
-              pebble =
-                Pebble_cache.create ?verdict_capacity:t.verdict_capacity graph;
-              trees = [];
-            }
+            { epoch; enc; pebble = Pebble_cache.create enc; trees = [] }
           in
           let live = e :: entries in
           let keep, evicted =
@@ -220,23 +275,16 @@ let entry_for t graph =
           List.iter
             (fun old ->
               t.plan_evictions <- t.plan_evictions + 1;
-              (* fold outstanding worker-view counters into the root
-                 first: retiring the bare root stats would drop whatever
-                 the views hadn't absorbed yet, making [stats] totals
-                 dip across invalidation churn *)
-              Pebble_cache.absorb_views old.pebble;
               t.retired <-
                 add_pebble_stats t.retired (Pebble_cache.stats old.pebble);
-              t.retired_tests <- add_tests t.retired_tests (entry_tests old))
+              add_tally t.retired_tally (entry_tally old))
             evicted;
           t.entries <- keep;
           e)
 
 let encoded t graph = (entry_for t graph).enc
-let pebble t graph = (entry_for t graph).pebble
 
-let tree_sources t graph tree =
-  let e = entry_for t graph in
+let tree_state e tree =
   match List.find_opt (fun (tr, _) -> tr == tree) e.trees with
   | Some (_, ts) -> ts
   | None ->
@@ -245,30 +293,11 @@ let tree_sources t graph tree =
           tvars =
             Array.of_list
               (Variable.Set.elements (Wdpt.Pattern_tree.vars tree));
-          node_sources = Hashtbl.create 8;
-          node_decisions = Hashtbl.create 8;
-          exact_verdicts = Hashtbl.create 8;
-          node_domains = Hashtbl.create 8;
-          tallies = Hashtbl.create 8;
+          nodes = Hashtbl.create 8;
         }
       in
       e.trees <- (tree, ts) :: e.trees;
       ts
-
-let node_source t graph tree n =
-  let e = entry_for t graph in
-  let ts = tree_sources t graph tree in
-  match Hashtbl.find_opt ts.node_sources n with
-  | Some source -> source
-  | None ->
-      let source =
-        Encoded.Encoded_hom.compile ~vars:ts.tvars
-          (Wdpt.Pattern_tree.pat tree n)
-          e.enc
-      in
-      t.hom_sources <- t.hom_sources + 1;
-      Hashtbl.add ts.node_sources n source;
-      source
 
 (* The variables of the strict ancestors of [n]. *)
 let ancestor_vars tree n =
@@ -281,13 +310,50 @@ let ancestor_vars tree n =
   in
   up Variable.Set.empty (Wdpt.Pattern_tree.parent tree n)
 
+let slot_of tvars v =
+  let rec go i = if Variable.equal tvars.(i) v then i else go (i + 1) in
+  go 0
+
+let node_in t e tree n =
+  let ts = tree_state e tree in
+  match Hashtbl.find_opt ts.nodes n with
+  | Some ns -> ns
+  | None ->
+      let pat = Wdpt.Pattern_tree.pat tree n in
+      let source = Encoded.Encoded_hom.compile ~vars:ts.tvars pat e.enc in
+      t.hom_sources <- t.hom_sources + 1;
+      let shared =
+        Variable.Set.inter (Tgraphs.Tgraph.vars pat) (ancestor_vars tree n)
+      in
+      let ns =
+        {
+          id = n;
+          source;
+          slots = Array.of_list (Encoded.Encoded_hom.own_slots source);
+          decision = None;
+          shared = Tgraphs.Gtgraph.make pat shared;
+          (* [Encoded_pebble.params] order: the sorted shared set *)
+          shared_slots =
+            Array.of_list
+              (List.map (slot_of ts.tvars) (Variable.Set.elements shared));
+          domain = None;
+          games = Hashtbl.create 2;
+          memo = new_memo ();
+        }
+      in
+      Hashtbl.add ts.nodes n ns;
+      ns
+
+let node_state t graph tree n = node_in t (entry_for t graph) tree n
+let node_source t graph tree n = (node_state t graph tree n).source
+
 let node_decision ?budget t graph tree n =
   let e = entry_for t graph in
-  let ts = tree_sources t graph tree in
-  match Hashtbl.find_opt ts.node_decisions n with
+  let ns = node_in t e tree n in
+  match ns.decision with
   | Some d -> d
   | None ->
-      let source = node_source t graph tree n in
+      let ts = tree_state e tree in
       (* Bound at node entry: the variables of the strict ancestors of
          [n] — every subtree the enumerator extends into [n] from
          contains the full root-to-parent path, so these are guaranteed
@@ -303,36 +369,24 @@ let node_decision ?budget t graph tree n =
           ~nvars:(Array.length ts.tvars)
           ~bound:(fun v -> bound_arr.(v))
           ~node:n
-          (Encoded.Encoded_hom.patterns source)
+          (Encoded.Encoded_hom.patterns ns.source)
       in
-      Hashtbl.add ts.node_decisions n d;
+      ns.decision <- Some d;
       d
 
-let find_or_add table key make =
-  match Hashtbl.find_opt table key with
-  | Some v -> v
-  | None ->
-      let v = make () in
-      Hashtbl.add table key v;
-      v
-
 (* The pebble game's own polynomial bound, d^(k+1) over the largest
-   candidate domain d the child's game ranges over: a free variable's
-   µ-independent unary candidates, else the whole dictionary. In a
-   well-designed tree the child shares with any subtree exactly the
-   variables it shares with its ancestors, so d is fixed per node. *)
+   candidate domain d the node's game ranges over: a free variable's
+   µ-independent unary candidates, else the whole dictionary. *)
 let exact_cap t graph tree n k =
   let e = entry_for t graph in
-  let ts = tree_sources t graph tree in
+  let ns = node_in t e tree n in
   let d =
-    find_or_add ts.node_domains n (fun () ->
-        let pat = Wdpt.Pattern_tree.pat tree n in
-        let shared =
-          Variable.Set.inter (Tgraphs.Tgraph.vars pat) (ancestor_vars tree n)
-        in
-        Encoded.Encoded_pebble.domain_bound
-          (Tgraphs.Gtgraph.make pat shared)
-          e.enc)
+    match ns.domain with
+    | Some d -> d
+    | None ->
+        let d = Encoded.Encoded_pebble.domain_bound ns.shared e.enc in
+        ns.domain <- Some d;
+        d
   in
   let d = max 2 d in
   let rec pow acc i =
@@ -342,152 +396,155 @@ let exact_cap t graph tree n k =
   in
   pow 1 (k + 1)
 
-type child_test = {
-  source : Encoded.Encoded_hom.source;
-  slots : int array;
-  order : int array option;
-  verdicts : (int list, verdict) Hashtbl.t;
-  node_tally : tests ref;
-  pebble_root : Pebble_cache.t;
-  cap : int option;  (* None under [`Hom]: no cap, no pebble side *)
-  k : int;
-  tree : Wdpt.Pattern_tree.t;
-  vars : Variable.t array;
-  subtree : Wdpt.Subtree.t;
-  node : Wdpt.Pattern_tree.node;
-}
-
-let stage_child_test ?order t graph maximality tree subtree n =
-  let e = entry_for t graph in
-  let ts = tree_sources t graph tree in
-  let source = node_source t graph tree n in
-  let cap, k =
-    match maximality with
-    | `Hom -> (None, 0)
-    | `Pebble k ->
-        if k < 1 then invalid_arg "Pebble_game.wins: k must be at least 1";
-        (Some (exact_cap t graph tree n k), k)
-  in
-  {
-    source;
-    (* A fold with [pre] depends on the prefix only through the child's
-       own variable slots; everything else in the assignment is
-       invisible to the child's patterns. *)
-    slots = Array.of_list (Encoded.Encoded_hom.own_slots source);
-    order;
-    verdicts =
-      find_or_add ts.exact_verdicts n (fun () -> Hashtbl.create 64);
-    node_tally = find_or_add ts.tallies n (fun () -> ref zero_tests);
-    pebble_root = e.pebble;
-    cap;
-    k;
-    tree;
-    vars = ts.tvars;
-    subtree;
-    node = n;
-  }
-
-(* A pool slot's private side of the child tests: its own exact-verdict
-   memo and tallies (folded into the root's by [absorb_worker]) and its
-   own pebble-cache view, so workers share nothing mutable. *)
+(* A worker: one pool slot's private memos and counters for the nodes
+   of the entry it was made on, folded back by [absorb_worker]. *)
 type worker = {
-  view : Pebble_cache.t;
-  worker_verdicts :
-    (Wdpt.Pattern_tree.node, (int list, verdict) Hashtbl.t) Hashtbl.t;
-  worker_tallies : (Wdpt.Pattern_tree.node, tests ref) Hashtbl.t;
+  w_entry : entry;
+  memos : (Wdpt.Pattern_tree.node, memo) Hashtbl.t;
 }
 
-let worker t graph slot =
-  {
-    view = Pebble_cache.worker_view_for (pebble t graph) slot;
-    worker_verdicts = Hashtbl.create 8;
-    worker_tallies = Hashtbl.create 8;
-  }
+let worker t graph = { w_entry = entry_for t graph; memos = Hashtbl.create 8 }
 
-let absorb_worker t graph tree w =
-  let ts = tree_sources t graph tree in
+let absorb_worker t tree w =
+  (* an entry evicted meanwhile has had its counters retired already *)
+  let live = List.memq w.w_entry t.entries in
   Hashtbl.iter
-    (fun n wt ->
-      let tl = find_or_add ts.tallies n (fun () -> ref zero_tests) in
-      tl := add_tests !tl !wt)
-    w.worker_tallies;
-  Hashtbl.reset w.worker_tallies;
-  Pebble_cache.absorb (pebble t graph) w.view
+    (fun n memo ->
+      add_tally
+        (if live then (node_in t w.w_entry tree n).memo.tally
+         else t.retired_tally)
+        memo.tally)
+    w.memos;
+  Hashtbl.reset w.memos
+
+let memo_of ?worker ns =
+  match worker with
+  | None -> ns.memo
+  | Some w -> (
+      match Hashtbl.find_opt w.memos ns.id with
+      | Some m -> m
+      | None ->
+          let m = new_memo () in
+          Hashtbl.add w.memos ns.id m;
+          m)
+
+let key_of slots assignment =
+  Array.fold_right (fun s acc -> assignment.(s) :: acc) slots []
+
+type pebble_test = { p_state : node_state; k : int; store : Pebble_cache.t }
+
+let pebble_test t graph ~k tree n =
+  if k < 1 then invalid_arg "Plan_cache.pebble_test: k must be at least 1";
+  let e = entry_for t graph in
+  { p_state = node_in t e tree n; k; store = e.pebble }
+
+(* The relaxed test against one memo, for a key already built. The game
+   is compiled (under the store's lock) only on the first memo miss. *)
+let relaxed ~budget pt memo =
+  let game =
+    lazy (Pebble_cache.game pt.store pt.p_state.games ~k:pt.k pt.p_state.shared)
+  in
+  let tl = memo.tally in
+  fun key assignment ->
+    let key = pt.k :: key in
+    match Hashtbl.find_opt memo.relaxed_verdicts key with
+    | Some v ->
+        tl.t_hits <- tl.t_hits + 1;
+        v
+    | None ->
+        tl.t_misses <- tl.t_misses + 1;
+        let v, families =
+          Pebble_cache.run ~budget (Lazy.force game)
+            (Array.map (Array.get assignment) pt.p_state.shared_slots)
+        in
+        tl.t_families <- tl.t_families + families;
+        if not (remember memo.relaxed_verdicts key v) then
+          tl.t_evictions <- tl.t_evictions + 1;
+        v
+
+let run_pebble ?(budget = Budget.unlimited) ?worker pt =
+  let test = relaxed ~budget pt (memo_of ?worker pt.p_state) in
+  fun assignment ->
+    Budget.tick budget;
+    test (key_of pt.p_state.slots assignment) assignment
+
+type child_test = {
+  state : node_state;
+  order : int array option;
+  cap : int;  (* unused under [`Hom] *)
+  relaxed_test : pebble_test option;  (* None under [`Hom]: no cap, no game *)
+}
+
+let stage_child_test ?order t graph maximality tree n =
+  let e = entry_for t graph in
+  let state = node_in t e tree n in
+  let cap, relaxed_test =
+    match maximality with
+    | `Hom -> (max_int, None)
+    | `Pebble k ->
+        let pt = pebble_test t graph ~k tree n in
+        (exact_cap t graph tree n k, Some pt)
+  in
+  { state; order; cap; relaxed_test }
 
 let run ?(budget = Budget.unlimited) ?worker ct =
-  let verdicts, tl, pebble =
-    match worker with
-    | None -> (ct.verdicts, ct.node_tally, ct.pebble_root)
-    | Some w ->
-        ( find_or_add w.worker_verdicts ct.node (fun () -> Hashtbl.create 64),
-          find_or_add w.worker_tallies ct.node (fun () -> ref zero_tests),
-          w.view )
-  in
+  let memo = memo_of ?worker ct.state in
+  let tl = memo.tally and verdicts = memo.exact_verdicts in
   let exists budget assignment =
-    Encoded.Encoded_hom.fold ~budget ?order:ct.order ~pre:assignment ct.source
-      ~init:false
+    Encoded.Encoded_hom.fold ~budget ?order:ct.order ~pre:assignment
+      ct.state.source ~init:false
       ~f:(fun _ _ -> (true, `Stop))
   in
-  (* staged only once the cap first trips *)
-  let pebble_test =
-    lazy
-      (Pebble_cache.stage_child_test_ids pebble ~budget ~k:ct.k ct.tree
-         ~vars:ct.vars ct.subtree ct.node)
-  in
-  let by_pebble assignment =
-    tl := { !tl with pebble_answers = !tl.pebble_answers + 1 };
-    Lazy.force pebble_test assignment
-  in
-  let exact v =
-    tl := { !tl with exact = !tl.exact + 1 };
-    v
-  in
-  let remember key v =
-    if Hashtbl.length verdicts < exact_verdict_limit then
-      Hashtbl.replace verdicts key v
+  let by_pebble =
+    match ct.relaxed_test with
+    | Some pt -> relaxed ~budget pt memo
+    | None -> fun _ _ -> assert false
   in
   let decided key v =
-    remember key (if v then Extends else No_extension);
-    exact v
+    ignore (remember verdicts key (if v then Extends else No_extension));
+    tl.t_exact <- tl.t_exact + 1;
+    v
   in
   fun assignment ->
     Budget.tick budget;
-    let key =
-      Array.fold_right (fun s acc -> assignment.(s) :: acc) ct.slots []
-    in
-    match (Hashtbl.find_opt verdicts key, ct.cap) with
+    let key = key_of ct.state.slots assignment in
+    match (Hashtbl.find_opt verdicts key, ct.relaxed_test) with
     | Some ((Extends | No_extension) as v), _ ->
-        let t = !tl in
-        tl := { t with exact = t.exact + 1; exact_hits = t.exact_hits + 1 };
+        tl.t_exact <- tl.t_exact + 1;
+        tl.t_exact_hits <- tl.t_exact_hits + 1;
         v = Extends
-    | Some Capped, Some _ -> by_pebble assignment
+    | Some Capped, Some _ -> by_pebble key assignment
     | (None | Some Capped), None -> decided key (exists budget assignment)
-    | None, Some cap -> (
-        match Budget.capped budget cap (fun b -> exists b assignment) with
+    | None, Some _ -> (
+        match Budget.capped budget ct.cap (fun b -> exists b assignment) with
         | Some v -> decided key v
         | None ->
-            tl := { !tl with capped = !tl.capped + 1 };
-            remember key Capped;
-            by_pebble assignment)
+            tl.t_capped <- tl.t_capped + 1;
+            ignore (remember verdicts key Capped);
+            by_pebble key assignment)
 
-let node_tests t graph tree n =
-  match Hashtbl.find_opt (tree_sources t graph tree).tallies n with
-  | Some tl -> !tl
-  | None -> zero_tests
+let node_tests t graph tree n = tests_of (node_state t graph tree n).memo.tally
 
 let stats t =
-  let live =
+  let all = new_tally () in
+  add_tally all t.retired_tally;
+  List.iter (fun e -> add_tally all (entry_tally e)) t.entries;
+  let stores =
     List.fold_left
       (fun acc e -> add_pebble_stats acc (Pebble_cache.stats e.pebble))
-      zero_pebble_stats t.entries
+      t.retired t.entries
   in
   let d = Optimizer.Decision_cache.stats t.decisions in
   {
-    pebble = add_pebble_stats t.retired live;
-    tests =
-      List.fold_left
-        (fun acc e -> add_tests acc (entry_tests e))
-        t.retired_tests t.entries;
+    pebble =
+      {
+        stores with
+        hits = all.t_hits;
+        misses = all.t_misses;
+        families = all.t_families;
+        evictions = all.t_evictions;
+      };
+    tests = tests_of all;
     hom_sources = t.hom_sources;
     invalidations = t.invalidations;
     plan_evictions = t.plan_evictions;

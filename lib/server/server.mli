@@ -54,7 +54,11 @@ val join : t -> Analysis.Json.t
     handler), then see it through — listener closed, idle workers woken,
     queue flushed with prompt 503s, in-flight budgets cancelled via
     [Budget.cancel], threads joined — and return the final stats
-    snapshot (the same document [/stats] serves). *)
+    snapshot (the same document [/stats] serves). Its
+    [plan_cache.pebble] counters total the plans' relaxed child tests:
+    [hits]/[misses] of the per-node verdict memos, games [compiled] (one
+    per node and [k]), and [evictions], the verdicts computed but not
+    remembered because their node's table was full. *)
 
 val request_reload : t -> unit
 (** Ask for the graph to be re-resolved through [config.reload] (a no-op

@@ -2,8 +2,6 @@ open Rdf
 
 type assignment = Term.t Variable.Map.t
 
-type strategy = [ `Fail_first | `Static ]
-
 let pp_assignment ppf a =
   let binding ppf (v, t) = Fmt.pf ppf "%a ↦ %a" Variable.pp v Term.pp t in
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma binding) (Variable.Map.bindings a)
@@ -14,10 +12,6 @@ let apply assignment = function
       | Some value -> value
       | None -> term)
   | Term.Iri _ as term -> term
-
-let nodes = ref 0
-let search_nodes () = !nodes
-let reset_stats () = nodes := 0
 
 (* The bound value of a position under the current assignment: [Some term]
    if the position is determined (IRI or assigned variable), [None] if it is
@@ -60,39 +54,33 @@ let candidate_count target assignment pat =
     ?o:(bound assignment pat.Triple.o)
     ()
 
-(* Pick the remaining pattern with the fewest candidates (fail-first), or
-   simply the head of the list (static order). *)
-let pick_pattern ~strategy target assignment = function
+(* Pick the remaining pattern with the fewest candidates (fail-first). *)
+let pick_pattern target assignment = function
   | [] -> None
-  | first :: rest as patterns -> (
-      match strategy with
-      | `Static -> Some (first, rest)
-      | `Fail_first ->
-          let scored =
-            List.map
-              (fun pat -> (candidate_count target assignment pat, pat))
-              patterns
-          in
-          let best =
-            List.fold_left
-              (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
-              (List.hd scored) (List.tl scored)
-          in
-          let _, chosen = best in
-          Some (chosen, List.filter (fun p -> p != chosen) patterns))
+  | patterns ->
+      let scored =
+        List.map
+          (fun pat -> (candidate_count target assignment pat, pat))
+          patterns
+      in
+      let _, chosen =
+        List.fold_left
+          (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
+          (List.hd scored) (List.tl scored)
+      in
+      Some (chosen, List.filter (fun p -> p != chosen) patterns)
 
-let fold ?(budget = Resource.Budget.unlimited) ?(strategy = `Fail_first)
-    ?(use_index = true) ?(pre = Variable.Map.empty) ~source ~target ~init ~f =
+let fold ?(budget = Resource.Budget.unlimited) ?(use_index = true)
+    ?(pre = Variable.Map.empty) ~source ~target ~init ~f =
   let source_vars = Tgraph.vars source in
   let pre =
     Variable.Map.filter (fun v _ -> Variable.Set.mem v source_vars) pre
   in
   let patterns = Tgraph.triples source in
   let rec go assignment remaining acc =
-    match pick_pattern ~strategy target assignment remaining with
+    match pick_pattern target assignment remaining with
     | None -> f acc assignment
     | Some (pat, rest) ->
-        incr nodes;
         Resource.Budget.tick budget;
         let images = candidates ~use_index target assignment pat in
         let rec try_images acc = function
@@ -109,20 +97,20 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = `Fail_first)
   in
   fst (go pre patterns init)
 
-let find ?budget ?strategy ?use_index ?pre ~source ~target () =
-  fold ?budget ?strategy ?use_index ?pre ~source ~target ~init:None
+let find ?budget ?use_index ?pre ~source ~target () =
+  fold ?budget ?use_index ?pre ~source ~target ~init:None
     ~f:(fun _ assignment -> (Some assignment, `Stop))
 
-let exists ?budget ?strategy ?use_index ?pre ~source ~target () =
-  Option.is_some (find ?budget ?strategy ?use_index ?pre ~source ~target ())
+let exists ?budget ?use_index ?pre ~source ~target () =
+  Option.is_some (find ?budget ?use_index ?pre ~source ~target ())
 
-let count ?budget ?strategy ?use_index ?pre ~source ~target () =
-  fold ?budget ?strategy ?use_index ?pre ~source ~target ~init:0 ~f:(fun n _ ->
+let count ?budget ?use_index ?pre ~source ~target () =
+  fold ?budget ?use_index ?pre ~source ~target ~init:0 ~f:(fun n _ ->
       (n + 1, `Continue))
 
-let all ?budget ?strategy ?use_index ?pre ?limit ~source ~target () =
+let all ?budget ?use_index ?pre ?limit ~source ~target () =
   let results =
-    fold ?budget ?strategy ?use_index ?pre ~source ~target ~init:[]
+    fold ?budget ?use_index ?pre ~source ~target ~init:[]
       ~f:(fun acc assignment ->
         let acc = assignment :: acc in
         match limit with

@@ -11,12 +11,9 @@
     constants, which matches the paper's use of homomorphisms between
     generalised t-graphs.
 
-    Two knobs exist purely for the ablation benchmarks (they never change
-    results, only cost):
-    - [strategy]: [`Fail_first] (default) picks the most constrained
-      pattern next; [`Static] processes patterns in a fixed order;
-    - [use_index]: when [false], candidate lookups linearly scan the
-      target instead of using its hash indexes.
+    One knob exists purely for the ablation benchmarks (it never changes
+    results, only cost): [use_index:false] makes candidate lookups
+    linearly scan the target instead of using its hash indexes.
 
     [budget] is ticked once per backtracking node; the search raises
     {!Resource.Budget.Exhausted} when it trips. *)
@@ -26,13 +23,11 @@ open Rdf
 type assignment = Term.t Variable.Map.t
 (** A partial function from variables to terms. *)
 
-type strategy = [ `Fail_first | `Static ]
-
 val pp_assignment : assignment Fmt.t
 
 val find :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy -> ?use_index:bool -> ?pre:assignment ->
+  ?use_index:bool -> ?pre:assignment ->
   source:Tgraph.t -> target:Rdf.Index.t -> unit -> assignment option
 (** [find ?pre ~source ~target ()] searches for a homomorphism from
     [source] to [target] extending [pre]. The returned assignment has
@@ -42,24 +37,24 @@ val find :
 
 val exists :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy -> ?use_index:bool -> ?pre:assignment ->
+  ?use_index:bool -> ?pre:assignment ->
   source:Tgraph.t -> target:Rdf.Index.t -> unit -> bool
 
 val count :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy -> ?use_index:bool -> ?pre:assignment ->
+  ?use_index:bool -> ?pre:assignment ->
   source:Tgraph.t -> target:Rdf.Index.t -> unit -> int
 (** Number of distinct homomorphisms. *)
 
 val all :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy -> ?use_index:bool -> ?pre:assignment -> ?limit:int ->
+  ?use_index:bool -> ?pre:assignment -> ?limit:int ->
   source:Tgraph.t -> target:Rdf.Index.t -> unit -> assignment list
 (** All homomorphisms (up to [limit] if given). Order unspecified. *)
 
 val fold :
   ?budget:Resource.Budget.t ->
-  ?strategy:strategy -> ?use_index:bool -> ?pre:assignment ->
+  ?use_index:bool -> ?pre:assignment ->
   source:Tgraph.t -> target:Rdf.Index.t ->
   init:'acc -> f:('acc -> assignment -> 'acc * [ `Continue | `Stop ]) ->
   'acc
@@ -67,9 +62,3 @@ val fold :
 
 val apply : assignment -> Term.t -> Term.t
 (** Apply an assignment to a term (unbound variables are left in place). *)
-
-val search_nodes : unit -> int
-(** Number of backtracking nodes expanded since the last {!reset_stats};
-    instrumentation for the benchmark harness. *)
-
-val reset_stats : unit -> unit

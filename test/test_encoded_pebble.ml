@@ -150,7 +150,9 @@ let term_check ~k forest graph mu =
                (Wdpt.Subtree.children subtree)))
     forest
 
-let term_solutions ~k forest graph =
+(* The Theorem-1 enumeration: homomorphisms of every subtree pattern,
+   kept when [check] accepts them. *)
+let solutions_by check forest graph =
   let target = Graph.to_index graph in
   List.fold_left
     (fun acc tree ->
@@ -159,13 +161,15 @@ let term_solutions ~k forest graph =
           List.fold_left
             (fun acc h ->
               match Sparql.Mapping.of_assignment h with
-              | Some mu when term_check ~k forest graph mu ->
+              | Some mu when check forest graph mu ->
                   Sparql.Mapping.Set.add mu acc
               | _ -> acc)
             acc
             (Homomorphism.all ~source:(Wdpt.Subtree.pat subtree) ~target ()))
         acc (Wdpt.Subtree.all tree))
     Sparql.Mapping.Set.empty forest
+
+let term_solutions ~k = solutions_by (term_check ~k)
 
 let pebble_eval_solutions_agree =
   qcheck ~count:40 "Pebble_eval.solutions: cached = term kernel" seed_arb
@@ -201,8 +205,8 @@ let enumerate_solutions_agree =
         (Wd_core.Enumerate.solutions ~maximality:(`Pebble 2) forest graph)
         (term_solutions ~k:2 forest graph))
 
-let memo_off_agrees =
-  qcheck ~count:40 "Enumerate.solutions: memoized = memo-disabled cache"
+let fresh_cache_agrees =
+  qcheck ~count:40 "Enumerate.solutions: shared cache = fresh cache per check"
     seed_arb
     (fun seed ->
       let forest = forest_of_seed seed in
@@ -212,21 +216,28 @@ let memo_off_agrees =
       let enumerated =
         Wd_core.Enumerate.solutions ~maximality:(`Pebble 2) forest graph
       in
-      let with_cache cache =
-        Wd_core.Pebble_eval.solutions ~cache ~k:2 forest graph
-      in
       Sparql.Mapping.Set.equal enumerated
-        (with_cache (Wd_core.Pebble_cache.create graph))
+        (Wd_core.Pebble_eval.solutions
+           ~cache:(Wd_core.Plan_cache.create ())
+           ~k:2 forest graph)
       && Sparql.Mapping.Set.equal enumerated
-           (with_cache (Wd_core.Pebble_cache.create ~memo:false graph)))
+           (solutions_by
+              (fun forest graph mu ->
+                Wd_core.Pebble_eval.check
+                  ~cache:(Wd_core.Plan_cache.create ())
+                  ~k:2 forest graph mu)
+              forest graph))
 
 (* ------------------------------------------------------------------ *)
 (* Cache behaviour                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let pebble_stats cache =
+  (Wd_core.Plan_cache.stats cache).Wd_core.Plan_cache.pebble
+
 let test_cache_stats () =
   (* a root + optional child over a tournament: every candidate µ issues
-     the same child game, so verdicts repeat and games compile once *)
+     the same child game, so verdicts repeat and the game compiles once *)
   let p =
     Sparql.Algebra.(
       opt
@@ -235,22 +246,34 @@ let test_cache_stats () =
   in
   let forest = Wdpt.Pattern_forest.of_algebra p in
   let graph = Generator.transitive_tournament ~n:6 ~pred:"r" in
-  let cache = Wd_core.Pebble_cache.create graph in
+  let cache = Wd_core.Plan_cache.create () in
   let answers = Wd_core.Pebble_eval.solutions ~cache ~k:2 forest graph in
-  let stats = Wd_core.Pebble_cache.stats cache in
+  let stats = pebble_stats cache in
   check Alcotest.bool "some answers" true
     (not (Sparql.Mapping.Set.is_empty answers));
-  check Alcotest.bool "games compiled" true (stats.compiled > 0);
+  check Alcotest.int "one game for the one child" 1 stats.compiled;
   check Alcotest.bool "misses counted" true (stats.misses > 0);
   check Alcotest.bool "verdicts were reused" true (stats.hits > 0);
-  let off = Wd_core.Pebble_cache.create ~memo:false graph in
-  ignore (Wd_core.Pebble_eval.solutions ~cache:off ~k:2 forest graph);
-  let off_stats = Wd_core.Pebble_cache.stats off in
-  check Alcotest.int "memo off: no hits" 0 off_stats.hits;
-  check Alcotest.bool "memo off: recompiles" true
-    (off_stats.compiled > stats.compiled)
+  (* a fresh cache per check carries nothing from one check to the next *)
+  let fresh =
+    List.map
+      (fun mu ->
+        let c = Wd_core.Plan_cache.create () in
+        ignore (Wd_core.Pebble_eval.check ~cache:c ~k:2 forest graph mu);
+        pebble_stats c)
+      (Sparql.Mapping.Set.elements answers)
+  in
+  let total f =
+    List.fold_left (fun acc (s : Wd_core.Pebble_cache.stats) -> acc + f s) 0
+      fresh
+  in
+  check Alcotest.int "fresh caches: no hits" 0 (total (fun s -> s.hits));
+  check Alcotest.bool "fresh caches: recompile" true
+    (total (fun s -> s.compiled) > stats.compiled)
 
-let test_foreign_cache () =
+(* The plan cache keys its entries on the store epoch, so a cache used
+   for another graph answers for this one as a fresh cache would. *)
+let test_epoch_keyed_cache () =
   let p =
     Sparql.Algebra.(
       opt
@@ -260,22 +283,22 @@ let test_foreign_cache () =
   let forest = Wdpt.Pattern_forest.of_algebra p in
   let graph = Generator.transitive_tournament ~n:4 ~pred:"r" in
   let other = Generator.path ~n:4 ~pred:"r" in
-  let foreign = Wd_core.Pebble_cache.create other in
-  let mu = Sparql.Mapping.empty in
-  let raises f =
-    Alcotest.check_raises "cache built for another graph"
-      (Invalid_argument "Pebble_eval: the cache was built for another graph")
-      (fun () -> ignore (f ()))
-  in
-  raises (fun () ->
-      Wd_core.Pebble_eval.check ~cache:foreign ~k:2 forest graph mu);
-  raises (fun () ->
-      Wd_core.Pebble_eval.solutions ~cache:foreign ~k:2 forest graph);
-  (* a cache for the very same graph is accepted *)
-  check Alcotest.bool "own cache accepted" false
-    (Sparql.Mapping.Set.is_empty
-       (Wd_core.Pebble_eval.solutions
-          ~cache:(Wd_core.Pebble_cache.create graph) ~k:2 forest graph))
+  let cache = Wd_core.Plan_cache.create () in
+  let on_other = Wd_core.Pebble_eval.solutions ~cache ~k:2 forest other in
+  let answers = Wd_core.Pebble_eval.solutions ~cache ~k:2 forest graph in
+  check Testutil.mapping_set "another graph's cache = a fresh cache"
+    (Wd_core.Pebble_eval.solutions ~k:2 forest graph)
+    answers;
+  check Testutil.mapping_set "the first graph still answers as before"
+    on_other
+    (Wd_core.Pebble_eval.solutions ~cache ~k:2 forest other);
+  Sparql.Mapping.Set.iter
+    (fun mu ->
+      check Alcotest.bool "check agrees" true
+        (Wd_core.Pebble_eval.check ~cache ~k:2 forest graph mu))
+    answers;
+  check Alcotest.int "one entry per store" 2
+    (Wd_core.Plan_cache.stats cache).Wd_core.Plan_cache.live_entries
 
 let test_engine_stats () =
   let p =
@@ -324,12 +347,13 @@ let () =
           pebble_eval_solutions_agree;
           pebble_eval_check_agrees;
           enumerate_solutions_agree;
-          memo_off_agrees;
+          fresh_cache_agrees;
         ] );
       ( "cache",
         [
           Alcotest.test_case "stats and reuse" `Quick test_cache_stats;
-          Alcotest.test_case "foreign cache rejected" `Quick test_foreign_cache;
+          Alcotest.test_case "keyed by store epoch" `Quick
+            test_epoch_keyed_cache;
           Alcotest.test_case "engine surfacing" `Quick test_engine_stats;
           Alcotest.test_case "graph encoding memo" `Quick test_graph_encoding_memo;
         ] );

@@ -2,15 +2,15 @@
    repeated [Engine.solutions] calls on one plan reuse compiled hom
    sources, exact verdicts and pebble games; mutating the graph (a new
    store, hence a new epoch) invalidates and recompiles without changing
-   answers; and the size-capped verdict LRU only ever trades memory for
-   recomputation, never answers.
+   answers; and every node keeps one game per k and two verdict memos,
+   exact and relaxed, that never answer for each other.
 
    Evaluation answers each Lemma-1 child test exact first and stages a
    pebble game only when the exact search trips its cap, so the pebble
    side is exercised two ways: through evaluation on [clique_pattern]
    (F_6 on a tournament with no transitive 6-clique: the exact search of
    the clique child trips the cap) and through [Engine.check], which is
-   the pebble algorithm as stated and shares the plan's pebble cache. *)
+   the pebble algorithm as stated on the same plan cache. *)
 
 open Rdf
 module Engine = Wd_core.Engine
@@ -275,44 +275,60 @@ let test_unary_sharing () =
 (* Retired counters across eviction churn (PR 6)                       *)
 (* ------------------------------------------------------------------ *)
 
-module Pebble_cache = Wd_core.Pebble_cache
 module Pool = Parallel.Pool
 
-(* A (tree, subtree, child, candidate mappings) quadruple for driving
-   Pebble_cache.child_test directly: the root of the test pattern with
-   its OPTIONAL child, and every µ matching the root in [g]. *)
-let child_test_setup g =
+(* A (tree, child, candidates) triple for driving child tests directly:
+   the root of the test pattern with its OPTIONAL child, and every
+   match of the root in [g] as an id assignment over the tree's
+   variable table. *)
+let child_test_setup cache g =
   let tree = List.hd (Wdpt.Pattern_forest.of_algebra pattern) in
-  let sub = Wdpt.Subtree.root_only tree in
-  let child = List.hd (Wdpt.Subtree.children sub) in
-  let root_only = Sparql.Parser.parse_exn "{ ?a p:knows ?b }" in
-  let mus = Sparql.Mapping.Set.elements (Sparql.Eval.eval root_only g) in
-  (tree, sub, child, mus)
+  let child =
+    List.hd (Wdpt.Subtree.children (Wdpt.Subtree.root_only tree))
+  in
+  let root = Plan_cache.node_source cache g tree Wdpt.Pattern_tree.root in
+  let candidates =
+    Encoded.Encoded_hom.fold root ~init:[] ~f:(fun acc h ->
+        (Array.copy h :: acc, `Continue))
+  in
+  (tree, child, candidates)
 
-(* Worker-view counters pending at eviction time (a server thread
-   mid-evaluation when another store pushes the entry out) must be
-   absorbed into the retired accumulator, not dropped with the entry. *)
+let test_count s =
+  s.Plan_cache.tests.Plan_cache.exact + s.Plan_cache.tests.pebble_answers
+
+(* Worker counters pending at eviction time (a server thread
+   mid-evaluation when another store pushes the entry out) must reach
+   the retired totals, not be dropped with the entry. *)
 let test_eviction_absorbs_worker_views () =
   let cache = Plan_cache.create ~plan_capacity:1 () in
   let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
-  let pc = Plan_cache.pebble cache g1 in
-  let tree, sub, child, mus = child_test_setup g1 in
-  let view = Pebble_cache.worker_view_for pc 1 in
-  ignore (Pebble_cache.child_test view ~k:2 tree (List.hd mus) sub child);
-  let before = (Plan_cache.stats cache).Plan_cache.pebble in
+  let tree, child, candidates = child_test_setup cache g1 in
+  let w = Plan_cache.worker cache g1 in
+  let exact =
+    Plan_cache.run ~worker:w
+      (Plan_cache.stage_child_test cache g1 `Hom tree child)
+  in
+  let relaxed =
+    Plan_cache.run_pebble ~worker:w
+      (Plan_cache.pebble_test cache g1 ~k:2 tree child)
+  in
+  List.iter (fun a -> ignore (exact a); ignore (relaxed a)) candidates;
+  let before = Plan_cache.stats cache in
   (* evicting g1's entry by touching a second store at capacity 1 *)
-  ignore (Plan_cache.pebble cache g2);
+  ignore (Plan_cache.encoded cache g2);
+  Plan_cache.absorb_worker cache tree w;
   let after = Plan_cache.stats cache in
+  let n = List.length candidates in
   check Alcotest.int "one eviction" 1 after.Plan_cache.plan_evictions;
-  check Alcotest.int "the un-absorbed worker lookup survives eviction" 1
-    (after.Plan_cache.pebble.Pebble_cache.hits
-    + after.Plan_cache.pebble.Pebble_cache.misses);
+  check Alcotest.int "the un-absorbed exact tests survive eviction" n
+    after.Plan_cache.tests.exact;
+  check Alcotest.int "... and the relaxed lookups" n
+    (after.Plan_cache.pebble.Wd_core.Pebble_cache.hits
+    + after.Plan_cache.pebble.Wd_core.Pebble_cache.misses);
   check Alcotest.bool "totals never dip across the eviction" true
-    (after.Plan_cache.pebble.Pebble_cache.hits >= before.Pebble_cache.hits
-    && after.Plan_cache.pebble.Pebble_cache.misses
-       >= before.Pebble_cache.misses
-    && after.Plan_cache.pebble.Pebble_cache.compiled
-       >= before.Pebble_cache.compiled)
+    (test_count after >= test_count before
+    && after.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
+       >= before.Plan_cache.pebble.Wd_core.Pebble_cache.compiled)
 
 (* Reconciliation under churn: the same evaluation sequence at 2
    domains, with and without eviction pressure, accounts for exactly the
@@ -330,8 +346,8 @@ let test_retired_reconcile_churn () =
     s.Plan_cache.tests.Plan_cache.exact + s.Plan_cache.tests.pebble_answers
   in
   let lookups s =
-    s.Plan_cache.pebble.Pebble_cache.hits
-    + s.Plan_cache.pebble.Pebble_cache.misses
+    s.Plan_cache.pebble.Wd_core.Pebble_cache.hits
+    + s.Plan_cache.pebble.Wd_core.Pebble_cache.misses
   in
   let last = ref (0, 0) in
   let run plan g =
@@ -369,81 +385,151 @@ let test_retired_reconcile_churn () =
   check Alcotest.int "... and the same verdict lookups" (lookups sr)
     (lookups sc);
   check Alcotest.bool "churn recompiles, reconciled in retired totals" true
-    (sc.Plan_cache.pebble.Pebble_cache.compiled
-    > sr.Plan_cache.pebble.Pebble_cache.compiled);
+    (sc.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
+    > sr.Plan_cache.pebble.Wd_core.Pebble_cache.compiled);
   check Alcotest.int "capacity 1 evicted on every switch" 5
     sc.Plan_cache.plan_evictions
 
 (* ------------------------------------------------------------------ *)
-(* absorb_views under a worker crash (PR 6)                            *)
+(* absorb_worker under a worker crash                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* A worker raising mid-batch must not lose or double-count merged
    stats: the pool quiesces every chunk before re-raising, so the
    absorb that follows sees exactly the completed tests. *)
-let test_absorb_views_worker_crash () =
-  let pc = Pebble_cache.create graph in
-  let tree, sub, child, mus = child_test_setup graph in
+let test_absorb_worker_crash () =
+  let cache = Plan_cache.create () in
+  let tree, child, candidates = child_test_setup cache graph in
   check Alcotest.bool "enough candidates to spread over workers" true
-    (List.length mus >= 16);
-  let items = List.mapi (fun i mu -> (i, mu)) mus in
+    (List.length candidates >= 16);
+  let ct = Plan_cache.stage_child_test cache graph (`Pebble 2) tree child in
+  let items = List.mapi (fun i a -> (i, a)) candidates in
   let completed = Atomic.make 0 in
   Pool.with_pool ~domains:4 @@ fun pool ->
+  let workers =
+    Array.init (Pool.size pool) (fun _ -> Plan_cache.worker cache graph)
+  in
   (match
      Pool.map_stream pool
-       ~init:(fun slot -> Pebble_cache.worker_view_for pc slot)
-       ~f:(fun view (i, mu) ->
+       ~init:(fun slot -> Plan_cache.run ~worker:workers.(slot) ct)
+       ~f:(fun test (i, a) ->
          if i = 7 then failwith "crash";
-         let r = Pebble_cache.child_test view ~k:2 tree mu sub child in
+         let r = test a in
          Atomic.incr completed;
          r)
        items
    with
   | _ -> Alcotest.fail "the worker's exception was swallowed"
   | exception Failure msg -> check Alcotest.string "crash" "crash" msg);
-  Pebble_cache.absorb_views pc;
-  let s = Pebble_cache.stats pc in
-  check Alcotest.int "absorbed lookups = completed tests (none lost)"
-    (Atomic.get completed)
-    (s.Pebble_cache.hits + s.Pebble_cache.misses);
-  (* absorb zeroes the views: running it again must add nothing *)
-  Pebble_cache.absorb_views pc;
-  let s2 = Pebble_cache.stats pc in
-  check Alcotest.int "re-absorbing double-counts nothing"
-    (s.Pebble_cache.hits + s.Pebble_cache.misses)
-    (s2.Pebble_cache.hits + s2.Pebble_cache.misses)
+  Array.iter (Plan_cache.absorb_worker cache tree) workers;
+  let s = Plan_cache.stats cache in
+  check Alcotest.int "absorbed tests = completed tests (none lost)"
+    (Atomic.get completed) (test_count s);
+  (* absorb empties the workers: running it again must add nothing *)
+  Array.iter (Plan_cache.absorb_worker cache tree) workers;
+  check Alcotest.int "re-absorbing double-counts nothing" (test_count s)
+    (test_count (Plan_cache.stats cache))
 
 (* ------------------------------------------------------------------ *)
-(* Verdict LRU                                                         *)
+(* One child test per node                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_verdict_lru () =
-  let capped = Engine.plan ~optimize:false ~verdict_capacity:1 pattern in
-  let uncapped = Engine.plan ~optimize:false pattern in
-  let ac = Engine.solutions capped graph in
-  let au = Engine.solutions uncapped graph in
-  check Alcotest.bool "capped answers = uncapped answers" true
-    (set_equal ac au);
-  check Alcotest.bool "capped answers = reference" true
-    (set_equal ac (reference graph));
-  (* the pebble verdicts: [Engine.check] runs the pebble algorithm on
-     each plan's cache for every answer *)
-  let pebble_stats plan =
-    Sparql.Mapping.Set.iter
-      (fun mu ->
-        check Alcotest.bool "check accepts every answer" true
-          (Engine.check plan graph mu))
-      au;
-    (Plan_cache.stats plan.Engine.cache).Plan_cache.pebble
+(* Every subtree a node is a child of shares the same variables with
+   it (those on its ancestor path), so one game per (node, k) and one
+   relaxed verdict per (node, k, µ|shared) serve them all. *)
+let test_one_game_per_node () =
+  List.iter
+    (fun (name, tree, predicates) ->
+      let forest = [ tree ] in
+      let g = Generator.random_graph ~seed:7 ~n:12 ~predicates ~m:40 in
+      let children = List.length (Wdpt.Pattern_tree.nodes tree) - 1 in
+      (* the distinct (node, µ|shared) keys Pebble_eval.solutions can ask *)
+      let keys = Hashtbl.create 64 in
+      let target = Graph.to_index g in
+      List.iter
+        (fun subtree ->
+          List.iter
+            (fun h ->
+              match Sparql.Mapping.of_assignment h with
+              | None -> ()
+              | Some mu -> (
+                  match Wdpt.Subtree.matching tree g mu with
+                  | None -> ()
+                  | Some sub ->
+                      List.iter
+                        (fun n ->
+                          let shared =
+                            Variable.Set.inter
+                              (Tgraphs.Tgraph.vars
+                                 (Wdpt.Pattern_tree.pat tree n))
+                              (Wdpt.Subtree.vars sub)
+                          in
+                          Hashtbl.replace keys
+                            ( n,
+                              Sparql.Mapping.to_list
+                                (Sparql.Mapping.restrict shared mu) )
+                            ())
+                        (Wdpt.Subtree.children sub)))
+            (Tgraphs.Homomorphism.all ~source:(Wdpt.Subtree.pat subtree)
+               ~target ()))
+        (Wdpt.Subtree.all tree);
+      let cache = Plan_cache.create () in
+      let pebble () = (Plan_cache.stats cache).Plan_cache.pebble in
+      let answers = Wd_core.Pebble_eval.solutions ~cache ~k:1 forest g in
+      check Alcotest.bool (name ^ ": answers = Wdpt.Semantics") true
+        (set_equal answers (Wdpt.Semantics.solutions forest g));
+      check Alcotest.int (name ^ ": one game per child node") children
+        (pebble ()).Wd_core.Pebble_cache.compiled;
+      check Alcotest.bool
+        (name ^ ": misses <= distinct (node, µ|shared) keys")
+        true
+        ((pebble ()).Wd_core.Pebble_cache.misses <= Hashtbl.length keys);
+      ignore (Wd_core.Pebble_eval.solutions ~cache ~k:2 forest g);
+      check Alcotest.int (name ^ ": one more game per node at k = 2")
+        (2 * children) (pebble ()).Wd_core.Pebble_cache.compiled)
+    [
+      ( "star5",
+        Workload.Query_families.star_query 5,
+        List.init 6 (Printf.sprintf "c%d") );
+      ("comb3", Workload.Query_families.comb_query 3, [ "p"; "t" ]);
+    ]
+
+(* The two kinds of verdict never answer for each other. On the fooling
+   instance, 2 pebbles wrongly let clique_child 3's child extend µ: a
+   remembered relaxed verdict would drop µ from the exact enumeration,
+   and a remembered exact verdict would make the pebble check accept. *)
+let test_verdict_kinds_apart () =
+  let forest = [ Workload.Query_families.clique_child 3 ] in
+  let pattern = Wdpt.Pattern_forest.to_algebra forest in
+  let g, mu = Workload.Graph_families.cyclic_triangles_instance ~m:3 in
+  let plan () = Engine.plan ~force:(Engine.Pebble 1) pattern in
+  let reference = Wdpt.Semantics.solutions forest g in
+  check Alcotest.bool "fresh plan: check is fooled" false
+    (Engine.check (plan ()) g mu);
+  check Alcotest.bool "fresh plan: solutions = Wdpt.Semantics" true
+    (set_equal (Engine.solutions (plan ()) g) reference);
+  check Alcotest.bool "µ is an answer" true
+    (Sparql.Mapping.Set.mem mu reference);
+  let p = plan () in
+  check Alcotest.bool "solutions first" true
+    (set_equal (Engine.solutions p g) reference);
+  check Alcotest.bool "then check stays false" false (Engine.check p g mu);
+  let p = plan () in
+  check Alcotest.bool "check first" false (Engine.check p g mu);
+  check Alcotest.bool "then solutions = Wdpt.Semantics" true
+    (set_equal (Engine.solutions p g) reference)
+
+let test_k_check () =
+  let fails f =
+    Alcotest.check_raises "k >= 1"
+      (Invalid_argument "Plan_cache.pebble_test: k must be at least 1")
+      (fun () -> ignore (f ()))
   in
-  let sc = pebble_stats capped and su = pebble_stats uncapped in
-  check Alcotest.bool "a capacity of 1 must evict" true
-    (sc.Wd_core.Pebble_cache.evictions > 0);
-  check Alcotest.int "the generous default evicts nothing" 0
-    su.Wd_core.Pebble_cache.evictions;
-  (* the cap trades memo hits for recomputation, nothing else *)
-  check Alcotest.bool "capped run recomputes more" true
-    (sc.Wd_core.Pebble_cache.misses >= su.Wd_core.Pebble_cache.misses)
+  let tree = List.hd (Wdpt.Pattern_forest.of_algebra pattern) in
+  fails (fun () ->
+      Plan_cache.pebble_test (Plan_cache.create ()) graph ~k:0 tree 1);
+  fails (fun () ->
+      Wd_core.Enumerate.solutions ~maximality:(`Pebble 0) [ tree ] graph)
 
 (* ------------------------------------------------------------------ *)
 (* Exact-first maximality                                              *)
@@ -578,10 +664,18 @@ let () =
         ] );
       ( "crash",
         [
-          Alcotest.test_case "absorb_views after worker crash" `Quick
-            test_absorb_views_worker_crash;
+          Alcotest.test_case "absorb_worker after worker crash" `Quick
+            test_absorb_worker_crash;
         ] );
-      ("lru", [ Alcotest.test_case "verdict eviction" `Quick test_verdict_lru ]);
+      ( "per node",
+        [
+          Alcotest.test_case "one game per (child node, k)" `Quick
+            test_one_game_per_node;
+          Alcotest.test_case "exact and relaxed verdicts kept apart" `Quick
+            test_verdict_kinds_apart;
+          Alcotest.test_case "k is checked where a test is staged" `Quick
+            test_k_check;
+        ] );
       ( "portfolio",
         [
           portfolio_differential;

@@ -76,7 +76,7 @@ let kernel_modules =
     "analysis/satisfiability.ml";
     "core/domination_width.ml";
     "core/enumerate.ml";
-    "core/pebble_cache.ml";
+    "core/plan_cache.ml";
     "csp/core_of.ml";
     "csp/hom.ml";
     "encoded/encoded_hom.ml";
