@@ -259,24 +259,28 @@ let eval_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Total parallelism for the per-candidate maximality tests \
-                (pebble algorithm only): N-1 worker domains plus the \
-                caller. 1 (the default) is exactly the sequential path; \
-                answers are identical for every N.")
+          ~doc:"Total parallelism for the child joins of the top-down \
+                walk, one root match per work item (planned algorithm \
+                only): N-1 worker domains plus the caller. 1 (the \
+                default) is exactly the sequential path; answers and \
+                their output are identical for every N.")
   in
   let run load_data query algorithm k spec explain domains optimize =
     handle @@ fun () ->
     let graph = load_data () in
     let pattern, spans = load_query_spanned query in
-    let sols =
+    let answers =
       match algorithm with
       | Some `Reference ->
-          Sparql.Eval.eval ~budget:(fresh_budget ~solutions:true spec) pattern graph
+          `Set
+            (Sparql.Eval.eval ~budget:(fresh_budget ~solutions:true spec)
+               pattern graph)
       | Some `Naive ->
           let forest = Wdpt.Pattern_forest.of_algebra pattern in
-          Wdpt.Semantics.solutions
-            ~budget:(fresh_budget ~solutions:true spec)
-            forest graph
+          `Set
+            (Wdpt.Semantics.solutions
+               ~budget:(fresh_budget ~solutions:true spec)
+               forest graph)
       | Some `Pebble | None -> (
           let force = Option.map (fun k -> Wd_core.Engine.Pebble k) k in
           (* Store-independent semantic analysis before planning: the
@@ -301,7 +305,7 @@ let eval_cmd =
                  graph — nothing to plan or evaluate *)
               if explain then
                 Fmt.pr "plan: skipped — the pattern is unsatisfiable@.";
-              Sparql.Mapping.Set.empty
+              `Set Sparql.Mapping.Set.empty
           | Analysis.Prune.Pattern residual ->
               (* Static width estimation up front: the exact dw it
                  measures is handed to [Engine.plan] as a hint, so
@@ -325,22 +329,31 @@ let eval_cmd =
                   ~optimize residual
               in
               if explain then Fmt.pr "%a@." Wd_core.Engine.pp_plan plan;
-              let sols, cache_stats =
-                Wd_core.Engine.solutions_stats
+              let rows =
+                Wd_core.Engine.answer_rows
                   ~budget:(fresh_budget ~solutions:true spec)
                   ~domains plan graph
               in
               if explain then begin
-                Option.iter
-                  (Fmt.pr "%a@." Wd_core.Plan_cache.pp_stats)
-                  cache_stats;
+                Fmt.pr "%a@." Wd_core.Plan_cache.pp_stats
+                  (Wd_core.Plan_cache.stats plan.Wd_core.Engine.cache);
                 Fmt.pr "%a@." Wd_core.Explain.pp_trees
                   (Wd_core.Explain.trees plan graph)
               end;
-              sols)
+              `Rows rows)
     in
-    Fmt.pr "%d solution(s)@." (Sparql.Mapping.Set.cardinal sols);
-    Sparql.Mapping.Set.iter (fun mu -> Fmt.pr "%a@." Sparql.Mapping.pp mu) sols
+    match answers with
+    | `Set sols ->
+        Fmt.pr "%d solution(s)@." (Sparql.Mapping.Set.cardinal sols);
+        Sparql.Mapping.Set.iter
+          (fun mu -> Fmt.pr "%a@." Sparql.Mapping.pp mu)
+          sols
+    | `Rows rows ->
+        (* the engine's answers stay id rows up to the bytes *)
+        Fmt.pr "%d solution(s)@." (Wd_core.Row_writer.cardinal rows);
+        let buf = Buffer.create 4096 in
+        Wd_core.Row_writer.write buf rows;
+        Buffer.output_buffer stdout buf
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a query over a data file.")
@@ -846,7 +859,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Parallelism inside a single evaluation (as in eval).")
+          ~doc:"Parallelism inside a single evaluation: the child joins \
+                of each root match run on one of N domains (as in eval); \
+                answers are identical for every N.")
   in
   let global_fuel_arg =
     Arg.(

@@ -71,14 +71,15 @@ let check ?budget plan graph mu =
   | Pebble k ->
       Pebble_eval.check ?budget ~cache:plan.cache ~k plan.forest graph mu
 
+let maximality plan =
+  match plan.algorithm with Naive -> `Hom | Pebble k -> `Pebble k
+
+let optimize plan = if plan.optimize then `On else `Off
+
 let solutions_stats ?budget ?domains plan graph =
-  let maximality =
-    match plan.algorithm with Naive -> `Hom | Pebble k -> `Pebble k
-  in
   let answers =
-    Enumerate.solutions ?budget ?domains ~maximality
-      ~optimize:(if plan.optimize then `On else `Off)
-      ~cache:plan.cache plan.forest graph
+    Enumerate.solutions ?budget ?domains ~maximality:(maximality plan)
+      ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph
   in
   (answers, Some (Plan_cache.stats plan.cache))
 
@@ -86,7 +87,23 @@ let solutions ?budget ?domains plan graph =
   fst (solutions_stats ?budget ?domains plan graph)
 
 let count ?budget ?domains plan graph =
-  Sparql.Mapping.Set.cardinal (solutions ?budget ?domains plan graph)
+  Enumerate.count ?budget ?domains ~maximality:(maximality plan)
+    ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph
+
+let answer_rows ?budget ?domains plan graph =
+  let rows = ref [] in
+  Enumerate.iter_rows ?budget ?domains ~maximality:(maximality plan)
+    ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph (fun row ->
+      rows := Array.copy row :: !rows);
+  let dict =
+    Encoded.Encoded_graph.dictionary (Plan_cache.encoded plan.cache graph)
+  in
+  let iri id =
+    match Rdf.Dictionary.term_of dict id with
+    | Rdf.Term.Iri i -> i
+    | Rdf.Term.Var _ -> invalid_arg "Engine.answer_rows: a variable in the store"
+  in
+  Row_writer.of_rows (Enumerate.variables plan.forest) iri !rows
 
 let pp_width_source ppf = function
   | Exact -> Fmt.string ppf "exact"

@@ -2,21 +2,22 @@
     width once, and dispatch every subsequent operation to the right
     algorithm. This is what the CLI and the examples use.
 
-    Under a [Pebble k] plan, enumeration ({!solutions}) answers each
-    Lemma-1 child test exact first and asks the pebble game only where
-    the exact search outgrows the game's own polynomial bound
-    ({!Plan_cache.run}); membership ({!check}) is the paper's Theorem-1
-    algorithm as stated, pebble game only ({!Pebble_eval.check}). Both
-    run on the plan's {!Plan_cache}: one game per (node, k), with exact
-    and relaxed verdicts memoized apart. *)
+    Enumeration ({!solutions}) walks each tree top down on id rows
+    ({!Enumerate}); under a [Pebble k] plan a child join's search for a
+    first extension is capped at the pebble game's polynomial bound,
+    and the game refutes the children whose search trips the cap
+    ({!Plan_cache.extensions}). Membership ({!check}) is the paper's
+    Theorem-1 algorithm as stated, pebble game only
+    ({!Pebble_eval.check}). Both run on the plan's {!Plan_cache}: one
+    game per (node, k), with its relaxed verdicts memoized. *)
 
 open Rdf
 
 type algorithm =
   | Naive  (** exact homomorphism tests (exponential in the query) *)
   | Pebble of int
-      (** Theorem-1 algorithm with [k]+1 pebbles; enumeration runs it
-          exact first *)
+      (** Theorem-1 algorithm with [k]+1 pebbles; enumeration joins each
+          child exactly and asks the game only past the cap *)
 
 type width_source =
   | Exact  (** the plan's width is the measured domination width *)
@@ -89,28 +90,35 @@ val check :
 val solutions :
   ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
   Sparql.Mapping.Set.t
-(** All answers from the shared-prefix enumerator
-    ({!Enumerate.solutions}) on the plan's cache: maximality by the
-    exact homomorphism test under [Naive], and under [Pebble k] by the
-    exact test first with the pebble game past its cap. [domains]
-    (default 1 — exactly the sequential path) runs the per-candidate
-    tests of [Pebble k] plans on a domain pool; answers are identical
-    for every value. *)
+(** All answers from the top-down walk ({!Enumerate.solutions}) on the
+    plan's cache: the child joins alone under [Naive], and under
+    [Pebble k] capped until their first extension, with the pebble game
+    as the refuter past the cap. [domains] (default 1 — exactly the
+    sequential path) runs the child joins of each root match on a
+    domain pool; answers are identical for every value. *)
 
 val solutions_stats :
   ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
   Sparql.Mapping.Set.t * Plan_cache.stats option
 (** Like {!solutions}, also returning the plan-cache counters accumulated
-    over the plan's lifetime — child tests answered exact / by the
-    pebble game / capped, pebble hits/misses/compiled/evictions, hom
-    sources compiled, epoch invalidations (always [Some]) — what
-    [--explain] prints. Parallel workers' counters are merged in
-    before returning, so the number of child tests and pebble lookups
-    counted does not depend on [domains]. Because the cache lives on the
-    plan, repeated calls on the same graph reuse compiled artefacts and
-    the counters keep growing. *)
+    over the plan's lifetime — child joins run, extensions, capped
+    searches and pebble answers, rows and distinct answers, pebble
+    hits/misses/compiled/evictions, hom sources compiled, epoch
+    invalidations (always [Some]) — what [--explain] prints. Parallel
+    workers' counters are merged in before returning, so the counts do
+    not depend on [domains]. Because the cache lives on the plan,
+    repeated calls on the same graph reuse compiled artefacts and the
+    counters keep growing. *)
 
 val count : ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t -> int
+(** Number of distinct answers ({!Enumerate.count}): nothing is decoded
+    and no answer set is built. *)
+
+val answer_rows :
+  ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
+  Row_writer.t
+(** The answers as id rows, ready for the CLI's writer: the same
+    answers as {!solutions}, with no term set built. *)
 
 val pp_width_source : width_source Fmt.t
 val pp_plan : plan Fmt.t

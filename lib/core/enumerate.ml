@@ -1,3 +1,4 @@
+open Rdf
 module Budget = Resource.Budget
 module Encoded_hom = Encoded.Encoded_hom
 
@@ -5,152 +6,208 @@ type maximality = Plan_cache.maximality
 
 type optimize = [ `Off | `On ]
 
-(* The lattice walk: every partial homomorphism is a flat int array over
-   the tree's shared variable table ({!Plan_cache.node_source}), so the
-   parent's solution array IS the child join's [pre] (no map union, no
-   re-encoding). Both maximality tests run on those ids too, and terms
-   only reappear at the solution boundary, for maximal candidates. *)
-let solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree graph =
+let variables forest =
+  Array.of_list (Variable.Set.elements (Wdpt.Pattern_forest.vars forest))
+
+(* A tree's child joins, staged in tree shape: ['j] is a staged join
+   ({!Plan_cache.child_join}) or a domain's runner of it. *)
+type 'j node_join = { join : 'j; fresh : int array; below : 'j node_join list }
+
+let rec map_join f nj =
+  { nj with join = f nj.join; below = List.map (map_join f) nj.below }
+
+(* One node match and, per child, the slots the child introduces and
+   its extensions of the match ([] when the child is left out).
+   Children share only ancestor variables, so the answers below a match
+   are the product of its children's alternatives: this form holds each
+   node match once, and the product is only walked when emitting. *)
+type branch = { row : int array; kids : (int array * branch list) list }
+
+let rec expand joins row =
+  {
+    row;
+    kids =
+      List.map (fun nj -> (nj.fresh, List.map (expand nj.below) (nj.join row)))
+        joins;
+  }
+
+(* Walk the product of [pending]'s alternatives, writing each chosen
+   match's fresh slots into [out]. Between calls every slot outside the
+   current choice is unassigned, so a left-out child leaves its whole
+   subtree unbound. *)
+let rec emit out pending sink =
+  match pending with
+  | [] -> sink out
+  | (_, []) :: rest -> emit out rest sink
+  | (fresh, alts) :: rest ->
+      List.iter
+        (fun b ->
+          Array.iter (fun s -> out.(s) <- b.row.(s)) fresh;
+          emit out (b.kids @ rest) sink)
+        alts;
+      Array.iter (fun s -> out.(s) <- Encoded_hom.unassigned) fresh
+
+(* The top-down walk of one tree (Pérez et al.): each root match is
+   extended by each of a child's extensions, and the child is dropped
+   when it has none, recursively. [sink] receives every answer of the
+   tree once, as a live row over the tree's variable table. *)
+let walk_tree ~budget ~maximality ~cache ~pool ~optimize tree graph sink =
   Budget.with_phase budget "enumerate" @@ fun () ->
-  let results = ref Sparql.Mapping.Set.empty in
-  let source_of n = Plan_cache.node_source cache graph tree n in
   let order_of n =
     match optimize with
     | `Off -> None
-    | `On ->
-        Some (Plan_cache.node_decision ~budget cache graph tree n).order
+    | `On -> Some (Plan_cache.node_decision ~budget cache graph tree n).order
   in
-  let root_source = source_of Wdpt.Pattern_tree.root in
-  (* Compile every node's source and decision up front when optimizing
-     (the sequential path pays the same cost on first visit anyway).
-     Worker domains never touch the plan cache's tables: child tests are
-     staged on this domain and only run on the workers. *)
-  (if optimize = `On then
-     List.iter
-       (fun n ->
-         ignore (source_of n);
-         ignore (order_of n))
-       (Wdpt.Pattern_tree.nodes tree));
-  (* Stage each child's test once per candidate batch. *)
-  let stage subtree =
-    List.map
-      (fun n ->
-        Plan_cache.stage_child_test ?order:(order_of n) cache graph maximality
-          tree n)
-      (Wdpt.Subtree.children subtree)
+  let root = Wdpt.Pattern_tree.root in
+  let root_source = Plan_cache.node_source cache graph tree root in
+  let roots =
+    Encoded_hom.fold ~budget ?order:(order_of root) root_source ~init:[]
+      ~f:(fun acc h -> (Array.copy h :: acc, `Continue))
   in
-  (* decoding any node's source decodes the whole shared array *)
-  let decode h = Encoded_hom.decode root_source h in
-  let add_solution mu =
-    if not (Sparql.Mapping.Set.mem mu !results) then Budget.solution budget;
-    results := Sparql.Mapping.Set.add mu !results
-  in
-  let maximal tests h =
-    if List.exists (fun test -> test h) tests then None
-    else Sparql.Mapping.of_assignment (decode h)
-  in
-  (* Parallel candidate checking: the maximality test of each candidate
-     in a batch is independent, so they fan out across the pool. Each
-     worker slot runs the same exact-first tests as the sequential path
-     on its own {!Plan_cache.worker} (private verdict memos and
-     counters; the compiled games are shared) and its own
-     budget view (shared fuel pool / cancellation flag). The caller
-     merges results in input order, so [add_solution] — dedup, solution
-     cap — sees exactly the sequential sequence and answers are
-     identical to [domains:1]. *)
-  let par =
+  if roots <> [] then begin
+    (* Staged on this domain: workers only run the joins. *)
+    let rec stage n =
+      List.map
+        (fun c ->
+          let join =
+            Plan_cache.stage_child_join ?order:(order_of c) cache graph
+              maximality tree c
+          in
+          { join; fresh = Plan_cache.fresh_slots join; below = stage c })
+        (Wdpt.Pattern_tree.children tree n)
+    in
+    let staged = stage root in
+    let runners ~budget ?worker () =
+      List.map (map_join (Plan_cache.extensions ~budget ?worker)) staged
+    in
+    let out =
+      Array.make
+        (Array.length (Encoded_hom.variables root_source))
+        Encoded_hom.unassigned
+    in
+    let root_fresh = Array.of_list (Encoded_hom.own_slots root_source) in
+    let answer b = emit out [ (root_fresh, [ b ]) ] sink in
     match pool with
     | Some pool when Parallel.Pool.size pool > 1 ->
+        (* One root match per item: its joins run on a worker, with a
+           private {!Plan_cache.worker} (relaxed-verdict memos and
+           counters) and budget view (shared fuel pool and
+           cancellation); its answers are emitted on this domain, in
+           root-match order, so the answers and the [Budget.solution]
+           sequence are those of one domain. *)
         let n = Parallel.Pool.size pool in
-        Some
-          ( pool,
-            Budget.fork budget n,
-            Array.init n (fun _ -> Plan_cache.worker cache graph) )
-    | _ -> None
-  in
-  let visit_batch =
-    match par with
-    | Some (pool, wbudgets, workers) ->
-        fun subtree homs ->
-          let staged = stage subtree in
-          Parallel.Pool.fold_ordered pool
-            ~init:(fun slot ->
-              List.map
-                (Plan_cache.run ~budget:wbudgets.(slot) ~worker:workers.(slot))
-                staged)
-            ~f:maximal
-            ~merge:(fun () -> Option.iter add_solution)
-            () homs
-    | None ->
-        fun subtree homs ->
-          let tests = List.map (Plan_cache.run ~budget) (stage subtree) in
-          List.iter (fun h -> Option.iter add_solution (maximal tests h)) homs
-  in
-  (* [last]: the node id added most recently — children are only added
-     in increasing id order so each subtree is reached exactly once, via
-     its sorted member sequence. *)
-  let rec go subtree homs last =
-    visit_batch subtree homs;
-    List.iter
-      (fun n ->
-        if n > last then begin
-          Budget.tick budget;
-          let child_source = source_of n in
-          let order = order_of n in
-          let homs' =
-            List.concat_map
-              (fun h ->
-                Encoded_hom.fold ~budget ?order ~pre:h child_source ~init:[]
-                  ~f:(fun acc extension ->
-                    (Array.copy extension :: acc, `Continue)))
-              homs
-          in
-          if homs' <> [] then go (Wdpt.Subtree.add_child subtree n) homs' n
-        end)
-      (Wdpt.Subtree.children subtree)
-  in
-  let run () =
-    let root_homs =
-      Encoded_hom.fold ~budget
-        ?order:(order_of Wdpt.Pattern_tree.root)
-        root_source ~init:[]
-        ~f:(fun acc h -> (Array.copy h :: acc, `Continue))
-    in
-    if root_homs <> [] then
-      go (Wdpt.Subtree.root_only tree) root_homs Wdpt.Pattern_tree.root;
-    !results
-  in
-  match par with
-  | None -> run ()
-  | Some (_, wbudgets, workers) ->
-      (* also on exception paths: the budget views' spending folds back
-         into the caller's budget and the workers' counters into the
-         shared cache *)
-      Fun.protect
-        ~finally:(fun () ->
-          Budget.join budget wbudgets;
-          Array.iter (Plan_cache.absorb_worker cache tree) workers)
-        run
+        let wbudgets = Budget.fork budget n in
+        let workers = Array.init n (fun _ -> Plan_cache.worker cache graph) in
+        Fun.protect
+          ~finally:(fun () ->
+            Budget.join budget wbudgets;
+            Array.iter (Plan_cache.absorb_worker cache tree) workers)
+          (fun () ->
+            Parallel.Pool.fold_ordered pool
+              ~init:(fun slot ->
+                runners ~budget:wbudgets.(slot) ~worker:workers.(slot) ())
+              ~f:expand
+              ~merge:(fun () b -> answer b)
+              () roots)
+    | _ ->
+        let joins = runners ~budget () in
+        List.iter (fun r -> answer (expand joins r)) roots
+  end
 
-let solutions ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache
-    ?(domains = 1) ?(optimize = `Off) forest graph =
+(* Rows of a UNION forest, deduplicated across trees. Every emitted row
+   is charged once: a new one as a solution, a repeat as a tick. *)
+module Rows = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash a = Array.fold_left (fun h x -> (h * 65599) + x) 0 a land max_int
+end)
+
+let iter_rows ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache
+    ?(domains = 1) ?(optimize = `Off) forest graph f =
   (* One plan cache across the whole forest: the trees share the
      store's encoding and unary candidate domains. *)
   let cache = match cache with Some c -> c | None -> Plan_cache.create () in
-  let run pool =
-    List.fold_left
-      (fun acc tree ->
-        Sparql.Mapping.Set.union acc
-          (solutions_tree ~budget ~maximality ~cache ~pool ~optimize tree
-             graph))
-      Sparql.Mapping.Set.empty forest
+  let vars = variables forest in
+  let row = Array.make (Array.length vars) Encoded_hom.unassigned in
+  let seen =
+    match forest with _ :: _ :: _ -> Some (Rows.create 64) | _ -> None
   in
-  if domains <= 1 || maximality = `Hom then run None
-  else
-    (* one borrowed pool across the whole forest, so domains spawn (at
-       most) once per evaluation, not once per tree *)
-    Parallel.Pool.borrow ~domains (fun pool -> run (Some pool))
+  let rows = ref 0 and answers = ref 0 in
+  let answer () =
+    Budget.solution budget;
+    incr answers;
+    f row
+  in
+  let tree_sink tree =
+    let tvars =
+      Encoded_hom.variables
+        (Plan_cache.node_source cache graph tree Wdpt.Pattern_tree.root)
+    in
+    (* both tables are sorted, and the forest's contains the tree's *)
+    let j = ref 0 in
+    let into =
+      Array.map
+        (fun v ->
+          while not (Variable.equal vars.(!j) v) do incr j done;
+          !j)
+        tvars
+    in
+    Array.fill row 0 (Array.length row) Encoded_hom.unassigned;
+    fun out ->
+      incr rows;
+      Array.iteri (fun i s -> row.(s) <- out.(i)) into;
+      match seen with
+      | None -> answer ()
+      | Some seen ->
+          if Rows.mem seen row then Budget.tick budget
+          else begin
+            Rows.add seen (Array.copy row) ();
+            answer ()
+          end
+  in
+  let run pool =
+    List.iter
+      (fun tree ->
+        walk_tree ~budget ~maximality ~cache ~pool ~optimize tree graph
+          (tree_sink tree))
+      forest
+  in
+  (* one borrowed pool across the whole forest, so domains spawn (at
+     most) once per evaluation, not once per tree *)
+  if domains <= 1 then run None
+  else Parallel.Pool.borrow ~domains (fun pool -> run (Some pool));
+  Plan_cache.record_answers cache ~rows:!rows ~answers:!answers
+
+let mapping_of dict vars row =
+  let rec go i m =
+    if i < 0 then Some m
+    else
+      let id = row.(i) in
+      if id < 0 then go (i - 1) m
+      else
+        match Dictionary.term_of dict id with
+        | Term.Iri iri -> go (i - 1) (Variable.Map.add vars.(i) iri m)
+        | Term.Var _ -> None
+  in
+  go (Array.length row - 1) Variable.Map.empty
+
+let solutions ?budget ?maximality ?cache ?domains ?optimize forest graph =
+  let cache = match cache with Some c -> c | None -> Plan_cache.create () in
+  let dict =
+    Encoded.Encoded_graph.dictionary (Plan_cache.encoded cache graph)
+  in
+  let vars = variables forest in
+  let acc = ref Sparql.Mapping.Set.empty in
+  iter_rows ?budget ?maximality ~cache ?domains ?optimize forest graph
+    (fun row ->
+      Option.iter
+        (fun mu -> acc := Sparql.Mapping.Set.add mu !acc)
+        (mapping_of dict vars row));
+  !acc
 
 let count ?budget ?maximality ?cache ?domains ?optimize forest graph =
-  Sparql.Mapping.Set.cardinal
-    (solutions ?budget ?maximality ?cache ?domains ?optimize forest graph)
+  let n = ref 0 in
+  iter_rows ?budget ?maximality ?cache ?domains ?optimize forest graph
+    (fun _ -> incr n);
+  !n

@@ -1,33 +1,34 @@
 (** Answer enumeration for wdPTs: the engine's one evaluation path.
 
-    The baseline enumerator ({!Wdpt.Semantics.solutions}) recomputes the
-    homomorphisms of every subtree pattern from scratch — with [c]
-    optional children below a node it re-joins the shared prefix up to
-    [2^c] times. This one walks the subtree lattice once, extending each
-    partial homomorphism child by child, so common prefixes are joined
-    once. Each subtree is visited exactly once (children are added in
-    increasing node-id order, which is compatible with the parent order
-    because node ids are topological).
+    Each tree is evaluated top down, as Pérez et al. evaluate OPT on a
+    well-designed tree: every match of the root is extended by each of
+    a child's extensions, and a child with no extension is left out;
+    its empty join is Lemma 1's maximality test. In a well-designed tree
+    children share only their ancestors' variables, so the answers below
+    a node match are the product of its children's alternatives, and
+    the walk builds each answer exactly once. Each child join runs once
+    per parent row ({!Plan_cache.extensions}); the answers are only
+    assembled when they are emitted.
 
     Everything runs on dictionary ids: node patterns are compiled once
-    per (tree, graph epoch) into a {!Plan_cache.t}, partial
-    homomorphisms are flat int arrays, and both maximality tests read
-    those arrays directly. Only maximal candidates are decoded to terms.
+    per (tree, graph epoch) into a {!Plan_cache.t}, rows are flat int
+    arrays over the tree's variable table, and a parent's row is the
+    child join's prefix. Answers reach a row sink ({!iter_rows}) as id
+    rows over the forest's variable table; {!solutions} decodes them
+    into a {!Sparql.Mapping.Set.t}, and the CLI writes them as they
+    are ({!Row_writer}).
 
-    The Lemma-1 maximality condition is checked per candidate answer
-    and child ({!Plan_cache.run}):
-    - [`Hom] (default) uses the exact homomorphism test, memoized per
-      child;
-    - [`Pebble k] runs the same exact test first, under a tick cap equal
-      to the existential (k+1)-pebble game's own polynomial bound
-      [|adom|^(k+1)], and asks the child node's game (Theorem 1: one
-      game per (node, k) on the plan cache, {!Plan_cache.run_pebble})
-      only for the tests whose exact search trips the cap. Per candidate
-      the cost stays within a constant factor of the game alone —
-      polynomial even when a child hides an NP-hard pattern — and the
-      answers are exact whenever [dw ≤ k].
-      The paper's algorithm as stated, pebble game only, is
-      {!Pebble_eval}. *)
+    The maximality side of a child join:
+    - [`Hom] (default): the join alone;
+    - [`Pebble k]: the join's search for a first extension runs under a
+      tick cap equal to the existential (k+1)-pebble game's own
+      polynomial bound [|adom|^(k+1)]; when the cap trips, the child
+      node's game (Theorem 1: one game per (node, k) on the plan cache,
+      {!Plan_cache.run_pebble}) is asked as a sound refuter, and only a
+      child the game cannot refute is joined in full. Answers are exact
+      at every [k].
+    The paper's algorithm as stated, pebble game only, is
+    {!Pebble_eval}. *)
 
 open Rdf
 
@@ -40,34 +41,52 @@ type optimize = [ `Off | `On ]
     - [`Off] (default): no compiled order — ties go to the textual
       pattern order;
     - [`On]: the cost-based compiled order of {!Plan_cache.node_decision}
-      breaks ties, in the node joins and in the exact child tests.
+      breaks ties, in the root join and in every child join.
     Answers never change (tested). *)
+
+val variables : Wdpt.Pattern_forest.t -> Variable.t array
+(** The forest's variable table: its variables in {!Variable.compare}
+    order. Row slot [i] holds the binding of variable [i]. *)
+
+val iter_rows :
+  ?budget:Resource.Budget.t -> ?maximality:maximality ->
+  ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
+  Wdpt.Pattern_forest.t -> Graph.t -> (int array -> unit) -> unit
+(** [iter_rows forest graph f] calls [f] once per distinct answer, with
+    a live row over {!variables}[ forest]: the dictionary id of each
+    bound variable's IRI in [cache]'s encoding of [graph]
+    ({!Plan_cache.encoded}), {!Encoded.Encoded_hom.unassigned} for an
+    unbound one. Copy the row to keep it. Rows of a UNION forest are
+    deduplicated across trees. {!Resource.Budget.solution} is charged
+    once per distinct answer, before [f] sees it; the emitted rows and
+    distinct answers are added to [cache]'s stats
+    ({!Plan_cache.candidates_per_answer}).
+
+    One {!Plan_cache.t} is shared across the whole forest — pass
+    [cache] to supply your own (e.g. a plan's cache, to reuse compiled
+    sources and pebble games across calls, or to read its stats
+    afterwards).
+
+    [domains] (default 1) sets the total parallelism: with
+    [domains > 1] a borrowed domain pool ({!Parallel.Pool.borrow}) runs
+    the child joins of each root match on a worker, each with a
+    private {!Plan_cache.worker}, and the answers are emitted on the
+    calling domain in root-match order: the rows and their order are
+    identical to [domains:1] for every [n] (tested). Budgets propagate:
+    workers draw from a shared fuel pool and a deadline or cancellation
+    on any domain stops the others within one lease
+    ({!Resource.Budget.fork}). *)
 
 val solutions :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
   ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.Set.t
-(** Equals {!Wdpt.Semantics.solutions} under [`Hom], and under
-    [`Pebble k] whenever [dw(F) ≤ k] (tested). One {!Plan_cache.t} is
-    shared across the whole forest — pass [cache] to supply your own
-    (e.g. a plan's cache, to reuse compiled sources, pebble games and
-    verdicts across calls, or to read its stats afterwards).
-
-    [domains] (default 1) sets the total parallelism of the per-batch
-    maximality tests under [`Pebble k]: with [domains > 1] a borrowed
-    domain pool ({!Parallel.Pool.borrow}) fans the staged id-level child
-    tests of each candidate batch across workers — the same exact-first
-    tests, each worker with a private {!Plan_cache.worker} (verdict
-    memos and counters) — merging results back in
-    sequential order: the answer {e set and its construction order} are
-    identical to [domains:1] for every [n] (tested as a qcheck
-    property). [`Hom] always evaluates sequentially. Budgets propagate:
-    workers draw from a shared fuel pool and a deadline or cancellation
-    on any domain stops the others within one lease
-    ({!Resource.Budget.fork}). *)
+(** {!iter_rows}, decoded. Equals {!Wdpt.Semantics.solutions} under
+    either maximality (tested). *)
 
 val count :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
   ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> int
-(** Number of distinct answers. *)
+(** Number of distinct answers: {!iter_rows} with a counter, decoding
+    nothing. *)

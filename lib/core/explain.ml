@@ -17,7 +17,7 @@ type node_plan = {
 
 and maximality = {
   exact_cap : int option;
-  tests : Plan_cache.tests;
+  joins : Plan_cache.joins;
 }
 
 type tree_plan = node_plan list
@@ -133,7 +133,7 @@ let trees ?budget plan graph =
         (match plan.Engine.algorithm with
         | Engine.Naive -> None
         | Engine.Pebble k -> Some (Plan_cache.exact_cap cache graph tree n k));
-      tests = Plan_cache.node_tests cache graph tree n;
+      joins = Plan_cache.node_joins cache graph tree n;
     }
   in
   List.map (plan_tree enc decision_of maximality_of) plan.Engine.forest
@@ -153,9 +153,8 @@ let pp_maximality ppf m =
   | None -> Fmt.string ppf "maximality test: exact"
   | Some cap ->
       Fmt.pf ppf "maximality test: exact first, pebble past %d ticks" cap);
-  let t = m.tests in
-  if t.Plan_cache.exact + t.Plan_cache.pebble_answers > 0 then
-    Fmt.pf ppf "; answered %a" Plan_cache.pp_tests t
+  if m.joins.Plan_cache.runs > 0 then
+    Fmt.pf ppf "; joins %a" Plan_cache.pp_joins m.joins
 
 let pp_trees ppf trees =
   List.iteri

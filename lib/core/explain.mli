@@ -9,9 +9,11 @@
     match count of its constant positions; with it off, patterns appear
     most selective first per {!Rdf.Stats.estimated_matches} — the
     fail-first rescoring's initial view. Each non-root node also shows
-    its Lemma-1 maximality test: exact, or exact first with the pebble
-    game past the cap ({!Plan_cache.exact_cap}), and, once the plan has
-    been evaluated, how its child tests were answered. *)
+    its Lemma-1 maximality test: the child join alone, or the join
+    capped until its first extension with the pebble game as the
+    refuter past the cap ({!Plan_cache.exact_cap}), and, once the plan
+    has been evaluated, the joins it ran and the extensions they
+    produced. *)
 
 type triple_plan = {
   triple : Rdf.Triple.t;
@@ -40,8 +42,8 @@ and maximality = {
   exact_cap : int option;
       (** the exact test's tick cap under a pebble plan; [None] for a
           naive plan (exact only) *)
-  tests : Plan_cache.tests;
-      (** the node's child tests against this graph so far — zero until
+  joins : Plan_cache.joins;
+      (** the node's child joins against this graph so far — zero until
           the plan is evaluated *)
 }
 
@@ -67,7 +69,7 @@ val explain :
 val trees :
   ?budget:Resource.Budget.t -> Engine.plan -> Rdf.Graph.t -> tree_plan list
 (** The per-tree part of the report for an existing plan — after an
-    evaluation, with its per-node child-test counters ([eval
+    evaluation, with its per-node child-join counters ([eval
     --explain]). *)
 
 val pp_trees : tree_plan list Fmt.t

@@ -1,6 +1,6 @@
 (** The pebble side of one store's Lemma-1 child tests.
 
-    {!Plan_cache} owns every child-test artefact per (tree, node): the
+    {!Plan_cache} owns every child-join artefact per (tree, node): the
     compiled source, the cap, the games and the verdict memos. This
     module holds what the games of one store share:
 

@@ -3,16 +3,18 @@ module Budget = Resource.Budget
 
 type maximality = [ `Hom | `Pebble of int ]
 
-type tests = {
-  exact : int;
-  exact_hits : int;
-  pebble_answers : int;
+type joins = {
+  runs : int;
+  extensions : int;
   capped : int;
+  pebble_answers : int;
 }
 
 type stats = {
   pebble : Pebble_cache.stats;
-  tests : tests;
+  joins : joins;
+  rows : int;
+  answers : int;
   hom_sources : int;
   invalidations : int;
   plan_evictions : int;
@@ -21,38 +23,39 @@ type stats = {
   decision_misses : int;
 }
 
-let pp_tests ppf t =
-  Fmt.pf ppf "%d exact (%d from the memo), %d pebble, %d capped" t.exact
-    t.exact_hits t.pebble_answers t.capped
+let candidates_per_answer s =
+  if s.answers = 0 then 0. else float s.rows /. float s.answers
+
+let pp_joins ppf j =
+  Fmt.pf ppf "%d run, %d extension(s), %d capped, %d pebble" j.runs
+    j.extensions j.capped j.pebble_answers
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "@[<v>%a@ child tests: %a@ plan cache: %d hom sources compiled, %d \
+    "@[<v>%a@ child joins: %a@ answers: %d row(s) for %d distinct (%.2f \
+     candidates per answer)@ plan cache: %d hom sources compiled, %d \
      invalidations, %d evictions, %d live entries, %d/%d join-order \
      decisions reused@]"
-    Pebble_cache.pp_stats s.pebble pp_tests s.tests s.hom_sources
-    s.invalidations s.plan_evictions s.live_entries s.decision_hits
+    Pebble_cache.pp_stats s.pebble pp_joins s.joins s.rows s.answers
+    (candidates_per_answer s) s.hom_sources s.invalidations s.plan_evictions
+    s.live_entries s.decision_hits
     (s.decision_hits + s.decision_misses)
 
-let zero_tests = { exact = 0; exact_hits = 0; pebble_answers = 0; capped = 0 }
+let zero_joins = { runs = 0; extensions = 0; capped = 0; pebble_answers = 0 }
 
-let add_tests a b =
+let add_joins a b =
   {
-    exact = a.exact + b.exact;
-    exact_hits = a.exact_hits + b.exact_hits;
-    pebble_answers = a.pebble_answers + b.pebble_answers;
+    runs = a.runs + b.runs;
+    extensions = a.extensions + b.extensions;
     capped = a.capped + b.capped;
+    pebble_answers = a.pebble_answers + b.pebble_answers;
   }
 
-(* An exact-side verdict: the answer, or "the search tripped the cap"
-   (the key then goes straight to the pebble game). *)
-type verdict = Extends | No_extension | Capped
-
-(* Child-test counters of one node, mutated only by the domain that owns
+(* Child-join counters of one node, mutated only by the domain that owns
    them: the cache's caller, or one worker until [absorb_worker]. *)
 type tally = {
-  mutable t_exact : int;
-  mutable t_exact_hits : int;
+  mutable t_runs : int;
+  mutable t_extensions : int;
   mutable t_capped : int;
   mutable t_hits : int;  (* relaxed verdicts from the memo *)
   mutable t_misses : int;  (* relaxed verdicts from a game run *)
@@ -62,8 +65,8 @@ type tally = {
 
 let new_tally () =
   {
-    t_exact = 0;
-    t_exact_hits = 0;
+    t_runs = 0;
+    t_extensions = 0;
     t_capped = 0;
     t_hits = 0;
     t_misses = 0;
@@ -72,52 +75,33 @@ let new_tally () =
   }
 
 let add_tally into tl =
-  into.t_exact <- into.t_exact + tl.t_exact;
-  into.t_exact_hits <- into.t_exact_hits + tl.t_exact_hits;
+  into.t_runs <- into.t_runs + tl.t_runs;
+  into.t_extensions <- into.t_extensions + tl.t_extensions;
   into.t_capped <- into.t_capped + tl.t_capped;
   into.t_hits <- into.t_hits + tl.t_hits;
   into.t_misses <- into.t_misses + tl.t_misses;
   into.t_families <- into.t_families + tl.t_families;
   into.t_evictions <- into.t_evictions + tl.t_evictions
 
-let tests_of tl =
+let joins_of tl =
   {
-    exact = tl.t_exact;
-    exact_hits = tl.t_exact_hits;
-    pebble_answers = tl.t_hits + tl.t_misses;
+    runs = tl.t_runs;
+    extensions = tl.t_extensions;
     capped = tl.t_capped;
+    pebble_answers = tl.t_hits + tl.t_misses;
   }
 
-(* A node's verdict memos and counters, on the cache or on a worker. The
-   two kinds of verdict live in separate tables: a single relaxed child
-   test may over-approximate an exact one (only the disjunction over a
-   subtree's children is exact, Theorem 1), so neither may answer for
-   the other. Both are keyed on the candidate's ids at the node's own
-   slots, the relaxed one with [k] in front. *)
-type memo = {
-  exact_verdicts : (int list, verdict) Hashtbl.t;
-  relaxed_verdicts : (int list, bool) Hashtbl.t;
-  tally : tally;
-}
+(* A node's relaxed-verdict memo and counters, on the cache or on a
+   worker. Verdicts are keyed on [k] and the row's ids at the node's own
+   slots. *)
+type memo = { relaxed_verdicts : (int list, bool) Hashtbl.t; tally : tally }
 
-let new_memo () =
-  {
-    exact_verdicts = Hashtbl.create 64;
-    relaxed_verdicts = Hashtbl.create 64;
-    tally = new_tally ();
-  }
+let new_memo () = { relaxed_verdicts = Hashtbl.create 64; tally = new_tally () }
 
-(* Cap on each per-node verdict table: past this, new verdicts are
+(* Cap on each per-node verdict memo: past this, new verdicts are
    computed but not remembered. A node this wide is one whose verdicts
    rarely repeat anyway. *)
 let verdict_limit = 1 lsl 16
-
-(* Remember a verdict unless the node's table is full; says whether it
-   did. *)
-let remember table key v =
-  Hashtbl.length table < verdict_limit
-  && (Hashtbl.replace table key v;
-      true)
 
 (* Every Lemma-1 artefact of one tree node against one store. In a
    well-designed tree a child shares with any subtree exactly the
@@ -128,7 +112,8 @@ type node_state = {
   source : Encoded.Encoded_hom.source;
   slots : int array;
       (* the node's own slots: a fold with [pre] depends on the prefix
-         only through them, so they key both verdict memos *)
+         only through them, so they key the relaxed-verdict memo *)
+  fresh : int array;  (* the slots of the variables [n] introduces *)
   mutable decision : Optimizer.Join_order.decision option;
       (* cost-based plan, computed against this entry's store *)
   shared : Tgraphs.Gtgraph.t;  (* (pat n, vars shared with the ancestors) *)
@@ -141,8 +126,8 @@ type node_state = {
 
 (* Per-tree compiled artefacts. Every node pattern of a tree is compiled
    against ONE shared variable table covering vars(T), so the
-   enumerator's assignments are flat int arrays: a parent's solution
-   doubles as the child join's [pre] with no re-encoding. *)
+   enumerator's rows are flat int arrays: a parent's row doubles as the
+   child join's [pre] with no re-encoding. *)
 type tree_state = {
   tvars : Variable.t array;
   nodes : (Wdpt.Pattern_tree.node, node_state) Hashtbl.t;
@@ -170,8 +155,10 @@ type t = {
   mutable plan_evictions : int;
   mutable retired : Pebble_cache.stats;
   retired_tally : tally;
-      (* store and child-test counters of entries dropped by eviction, so
+      (* store and child-join counters of entries dropped by eviction, so
          [stats] reports the plan's whole history *)
+  mutable rows : int;
+  mutable answers : int;
   decisions : Optimizer.Decision_cache.t;
       (* join-order memo shared across entries and trees: epoch is part
          of its key, so an evicted store's decisions age out by FIFO
@@ -203,7 +190,9 @@ let add_pebble_stats (a : Pebble_cache.stats) (b : Pebble_cache.stats) =
 let zero_stats =
   {
     pebble = zero_pebble_stats;
-    tests = zero_tests;
+    joins = zero_joins;
+    rows = 0;
+    answers = 0;
     hom_sources = 0;
     invalidations = 0;
     plan_evictions = 0;
@@ -215,7 +204,9 @@ let zero_stats =
 let add_stats (a : stats) (b : stats) =
   {
     pebble = add_pebble_stats a.pebble b.pebble;
-    tests = add_tests a.tests b.tests;
+    joins = add_joins a.joins b.joins;
+    rows = a.rows + b.rows;
+    answers = a.answers + b.answers;
     hom_sources = a.hom_sources + b.hom_sources;
     invalidations = a.invalidations + b.invalidations;
     plan_evictions = a.plan_evictions + b.plan_evictions;
@@ -235,6 +226,8 @@ let create ?(plan_capacity = default_plan_capacity) () =
     plan_evictions = 0;
     retired = zero_pebble_stats;
     retired_tally = new_tally ();
+    rows = 0;
+    answers = 0;
     decisions = Optimizer.Decision_cache.create ();
   }
 
@@ -322,20 +315,21 @@ let node_in t e tree n =
       let pat = Wdpt.Pattern_tree.pat tree n in
       let source = Encoded.Encoded_hom.compile ~vars:ts.tvars pat e.enc in
       t.hom_sources <- t.hom_sources + 1;
-      let shared =
-        Variable.Set.inter (Tgraphs.Tgraph.vars pat) (ancestor_vars tree n)
+      let above = ancestor_vars tree n in
+      let shared = Variable.Set.inter (Tgraphs.Tgraph.vars pat) above in
+      let slots_of vars =
+        Array.of_list (List.map (slot_of ts.tvars) (Variable.Set.elements vars))
       in
       let ns =
         {
           id = n;
           source;
           slots = Array.of_list (Encoded.Encoded_hom.own_slots source);
+          fresh = slots_of (Variable.Set.diff (Tgraphs.Tgraph.vars pat) above);
           decision = None;
           shared = Tgraphs.Gtgraph.make pat shared;
           (* [Encoded_pebble.params] order: the sorted shared set *)
-          shared_slots =
-            Array.of_list
-              (List.map (slot_of ts.tvars) (Variable.Set.elements shared));
+          shared_slots = slots_of shared;
           domain = None;
           games = Hashtbl.create 2;
           memo = new_memo ();
@@ -458,8 +452,9 @@ let relaxed ~budget pt memo =
             (Array.map (Array.get assignment) pt.p_state.shared_slots)
         in
         tl.t_families <- tl.t_families + families;
-        if not (remember memo.relaxed_verdicts key v) then
-          tl.t_evictions <- tl.t_evictions + 1;
+        if Hashtbl.length memo.relaxed_verdicts < verdict_limit then
+          Hashtbl.replace memo.relaxed_verdicts key v
+        else tl.t_evictions <- tl.t_evictions + 1;
         v
 
 let run_pebble ?(budget = Budget.unlimited) ?worker pt =
@@ -468,14 +463,14 @@ let run_pebble ?(budget = Budget.unlimited) ?worker pt =
     Budget.tick budget;
     test (key_of pt.p_state.slots assignment) assignment
 
-type child_test = {
+type child_join = {
   state : node_state;
   order : int array option;
   cap : int;  (* unused under [`Hom] *)
   relaxed_test : pebble_test option;  (* None under [`Hom]: no cap, no game *)
 }
 
-let stage_child_test ?order t graph maximality tree n =
+let stage_child_join ?order t graph maximality tree n =
   let e = entry_for t graph in
   let state = node_in t e tree n in
   let cap, relaxed_test =
@@ -487,43 +482,52 @@ let stage_child_test ?order t graph maximality tree n =
   in
   { state; order; cap; relaxed_test }
 
-let run ?(budget = Budget.unlimited) ?worker ct =
-  let memo = memo_of ?worker ct.state in
-  let tl = memo.tally and verdicts = memo.exact_verdicts in
-  let exists budget assignment =
-    Encoded.Encoded_hom.fold ~budget ?order:ct.order ~pre:assignment
-      ct.state.source ~init:false
-      ~f:(fun _ _ -> (true, `Stop))
-  in
-  let by_pebble =
-    match ct.relaxed_test with
-    | Some pt -> relaxed ~budget pt memo
-    | None -> fun _ _ -> assert false
-  in
-  let decided key v =
-    ignore (remember verdicts key (if v then Extends else No_extension));
-    tl.t_exact <- tl.t_exact + 1;
-    v
-  in
-  fun assignment ->
-    Budget.tick budget;
-    let key = key_of ct.state.slots assignment in
-    match (Hashtbl.find_opt verdicts key, ct.relaxed_test) with
-    | Some ((Extends | No_extension) as v), _ ->
-        tl.t_exact <- tl.t_exact + 1;
-        tl.t_exact_hits <- tl.t_exact_hits + 1;
-        v = Extends
-    | Some Capped, Some _ -> by_pebble key assignment
-    | (None | Some Capped), None -> decided key (exists budget assignment)
-    | None, Some _ -> (
-        match Budget.capped budget ct.cap (fun b -> exists b assignment) with
-        | Some v -> decided key v
-        | None ->
-            tl.t_capped <- tl.t_capped + 1;
-            ignore (remember verdicts key Capped);
-            by_pebble key assignment)
+let fresh_slots cj = cj.state.fresh
 
-let node_tests t graph tree n = tests_of (node_state t graph tree n).memo.tally
+let extensions ?(budget = Budget.unlimited) ?worker cj =
+  let memo = memo_of ?worker cj.state in
+  let tl = memo.tally in
+  let join ~first budget row =
+    Encoded.Encoded_hom.fold ~budget ?order:cj.order ~pre:row cj.state.source
+      ~init:[]
+      ~f:(fun acc ext ->
+        if acc = [] then first budget;
+        (Array.copy ext :: acc, `Continue))
+  in
+  let whole = join ~first:ignore in
+  let exts =
+    match cj.relaxed_test with
+    | None -> whole budget
+    | Some pt ->
+        let may_extend = relaxed ~budget pt memo in
+        fun row ->
+          (* the cap bounds the search for a first extension; past it
+             the rest of the join is output *)
+          match
+            Budget.capped budget cj.cap (fun b -> join ~first:Budget.uncap b row)
+          with
+          | Some exts -> exts
+          | None ->
+              tl.t_capped <- tl.t_capped + 1;
+              (* Spoiler winning proves that no extension exists; a
+                 Duplicator win proves nothing, so the child is joined in
+                 full *)
+              if may_extend (key_of cj.state.slots row) row then
+                whole budget row
+              else []
+  in
+  fun row ->
+    Budget.tick budget;
+    let found = exts row in
+    tl.t_runs <- tl.t_runs + 1;
+    tl.t_extensions <- tl.t_extensions + List.length found;
+    found
+
+let record_answers t ~rows ~answers =
+  t.rows <- t.rows + rows;
+  t.answers <- t.answers + answers
+
+let node_joins t graph tree n = joins_of (node_state t graph tree n).memo.tally
 
 let stats t =
   let all = new_tally () in
@@ -544,7 +548,9 @@ let stats t =
         families = all.t_families;
         evictions = all.t_evictions;
       };
-    tests = tests_of all;
+    joins = joins_of all;
+    rows = t.rows;
+    answers = t.answers;
     hom_sources = t.hom_sources;
     invalidations = t.invalidations;
     plan_evictions = t.plan_evictions;

@@ -3,13 +3,13 @@
     plan.
 
     A plan's graph-dependent state is (1) the dictionary-encoded copy of
-    the graph and (2), per tree node, every artefact of the Lemma-1
-    child test: the compiled hom-join source (compiled against a
-    tree-wide shared variable table, so enumeration assignments are
-    flat int arrays), its cost-based join order, the cap of its exact
-    search, the pebble game per [k] (compiled the first time the cap
-    trips, or the first time {!Pebble_eval} asks), and two verdict
-    memos, exact and relaxed, that never answer for each other. This
+    the graph and (2), per tree node, every artefact of its child join:
+    the compiled hom-join source (compiled against a tree-wide shared
+    variable table, so enumeration rows are flat int arrays), its
+    cost-based join order, the cap of its search for a first
+    extension, the pebble game per [k] (compiled the first time the cap
+    trips, or the first time {!Pebble_eval} asks), and the game's
+    relaxed-verdict memo. This
     module holds them in a small most-recently-used store keyed on the
     graph's {!Rdf.Graph.epoch} (epochs are unique per construction):
     evaluating the same plan against a recently-seen store reuses
@@ -24,20 +24,19 @@ open Rdf
 type t
 
 type maximality = [ `Hom | `Pebble of int ]
-(** The Lemma-1 child test: exact only, or exact first with the
-    existential (k+1)-pebble game past a cap ({!stage_child_test}). *)
+(** How a child join decides that a child is left out: exact only, or
+    exact first with the existential (k+1)-pebble game past a cap
+    ({!extensions}). *)
 
-type tests = {
-  exact : int;
-      (** child tests answered by the id-level exact test, memo hits
-          included *)
-  exact_hits : int;  (** of those, answered from the exact-verdict memo *)
-  pebble_answers : int;
-      (** child tests answered by the pebble game: past a tripped cap,
-          or asked by {!Pebble_eval} *)
+type joins = {
+  runs : int;  (** child joins run: one per parent row and child *)
+  extensions : int;  (** extensions those joins produced *)
   capped : int;
-      (** exact searches cut by the cap (each handed its test to the
-          pebble game) *)
+      (** joins whose search for a first extension tripped the cap, so
+          the pebble game was asked *)
+  pebble_answers : int;
+      (** relaxed child tests answered by the pebble game: past a
+          tripped cap, or asked by {!Pebble_eval} *)
 }
 
 type stats = {
@@ -45,7 +44,11 @@ type stats = {
       (** games compiled and relaxed-verdict counters, accumulated over
           every entry this cache has held, including ones dropped by
           eviction *)
-  tests : tests;  (** likewise accumulated *)
+  joins : joins;  (** likewise accumulated *)
+  rows : int;
+      (** rows the trees' walks emitted, over every evaluation: a UNION
+          forest can emit one answer once per tree *)
+  answers : int;  (** distinct answers of those evaluations *)
   hom_sources : int;  (** node join sources compiled over the lifetime *)
   invalidations : int;
       (** entries built for a store epoch the cache did not hold while
@@ -62,11 +65,15 @@ type stats = {
   decision_misses : int;  (** decisions actually compiled *)
 }
 
+val candidates_per_answer : stats -> float
+(** [rows / answers]: 1 on a single tree, whose walk builds each answer
+    once; [0.] before any answer. *)
+
 val create : ?plan_capacity:int -> unit -> t
 (** [plan_capacity] bounds how many stores are cached at once (default
-    4; raises [Invalid_argument] if [< 1]). Each node's verdict tables
-    stop growing at 2^16 entries: later verdicts are computed but not
-    remembered. *)
+    4; raises [Invalid_argument] if [< 1]). Each node's relaxed-verdict
+    memo stops growing at 2^16 entries: later verdicts are computed but
+    not remembered. *)
 
 val encoded : t -> Graph.t -> Encoded.Encoded_graph.t
 (** The encoded copy of [graph] for its entry (building the entry, and
@@ -93,23 +100,23 @@ val node_decision :
 
 val exact_cap :
   t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node -> int -> int
-(** [exact_cap t graph tree n k]: the tick cap of node [n]'s exact
-    test under [`Pebble k] — the pebble game's own polynomial bound
-    [d^(k+1)], with [d] the largest candidate domain [n]'s game ranges
-    over ({!Encoded.Encoded_pebble.domain_bound}: a free variable's
-    µ-independent unary candidates, else the whole store dictionary;
-    at least 2), saturating at [max_int - 1]. Memoised per node for
-    [graph]'s epoch. Not configurable. *)
+(** [exact_cap t graph tree n k]: the tick cap of node [n]'s search for
+    a first extension under [`Pebble k] — the pebble game's own
+    polynomial bound [d^(k+1)], with [d] the largest candidate domain
+    [n]'s game ranges over ({!Encoded.Encoded_pebble.domain_bound}: a
+    free variable's µ-independent unary candidates, else the whole store
+    dictionary; at least 2), saturating at [max_int - 1]. Memoised per
+    node for [graph]'s epoch. Not configurable. *)
 
 type worker
-(** One pool slot's private side of the tests: verdict memos and
-    counters per node, made for one store entry. *)
+(** One pool slot's private side of the child joins: relaxed-verdict
+    memos and counters per node, made for one store entry. *)
 
 val worker : t -> Graph.t -> worker
 (** A worker for [graph]'s entry, made on the caller's domain. *)
 
 val absorb_worker : t -> Wdpt.Pattern_tree.t -> worker -> unit
-(** Fold a worker's counters (tests of [tree]'s nodes) into the cache
+(** Fold a worker's counters (joins of [tree]'s nodes) into the cache
     after the workers quiesced, and empty the worker. Counters of an
     entry evicted meanwhile go to the retired totals. *)
 
@@ -138,49 +145,57 @@ val run_pebble :
     cache or on [worker]; the game is compiled on the first miss.
     Budget-transparent: ticks once per call, plus the game's ticks. *)
 
-type child_test
-(** The Lemma-1 test of one child [n], resolved against the cache. *)
+type child_join
+(** The join of one child [n] with its parent's rows, resolved against
+    the cache. *)
 
-val stage_child_test :
+val stage_child_join :
   ?order:int array ->
   t -> Graph.t -> maximality -> Wdpt.Pattern_tree.t ->
-  Wdpt.Pattern_tree.node -> child_test
-(** Stage the test "does some homomorphism of [pat tree n] extend the
-    candidate?" for child [n]. Touches the cache's tables, so call it on
-    the caller's domain; [order] is the child join's tie-break order
+  Wdpt.Pattern_tree.node -> child_join
+(** Stage node [n]'s child join. Touches the cache's tables, so call it
+    on the caller's domain; [order] is the join's tie-break order
     ({!Encoded.Encoded_hom.fold}). Under [`Pebble k] it stages
     {!pebble_test} too, with its check of [k]. *)
 
-val run :
-  ?budget:Resource.Budget.t -> ?worker:worker -> child_test -> int array -> bool
-(** The per-candidate test on the flat id assignment of the tree's
-    variable table (which must cover [vars(subtree)]). Exact verdicts
-    are memoized keyed on the assignment's values at the child's
-    {!Encoded.Encoded_hom.own_slots} — the only slots the answer depends
-    on — on the cache for as long as [graph]'s epoch entry lives, or on
-    [worker].
+val fresh_slots : child_join -> int array
+(** The slots of the variables [n] introduces: those of [pat n] that no
+    ancestor binds. An extension differs from its parent row only
+    there. *)
 
-    - [`Hom]: the exact test.
-    - [`Pebble k]: the exact test first, under a {!Resource.Budget.capped}
-      cap of {!exact_cap} ticks; only when the cap trips is the node's
-      relaxed test ({!run_pebble}) asked instead, and the key is
-      remembered as capped so it goes straight to the game next time.
-      Per candidate the cost stays within a constant factor of the
-      game's worst-case bound, so the PTIME guarantee holds. The game's
-      measured cost can be far below that bound (at k ≥ 2, or when
-      µ-bound unary triples narrow its domains); a child whose exact
-      search fits under the cap but not under the game's measured cost
-      runs the search to the end. A single relaxed test may
-      over-approximate an exact one, but both decide "some child
-      extends" alike whenever [dw ≤ k] (Theorem 1 with Lemma 1), so any
-      mix is exact there.
+val extensions :
+  ?budget:Resource.Budget.t -> ?worker:worker -> child_join -> int array ->
+  int array list
+(** [extensions cj row]: every extension of the parent row [row] (a flat
+    id row over the tree's variable table, binding at least [n]'s
+    ancestors) by a homomorphism of [pat n], as fresh rows; [[]] when
+    [n] is left out. The empty join is Lemma 1's maximality test: µ
+    restricted to the parent's subtree is maximal for [n] exactly when
+    no extension exists.
 
-    Budget-transparent: ticks once per call, the exact search's ticks
-    (inside the cap too) and the game's are charged to [budget]. *)
+    - [`Hom]: one full join.
+    - [`Pebble k]: the join runs under a {!Resource.Budget.capped} cap
+      of {!exact_cap} ticks until its first extension, and past it
+      without a cap ({!Resource.Budget.uncap}). When the cap trips
+      first, node [n]'s relaxed test ({!run_pebble}) is asked as a
+      sound refuter: a Spoiler win proves that no extension exists and
+      leaves [n] out; otherwise the child is joined in full, so answers
+      are exact at any [k]. The game keeps a child with no witness
+      within the cap from costing more than the game's polynomial bound
+      whenever the game refutes it; a child the game cannot refute
+      costs its full join.
 
-val node_tests :
-  t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node -> tests
-(** Counters of node [n]'s child tests against [graph]'s entry so far. *)
+    Budget-transparent: ticks once per call, and every join and game
+    tick is charged to [budget]. Counts the join, its extensions and
+    any tripped cap on the cache or on [worker]. *)
+
+val record_answers : t -> rows:int -> answers:int -> unit
+(** Add one evaluation's emitted rows and distinct answers to
+    {!stats}. *)
+
+val node_joins :
+  t -> Graph.t -> Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node -> joins
+(** Counters of node [n]'s child joins against [graph]'s entry so far. *)
 
 val stats : t -> stats
 
@@ -189,5 +204,5 @@ val zero_stats : stats
 val add_stats : stats -> stats -> stats
 (** Field-wise sum (the server totals its plans' caches with it). *)
 
-val pp_tests : tests Fmt.t
+val pp_joins : joins Fmt.t
 val pp_stats : stats Fmt.t

@@ -7,9 +7,9 @@
     count as bound for every later estimate. The compiled order is the
     tie-break [order] of {!Encoded.Encoded_hom.fold}'s fail-first join.
     The plan says nothing about the Lemma-1 maximality test: that is
-    decided per candidate at run time, exact first under the pebble
-    game's polynomial bound ([Wd_core.Plan_cache.run]), not from a
-    static estimate. *)
+    decided per parent row at run time, by the child join capped at the
+    pebble game's polynomial bound ([Wd_core.Plan_cache.extensions]),
+    not from a static estimate. *)
 
 type decision = {
   node : int;  (** the wdPT node this plan is for *)

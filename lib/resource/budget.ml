@@ -293,6 +293,8 @@ let capped b n f =
       b.cap_left <- max_int;
       raise e
 
+let uncap b = if b.cap_left <> max_int then b.cap_left <- max_int
+
 let is_limited b = b.limited
 let spent b = b.spent
 let phase b = b.phase

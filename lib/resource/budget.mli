@@ -117,8 +117,15 @@ val capped : t -> int -> (t -> 'a) -> 'a option
     not nest: calling [capped] on [b'] inside [f] raises
     [Invalid_argument]. On a limited budget [b' = b]; on {!unlimited}
     [b'] is a fresh view with no other limit. Works on {!fork} views
-    (each view carries its own cap). The engine's exact-first
-    maximality test runs under it. *)
+    (each view carries its own cap). The engine's child joins run
+    under it until their first extension. *)
+
+val uncap : t -> unit
+(** Inside {!capped}'s [f], called on the budget [f] received: lift the
+    running cap, so the rest of [f] runs under the outer limits only
+    and [capped] returns [Some]. No-op outside a capped region. A child
+    join calls it at its first extension: the cap bounds the search for
+    that witness, not the number of answers. *)
 
 val is_limited : t -> bool
 (** [false] exactly for {!unlimited}. *)

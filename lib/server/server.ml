@@ -598,12 +598,17 @@ let stats_json t =
                   ("misses", Json.Int p.Pebble_cache.misses);
                   ("compiled", Json.Int p.Pebble_cache.compiled);
                   ("evictions", Json.Int p.Pebble_cache.evictions) ] );
-            ( "child_tests",
+            ( "child_joins",
               Json.Obj
-                [ ("exact", Json.Int totals.Plan_cache.tests.exact);
-                  ("exact_hits", Json.Int totals.Plan_cache.tests.exact_hits);
-                  ("pebble", Json.Int totals.Plan_cache.tests.pebble_answers);
-                  ("capped", Json.Int totals.Plan_cache.tests.capped) ] ) ] ) ]
+                [ ("runs", Json.Int totals.Plan_cache.joins.runs);
+                  ("extensions", Json.Int totals.Plan_cache.joins.extensions);
+                  ("capped", Json.Int totals.Plan_cache.joins.capped);
+                  ( "pebble",
+                    Json.Int totals.Plan_cache.joins.pebble_answers ) ] );
+            ("rows", Json.Int totals.Plan_cache.rows);
+            ("answers", Json.Int totals.Plan_cache.answers);
+            ( "candidates_per_answer",
+              Json.Float (Plan_cache.candidates_per_answer totals) ) ] ) ]
 
 let route t conn ~deadline ~idx ~fault req =
   match (req.Http.meth, req.Http.path) with

@@ -54,11 +54,20 @@ val join : t -> Analysis.Json.t
     handler), then see it through — listener closed, idle workers woken,
     queue flushed with prompt 503s, in-flight budgets cancelled via
     [Budget.cancel], threads joined — and return the final stats
-    snapshot (the same document [/stats] serves). Its
-    [plan_cache.pebble] counters total the plans' relaxed child tests:
-    [hits]/[misses] of the per-node verdict memos, games [compiled] (one
-    per node and [k]), and [evictions], the verdicts computed but not
-    remembered because their node's table was full. *)
+    snapshot (the same document [/stats] serves). Its [plan_cache]
+    section totals the plans' caches:
+    - [pebble]: the relaxed child tests — [hits]/[misses] of the
+      per-node verdict memos, games [compiled] (one per node and [k]),
+      and [evictions], the verdicts computed but not remembered because
+      their node's memo was full;
+    - [child_joins]: [runs], the child joins run (one per parent row
+      and child); [extensions], the extensions they produced; [capped],
+      the joins whose search for a first extension tripped the cap;
+      [pebble], the relaxed tests the game answered;
+    - [rows], the rows the trees' walks emitted; [answers], the
+      distinct answers; [candidates_per_answer], their ratio (1 on
+      single-tree patterns; a UNION can emit an answer once per tree).
+    *)
 
 val request_reload : t -> unit
 (** Ask for the graph to be re-resolved through [config.reload] (a no-op

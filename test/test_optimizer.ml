@@ -307,16 +307,16 @@ let test_explain_decisions () =
        ~affix:"maximality test: exact first, pebble past" rendered);
   check Alcotest.bool "estimates shown next to actuals" true
     (Astring.String.is_infix ~affix:"est ~" rendered);
-  check Alcotest.bool "an unevaluated plan has no test counts" false
-    (Astring.String.is_infix ~affix:"answered" rendered);
-  (* once evaluated, each OPTIONAL node reports how its tests went *)
+  check Alcotest.bool "an unevaluated plan has no join counts" false
+    (Astring.String.is_infix ~affix:"; joins " rendered);
+  (* once evaluated, each OPTIONAL node reports the joins it ran *)
   let plan = Wd_core.Engine.plan explain_pattern in
   ignore (Wd_core.Engine.solutions plan explain_graph);
   let evaluated =
     Fmt.str "%a" Explain.pp_trees (Explain.trees plan explain_graph)
   in
-  check Alcotest.bool "evaluated plan reports its child tests" true
-    (Astring.String.is_infix ~affix:"; answered " evaluated);
+  check Alcotest.bool "evaluated plan reports its child joins" true
+    (Astring.String.is_infix ~affix:"; joins " evaluated);
   (* and with the optimizer off, no decisions are computed *)
   let off = Explain.explain ~optimize:false explain_pattern explain_graph in
   List.iter

@@ -1,11 +1,11 @@
-(* PR 4: multicore candidate checking. The contract under test: the
-   domain pool preserves input order and first-exception semantics;
-   forked budgets share one fuel account and one cancellation flag, so
-   any member tripping stops the group within a lease; and
-   [solutions ~domains:n] is indistinguishable from [~domains:1] —
-   same answers in the same order, same number of child tests, and the
-   same exact-first maximality portfolio (no pebble game staged where
-   the sequential path stages none) — for every n. *)
+(* Multicore evaluation, one root match per work item. The contract
+   under test: the domain pool preserves input order and
+   first-exception semantics; forked budgets share one fuel account and
+   one cancellation flag, so any member tripping stops the group within
+   a lease; and evaluation at [~domains:n] is indistinguishable from
+   [~domains:1] — the same rows in the same order, the same number of
+   child joins and pebble answers, and no pebble game staged where the
+   sequential path stages none — for every n. *)
 
 open Rdf
 module Pool = Parallel.Pool
@@ -184,18 +184,20 @@ let determinism_prop =
       let graph = Testutil.graph_of_seed ~nodes:8 ~preds:2 ~triples:20 gseed in
       let p = Testutil.wd_pattern_of_seed ~union:1 ~triples:5 qseed in
       let forest = Wdpt.Pattern_forest.of_algebra p in
+      let rows domains =
+        let acc = ref [] in
+        Enumerate.iter_rows ~maximality:(`Pebble 2) ~domains forest graph
+          (fun row -> acc := Array.copy row :: !acc);
+        !acc
+      in
       let base = Enumerate.solutions ~maximality:(`Pebble 2) forest graph in
+      let base_rows = rows 1 in
       List.for_all
         (fun n ->
-          let s =
-            Enumerate.solutions ~maximality:(`Pebble 2) ~domains:n forest
-              graph
-          in
-          Sparql.Mapping.Set.equal s base
-          && List.equal
-               (fun a b -> Sparql.Mapping.compare a b = 0)
-               (Sparql.Mapping.Set.elements s)
-               (Sparql.Mapping.Set.elements base))
+          Sparql.Mapping.Set.equal base
+            (Enumerate.solutions ~maximality:(`Pebble 2) ~domains:n forest
+               graph)
+          && rows n = base_rows)
         [ 2; 4 ])
 
 let pattern =
@@ -219,9 +221,9 @@ let test_stats_merge () =
     check Alcotest.bool "answers match the reference" true
       (Sparql.Mapping.Set.equal answers
          (Wdpt.Semantics.solutions clique_forest tournament));
-    let t = s.Plan_cache.tests in
-    ( t.Plan_cache.exact + t.Plan_cache.pebble_answers,
-      t.Plan_cache.pebble_answers,
+    let j = s.Plan_cache.joins in
+    ( j.Plan_cache.runs,
+      j.Plan_cache.pebble_answers,
       s.Plan_cache.pebble.Pebble_cache.hits
       + s.Plan_cache.pebble.Pebble_cache.misses,
       s.Plan_cache.pebble.Pebble_cache.compiled )
@@ -233,15 +235,15 @@ let test_stats_merge () =
     (fun n ->
       let tn, pn, ln, cn = lookups n in
       let at what = Printf.sprintf "%s invariant at %d domains" what n in
-      check Alcotest.int (at "child tests") t1 tn;
+      check Alcotest.int (at "child joins") t1 tn;
       check Alcotest.int (at "pebble answers") p1 pn;
       check Alcotest.int (at "verdict lookups") l1 ln;
       check Alcotest.int (at "games compiled (once)") c1 cn)
     [ 2; 4 ]
 
-(* Workers run the same exact-first portfolio as the sequential path:
-   on a comb query every child test is cheap, so no domain count stages
-   a pebble game (workers used to stage one at every node). *)
+(* Workers run the same capped joins as the sequential path: on a comb
+   query every child join finds its first extension (or runs out) well
+   inside the cap, so no domain count stages a pebble game. *)
 let test_workers_exact_first () =
   let forest = [ Workload.Query_families.comb_query 3 ] in
   let p = Wdpt.Pattern_forest.to_algebra forest in
@@ -252,7 +254,7 @@ let test_workers_exact_first () =
     let answers, s = Engine.solutions_stats ~domains plan g in
     let s = Option.get s in
     (answers, s.Plan_cache.pebble.Pebble_cache.compiled,
-     s.Plan_cache.tests.Plan_cache.exact)
+     s.Plan_cache.joins.Plan_cache.runs)
   in
   let a1, c1, e1 = run 1 in
   let a2, c2, e2 = run 2 in
@@ -264,7 +266,7 @@ let test_workers_exact_first () =
     (Sparql.Mapping.Set.equal a1 a2);
   check Alcotest.int "no pebble game at 1 domain" 0 c1;
   check Alcotest.int "no pebble game at 2 domains" 0 c2;
-  check Alcotest.int "every child test answered exact at both" e1 e2
+  check Alcotest.int "the same child joins at both" e1 e2
 
 (* ------------------------------------------------------------------ *)
 (* Budget propagation into workers                                     *)

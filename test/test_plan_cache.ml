@@ -1,16 +1,17 @@
 (* Plan-level caching across evaluations. The contract under test:
    repeated [Engine.solutions] calls on one plan reuse compiled hom
-   sources, exact verdicts and pebble games; mutating the graph (a new
+   sources, pebble games and relaxed verdicts; mutating the graph (a new
    store, hence a new epoch) invalidates and recompiles without changing
-   answers; and every node keeps one game per k and two verdict memos,
-   exact and relaxed, that never answer for each other.
+   answers; and every node keeps one game per k, whose relaxed verdicts
+   never stand in for the exact child join.
 
-   Evaluation answers each Lemma-1 child test exact first and stages a
-   pebble game only when the exact search trips its cap, so the pebble
-   side is exercised two ways: through evaluation on [clique_pattern]
-   (F_6 on a tournament with no transitive 6-clique: the exact search of
-   the clique child trips the cap) and through [Engine.check], which is
-   the pebble algorithm as stated on the same plan cache. *)
+   Evaluation runs each child join capped until its first extension and
+   stages a pebble game only when the search trips its cap, so the
+   pebble side is exercised two ways: through evaluation on
+   [clique_pattern] (F_6 on a tournament with no transitive 6-clique:
+   the clique child's search trips the cap and the game refutes it) and
+   through [Engine.check], which is the pebble algorithm as stated on
+   the same plan cache. *)
 
 open Rdf
 module Engine = Wd_core.Engine
@@ -70,18 +71,20 @@ let test_warm_reuse () =
     s1.Plan_cache.hom_sources s2.Plan_cache.hom_sources;
   check Alcotest.int "cheap children stage no pebble game" 0
     s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
-  (* every child test of the warm run is a hit of the exact-verdict
-     memo the cold run filled *)
-  check Alcotest.int "warm run answers from the verdict memo"
-    (s2.Plan_cache.tests.exact - s1.Plan_cache.tests.exact)
-    (s2.Plan_cache.tests.exact_hits - s1.Plan_cache.tests.exact_hits);
-  check Alcotest.bool "warm run hits the verdict memo" true
-    (s2.Plan_cache.tests.exact_hits > s1.Plan_cache.tests.exact_hits)
+  (* the walk is deterministic: the warm run runs the cold run's joins
+     again, one per parent row and child, and finds the same extensions *)
+  check Alcotest.bool "the cold run joined some child" true
+    (s1.Plan_cache.joins.runs > 0);
+  check Alcotest.int "warm run repeats the cold run's joins"
+    (2 * s1.Plan_cache.joins.runs) s2.Plan_cache.joins.runs;
+  check Alcotest.int "... and their extensions"
+    (2 * s1.Plan_cache.joins.extensions) s2.Plan_cache.joins.extensions;
+  check Alcotest.int "one row per answer on a single tree"
+    s2.Plan_cache.rows s2.Plan_cache.answers
 
 (* The pebble side of warm reuse: the cold run trips the cap and stages
-   the clique child's game; the warm run compiles nothing, trips no cap
-   (the capped key goes straight to the game) and answers from the
-   game's verdict memo. *)
+   the clique child's game; the warm run compiles nothing, trips the
+   same caps and answers them from the game's verdict memo. *)
 let test_warm_reuse_past_cap () =
   let g = tournament 1 in
   let plan = Engine.plan clique_pattern in
@@ -92,19 +95,22 @@ let test_warm_reuse_past_cap () =
   check Alcotest.bool "both runs match the reference" true
     (set_equal a1 (clique_reference g) && set_equal a2 a1);
   check Alcotest.bool "the cold run tripped the cap" true
-    (s1.Plan_cache.tests.capped > 0);
+    (s1.Plan_cache.joins.capped > 0);
   check Alcotest.bool "a game was compiled" true
     (s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled > 0);
   check Alcotest.int "pebble games compiled once, reused warm"
     s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
     s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
-  check Alcotest.int "no cap tripped warm" s1.Plan_cache.tests.capped
-    s2.Plan_cache.tests.capped;
+  check Alcotest.int "the warm run trips the same caps"
+    (2 * s1.Plan_cache.joins.capped) s2.Plan_cache.joins.capped;
   check Alcotest.bool "warm run asks the game again" true
-    (s2.Plan_cache.tests.pebble_answers > s1.Plan_cache.tests.pebble_answers);
+    (s2.Plan_cache.joins.pebble_answers > s1.Plan_cache.joins.pebble_answers);
   check Alcotest.bool "warm run hits the verdict memo" true
     (s2.Plan_cache.pebble.Wd_core.Pebble_cache.hits
-    > s1.Plan_cache.pebble.Wd_core.Pebble_cache.hits)
+    > s1.Plan_cache.pebble.Wd_core.Pebble_cache.hits);
+  check Alcotest.int "... and runs no game"
+    s1.Plan_cache.pebble.Wd_core.Pebble_cache.misses
+    s2.Plan_cache.pebble.Wd_core.Pebble_cache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Epoch invalidation on mutation                                      *)
@@ -168,7 +174,7 @@ let run_on plan g =
   Option.get s
 
 (* On the clique fixture, so both stores' entries hold staged games and
-   capped keys: alternating must keep both. *)
+   relaxed verdicts: alternating must keep both. *)
 let run_clique plan g =
   let a, s = Engine.solutions_stats plan g in
   check Alcotest.bool "answers match the reference" true
@@ -183,8 +189,8 @@ let test_mru_two_stores () =
   check Alcotest.int "switching stores builds a second entry" 1
     s2.Plan_cache.invalidations;
   check Alcotest.bool "each store trips the cap and stages its games" true
-    (s1.Plan_cache.tests.capped > 0
-    && s2.Plan_cache.tests.capped > s1.Plan_cache.tests.capped
+    (s1.Plan_cache.joins.capped > 0
+    && s2.Plan_cache.joins.capped > s1.Plan_cache.joins.capped
     && s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled > 0
     && s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
        > s1.Plan_cache.pebble.Wd_core.Pebble_cache.compiled);
@@ -205,12 +211,13 @@ let test_mru_two_stores () =
   check Alcotest.int "no games recompiled while alternating"
     s2.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
     !s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
-  (* both exact-verdict memos survive: capped keys go straight to the
-     game, so no cap trips again *)
-  check Alcotest.int "no cap tripped while alternating"
-    s2.Plan_cache.tests.capped !s.Plan_cache.tests.capped;
+  (* both relaxed-verdict memos survive: every game question while
+     alternating is a hit, none runs a game *)
+  check Alcotest.int "no game run while alternating"
+    s2.Plan_cache.pebble.Wd_core.Pebble_cache.misses
+    !s.Plan_cache.pebble.Wd_core.Pebble_cache.misses;
   check Alcotest.bool "the games keep answering" true
-    (!s.Plan_cache.tests.pebble_answers > s2.Plan_cache.tests.pebble_answers)
+    (!s.Plan_cache.joins.pebble_answers > s2.Plan_cache.joins.pebble_answers)
 
 let test_plan_capacity_eviction () =
   let plan = Engine.plan ~optimize:false ~plan_capacity:1 pattern in
@@ -225,11 +232,11 @@ let test_plan_capacity_eviction () =
   check Alcotest.int "one live entry" 1 s3.Plan_cache.live_entries;
   (* counters from the evicted entries are retired, not lost: the third
      build adds to a total that still includes the first two *)
-  check Alcotest.bool "retired child-test counts accumulate" true
-    (s3.Plan_cache.tests.exact > s2.Plan_cache.tests.exact);
-  check Alcotest.int "every child test counted once across evictions"
-    (s2.Plan_cache.tests.exact + s1.Plan_cache.tests.exact)
-    s3.Plan_cache.tests.exact
+  check Alcotest.bool "retired child-join counts accumulate" true
+    (s3.Plan_cache.joins.runs > s2.Plan_cache.joins.runs);
+  check Alcotest.int "every child join counted once across evictions"
+    (s2.Plan_cache.joins.runs + s1.Plan_cache.joins.runs)
+    s3.Plan_cache.joins.runs
 
 (* ------------------------------------------------------------------ *)
 (* Shared unary base domains (PR 4)                                    *)
@@ -277,7 +284,7 @@ let test_unary_sharing () =
 
 module Pool = Parallel.Pool
 
-(* A (tree, child, candidates) triple for driving child tests directly:
+(* A (tree, child, candidates) triple for driving child joins directly:
    the root of the test pattern with its OPTIONAL child, and every
    match of the root in [g] as an id assignment over the tree's
    variable table. *)
@@ -293,8 +300,7 @@ let child_test_setup cache g =
   in
   (tree, child, candidates)
 
-let test_count s =
-  s.Plan_cache.tests.Plan_cache.exact + s.Plan_cache.tests.pebble_answers
+let join_count s = s.Plan_cache.joins.Plan_cache.runs
 
 (* Worker counters pending at eviction time (a server thread
    mid-evaluation when another store pushes the entry out) must reach
@@ -305,8 +311,8 @@ let test_eviction_absorbs_worker_views () =
   let tree, child, candidates = child_test_setup cache g1 in
   let w = Plan_cache.worker cache g1 in
   let exact =
-    Plan_cache.run ~worker:w
-      (Plan_cache.stage_child_test cache g1 `Hom tree child)
+    Plan_cache.extensions ~worker:w
+      (Plan_cache.stage_child_join cache g1 `Hom tree child)
   in
   let relaxed =
     Plan_cache.run_pebble ~worker:w
@@ -320,30 +326,30 @@ let test_eviction_absorbs_worker_views () =
   let after = Plan_cache.stats cache in
   let n = List.length candidates in
   check Alcotest.int "one eviction" 1 after.Plan_cache.plan_evictions;
-  check Alcotest.int "the un-absorbed exact tests survive eviction" n
-    after.Plan_cache.tests.exact;
+  check Alcotest.int "the un-absorbed child joins survive eviction" n
+    after.Plan_cache.joins.runs;
   check Alcotest.int "... and the relaxed lookups" n
     (after.Plan_cache.pebble.Wd_core.Pebble_cache.hits
     + after.Plan_cache.pebble.Wd_core.Pebble_cache.misses);
   check Alcotest.bool "totals never dip across the eviction" true
-    (test_count after >= test_count before
+    (join_count after >= join_count before
     && after.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
        >= before.Plan_cache.pebble.Wd_core.Pebble_cache.compiled)
 
 (* Reconciliation under churn: the same evaluation sequence at 2
    domains, with and without eviction pressure, accounts for exactly the
-   same child tests and pebble-verdict lookups — eviction may force
+   same child joins and pebble-verdict lookups — eviction may force
    recompilation, never lose counters — and every total is monotone run
-   over run. On the clique fixture the cap trips, so both sides of the
-   portfolio count; at 2 domains every test runs on a
-   {!Plan_cache.worker} whose counters reach the entry through
-   [absorb_worker] and the retired totals through eviction. *)
+   over run. On the clique fixture the cap trips, so the game answers
+   too; at 2 domains every join runs on a {!Plan_cache.worker} whose
+   counters reach the entry through [absorb_worker] and the retired
+   totals through eviction. *)
 let test_retired_reconcile_churn () =
   let g1 = tournament 1 and g2 = tournament 2 in
   let churn = Engine.plan ~plan_capacity:1 clique_pattern in
   let roomy = Engine.plan clique_pattern in
   let tests s =
-    s.Plan_cache.tests.Plan_cache.exact + s.Plan_cache.tests.pebble_answers
+    s.Plan_cache.joins.Plan_cache.runs + s.Plan_cache.joins.pebble_answers
   in
   let lookups s =
     s.Plan_cache.pebble.Wd_core.Pebble_cache.hits
@@ -358,7 +364,7 @@ let test_retired_reconcile_churn () =
   in
   let monotone s =
     let t, l = !last in
-    check Alcotest.bool "child-test total is monotone across churn" true
+    check Alcotest.bool "child-join total is monotone across churn" true
       (tests s >= t);
     check Alcotest.bool "lookup total is monotone across churn" true
       (lookups s >= l);
@@ -374,14 +380,14 @@ let test_retired_reconcile_churn () =
     final_roomy := Some (run roomy g2)
   done;
   let sc = Option.get !final_churn and sr = Option.get !final_roomy in
-  check Alcotest.bool "both sides of the portfolio answered" true
-    (sr.Plan_cache.tests.exact > 0 && sr.Plan_cache.tests.pebble_answers > 0
+  check Alcotest.bool "joins ran and the game answered" true
+    (sr.Plan_cache.joins.runs > 0 && sr.Plan_cache.joins.pebble_answers > 0
     && lookups sr > 0);
   check Alcotest.int
-    "evicting and non-evicting plans account the same child tests"
+    "evicting and non-evicting plans account the same child joins"
     (tests sr) (tests sc);
   check Alcotest.int "... and the same pebble answers"
-    sr.Plan_cache.tests.pebble_answers sc.Plan_cache.tests.pebble_answers;
+    sr.Plan_cache.joins.pebble_answers sc.Plan_cache.joins.pebble_answers;
   check Alcotest.int "... and the same verdict lookups" (lookups sr)
     (lookups sc);
   check Alcotest.bool "churn recompiles, reconciled in retired totals" true
@@ -396,13 +402,13 @@ let test_retired_reconcile_churn () =
 
 (* A worker raising mid-batch must not lose or double-count merged
    stats: the pool quiesces every chunk before re-raising, so the
-   absorb that follows sees exactly the completed tests. *)
+   absorb that follows sees exactly the completed joins. *)
 let test_absorb_worker_crash () =
   let cache = Plan_cache.create () in
   let tree, child, candidates = child_test_setup cache graph in
   check Alcotest.bool "enough candidates to spread over workers" true
     (List.length candidates >= 16);
-  let ct = Plan_cache.stage_child_test cache graph (`Pebble 2) tree child in
+  let cj = Plan_cache.stage_child_join cache graph (`Pebble 2) tree child in
   let items = List.mapi (fun i a -> (i, a)) candidates in
   let completed = Atomic.make 0 in
   Pool.with_pool ~domains:4 @@ fun pool ->
@@ -411,7 +417,7 @@ let test_absorb_worker_crash () =
   in
   (match
      Pool.map_stream pool
-       ~init:(fun slot -> Plan_cache.run ~worker:workers.(slot) ct)
+       ~init:(fun slot -> Plan_cache.extensions ~worker:workers.(slot) cj)
        ~f:(fun test (i, a) ->
          if i = 7 then failwith "crash";
          let r = test a in
@@ -423,12 +429,12 @@ let test_absorb_worker_crash () =
   | exception Failure msg -> check Alcotest.string "crash" "crash" msg);
   Array.iter (Plan_cache.absorb_worker cache tree) workers;
   let s = Plan_cache.stats cache in
-  check Alcotest.int "absorbed tests = completed tests (none lost)"
-    (Atomic.get completed) (test_count s);
+  check Alcotest.int "absorbed joins = completed joins (none lost)"
+    (Atomic.get completed) (join_count s);
   (* absorb empties the workers: running it again must add nothing *)
   Array.iter (Plan_cache.absorb_worker cache tree) workers;
-  check Alcotest.int "re-absorbing double-counts nothing" (test_count s)
-    (test_count (Plan_cache.stats cache))
+  check Alcotest.int "re-absorbing double-counts nothing" (join_count s)
+    (join_count (Plan_cache.stats cache))
 
 (* ------------------------------------------------------------------ *)
 (* One child test per node                                             *)
@@ -532,14 +538,14 @@ let test_k_check () =
       Wd_core.Enumerate.solutions ~maximality:(`Pebble 0) [ tree ] graph)
 
 (* ------------------------------------------------------------------ *)
-(* Exact-first maximality                                              *)
+(* Capped child joins                                                  *)
 (* ------------------------------------------------------------------ *)
 
 module Enumerate = Wd_core.Enumerate
 
-(* The portfolio is exact whenever k >= dw, at any domain count: a
-   per-candidate mix of exact and pebble child tests decides "some child
-   extends" exactly like either test alone (Theorem 1 with Lemma 1). *)
+(* Capped joins are exact at any domain count: the game only ever
+   refutes a child, which is sound, and a child it cannot refute is
+   joined in full. *)
 let portfolio_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:120
@@ -562,8 +568,8 @@ let portfolio_differential =
            [ (`Hom, 1); (`Pebble dw, 1); (`Pebble dw, 2) ]))
 
 (* A cap that trips: F_6's clique child cannot embed in the tournament,
-   and the exact search for it outgrows |adom|^2 ticks, so the pebble
-   game (k = dw = 1) answers that test. *)
+   and the search for it outgrows |adom|^2 ticks, so the pebble game
+   (k = dw = 1) is asked and refutes it. *)
 let test_cap_trips () =
   let g = tournament 3 in
   let expected = clique_reference g in
@@ -579,11 +585,12 @@ let test_cap_trips () =
       check Alcotest.bool ("answers = Wdpt.Semantics" ^ label) true
         (set_equal got expected);
       check Alcotest.bool ("the cap tripped" ^ label) true
-        (s.Plan_cache.tests.capped > 0);
+        (s.Plan_cache.joins.capped > 0);
       check Alcotest.bool ("the pebble game answered" ^ label) true
-        (s.Plan_cache.tests.pebble_answers > 0);
-      check Alcotest.bool ("the cheap children stayed exact" ^ label) true
-        (s.Plan_cache.tests.exact > 0))
+        (s.Plan_cache.joins.pebble_answers > 0);
+      check Alcotest.bool ("the cheap children stayed under the cap" ^ label)
+        true
+        (s.Plan_cache.joins.runs > s.Plan_cache.joins.capped))
     [ 1; 2 ];
   (* the cap is the game's own bound d^(k+1), d the largest candidate
      domain of the child's game: the whole dictionary for F_6's
@@ -629,7 +636,7 @@ let test_cap_follows_unary_domains () =
     (Plan_cache.exact_cap cache g (List.hd forest) 2 1);
   let s = Plan_cache.stats cache in
   check Alcotest.bool "the clique search tripped the class-sized cap" true
-    (s.Plan_cache.tests.capped > 0 && s.Plan_cache.tests.pebble_answers > 0)
+    (s.Plan_cache.joins.capped > 0 && s.Plan_cache.joins.pebble_answers > 0)
 
 let () =
   Alcotest.run "plan_cache"

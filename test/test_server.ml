@@ -393,16 +393,24 @@ let test_smoke () =
       | None -> Alcotest.fail "final stats lack a responses section");
       (match
          Option.bind (Json.member "plan_cache" final)
-           (Json.member "child_tests")
+           (Json.member "child_joins")
        with
-      | Some tests ->
+      | Some joins ->
           List.iter
             (fun key ->
-              check Alcotest.bool ("stats count child tests: " ^ key) true
+              check Alcotest.bool ("stats count child joins: " ^ key) true
                 (Option.is_some
-                   (Option.bind (Json.member key tests) Json.to_int)))
-            [ "exact"; "exact_hits"; "pebble"; "capped" ]
-      | None -> Alcotest.fail "final stats lack plan_cache.child_tests");
+                   (Option.bind (Json.member key joins) Json.to_int)))
+            [ "runs"; "extensions"; "capped"; "pebble" ]
+      | None -> Alcotest.fail "final stats lack plan_cache.child_joins");
+      (match Json.member "plan_cache" final with
+      | Some pc ->
+          List.iter
+            (fun key ->
+              check Alcotest.bool ("stats count answers: " ^ key) true
+                (Option.is_some (Json.member key pc)))
+            [ "rows"; "answers"; "candidates_per_answer" ]
+      | None -> Alcotest.fail "final stats lack plan_cache");
       (match http_request ~port "GET /health HTTP/1.1\r\n\r\n" with
       | _ -> Alcotest.fail "listener still accepting after drain"
       | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ECONNRESET), _, _)
