@@ -373,7 +373,14 @@ let t2 () =
   Fmt.pr "%-22s %6s %5s %5s %5s %18s@." "family" "nodes" "bw" "lt" "dw"
     "prop5 (dw=bw)";
   let row name forest =
-    let dw = Wd_core.Domination_width.of_forest forest in
+    (* dw by the GtG scan of [profile]: [of_forest] is bw on one tree, so
+       the prop5 column would compare bw with itself *)
+    let dw =
+      List.fold_left
+        (fun acc r -> max acc r.Wd_core.Domination_width.level)
+        1
+        (Wd_core.Domination_width.profile forest)
+    in
     let lt = Wd_core.Local_tractability.width_of_forest forest in
     let bw, prop5 =
       match forest with

@@ -351,9 +351,7 @@ let eval_cmd =
     | `Rows rows ->
         (* the engine's answers stay id rows up to the bytes *)
         Fmt.pr "%d solution(s)@." (Wd_core.Row_writer.cardinal rows);
-        let buf = Buffer.create 4096 in
-        Wd_core.Row_writer.write buf rows;
-        Buffer.output_buffer stdout buf
+        Wd_core.Row_writer.output stdout rows
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a query over a data file.")

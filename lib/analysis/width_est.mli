@@ -33,7 +33,10 @@ val estimate :
   ?budget:Resource.Budget.t -> ?try_exact:bool -> Wdpt.Pattern_forest.t -> t
 (** The static bounds are polynomial and always computed; the exact
     domination width is attempted under [budget] (default: attempted,
-    unlimited) and degrades to [None] on exhaustion. *)
+    unlimited) and degrades to [None] on exhaustion. The exact width is
+    {!Wd_core.Domination_width.of_forest}: on a one-tree forest that is
+    [bw] (Proposition 5), one core at most per node; on a UNION of trees
+    it is the GtG scan over every subtree. *)
 
 val hints : t -> Wd_core.Engine.hints
 

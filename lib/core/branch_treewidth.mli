@@ -15,7 +15,16 @@ val branch_gtgraph : Wdpt.Pattern_tree.t -> Wdpt.Pattern_tree.node -> Gtgraph.t
     on the root. *)
 
 val of_tree : ?budget:Resource.Budget.t -> Wdpt.Pattern_tree.t -> int
-(** [bw(T)]. Always ≥ 1. *)
+(** [bw(T)]. Always ≥ 1. Lazy in the cores: a node whose [tw(S, X)] is
+    already at most the running maximum cannot raise it ([ctw ≤ tw]), so
+    its core is never computed; [tw ≤ k] is decided by bounds first
+    ({!Tgraphs.Gtgraph.tw_at_most}). Every node ticks [budget]. This is
+    what {!Domination_width.of_forest} returns on a one-tree forest. *)
+
+val at_most : ?budget:Resource.Budget.t -> Wdpt.Pattern_tree.t -> int -> bool
+(** [at_most t k] decides [bw(t) ≤ k], stopping at the first node whose
+    [ctw] exceeds [k]; a core is computed only where the [tw] bounds
+    cannot decide. *)
 
 val of_pattern : ?budget:Resource.Budget.t -> Sparql.Algebra.t -> int
 (** [bw(P)] for a UNION-free well-designed pattern.

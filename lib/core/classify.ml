@@ -48,12 +48,8 @@ let classify ?(budget = Resource.Budget.unlimited) ?(frontier = 3) p =
     let dw =
       Wdsparql_error.attempt (fun () -> Domination_width.of_forest ~budget forest)
     in
-    let bw =
-      match forest with
-      | [ tree ] ->
-          Wdsparql_error.attempt (fun () -> Branch_treewidth.of_tree ~budget tree)
-      | _ -> None
-    in
+    (* on one tree [of_forest] is bw already (Proposition 5) *)
+    let bw = match forest with [ _ ] -> dw | _ -> None in
     let lt =
       Wdsparql_error.attempt (fun () ->
           Local_tractability.width_of_forest ~budget forest)

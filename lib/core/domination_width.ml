@@ -2,24 +2,32 @@ open Tgraphs
 module Budget = Resource.Budget
 
 (* The lazy Definition-2 test described in the interface: cheap bounds
-   first, a core only where they cannot decide. Treewidths, ctws and hom
-   tests are memoised per family, so scanning k upward computes each
-   core at most once. *)
+   first, a core only where they cannot decide. The tw ≤ k answers,
+   ctws and hom tests are memoised per family, so scanning k upward
+   computes each core at most once. *)
 type family = {
   members : Gtgraph.t array;
-  tws : int array;
+  within : (int * int, bool) Hashtbl.t;  (* (j, k): tw(members.(j)) <= k *)
   ctws : int option array;
   maps : (int * int, bool) Hashtbl.t;  (* (j, i): members.(j) -> members.(i) *)
 }
 
-let family_of ?budget members =
+let family_of members =
   let members = Array.of_list members in
   {
     members;
-    tws = Array.map (Gtgraph.tw ?budget) members;
+    within = Hashtbl.create 16;
     ctws = Array.make (Array.length members) None;
     maps = Hashtbl.create 16;
   }
+
+let tw_within ?budget f j k =
+  match Hashtbl.find_opt f.within (j, k) with
+  | Some b -> b
+  | None ->
+      let b = Gtgraph.tw_at_most ?budget f.members.(j) k in
+      Hashtbl.add f.within (j, k) b;
+      b
 
 let ctw ?budget f i =
   match f.ctws.(i) with
@@ -39,8 +47,8 @@ let maps_to ?budget f j i =
 
 let passes ?budget f k i =
   let known_within j =
-    f.tws.(j) <= k
-    || match f.ctws.(j) with Some c -> c <= k | None -> false
+    (match f.ctws.(j) with Some c -> c <= k | None -> false)
+    || tw_within ?budget f j k
   in
   let others p =
     let rec go j =
@@ -63,7 +71,7 @@ let dominated ?budget f k =
   go 0
 
 let dominated_at ?budget family k =
-  dominated ?budget (family_of ?budget family) k
+  dominated ?budget (family_of family) k
 
 (* Domination at k is monotone in k and holds at max tw, so the upward
    scan stops at the least level. *)
@@ -71,7 +79,7 @@ let level ?budget f =
   let rec scan k = if dominated ?budget f k then k else scan (k + 1) in
   scan 1
 
-let domination_level ?budget family = level ?budget (family_of ?budget family)
+let domination_level ?budget family = level ?budget (family_of family)
 
 let of_subtree ?budget forest subtree =
   domination_level ?budget (Wdpt.Children_assignment.gtg forest subtree)
@@ -83,22 +91,31 @@ let subtrees_of ?budget forest =
          List.map (fun st -> (i, st)) (Wdpt.Subtree.all ?budget tree))
        forest)
 
+(* Proposition 5: on a UNION-free pattern (a one-tree forest) dw = bw,
+   which needs one branch gtgraph per node instead of a GtG family per
+   subtree. On a UNION of trees bw is not dw, so those keep the scan. *)
 let of_forest ?(budget = Budget.unlimited) forest =
   Budget.with_phase budget "domination-width" @@ fun () ->
-  List.fold_left
-    (fun acc (_, st) ->
-      Budget.tick budget;
-      max acc (of_subtree ~budget forest st))
-    1
-    (subtrees_of ~budget forest)
+  match forest with
+  | [ tree ] -> Branch_treewidth.of_tree ~budget tree
+  | _ ->
+      List.fold_left
+        (fun acc (_, st) ->
+          Budget.tick budget;
+          max acc (of_subtree ~budget forest st))
+        1
+        (subtrees_of ~budget forest)
 
 let at_most ?(budget = Budget.unlimited) forest k =
   Budget.with_phase budget "domination-width" @@ fun () ->
-  List.for_all
-    (fun (_, st) ->
-      Budget.tick budget;
-      dominated_at ~budget (Wdpt.Children_assignment.gtg forest st) k)
-    (subtrees_of ~budget forest)
+  match forest with
+  | [ tree ] -> Branch_treewidth.at_most ~budget tree k
+  | _ ->
+      List.for_all
+        (fun (_, st) ->
+          Budget.tick budget;
+          dominated_at ~budget (Wdpt.Children_assignment.gtg forest st) k)
+        (subtrees_of ~budget forest)
 
 let of_pattern ?budget p = of_forest ?budget (Wdpt.Pattern_forest.of_algebra p)
 
@@ -132,7 +149,7 @@ type profile = {
 let profile ?budget forest =
   List.map
     (fun (i, st) ->
-      let f = family_of ?budget (Wdpt.Children_assignment.gtg forest st) in
+      let f = family_of (Wdpt.Children_assignment.gtg forest st) in
       (* every ctw first: the level's scan then reads them from the memo *)
       let gtg_ctws = List.init (Array.length f.members) (ctw ?budget f) in
       {

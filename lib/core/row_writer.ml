@@ -100,3 +100,17 @@ let write_row buf t row =
   Buffer.add_string buf "}\n"
 
 let write buf t = Array.iter (write_row buf t) t.rows
+
+let chunk = 65536
+
+let output oc t =
+  let buf = Buffer.create chunk in
+  Array.iter
+    (fun row ->
+      write_row buf t row;
+      if Buffer.length buf >= chunk then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end)
+    t.rows;
+  Buffer.output_buffer oc buf

@@ -24,3 +24,8 @@ val cardinal : t -> int
 val write : Buffer.t -> t -> unit
 (** Append every row, one mapping per line group, each ending in a
     newline. *)
+
+val output : out_channel -> t -> unit
+(** The bytes of {!write}, handed to the channel in chunks of about
+    64 KiB as they are written, so the whole body is never held at once.
+    The channel is not flushed. *)

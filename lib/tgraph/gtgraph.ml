@@ -42,6 +42,13 @@ let tw ?budget t =
   if Graphtheory.Ugraph.n gaifman = 0 || Graphtheory.Ugraph.m gaifman = 0 then 1
   else max 1 (Graphtheory.Treewidth.treewidth ?budget gaifman)
 
+let tw_at_most ?budget t k =
+  k >= 1
+  &&
+  let gaifman, _ = Gaifman.graph t.x t.s in
+  Graphtheory.Ugraph.m gaifman = 0
+  || Graphtheory.Treewidth.is_at_most ?budget gaifman k
+
 let equal a b = Tgraph.equal a.s b.s && Variable.Set.equal a.x b.x
 
 let pp ppf t =

@@ -45,5 +45,10 @@ val tw : ?budget:Resource.Budget.t -> t -> int
     [vars(S) \ X], defined as 1 when that graph has no vertices or no
     edges. *)
 
+val tw_at_most : ?budget:Resource.Budget.t -> t -> int -> bool
+(** [tw_at_most g k] iff [tw g <= k]. Decided by the degeneracy lower
+    bound and the elimination-heuristic upper bound; the exact search
+    runs only when they disagree. *)
+
 val equal : t -> t -> bool
 val pp : t Fmt.t

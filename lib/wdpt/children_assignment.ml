@@ -11,10 +11,9 @@ let supp forest subtree =
 
 type t = (int * Pattern_tree.node) list
 
-let all forest subtree =
-  let support = supp forest subtree in
-  (* For each supporting index, the options are: unassigned (None), or one
-     of the witness subtree's children. *)
+(* For each supporting index, the options are: unassigned, or one of the
+   witness subtree's children. *)
+let of_support support =
   let options =
     List.map
       (fun (i, witness) ->
@@ -31,38 +30,60 @@ let all forest subtree =
   |> List.map (fun choices -> List.rev (List.filter_map Fun.id choices))
   |> List.filter (fun delta -> delta <> [])
 
-let s_delta forest subtree delta =
-  let keep = Subtree.vars subtree in
-  let forest_vars = Pattern_forest.vars forest in
-  let avoid = ref forest_vars in
+let all forest subtree = of_support (supp forest subtree)
+
+(* What every assignment of one subtree shares, computed once: building
+   a pattern's index is the expensive step of S_∆. *)
+type context = {
+  pat : Tgraph.t;  (* pat(T) *)
+  x : Variable.Set.t;  (* vars(T) *)
+  forest_vars : Variable.Set.t;
+}
+
+let context forest subtree =
+  let pat = Subtree.pat subtree in
+  { pat; x = Tgraph.vars pat; forest_vars = Pattern_forest.vars forest }
+
+let s_delta_in forest c delta =
+  let avoid = ref c.forest_vars in
   let parts =
     List.map
       (fun (i, child) ->
         let tree = List.nth forest i in
         let renamed, _subst =
-          Tgraph.rename_avoiding ~keep ~avoid:!avoid (Pattern_tree.pat tree child)
+          Tgraph.rename_avoiding ~keep:c.x ~avoid:!avoid
+            (Pattern_tree.pat tree child)
         in
         avoid := Variable.Set.union !avoid (Tgraph.vars renamed);
         renamed)
       delta
   in
-  let s = List.fold_left Tgraph.union (Subtree.pat subtree) parts in
-  Gtgraph.make s keep
+  Gtgraph.make (List.fold_left Tgraph.union c.pat parts) c.x
 
-let is_valid forest subtree delta =
-  let x = Subtree.vars subtree in
-  let s_d = s_delta forest subtree delta in
-  let assigned = List.map fst delta in
+(* ∆ is valid when no unassigned supporting witness maps into S_∆. *)
+let valid_in support c delta s_d =
   List.for_all
     (fun (j, witness) ->
-      if List.mem j assigned then true
-      else
-        let candidate = Gtgraph.make (Subtree.pat witness) x in
-        not (Gtgraph.maps_to candidate s_d))
-    (supp forest subtree)
+      List.mem_assoc j delta
+      || not (Gtgraph.maps_to (Gtgraph.make (Subtree.pat witness) c.x) s_d))
+    support
 
-let valid forest subtree =
-  List.filter (is_valid forest subtree) (all forest subtree)
+let s_delta forest subtree delta =
+  s_delta_in forest (context forest subtree) delta
 
-let gtg forest subtree =
-  List.map (s_delta forest subtree) (valid forest subtree)
+let is_valid forest subtree delta =
+  let c = context forest subtree in
+  valid_in (supp forest subtree) c delta (s_delta_in forest c delta)
+
+(* The valid assignments, each with its S_∆. *)
+let valid_with_s forest subtree =
+  let support = supp forest subtree and c = context forest subtree in
+  List.filter_map
+    (fun delta ->
+      let s_d = s_delta_in forest c delta in
+      if valid_in support c delta s_d then Some (delta, s_d) else None)
+    (of_support support)
+
+let valid forest subtree = List.map fst (valid_with_s forest subtree)
+
+let gtg forest subtree = List.map snd (valid_with_s forest subtree)

@@ -18,7 +18,10 @@ let pat t n = t.labels.(n)
 let vars_of_node t n = Tgraph.vars t.labels.(n)
 
 let pat_all t = Array.fold_left Tgraph.union Tgraph.empty t.labels
-let vars t = Tgraph.vars (pat_all t)
+let vars t =
+  Array.fold_left
+    (fun acc l -> Variable.Set.union acc (Tgraph.vars l))
+    Variable.Set.empty t.labels
 
 let branch t n =
   let rec up acc n =

@@ -30,7 +30,10 @@ let pat t =
     (fun n acc -> Tgraph.union acc (Pattern_tree.pat t.tree n))
     t.nodes Tgraph.empty
 
-let vars t = Tgraph.vars (pat t)
+let vars t =
+  NSet.fold
+    (fun n acc -> Variable.Set.union acc (Pattern_tree.vars_of_node t.tree n))
+    t.nodes Variable.Set.empty
 
 let children t =
   List.filter

@@ -278,14 +278,43 @@ let test_profile_rows_unchanged () =
         (subtrees forest))
     families
 
+(* Definition-2 dw through the GtG scan, whatever the forest's shape:
+   [of_forest] returns bw on one tree, so Proposition 5 is checked
+   against the per-subtree levels of [profile] instead. *)
+let gtg_dw forest =
+  List.fold_left
+    (fun acc row -> max acc row.Domination_width.level)
+    1
+    (Domination_width.profile forest)
+
 (* Proposition 5: dw = bw on UNION-free patterns. *)
 let prop5 =
   qcheck ~count:60 "Prop 5: dw = bw for UNION-free patterns"
     Testutil.union_free_wd_pattern (fun p ->
       match Wdpt.Pattern_forest.of_algebra p with
-      | [ tree ] ->
-          Domination_width.of_forest [ tree ] = Branch_treewidth.of_tree tree
+      | [ tree ] -> gtg_dw [ tree ] = Branch_treewidth.of_tree tree
       | _ -> false)
+
+(* The one-tree dispatch of [of_forest] and [at_most] agrees with the
+   GtG scan on the paper's families and the one-tree frontier shapes. *)
+let test_one_tree_is_gtg_level () =
+  let trees =
+    List.map Query_families.path_query [ 4; 5; 6 ]
+    @ List.map Query_families.star_query [ 4; 5; 6 ]
+    @ List.map Query_families.comb_query [ 3; 4 ]
+    @ List.map Query_families.clique_child [ 2; 3; 4; 5 ]
+    @ List.map Query_families.t_prime_k [ 2; 3; 4; 5 ]
+  in
+  List.iter
+    (fun tree ->
+      let dw = gtg_dw [ tree ] in
+      check Alcotest.int "of_forest = GtG level" dw
+        (Domination_width.of_forest [ tree ]);
+      check Alcotest.bool "at_most dw" true (Domination_width.at_most [ tree ] dw);
+      if dw > 1 then
+        check Alcotest.bool "not at_most (dw - 1)" false
+          (Domination_width.at_most [ tree ] (dw - 1)))
+    trees
 
 (* Local tractability implies bounded domination width (discussion after
    Theorem 1): dw <= lt always. *)
@@ -456,6 +485,8 @@ let () =
           Alcotest.test_case "profile rows = eager on T2 families" `Quick
             test_profile_rows_unchanged;
           prop5;
+          Alcotest.test_case "one tree: of_forest = GtG level" `Quick
+            test_one_tree_is_gtg_level;
           lt_bounds_dw;
         ] );
       ( "evaluation",

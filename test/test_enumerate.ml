@@ -287,6 +287,28 @@ let test_engine_rows () =
       ("path 4", [ Workload.Query_families.path_query 4 ], shapes [ "p" ]);
     ]
 
+(* The streamed writer hands a channel the bytes of [write], also when
+   they span several 64 KiB chunks. *)
+let test_output_streams () =
+  let vars = Array.map Variable.of_string [| "a"; "b"; "c" |] in
+  let iri id = Iri.of_string (Printf.sprintf "n:node%05d" id) in
+  let rows =
+    List.init 5000 (fun i ->
+        [| i; (i * 7) mod 5000; (if i mod 3 = 0 then -1 else i mod 11) |])
+  in
+  let t = Row_writer.of_rows vars iri rows in
+  let buf = Buffer.create 256 in
+  Row_writer.write buf t;
+  let file = Filename.temp_file "rows" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> Row_writer.output oc t);
+      let streamed = In_channel.with_open_bin file In_channel.input_all in
+      check Alcotest.bool "spans several chunks" true
+        (String.length streamed > 3 * 65536);
+      check Alcotest.string "output = write" (Buffer.contents buf) streamed)
+
 let () =
   Alcotest.run "enumerate"
     [
@@ -306,5 +328,7 @@ let () =
           Alcotest.test_case "bindings on the margin" `Quick test_writer_margin;
           Alcotest.test_case "engine rows print the old bytes" `Quick
             test_engine_rows;
+          Alcotest.test_case "output streams the bytes of write" `Quick
+            test_output_streams;
         ] );
     ]

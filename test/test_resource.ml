@@ -325,7 +325,7 @@ let dense_graph = Hardness.Clique.random_graph ~seed:7 ~n:18 ~edge_prob:0.5
 
 let big_data = Generator.random_graph ~seed:11 ~n:10 ~predicates:[ "q0"; "q1" ] ~m:60
 
-let star_pattern children =
+let star_text children =
   (* { t0 OPTIONAL { c1 } ... OPTIONAL { cn } }: 2^children subtrees *)
   let buf = Buffer.create 256 in
   Buffer.add_string buf "{ ?x0 p:q0 ?x1 ";
@@ -334,11 +334,22 @@ let star_pattern children =
       (Printf.sprintf "OPTIONAL { ?x0 p:q0 ?y%d . ?y%d p:q1 ?z%d } " i i i)
   done;
   Buffer.add_string buf "}";
-  match Sparql.Parser.parse (Buffer.contents buf) with
-  | Ok p -> p
-  | Error e -> Alcotest.fail e
+  Buffer.contents buf
+
+let parse text =
+  match Sparql.Parser.parse text with Ok p -> p | Error e -> Alcotest.fail e
+
+let star_pattern children = parse (star_text children)
 
 let star_forest children = Wdpt.Pattern_forest.of_algebra (star_pattern children)
+
+(* The same star plus a second tree under UNION. On one tree the
+   domination width is bw (Proposition 5), polynomial; on two trees it
+   still scans the GtG family of each of the star's 2^children
+   subtrees. *)
+let star_union_forest children =
+  Wdpt.Pattern_forest.of_algebra
+    (parse (Printf.sprintf "{ %s UNION { ?x0 p:q1 ?x1 } }" (star_text children)))
 
 let test_treewidth_exact () =
   exhausts (fun () ->
@@ -425,7 +436,7 @@ let test_naive_eval () =
 
 let test_domination_width () =
   exhausts (fun () ->
-      Wd_core.Domination_width.of_forest ~budget:(tiny ()) (star_forest 8))
+      Wd_core.Domination_width.of_forest ~budget:(tiny ()) (star_union_forest 8))
 
 let test_pebble_eval () =
   (* the evaluation-wide cache over the encoded store *)
@@ -512,7 +523,7 @@ let budget_transparency =
 
 let test_deadline_smoke () =
   (* 2^22 subtrees: hours of work if the deadline were ignored *)
-  let forest = star_forest 22 in
+  let forest = star_union_forest 22 in
   let deadline = 0.2 in
   let start = Unix.gettimeofday () in
   (match
@@ -528,6 +539,19 @@ let test_deadline_smoke () =
     (Printf.sprintf "terminated within 2x the deadline (took %.3fs)" elapsed)
     true
     (elapsed < 2.0 *. deadline)
+
+let test_one_tree_within_deadline () =
+  (* the one-tree star of the smoke: bw by Proposition 5, no subtrees *)
+  let deadline = 0.2 in
+  let start = Unix.gettimeofday () in
+  check Alcotest.int "dw(star 22) = 1" 1
+    (Wd_core.Domination_width.of_forest
+       ~budget:(Budget.make ~timeout:deadline ())
+       (star_forest 22));
+  let elapsed = Unix.gettimeofday () -. start in
+  check Alcotest.bool
+    (Printf.sprintf "finished within the deadline (took %.3fs)" elapsed)
+    true (elapsed < deadline)
 
 let () =
   Alcotest.run "resource"
@@ -588,5 +612,9 @@ let () =
         ] );
       ("properties", [ budget_transparency ]);
       ( "deadline",
-        [ Alcotest.test_case "hard query stops on time" `Quick test_deadline_smoke ] );
+        [
+          Alcotest.test_case "hard query stops on time" `Quick test_deadline_smoke;
+          Alcotest.test_case "one-tree star finishes in time" `Quick
+            test_one_tree_within_deadline;
+        ] );
     ]

@@ -265,6 +265,12 @@ let core_laws =
       && Gtgraph.equal (Cores.core core) core
       && Cores.ctw g <= Gtgraph.tw g)
 
+let tw_at_most_law =
+  qcheck ~count:80 "tw_at_most g k = (tw g <= k), k in 0..5"
+    Testutil.small_gtgraph (fun g ->
+      let tw = Gtgraph.tw g in
+      List.for_all (fun k -> Gtgraph.tw_at_most g k = (tw <= k)) [ 0; 1; 2; 3; 4; 5 ])
+
 let core_subgraph_law =
   qcheck ~count:80 "core is a subgraph of the original"
     Testutil.small_gtgraph (fun g ->
@@ -396,6 +402,7 @@ let () =
           Alcotest.test_case "paper example 3" `Quick test_example3;
           core_laws;
           core_subgraph_law;
+          tw_at_most_law;
         ] );
       ( "td-guided test",
         [
