@@ -41,8 +41,6 @@ let pp_stats ppf s =
     s.live_entries s.decision_hits
     (s.decision_hits + s.decision_misses)
 
-let zero_joins = { runs = 0; extensions = 0; capped = 0; pebble_answers = 0 }
-
 let add_joins a b =
   {
     runs = a.runs + b.runs;
@@ -51,8 +49,10 @@ let add_joins a b =
     pebble_answers = a.pebble_answers + b.pebble_answers;
   }
 
-(* Child-join counters of one node, mutated only by the domain that owns
-   them: the cache's caller, or one worker until [absorb_worker]. *)
+(* Counters of one node's child joins and child tests, mutated only by
+   the domain that owns them: the cache's caller, or one worker until
+   [absorb_worker]. The same record sums an entry ([entry_tally]) and
+   keeps what evicted entries counted ([t.retired]). *)
 type tally = {
   mutable t_runs : int;
   mutable t_extensions : int;
@@ -61,6 +61,11 @@ type tally = {
   mutable t_misses : int;  (* relaxed verdicts from a game run *)
   mutable t_families : int;
   mutable t_evictions : int;
+  mutable t_compiled : int;  (* games compiled by this owner *)
+  mutable t_decision_hits : int;  (* join orders from the entry's table *)
+  mutable t_decision_misses : int;
+  mutable t_unary_hits : int;  (* entry sums only: the store's unary cache *)
+  mutable t_unary_misses : int;
 }
 
 let new_tally () =
@@ -72,6 +77,11 @@ let new_tally () =
     t_misses = 0;
     t_families = 0;
     t_evictions = 0;
+    t_compiled = 0;
+    t_decision_hits = 0;
+    t_decision_misses = 0;
+    t_unary_hits = 0;
+    t_unary_misses = 0;
   }
 
 let add_tally into tl =
@@ -81,7 +91,12 @@ let add_tally into tl =
   into.t_hits <- into.t_hits + tl.t_hits;
   into.t_misses <- into.t_misses + tl.t_misses;
   into.t_families <- into.t_families + tl.t_families;
-  into.t_evictions <- into.t_evictions + tl.t_evictions
+  into.t_evictions <- into.t_evictions + tl.t_evictions;
+  into.t_compiled <- into.t_compiled + tl.t_compiled;
+  into.t_decision_hits <- into.t_decision_hits + tl.t_decision_hits;
+  into.t_decision_misses <- into.t_decision_misses + tl.t_decision_misses;
+  into.t_unary_hits <- into.t_unary_hits + tl.t_unary_hits;
+  into.t_unary_misses <- into.t_unary_misses + tl.t_unary_misses
 
 let joins_of tl =
   {
@@ -120,7 +135,7 @@ type node_state = {
   shared_slots : int array;  (* the game's parameters, in its order *)
   mutable domain : int option;  (* the cap's base, once computed *)
   games : (int, Encoded.Encoded_pebble.t) Hashtbl.t;
-      (* per k; read and written under the store's pebble lock *)
+      (* per k; read and written under the entry's [games_lock] *)
   memo : memo;
 }
 
@@ -133,10 +148,20 @@ type tree_state = {
   nodes : (Wdpt.Pattern_tree.node, node_state) Hashtbl.t;
 }
 
+(* Everything the cache holds for one store: dropping the entry drops
+   every artefact compiled against that store. *)
 type entry = {
   epoch : int;
   enc : Encoded.Encoded_graph.t;
-  pebble : Pebble_cache.t;
+  unary : Encoded.Encoded_pebble.unary_cache;
+      (* µ-independent unary candidate domains, scanned once per store
+         and shared by every game compiled against it *)
+  games_lock : Mutex.t;
+      (* guards [unary] and every node's [games]: pool workers compile
+         games the first time a cap trips *)
+  decisions : (string, Optimizer.Join_order.decision) Hashtbl.t;
+      (* join orders by {!Optimizer.Join_order.signature}: isomorphic
+         node joins of any tree are planned once per store *)
   mutable trees : (Wdpt.Pattern_tree.t * tree_state) list;
       (* keyed on physical identity: plans hold their forest alive, so
          the same tree value flows through every evaluation of a plan *)
@@ -153,57 +178,26 @@ type t = {
   mutable hom_sources : int;
   mutable invalidations : int;
   mutable plan_evictions : int;
-  mutable retired : Pebble_cache.stats;
-  retired_tally : tally;
-      (* store and child-join counters of entries dropped by eviction, so
-         [stats] reports the plan's whole history *)
+  retired : tally;
+      (* the counters of entries dropped by eviction, so [stats] reports
+         the plan's whole history *)
   mutable rows : int;
   mutable answers : int;
-  decisions : Optimizer.Decision_cache.t;
-      (* join-order memo shared across entries and trees: epoch is part
-         of its key, so an evicted store's decisions age out by FIFO
-         instead of being flushed *)
 }
 
-let zero_pebble_stats =
-  {
-    Pebble_cache.hits = 0;
-    misses = 0;
-    compiled = 0;
-    families = 0;
-    evictions = 0;
-    unary_hits = 0;
-    unary_misses = 0;
-  }
-
-let add_pebble_stats (a : Pebble_cache.stats) (b : Pebble_cache.stats) =
-  {
-    Pebble_cache.hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    compiled = a.compiled + b.compiled;
-    families = a.families + b.families;
-    evictions = a.evictions + b.evictions;
-    unary_hits = a.unary_hits + b.unary_hits;
-    unary_misses = a.unary_misses + b.unary_misses;
-  }
-
-let zero_stats =
-  {
-    pebble = zero_pebble_stats;
-    joins = zero_joins;
-    rows = 0;
-    answers = 0;
-    hom_sources = 0;
-    invalidations = 0;
-    plan_evictions = 0;
-    live_entries = 0;
-    decision_hits = 0;
-    decision_misses = 0;
-  }
-
 let add_stats (a : stats) (b : stats) =
+  let p = a.pebble and q = b.pebble in
   {
-    pebble = add_pebble_stats a.pebble b.pebble;
+    pebble =
+      {
+        hits = p.hits + q.hits;
+        misses = p.misses + q.misses;
+        compiled = p.compiled + q.compiled;
+        families = p.families + q.families;
+        evictions = p.evictions + q.evictions;
+        unary_hits = p.unary_hits + q.unary_hits;
+        unary_misses = p.unary_misses + q.unary_misses;
+      };
     joins = add_joins a.joins b.joins;
     rows = a.rows + b.rows;
     answers = a.answers + b.answers;
@@ -224,11 +218,9 @@ let create ?(plan_capacity = default_plan_capacity) () =
     hom_sources = 0;
     invalidations = 0;
     plan_evictions = 0;
-    retired = zero_pebble_stats;
-    retired_tally = new_tally ();
+    retired = new_tally ();
     rows = 0;
     answers = 0;
-    decisions = Optimizer.Decision_cache.create ();
   }
 
 let entry_tally e =
@@ -237,6 +229,9 @@ let entry_tally e =
     (fun (_, ts) ->
       Hashtbl.iter (fun _ ns -> add_tally sum ns.memo.tally) ts.nodes)
     e.trees;
+  let hits, misses = Encoded.Encoded_pebble.unary_cache_stats e.unary in
+  sum.t_unary_hits <- hits;
+  sum.t_unary_misses <- misses;
   sum
 
 let entry_for t graph =
@@ -256,7 +251,14 @@ let entry_for t graph =
           if entries <> [] then t.invalidations <- t.invalidations + 1;
           let enc = Encoded.Encoded_graph.of_graph_cached graph in
           let e =
-            { epoch; enc; pebble = Pebble_cache.create enc; trees = [] }
+            {
+              epoch;
+              enc;
+              unary = Encoded.Encoded_pebble.create_unary_cache ();
+              games_lock = Mutex.create ();
+              decisions = Hashtbl.create 16;
+              trees = [];
+            }
           in
           let live = e :: entries in
           let keep, evicted =
@@ -268,12 +270,14 @@ let entry_for t graph =
           List.iter
             (fun old ->
               t.plan_evictions <- t.plan_evictions + 1;
-              t.retired <-
-                add_pebble_stats t.retired (Pebble_cache.stats old.pebble);
-              add_tally t.retired_tally (entry_tally old))
+              add_tally t.retired (entry_tally old))
             evicted;
           t.entries <- keep;
           e)
+
+let release t =
+  List.iter (fun e -> add_tally t.retired (entry_tally e)) t.entries;
+  t.entries <- []
 
 let encoded t graph = (entry_for t graph).enc
 
@@ -357,13 +361,23 @@ let node_decision ?budget t graph tree n =
       let bound_arr =
         Array.map (fun v -> Variable.Set.mem v bound_set) ts.tvars
       in
+      let bound v = bound_arr.(v) in
+      let patterns = Encoded.Encoded_hom.patterns ns.source in
+      let key = Optimizer.Join_order.signature ~bound patterns in
+      let tl = ns.memo.tally in
       let d =
-        Optimizer.Decision_cache.compile ?budget t.decisions ~epoch:e.epoch
-          e.enc
-          ~nvars:(Array.length ts.tvars)
-          ~bound:(fun v -> bound_arr.(v))
-          ~node:n
-          (Encoded.Encoded_hom.patterns ns.source)
+        match Hashtbl.find_opt e.decisions key with
+        | Some d ->
+            tl.t_decision_hits <- tl.t_decision_hits + 1;
+            { d with node = n }
+        | None ->
+            tl.t_decision_misses <- tl.t_decision_misses + 1;
+            let d =
+              Optimizer.Join_order.compile ?budget e.enc
+                ~nvars:(Array.length ts.tvars) ~bound ~node:n patterns
+            in
+            Hashtbl.replace e.decisions key d;
+            d
       in
       ns.decision <- Some d;
       d
@@ -405,8 +419,7 @@ let absorb_worker t tree w =
   Hashtbl.iter
     (fun n memo ->
       add_tally
-        (if live then (node_in t w.w_entry tree n).memo.tally
-         else t.retired_tally)
+        (if live then (node_in t w.w_entry tree n).memo.tally else t.retired)
         memo.tally)
     w.memos;
   Hashtbl.reset w.memos
@@ -425,20 +438,35 @@ let memo_of ?worker ns =
 let key_of slots assignment =
   Array.fold_right (fun s acc -> assignment.(s) :: acc) slots []
 
-type pebble_test = { p_state : node_state; k : int; store : Pebble_cache.t }
+type pebble_test = { p_state : node_state; k : int; p_entry : entry }
 
 let pebble_test t graph ~k tree n =
   if k < 1 then invalid_arg "Plan_cache.pebble_test: k must be at least 1";
   let e = entry_for t graph in
-  { p_state = node_in t e tree n; k; store = e.pebble }
+  { p_state = node_in t e tree n; k; p_entry = e }
+
+(* The existential (k+1)-pebble game of the test's node, compiled against
+   its store on first use and counted on [tl]. Lookup and compile run
+   under the entry's lock, so every domain may call it. *)
+let game pt tl =
+  let e = pt.p_entry and ns = pt.p_state in
+  Mutex.protect e.games_lock @@ fun () ->
+  match Hashtbl.find_opt ns.games pt.k with
+  | Some game -> game
+  | None ->
+      let game =
+        Encoded.Encoded_pebble.compile ~unary:e.unary ~k:(pt.k + 1) ns.shared
+          e.enc
+      in
+      tl.t_compiled <- tl.t_compiled + 1;
+      Hashtbl.add ns.games pt.k game;
+      game
 
 (* The relaxed test against one memo, for a key already built. The game
-   is compiled (under the store's lock) only on the first memo miss. *)
+   is compiled only on the first memo miss. *)
 let relaxed ~budget pt memo =
-  let game =
-    lazy (Pebble_cache.game pt.store pt.p_state.games ~k:pt.k pt.p_state.shared)
-  in
   let tl = memo.tally in
+  let game = lazy (game pt tl) in
   fun key assignment ->
     let key = pt.k :: key in
     match Hashtbl.find_opt memo.relaxed_verdicts key with
@@ -447,11 +475,14 @@ let relaxed ~budget pt memo =
         v
     | None ->
         tl.t_misses <- tl.t_misses + 1;
-        let v, families =
-          Pebble_cache.run ~budget (Lazy.force game)
-            (Array.map (Array.get assignment) pt.p_state.shared_slots)
+        let before = Encoded.Encoded_pebble.stats_families_explored () in
+        let v =
+          Encoded.Encoded_pebble.run ~budget (Lazy.force game)
+            ~mu:(Array.map (Array.get assignment) pt.p_state.shared_slots)
         in
-        tl.t_families <- tl.t_families + families;
+        tl.t_families <-
+          tl.t_families
+          + (Encoded.Encoded_pebble.stats_families_explored () - before);
         if Hashtbl.length memo.relaxed_verdicts < verdict_limit then
           Hashtbl.replace memo.relaxed_verdicts key v
         else tl.t_evictions <- tl.t_evictions + 1;
@@ -531,22 +562,18 @@ let node_joins t graph tree n = joins_of (node_state t graph tree n).memo.tally
 
 let stats t =
   let all = new_tally () in
-  add_tally all t.retired_tally;
+  add_tally all t.retired;
   List.iter (fun e -> add_tally all (entry_tally e)) t.entries;
-  let stores =
-    List.fold_left
-      (fun acc e -> add_pebble_stats acc (Pebble_cache.stats e.pebble))
-      t.retired t.entries
-  in
-  let d = Optimizer.Decision_cache.stats t.decisions in
   {
     pebble =
       {
-        stores with
         hits = all.t_hits;
         misses = all.t_misses;
+        compiled = all.t_compiled;
         families = all.t_families;
         evictions = all.t_evictions;
+        unary_hits = all.t_unary_hits;
+        unary_misses = all.t_unary_misses;
       };
     joins = joins_of all;
     rows = t.rows;
@@ -555,6 +582,8 @@ let stats t =
     invalidations = t.invalidations;
     plan_evictions = t.plan_evictions;
     live_entries = List.length t.entries;
-    decision_hits = d.Optimizer.Decision_cache.hits;
-    decision_misses = d.Optimizer.Decision_cache.misses;
+    decision_hits = all.t_decision_hits;
+    decision_misses = all.t_decision_misses;
   }
+
+let zero_stats = stats (create ())

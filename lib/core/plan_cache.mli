@@ -2,19 +2,29 @@
     repeated {!Engine.solutions} and {!Engine.check} calls on the same
     plan.
 
-    A plan's graph-dependent state is (1) the dictionary-encoded copy of
-    the graph and (2), per tree node, every artefact of its child join:
-    the compiled hom-join source (compiled against a tree-wide shared
-    variable table, so enumeration rows are flat int arrays), its
-    cost-based join order, the cap of its search for a first
-    extension, the pebble game per [k] (compiled the first time the cap
-    trips, or the first time {!Pebble_eval} asks), and the game's
-    relaxed-verdict memo. This
-    module holds them in a small most-recently-used store keyed on the
-    graph's {!Rdf.Graph.epoch} (epochs are unique per construction):
-    evaluating the same plan against a recently-seen store reuses
-    everything, and only past the capacity does the coldest entry get
-    dropped.
+    This module is the one place that knows which store an artefact
+    belongs to. A plan's store-dependent state lives in one {e entry}
+    per store, keyed on the graph's {!Rdf.Graph.epoch} (epochs are
+    unique per construction):
+    - the dictionary-encoded copy of the graph;
+    - the store's µ-independent unary candidate domains, shared by every
+      pebble game compiled against it, and the lock under which pool
+      workers compile games;
+    - a table of join orders keyed on {!Optimizer.Join_order.signature},
+      so isomorphic node joins of any of the plan's trees are planned
+      once per store;
+    - per tree node, every artefact of its child join: the compiled
+      hom-join source (compiled against a tree-wide shared variable
+      table, so enumeration rows are flat int arrays), its join order,
+      the cap of its search for a first extension, the pebble game per
+      [k] (compiled the first time the cap trips, or the first time
+      {!Pebble_eval} asks), and the game's relaxed-verdict memo.
+
+    Entries sit in a small most-recently-used list: evaluating the same
+    plan against a recently-seen store reuses everything, and only past
+    the capacity is the coldest entry dropped, with everything compiled
+    against its store. Its counters are kept in a retired tally, so
+    {!stats} covers the plan's whole history.
 
     All artefacts are compiled on demand, so a cache costs nothing until
     the first evaluation touches it. *)
@@ -41,9 +51,9 @@ type joins = {
 
 type stats = {
   pebble : Pebble_cache.stats;
-      (** games compiled and relaxed-verdict counters, accumulated over
-          every entry this cache has held, including ones dropped by
-          eviction *)
+      (** games compiled, relaxed-verdict and unary-domain counters,
+          accumulated over every entry this cache has held, including
+          ones dropped by eviction *)
   joins : joins;  (** likewise accumulated *)
   rows : int;
       (** rows the trees' walks emitted, over every evaluation: a UNION
@@ -58,11 +68,11 @@ type stats = {
       (** entries dropped because the store capacity was exceeded *)
   live_entries : int;  (** entries currently held *)
   decision_hits : int;
-      (** join-order decisions served from the cross-tree
-          {!Optimizer.Decision_cache} memo — structurally identical node
-          joins (same patterns up to slot renaming, same bound split,
-          same store epoch) planned once *)
-  decision_misses : int;  (** decisions actually compiled *)
+      (** nodes whose join order came from their entry's table: an
+          earlier node of any tree had the same
+          {!Optimizer.Join_order.signature} (patterns up to slot
+          renaming, same bound split) against the same store *)
+  decision_misses : int;  (** join orders actually compiled *)
 }
 
 val candidates_per_answer : stats -> float
@@ -74,6 +84,13 @@ val create : ?plan_capacity:int -> unit -> t
     4; raises [Invalid_argument] if [< 1]). Each node's relaxed-verdict
     memo stops growing at 2^16 entries: later verdicts are computed but
     not remembered. *)
+
+val release : t -> unit
+(** Drop every entry, with everything compiled against its store, and
+    keep its counters in the retired tally: the cache then pins no
+    store until the next evaluation builds an entry. Not counted as an
+    eviction or an invalidation. The server calls it on its idle plans
+    after a reload. *)
 
 val encoded : t -> Graph.t -> Encoded.Encoded_graph.t
 (** The encoded copy of [graph] for its entry (building the entry, and
@@ -94,8 +111,9 @@ val node_decision :
 (** The cost-based plan of node [n] against [graph]'s statistics: join
     order and per-step cardinality estimates, compiled on first use
     ({!Optimizer.Join_order}) with the node's ancestors as the
-    bound-variable seed, and cached for as long as [graph]'s epoch
-    entry lives — the server's cross-connection plan cache serves these
+    bound-variable seed, or taken from an isomorphic node's (see
+    [decision_hits]), and cached for as long as [graph]'s epoch entry
+    lives — the server's cross-connection plan cache serves these
     without re-deriving anything. *)
 
 val exact_cap :

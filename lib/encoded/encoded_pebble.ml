@@ -125,7 +125,7 @@ let unary_candidates graph (s, p, o) =
    same constant pattern get the same candidate array, so the range
    scan runs once per (pattern, store-epoch) instead of once per
    family. Keys mention dictionary ids, so a cache is only meaningful
-   against one store epoch — [Wd_core.Pebble_cache] owns one per entry.
+   against one store epoch — [Wd_core.Plan_cache] owns one per entry.
    Not thread-safe: callers serialise compiles (or use a private one). *)
 type unary_cache = {
   table : (int option * int option * int option, int array) Hashtbl.t;

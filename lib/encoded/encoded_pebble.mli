@@ -9,8 +9,8 @@
     a dedicated FNV-style family table instead of polymorphic hashing on
     term maps.
 
-    The split into {!compile} and {!run} is what the evaluation-wide
-    cache ({!Wd_core.Pebble_cache}) builds on: a generalised t-graph is
+    The split into {!compile} and {!run} is what the plan cache
+    ({!Wd_core.Plan_cache}) builds on: a generalised t-graph is
     compiled against a graph once — including the µ-independent unary
     candidate domains — and then replayed for many frozen mappings µ. *)
 

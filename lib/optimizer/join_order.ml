@@ -56,6 +56,38 @@ let compile ?(budget = Budget.unlimited) graph ~nvars ~bound ~node patterns =
   in
   { node; order; est_cards; est_candidates }
 
+(* Slots renamed by first occurrence, each carrying its bound bit: the
+   exact inputs [compile] reads from the patterns. *)
+let signature ~bound patterns =
+  let buf = Buffer.create 64 in
+  let rename = Hashtbl.create 8 in
+  let term = function
+    | H.Const id ->
+        Buffer.add_char buf 'c';
+        Buffer.add_string buf (string_of_int id)
+    | H.Var v ->
+        let i =
+          match Hashtbl.find_opt rename v with
+          | Some i -> i
+          | None ->
+              let i = Hashtbl.length rename in
+              Hashtbl.add rename v i;
+              i
+        in
+        Buffer.add_char buf (if bound v then 'b' else 'v');
+        Buffer.add_string buf (string_of_int i)
+  in
+  Array.iter
+    (fun (s, p, o) ->
+      term s;
+      Buffer.add_char buf ' ';
+      term p;
+      Buffer.add_char buf ' ';
+      term o;
+      Buffer.add_char buf '.')
+    patterns;
+  Buffer.contents buf
+
 let pp ppf d =
   Fmt.pf ppf "@[node %d: order [%a], ~%.1f candidate(s)@]" d.node
     Fmt.(array ~sep:(any ";") int)

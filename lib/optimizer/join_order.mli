@@ -9,7 +9,14 @@
     The plan says nothing about the Lemma-1 maximality test: that is
     decided per parent row at run time, by the child join capped at the
     pebble game's polynomial bound ([Wd_core.Plan_cache.extensions]),
-    not from a static estimate. *)
+    not from a static estimate.
+
+    {!compile} reads nothing of a node but its patterns up to a renaming
+    of variable slots and the bound/free split of those slots, so two
+    nodes with equal {!signature}s get the same plan against the same
+    store. [Wd_core.Plan_cache] shares decisions per store on that key:
+    canonicalized queries often hold such twins, in one tree or across
+    the trees of a UNION. *)
 
 type decision = {
   node : int;  (** the wdPT node this plan is for *)
@@ -42,5 +49,16 @@ val compile :
     node's ancestors. O(k²) estimates, each O(1); ticks [budget] once per
     greedy step under phase ["optimize"]. The result's [order] is always
     a permutation of [0 .. Array.length patterns - 1] (property-tested). *)
+
+val signature :
+  bound:(int -> bool) ->
+  (Encoded.Encoded_hom.pterm
+  * Encoded.Encoded_hom.pterm
+  * Encoded.Encoded_hom.pterm)
+  array ->
+  string
+(** The join's identity modulo slot names: constants verbatim, variable
+    slots renamed by first occurrence, each slot tagged with its bound
+    bit. *)
 
 val pp : decision Fmt.t

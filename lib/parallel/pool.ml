@@ -95,15 +95,6 @@ let borrow ~domains f =
         else Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
   end
 
-let shutdown_borrowed () =
-  Mutex.lock registry_lock;
-  let pools = !registry in
-  registry := List.filter (fun (_, (_, in_use)) -> !in_use) pools;
-  Mutex.unlock registry_lock;
-  List.iter
-    (fun (_, (pool, in_use)) -> if not !in_use then shutdown pool)
-    pools
-
 (* --- batches --------------------------------------------------------- *)
 
 let submit t jobs =
@@ -225,7 +216,3 @@ let fold_ordered t ?chunk ~init ~f ~merge acc items =
     | None, None -> ());
     !acc
   end
-
-let map_stream t ?chunk ~init ~f items =
-  List.rev
-    (fold_ordered t ?chunk ~init ~f ~merge:(fun acc r -> r :: acc) [] items)

@@ -2,10 +2,9 @@
 
     Built on OCaml 5 stdlib primitives only ([Domain], [Mutex],
     [Condition], [Atomic]) — no external scheduler. A pool of size [n]
-    owns [n - 1] spawned domains; the caller of {!map_stream} /
-    {!fold_ordered} participates as worker slot 0, so [size:1] spawns
-    nothing and runs the batch inline — byte-for-byte the sequential
-    path.
+    owns [n - 1] spawned domains; the caller of {!fold_ordered}
+    participates as worker slot 0, so [size:1] spawns nothing and runs
+    the batch inline — byte-for-byte the sequential path.
 
     Batches are {e chunked}: the input list is split into contiguous
     chunks that workers pull from a shared queue (work stealing between
@@ -47,10 +46,6 @@ val borrow : domains:int -> (t -> 'a) -> 'a
     borrowing never blocks and never shares a pool between two
     concurrent batches. *)
 
-val shutdown_borrowed : unit -> unit
-(** Shut down every idle cached pool (for tests / clean process exit;
-    pools currently borrowed are left to their borrower). *)
-
 val fold_ordered :
   t ->
   ?chunk:int ->
@@ -79,13 +74,3 @@ val fold_ordered :
     items are skipped, checked per item) and the first exception is
     re-raised. A pool of size 1 — or an [items] list shorter than 2 —
     runs everything inline without touching the queue. *)
-
-val map_stream :
-  t ->
-  ?chunk:int ->
-  init:(int -> 'w) ->
-  f:('w -> 'a -> 'b) ->
-  'a list ->
-  'b list
-(** [map_stream pool ~init ~f items] is {!fold_ordered} collecting the
-    results: the output list has the input's length and order. *)

@@ -36,11 +36,13 @@ type config = {
 }
 
 (* One cached query plan, shared by every connection whose query has the
-   same {e canonical form} ({!Analysis.Canonical}) against the same
-   store epoch — alpha-variants and reordered conjuncts hit the same
-   entry. The plan is compiled from the canonical (pruned) pattern, so
-   its solutions bind canonical variable names; each request renames
-   them back through its own bijection. The analyzer's width hints are
+   same {e canonical form} ({!Analysis.Canonical}) — alpha-variants and
+   reordered conjuncts hit the same entry. Nothing in it is compiled
+   against a store until an evaluation asks: its {!Plan_cache} holds one
+   store at a time and follows the current one across reloads. The plan
+   is compiled from the canonical (pruned) pattern, so its solutions
+   bind canonical variable names; each request renames them back
+   through its own bijection. The analyzer's width hints are
    computed once, when the entry is built, and persist in [plan] for
    all later requests — the cross-call hint persistence the CLI lacks.
    [lock] serializes evaluations of this entry (the underlying
@@ -78,7 +80,7 @@ type t = {
   admission : Admission.t;
   active : (int, Budget.t) Hashtbl.t;  (* in-flight budgets, for drain *)
   active_lock : Mutex.t;
-  plans : (string, plan_entry) Hashtbl.t;  (* key: query text @ epoch *)
+  plans : (string, plan_entry) Hashtbl.t;  (* key: the canonical form *)
   plans_lock : Mutex.t;
   plan_stamp : int Atomic.t;
   mutable plans_retired : Plan_cache.stats;  (* under plans_lock *)
@@ -179,14 +181,6 @@ let draining t = Atomic.get t.stop
 (* The query-plan cache                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Keyed on the snapshot's epoch and the query's canonical rendering
-   (the full key, not its hash — collision-free by construction): after
-   a reload the new store has a new identity, so stale plans age out of
-   the LRU instead of answering; within an epoch, alpha-variant and
-   reordered spellings of one query share a single compiled plan. *)
-let plan_key graph (canon : Canonical.t) =
-  Printf.sprintf "%d#%s" (Rdf.Graph.epoch graph) canon.Canonical.key
-
 (* Retire an entry's accumulated counters so the /stats totals stay
    monotonic across evictions (mirrors Plan_cache's own retired
    accumulator one level up). Call with [plans_lock] held. *)
@@ -227,7 +221,7 @@ let compile_plan ~budget pattern =
   in
   Engine.plan ~budget ~hints ~plan_capacity:1 pattern
 
-let plan_entry_for t ~graph ~budget query =
+let plan_entry_for t ~budget query =
   (* Parse and canonicalize before the cache probe: the key is the
      canonical form, so hits no longer depend on the query's spelling.
      Both are cheap next to a compile, and parsing stays outside the
@@ -239,7 +233,11 @@ let plan_entry_for t ~graph ~budget query =
         E.fail (E.Parse_error { source = "query"; line = 0; col = 0; msg })
   in
   let canon = Canonical.of_pattern pattern in
-  let key = plan_key graph canon in
+  (* The full canonical rendering, not its hash: collision-free by
+     construction. No store epoch: no step of [compile_plan] reads the
+     store, so a plan outlives a reload, which only releases its store
+     artefacts ([release_stores]). *)
+  let key = canon.Canonical.key in
   let stamp () = Atomic.fetch_and_add t.plan_stamp 1 in
   let count_hit e =
     Atomic.incr t.plan_hits;
@@ -448,10 +446,10 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
       let starve = fault = Some Faults.Starve in
       let outcome =
         with_admission t ~idx ~starve @@ fun budget ->
-        (* one snapshot per request: the plan key and the evaluation see
-           the same store even if a reload lands mid-request *)
+        (* one snapshot per request: the evaluation sees one store even
+           if a reload lands mid-request *)
         let graph = Atomic.get t.graph in
-        let key, entry, canon = plan_entry_for t ~graph ~budget query in
+        let key, entry, canon = plan_entry_for t ~budget query in
         Mutex.lock entry.lock;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock entry.lock)
@@ -686,6 +684,24 @@ let pop_job t =
   Mutex.unlock t.queue_lock;
   j
 
+(* Plans outlive a reload, but a plan that is not asked again would pin
+   the store of its last evaluation: release the store artefacts of
+   every idle plan. A plan under evaluation keeps its store until its
+   next evaluation replaces it. The plans are listed under [plans_lock]
+   and locked one at a time after it is released, because an evaluation
+   holding its plan's lock may take [plans_lock] ([evict_entry]). *)
+let release_stores t =
+  Mutex.lock t.plans_lock;
+  let plans = Hashtbl.fold (fun _ e acc -> e :: acc) t.plans [] in
+  Mutex.unlock t.plans_lock;
+  List.iter
+    (fun e ->
+      if Mutex.try_lock e.lock then
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock e.lock)
+          (fun () -> Plan_cache.release e.plan.Engine.cache))
+    plans
+
 (* Service a pending reload before serving the dequeued request: a
    reload requested while the server idles lands before the next
    request, and no thread polls for the flag. The compare-and-set means
@@ -701,7 +717,8 @@ let maybe_reload t =
         match thunk () with
         | g ->
             Atomic.set t.graph g;
-            Atomic.incr t.reloads
+            Atomic.incr t.reloads;
+            release_stores t
         | exception _ -> Atomic.incr t.reload_failures)
 
 let worker_loop t =

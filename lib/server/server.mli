@@ -55,7 +55,9 @@ val join : t -> Analysis.Json.t
     queue flushed with prompt 503s, in-flight budgets cancelled via
     [Budget.cancel], threads joined — and return the final stats
     snapshot (the same document [/stats] serves). Its [plan_cache]
-    section totals the plans' caches:
+    section counts plans, one per canonical query form ([compiled],
+    [entry_hits], [canonical_hits], [entry_evictions]), and totals the
+    plans' caches:
     - [pebble]: the relaxed child tests — [hits]/[misses] of the
       per-node verdict memos, games [compiled] (one per node and [k]),
       and [evictions], the verdicts computed but not remembered because
@@ -76,9 +78,15 @@ val request_reload : t -> unit
     serving that connection, and swaps the graph handle atomically. No
     connection is dropped; in-flight evaluations, and requests other
     workers pick up while the thunk runs, finish on the store they
-    started with; plan-cache entries for the old epoch age out of the
-    LRU. A failing reload keeps the old graph and increments the
-    [reload_failures] stat. *)
+    started with. Cached plans survive the reload: plans are keyed on
+    the query's canonical form alone, because parsing, pruning, width
+    estimation and planning read no store. The reload releases each idle
+    plan's store-dependent artefacts (encoded store, join sources, join
+    orders, games; {!Wd_core.Plan_cache.release}), so no plan pins the
+    old store, and the plan's next evaluation rebuilds them for the new
+    one. A plan under evaluation during the reload keeps its store until
+    its next evaluation replaces it. A failing reload keeps the old
+    graph and increments the [reload_failures] stat. *)
 
 val install_signal_handlers : t -> unit
 (** Route SIGINT and SIGTERM to {!initiate_drain}, and SIGHUP to

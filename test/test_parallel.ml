@@ -21,11 +21,16 @@ let check = Alcotest.check
 (* Pool units                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* [fold_ordered] collecting into a list: the results in input order. *)
+let collect pool ~init ~f items =
+  List.rev
+    (Pool.fold_ordered pool ~init ~f ~merge:(fun acc r -> r :: acc) [] items)
+
 let test_map_order () =
   Pool.with_pool ~domains:4 @@ fun pool ->
   let items = List.init 257 Fun.id in
   let out =
-    Pool.map_stream pool
+    collect pool
       ~init:(fun slot -> slot)
       ~f:(fun _ x -> x * x)
       items
@@ -37,7 +42,7 @@ let test_map_order () =
     out;
   (* a batch shorter than the chunking threshold stays inline *)
   check Alcotest.(list int) "singleton batch" [ 49 ]
-    (Pool.map_stream pool ~init:(fun _ -> ()) ~f:(fun () x -> x * x) [ 7 ])
+    (collect pool ~init:(fun _ -> ()) ~f:(fun () x -> x * x) [ 7 ])
 
 let test_fold_merge_order () =
   Pool.with_pool ~domains:3 @@ fun pool ->
@@ -55,7 +60,7 @@ let test_worker_state_per_slot () =
   Pool.with_pool ~domains:4 @@ fun pool ->
   let inits = Atomic.make 0 in
   let out =
-    Pool.map_stream pool
+    collect pool
       ~init:(fun slot ->
         Atomic.incr inits;
         slot)
@@ -72,7 +77,7 @@ let test_exception_cancels () =
   let processed = Atomic.make 0 in
   let n = 1000 in
   match
-    Pool.map_stream pool
+    collect pool
       ~init:(fun _ -> ())
       ~f:(fun () x ->
         Atomic.incr processed;

@@ -334,20 +334,40 @@ let test_eviction_absorbs_worker_views () =
   check Alcotest.bool "totals never dip across the eviction" true
     (join_count after >= join_count before
     && after.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
-       >= before.Plan_cache.pebble.Wd_core.Pebble_cache.compiled)
+       >= before.Plan_cache.pebble.Wd_core.Pebble_cache.compiled);
+  (* a release (the server's, after a reload) drops the live entry the
+     same way, without counting an eviction *)
+  let tree2, child2, candidates2 = child_test_setup cache g2 in
+  let w2 = Plan_cache.worker cache g2 in
+  let exact2 =
+    Plan_cache.extensions ~worker:w2
+      (Plan_cache.stage_child_join cache g2 `Hom tree2 child2)
+  in
+  List.iter (fun a -> ignore (exact2 a)) candidates2;
+  Plan_cache.release cache;
+  Plan_cache.absorb_worker cache tree2 w2;
+  let released = Plan_cache.stats cache in
+  check Alcotest.int "a release leaves no live entry" 0
+    released.Plan_cache.live_entries;
+  check Alcotest.int "... counts no eviction" 1
+    released.Plan_cache.plan_evictions;
+  check Alcotest.int "... and keeps every child join"
+    (n + List.length candidates2)
+    released.Plan_cache.joins.runs
 
-(* Reconciliation under churn: the same evaluation sequence at 2
-   domains, with and without eviction pressure, accounts for exactly the
-   same child joins and pebble-verdict lookups — eviction may force
-   recompilation, never lose counters — and every total is monotone run
-   over run. On the clique fixture the cap trips, so the game answers
-   too; at 2 domains every join runs on a {!Plan_cache.worker} whose
-   counters reach the entry through [absorb_worker] and the retired
-   totals through eviction. *)
+(* Reconciliation under churn: a plan that switches between two stores
+   at capacity 1 — as a server plan does across reloads — accounts
+   exactly the child joins, pebble answers and verdict lookups of two
+   plans that each stay on one store. Eviction may force recompilation,
+   never lose counters, and every total is monotone run over run. On the
+   clique fixture the cap trips, so the game answers too; at 2 domains
+   every join runs on a {!Plan_cache.worker} whose counters reach the
+   entry through [absorb_worker] and the retired tally through
+   eviction. *)
 let test_retired_reconcile_churn () =
   let g1 = tournament 1 and g2 = tournament 2 in
   let churn = Engine.plan ~plan_capacity:1 clique_pattern in
-  let roomy = Engine.plan clique_pattern in
+  let only1 = Engine.plan clique_pattern and only2 = Engine.plan clique_pattern in
   let tests s =
     s.Plan_cache.joins.Plan_cache.runs + s.Plan_cache.joins.pebble_answers
   in
@@ -355,6 +375,7 @@ let test_retired_reconcile_churn () =
     s.Plan_cache.pebble.Wd_core.Pebble_cache.hits
     + s.Plan_cache.pebble.Wd_core.Pebble_cache.misses
   in
+  let compiled s = s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled in
   let last = ref (0, 0) in
   let run plan g =
     let a, s = Engine.solutions_stats ~domains:2 plan g in
@@ -370,29 +391,32 @@ let test_retired_reconcile_churn () =
       (lookups s >= l);
     last := (tests s, lookups s)
   in
-  let final_churn = ref None and final_roomy = ref None in
+  let final = ref None in
   for _ = 1 to 3 do
     monotone (run churn g1);
     let sc = run churn g2 in
     monotone sc;
-    final_churn := Some sc;
-    ignore (run roomy g1);
-    final_roomy := Some (run roomy g2)
+    final := Some (sc, run only1 g1, run only2 g2)
   done;
-  let sc = Option.get !final_churn and sr = Option.get !final_roomy in
-  check Alcotest.bool "joins ran and the game answered" true
-    (sr.Plan_cache.joins.runs > 0 && sr.Plan_cache.joins.pebble_answers > 0
-    && lookups sr > 0);
+  let sc, s1, s2 = Option.get !final in
+  check Alcotest.bool "joins ran and the game answered on both stores" true
+    (List.for_all
+       (fun s ->
+         s.Plan_cache.joins.runs > 0 && s.Plan_cache.joins.pebble_answers > 0
+         && lookups s > 0)
+       [ s1; s2 ]);
   check Alcotest.int
-    "evicting and non-evicting plans account the same child joins"
-    (tests sr) (tests sc);
-  check Alcotest.int "... and the same pebble answers"
-    sr.Plan_cache.joins.pebble_answers sc.Plan_cache.joins.pebble_answers;
-  check Alcotest.int "... and the same verdict lookups" (lookups sr)
-    (lookups sc);
-  check Alcotest.bool "churn recompiles, reconciled in retired totals" true
-    (sc.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
-    > sr.Plan_cache.pebble.Wd_core.Pebble_cache.compiled);
+    "a switching plan accounts the child joins of two single-store plans"
+    (tests s1 + tests s2) (tests sc);
+  check Alcotest.int "... and their pebble answers"
+    (s1.Plan_cache.joins.pebble_answers + s2.Plan_cache.joins.pebble_answers)
+    sc.Plan_cache.joins.pebble_answers;
+  check Alcotest.int "... and their verdict lookups"
+    (lookups s1 + lookups s2) (lookups sc);
+  check Alcotest.bool "churn recompiles, reconciled in the retired tally" true
+    (compiled sc > compiled s1 + compiled s2);
+  check Alcotest.int "single-store plans never evict" 0
+    (s1.Plan_cache.plan_evictions + s2.Plan_cache.plan_evictions);
   check Alcotest.int "capacity 1 evicted on every switch" 5
     sc.Plan_cache.plan_evictions
 
@@ -416,14 +440,15 @@ let test_absorb_worker_crash () =
     Array.init (Pool.size pool) (fun _ -> Plan_cache.worker cache graph)
   in
   (match
-     Pool.map_stream pool
+     Pool.fold_ordered pool
        ~init:(fun slot -> Plan_cache.extensions ~worker:workers.(slot) cj)
        ~f:(fun test (i, a) ->
          if i = 7 then failwith "crash";
          let r = test a in
          Atomic.incr completed;
          r)
-       items
+       ~merge:(fun acc r -> r :: acc)
+       [] items
    with
   | _ -> Alcotest.fail "the worker's exception was swallowed"
   | exception Failure msg -> check Alcotest.string "crash" "crash" msg);
@@ -499,6 +524,66 @@ let test_one_game_per_node () =
         List.init 6 (Printf.sprintf "c%d") );
       ("comb3", Workload.Query_families.comb_query 3, [ "p"; "t" ]);
     ]
+
+(* Join orders are shared per store by signature. In a star of five
+   children over one predicate — root (?x p:c ?y0), child i
+   (?x p:c ?yi) — the children are isomorphic up to slot names, with ?x
+   bound and ?yi free: the first is compiled and the other four are
+   hits. The root has the same pattern with ?x free, a different bound
+   split, so it misses. A second store starts from an empty table. *)
+let test_decisions_shared_per_store () =
+  let n = 5 in
+  let v s = Term.Var (Variable.of_string s) in
+  let tree =
+    Wdpt.Pattern_tree.make
+      ~labels:
+        (Array.init (n + 1) (fun i ->
+             Tgraphs.Tgraph.of_triples
+               [ Triple.make (v "x") (Term.iri "p:c") (v (Printf.sprintf "y%d" i)) ]))
+      ~parent:(Array.init (n + 1) (fun i -> if i = 0 then -1 else 0))
+  in
+  let nodes = Wdpt.Pattern_tree.nodes tree in
+  let cache = Plan_cache.create () in
+  let decide g =
+    List.map (fun m -> (m, Plan_cache.node_decision cache g tree m)) nodes
+  in
+  let counts () =
+    let s = Plan_cache.stats cache in
+    (s.Plan_cache.decision_misses, s.Plan_cache.decision_hits)
+  in
+  let counted = Alcotest.(pair int int) in
+  let g1 = Generator.random_graph ~seed:7 ~n:12 ~predicates:[ "c" ] ~m:40 in
+  let g2 = Generator.random_graph ~seed:8 ~n:12 ~predicates:[ "c" ] ~m:40 in
+  let d1 = decide g1 in
+  check counted "root and first child miss, four children hit" (2, n - 1)
+    (counts ());
+  ignore (decide g1);
+  check counted "each node decides once per store" (2, n - 1) (counts ());
+  let d2 = decide g2 in
+  check counted "a second store misses again" (4, 2 * (n - 1)) (counts ());
+  (* every decision, shared or not, is the one a fresh compile gives *)
+  List.iter
+    (fun (g, decisions) ->
+      let enc = Plan_cache.encoded cache g in
+      List.iter
+        (fun (m, d) ->
+          let src = Plan_cache.node_source cache g tree m in
+          let vars = Encoded.Encoded_hom.variables src in
+          let above =
+            if m = Wdpt.Pattern_tree.root then Variable.Set.empty
+            else Wdpt.Pattern_tree.vars_of_node tree Wdpt.Pattern_tree.root
+          in
+          let fresh =
+            Optimizer.Join_order.compile enc ~nvars:(Array.length vars)
+              ~bound:(fun s -> Variable.Set.mem vars.(s) above)
+              ~node:m
+              (Encoded.Encoded_hom.patterns src)
+          in
+          check Alcotest.bool
+            (Printf.sprintf "node %d: the shared decision = a fresh compile" m)
+            true (d = fresh))
+        decisions)
+    [ (g1, d1); (g2, d2) ]
 
 (* The two kinds of verdict never answer for each other. On the fooling
    instance, 2 pebbles wrongly let clique_child 3's child extend µ: a
@@ -678,6 +763,8 @@ let () =
         [
           Alcotest.test_case "one game per (child node, k)" `Quick
             test_one_game_per_node;
+          Alcotest.test_case "join orders shared per store by signature"
+            `Quick test_decisions_shared_per_store;
           Alcotest.test_case "exact and relaxed verdicts kept apart" `Quick
             test_verdict_kinds_apart;
           Alcotest.test_case "k is checked where a test is staged" `Quick

@@ -466,11 +466,21 @@ let test_reload_picks_up_segments () =
           Server.initiate_drain t;
           ignore (join_within ~seconds:5. t))
         (fun () ->
+          let compiled () =
+            match
+              Option.bind
+                (Json.member "plan_cache" (Server.stats_json t))
+                (Json.member "compiled")
+            with
+            | Some v -> Option.value ~default:(-1) (Json.to_int v)
+            | None -> Alcotest.fail "stats lack plan_cache.compiled"
+          in
           let before = post_query ~port "{ ?a p:knows ?b }" in
           check Alcotest.int "query before reload is 200" 200
             (response_status before);
           check Alcotest.int "two edges before the append" 2
             (count_bindings before);
+          let compiled_before = compiled () in
           (* append a segment behind the server's back, then signal *)
           let knows = Rdf.Term.iri "p:knows" in
           let n k = Rdf.Term.iri (Printf.sprintf "n:%d" k) in
@@ -488,6 +498,10 @@ let test_reload_picks_up_segments () =
             200 (response_status after);
           check Alcotest.int "first query after the reload request sees it" 3
             (count_bindings after);
+          (* plans are keyed on the canonical query alone: the plan
+             outlives the reload and only its store artefacts follow *)
+          check Alcotest.int "the plan survives the reload" compiled_before
+            (compiled ());
           let stats = get ~port "/stats" in
           check Alcotest.bool "stats count the reload" true
             (Astring.String.is_infix ~affix:"\"reloads\": 1" stats
