@@ -39,10 +39,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* A metric recorded as [unmeasured] (a NaN) is written as the string
-   "unmeasured": a speedup on a host without the cores to show one. *)
-let unmeasured = Float.nan
-
+(* JSON has no NaN: a NaN metric is written as the string "unmeasured". *)
 let json_number v =
   if Float.is_nan v then "\"unmeasured\""
   else if Float.is_integer v && Float.abs v < 1e15 then
@@ -1362,169 +1359,6 @@ let a7 () =
   Fmt.pr "@.median warm speedup vs a cold plan cache: %.1fx@."
     median_speedup_warm
 
-let a8 () =
-  header "A8" "ablation: domain-pool scaling of the parallel top-down walk"
-    "ISSUE 4 tentpole: per-worker pebble caches over shared compiled games";
-  let host_cores = Domain.recommended_domain_count () in
-  Fmt.pr "Warm full enumeration (the A7 workloads) with the child joins of@.";
-  Fmt.pr "each root match run on a domain pool; every domain count@.";
-  Fmt.pr "must reproduce the reference answers exactly.  Speedups are@.";
-  Fmt.pr "relative to --domains 1 (the sequential path) and bounded above by@.";
-  Fmt.pr "the host's core count — this host reports %d core(s).@.@." host_cores;
-  record ~experiment:"A8" ~metric:"host_cores" (float_of_int host_cores);
-  let domain_counts = if !fast then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let n = if !fast then 10 else 14 in
-  let anchors = if !fast then 4 else 6 in
-  (* width-1 shapes on a random graph of average out-degree 2 on each
-     of their predicates: the root matches about 2 * 250 times *)
-  let shape_graph preds =
-    Rdf.Generator.random_graph ~seed:4 ~n:250 ~predicates:preds
-      ~m:(2 * 250 * List.length preds)
-  in
-  let measured = host_cores >= 2 in
-  let social_forest =
-    Wdpt.Pattern_forest.of_algebra
-      (Sparql.Parser.parse_exn
-         "{ ?a p:knows ?b . OPTIONAL { ?b p:email ?m } OPTIONAL { ?b \
-          p:worksAt ?c OPTIONAL { ?c p:livesIn ?t } } }")
-  in
-  let workloads =
-    if !fast then
-      [
-        ( "f4-enumerate", 1, Query_families.f_k 4,
-          fst (Graph_families.tournament_instance ~seed:1 ~n) );
-        ( "social-optional", 1, social_forest,
-          Rdf.Generator.social ~seed:9 ~people:40 );
-      ]
-    else
-      [
-        ( "f6-enumerate", 1, Query_families.f_k 6,
-          fst (Graph_families.tournament_instance ~seed:2 ~n) );
-        ( "clique-child-4-enumerate", 2, [ Query_families.clique_child 4 ],
-          fst (stream_instance ~seed:3 ~n ~anchors) );
-        ( "social-optional", 1, social_forest,
-          Rdf.Generator.social ~seed:9 ~people:80 );
-        ( "uni-professor-profile", 1,
-          Wdpt.Pattern_forest.of_algebra
-            (Sparql.Parser.parse_exn
-               (List.assoc "professor-profile" University.queries)),
-          University.generate ~seed:9 ~universities:1 );
-        ( "comb4-enumerate", 1, [ Query_families.comb_query 4 ],
-          shape_graph [ "p"; "t" ] );
-        ( "star6-enumerate", 1, [ Query_families.star_query 6 ],
-          shape_graph (List.init 7 (Printf.sprintf "c%d")) );
-      ]
-  in
-  Fmt.pr "%-26s %8s" "workload" "answers";
-  List.iter (fun d -> Fmt.pr " %8s" (Printf.sprintf "d%d(ms)" d)) domain_counts;
-  List.iter
-    (fun d -> if d > 1 then Fmt.pr " %7s" (Printf.sprintf "d%d-x" d))
-    domain_counts;
-  Fmt.pr "@.";
-  let speedups_by_d = Hashtbl.create 4 in
-  List.iter
-    (fun (name, k, forest, graph) ->
-      let runs = if !fast then 3 else 7 in
-      let reference =
-        Sparql.Eval.eval (Wdpt.Pattern_forest.to_algebra forest) graph
-      in
-      let verify d got =
-        if not (Sparql.Mapping.Set.equal got reference) then begin
-          Fmt.epr
-            "A8 %s: answers at %d domains diverge from the reference@." name d;
-          exit 1
-        end
-      in
-      (* one warm plan cache per domain count, so every variant runs in
-         the steady state it would reach under repeated Engine calls;
-         interleaved round-robin sampling as in A7 *)
-      Gc.compact ();
-      let variants =
-        Array.of_list
-          (List.map
-             (fun d ->
-               let cache = Wd_core.Plan_cache.create () in
-               let f () =
-                 Wd_core.Enumerate.solutions ~maximality:(`Pebble k) ~cache
-                   ~domains:d forest graph
-               in
-               let ans, t = time_once f in
-               verify d ans;
-               let batch =
-                 max 1
-                   (min 1000
-                      (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6))))
-               in
-               (d, batch, f))
-             domain_counts)
-      in
-      let samples = Array.map (fun _ -> ref []) variants in
-      for _ = 1 to runs do
-        Array.iteri
-          (fun i (_, batch, f) ->
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to batch do
-              ignore (f ())
-            done;
-            samples.(i) :=
-              ((Unix.gettimeofday () -. t0) /. float_of_int batch)
-              :: !(samples.(i)))
-          variants
-      done;
-      let median_of i =
-        let sorted = List.sort compare !(samples.(i)) in
-        List.nth sorted (List.length sorted / 2)
-      in
-      let times =
-        Array.to_list (Array.mapi (fun i (d, _, _) -> (d, median_of i)) variants)
-      in
-      let t1 = List.assoc 1 times in
-      Fmt.pr "%-26s %8d" name (Sparql.Mapping.Set.cardinal reference);
-      List.iter (fun (_, t) -> Fmt.pr " %8.3f" (ms t)) times;
-      List.iter
-        (fun (d, t) ->
-          if d > 1 then begin
-            let speedup = if measured then t1 /. t else unmeasured in
-            Hashtbl.replace speedups_by_d d
-              (speedup
-              :: Option.value ~default:[] (Hashtbl.find_opt speedups_by_d d));
-            record ~experiment:"A8"
-              ~metric:(Printf.sprintf "%s.speedup_d%d" name d)
-              speedup;
-            if measured then Fmt.pr " %6.1fx" speedup else Fmt.pr " %7s" "-"
-          end)
-        times;
-      List.iter
-        (fun (d, t) ->
-          record ~experiment:"A8"
-            ~metric:(Printf.sprintf "%s.d%d_warm_ms" name d)
-            (ms t))
-        times;
-      Fmt.pr "@.")
-    workloads;
-  List.iter
-    (fun d ->
-      if d > 1 then
-        match Hashtbl.find_opt speedups_by_d d with
-        | Some sp ->
-            let sorted = List.sort compare sp in
-            let median = List.nth sorted (List.length sorted / 2) in
-            record ~experiment:"A8"
-              ~metric:(Printf.sprintf "median_speedup_d%d" d)
-              median;
-            if measured then
-              Fmt.pr "@.median speedup at %d domains: %.2fx@." d median
-            else
-              Fmt.pr "@.speedup at %d domains: unmeasured (%d core)@." d
-                host_cores
-        | None -> ())
-    domain_counts;
-  Fmt.pr "@.shape: answers are bit-identical at every domain count (verified@.";
-  Fmt.pr "against the reference evaluator above — any divergence exits 1).@.";
-  Fmt.pr "Real speedup requires real cores: on a single-core host the pool@.";
-  Fmt.pr "degenerates to interleaved scheduling, so the speedups are printed@.";
-  Fmt.pr "as - and recorded as \"unmeasured\" there.@."
-
 (* ------------------------------------------------------------------ *)
 (* A10 — ablation: cost-based planning vs textual-order fail-first     *)
 (* ------------------------------------------------------------------ *)
@@ -1797,7 +1631,6 @@ let a11 () =
           host = "127.0.0.1";
           port = 0;
           workers = 2;
-          domains = 1;
           queue_capacity = 16;
           admission =
             {
@@ -2309,12 +2142,7 @@ let experiments =
     ("T3", t3); ("T4", t4); ("F4", f4); ("T5", t5); ("F5", f5);
     ("F6", f6); ("F7", f7); ("T6", t6); ("T7", t7);
     ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
-    (* A10 runs before A8: A8 leaves its borrowed worker domains alive
-       (pool registry), and idle domains tax every minor GC with
-       stop-the-world synchronization — uniform overhead that would
-       wash out A10's planner-mode ratios. *)
     ("A7", a7); ("A10", a10); ("A11", a11); ("A12", a12); ("A13", a13);
-    ("A8", a8);
     ("bechamel", bechamel_suite);
   ]
 

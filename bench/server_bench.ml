@@ -262,7 +262,6 @@ let base_config ?(workers = 4) ?(queue = 64) ?(inflight = 64)
     host = "127.0.0.1";
     port = 0;
     workers;
-    domains = 1;
     queue_capacity = queue;
     admission =
       {

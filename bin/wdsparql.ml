@@ -255,17 +255,7 @@ let eval_cmd =
           ~doc:"Print the evaluation plan (including any budget-forced \
                 degradation) before the solutions.")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Total parallelism for the child joins of the top-down \
-                walk, one root match per work item (planned algorithm \
-                only): N-1 worker domains plus the caller. 1 (the \
-                default) is exactly the sequential path; answers and \
-                their output are identical for every N.")
-  in
-  let run load_data query algorithm k spec explain domains optimize =
+  let run load_data query algorithm k spec explain optimize =
     handle @@ fun () ->
     let graph = load_data () in
     let pattern, spans = load_query_spanned query in
@@ -331,8 +321,7 @@ let eval_cmd =
               if explain then Fmt.pr "%a@." Wd_core.Engine.pp_plan plan;
               let rows =
                 Wd_core.Engine.answer_rows
-                  ~budget:(fresh_budget ~solutions:true spec)
-                  ~domains plan graph
+                  ~budget:(fresh_budget ~solutions:true spec) plan graph
               in
               if explain then begin
                 Fmt.pr "%a@." Wd_core.Plan_cache.pp_stats
@@ -357,7 +346,7 @@ let eval_cmd =
     (Cmd.info "eval" ~doc:"Evaluate a query over a data file.")
     Term.(
       const run $ graph_term $ query_arg $ algorithm_arg $ pebbles_arg
-      $ budget_term $ explain_arg $ domains_arg $ optimize_arg)
+      $ budget_term $ explain_arg $ optimize_arg)
 
 let check_cmd =
   let run load_data query mapping algorithm k spec =
@@ -853,14 +842,6 @@ let serve_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:"Worker threads handling connections.")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Parallelism inside a single evaluation: the child joins \
-                of each root match run on one of N domains (as in eval); \
-                answers are identical for every N.")
-  in
   let global_fuel_arg =
     Arg.(
       value
@@ -917,7 +898,7 @@ let serve_cmd =
       & info [ "plan-cache" ] ~docv:"N"
           ~doc:"Distinct query plans kept compiled across connections.")
   in
-  let run load_data port host workers domains spec global_fuel refill_rate
+  let run load_data port host workers spec global_fuel refill_rate
       max_inflight queue_cap max_request_bytes io_timeout fault_spec
       plan_cache =
     handle @@ fun () ->
@@ -959,7 +940,6 @@ let serve_cmd =
         host;
         port;
         workers;
-        domains;
         queue_capacity = Option.value ~default:(8 * workers) queue_cap;
         admission;
         max_request_bytes;
@@ -975,10 +955,10 @@ let serve_cmd =
              from a refillable global token bucket; overload is shed with \
              503 + Retry-After; SIGINT/SIGTERM drains gracefully.")
     Term.(
-      const run $ graph_term $ port_arg $ host_arg $ workers_arg $ domains_arg
-      $ budget_term $ global_fuel_arg $ refill_rate_arg $ max_inflight_arg
-      $ queue_cap_arg $ max_request_bytes_arg $ io_timeout_arg
-      $ fault_spec_arg $ plan_cache_arg)
+      const run $ graph_term $ port_arg $ host_arg $ workers_arg $ budget_term
+      $ global_fuel_arg $ refill_rate_arg $ max_inflight_arg $ queue_cap_arg
+      $ max_request_bytes_arg $ io_timeout_arg $ fault_spec_arg
+      $ plan_cache_arg)
 
 let () =
   let doc = "well-designed SPARQL with width-based evaluation (PODS'18)" in

@@ -76,23 +76,22 @@ let maximality plan =
 
 let optimize plan = if plan.optimize then `On else `Off
 
-let solutions_stats ?budget ?domains plan graph =
+let solutions_stats ?budget plan graph =
   let answers =
-    Enumerate.solutions ?budget ?domains ~maximality:(maximality plan)
+    Enumerate.solutions ?budget ~maximality:(maximality plan)
       ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph
   in
   (answers, Some (Plan_cache.stats plan.cache))
 
-let solutions ?budget ?domains plan graph =
-  fst (solutions_stats ?budget ?domains plan graph)
+let solutions ?budget plan graph = fst (solutions_stats ?budget plan graph)
 
-let count ?budget ?domains plan graph =
-  Enumerate.count ?budget ?domains ~maximality:(maximality plan)
+let count ?budget plan graph =
+  Enumerate.count ?budget ~maximality:(maximality plan)
     ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph
 
-let answer_rows ?budget ?domains plan graph =
+let answer_rows ?budget plan graph =
   let rows = ref [] in
-  Enumerate.iter_rows ?budget ?domains ~maximality:(maximality plan)
+  Enumerate.iter_rows ?budget ~maximality:(maximality plan)
     ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph (fun row ->
       rows := Array.copy row :: !rows);
   let dict =

@@ -9,7 +9,9 @@
     ({!Plan_cache.extensions}). Membership ({!check}) is the paper's
     Theorem-1 algorithm as stated, pebble game only
     ({!Pebble_eval.check}). Both run on the plan's {!Plan_cache}: one
-    game per (node, k), with its relaxed verdicts memoized. *)
+    game per (node, k), with its relaxed verdicts memoized. Every
+    operation runs sequentially on its caller's thread, and one plan
+    serves one operation at a time. *)
 
 open Rdf
 
@@ -88,35 +90,28 @@ val check :
 (** [µ ∈ ⟦P⟧G] with the planned algorithm. *)
 
 val solutions :
-  ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
-  Sparql.Mapping.Set.t
+  ?budget:Resource.Budget.t -> plan -> Graph.t -> Sparql.Mapping.Set.t
 (** All answers from the top-down walk ({!Enumerate.solutions}) on the
     plan's cache: the child joins alone under [Naive], and under
     [Pebble k] capped until their first extension, with the pebble game
-    as the refuter past the cap. [domains] (default 1 — exactly the
-    sequential path) runs the child joins of each root match on a
-    domain pool; answers are identical for every value. *)
+    as the refuter past the cap. *)
 
 val solutions_stats :
-  ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
+  ?budget:Resource.Budget.t -> plan -> Graph.t ->
   Sparql.Mapping.Set.t * Plan_cache.stats option
 (** Like {!solutions}, also returning the plan-cache counters accumulated
     over the plan's lifetime — child joins run, extensions, capped
     searches and pebble answers, rows and distinct answers, pebble
     hits/misses/compiled/evictions, hom sources compiled, epoch
-    invalidations (always [Some]) — what [--explain] prints. Parallel
-    workers' counters are merged in before returning, so the counts do
-    not depend on [domains]. Because the cache lives on the plan,
-    repeated calls on the same graph reuse compiled artefacts and the
-    counters keep growing. *)
+    invalidations (always [Some]) — what [--explain] prints. Because the
+    cache lives on the plan, repeated calls on the same graph reuse
+    compiled artefacts and the counters keep growing. *)
 
-val count : ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t -> int
+val count : ?budget:Resource.Budget.t -> plan -> Graph.t -> int
 (** Number of distinct answers ({!Enumerate.count}): nothing is decoded
     and no answer set is built. *)
 
-val answer_rows :
-  ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
-  Row_writer.t
+val answer_rows : ?budget:Resource.Budget.t -> plan -> Graph.t -> Row_writer.t
 (** The answers as id rows, ready for the CLI's writer: the same
     answers as {!solutions}, with no term set built. *)
 

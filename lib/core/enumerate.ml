@@ -9,12 +9,13 @@ type optimize = [ `Off | `On ]
 let variables forest =
   Array.of_list (Variable.Set.elements (Wdpt.Pattern_forest.vars forest))
 
-(* A tree's child joins, staged in tree shape: ['j] is a staged join
-   ({!Plan_cache.child_join}) or a domain's runner of it. *)
-type 'j node_join = { join : 'j; fresh : int array; below : 'j node_join list }
-
-let rec map_join f nj =
-  { nj with join = f nj.join; below = List.map (map_join f) nj.below }
+(* A tree's child joins, staged in tree shape: [join] extends a parent
+   row ({!Plan_cache.extensions}). *)
+type node_join = {
+  join : int array -> int array list;
+  fresh : int array;
+  below : node_join list;
+}
 
 (* One node match and, per child, the slots the child introduces and
    its extensions of the match ([] when the child is left out).
@@ -51,7 +52,7 @@ let rec emit out pending sink =
    extended by each of a child's extensions, and the child is dropped
    when it has none, recursively. [sink] receives every answer of the
    tree once, as a live row over the tree's variable table. *)
-let walk_tree ~budget ~maximality ~cache ~pool ~optimize tree graph sink =
+let walk_tree ~budget ~maximality ~cache ~optimize tree graph sink =
   Budget.with_phase budget "enumerate" @@ fun () ->
   let order_of n =
     match optimize with
@@ -65,53 +66,28 @@ let walk_tree ~budget ~maximality ~cache ~pool ~optimize tree graph sink =
       ~f:(fun acc h -> (Array.copy h :: acc, `Continue))
   in
   if roots <> [] then begin
-    (* Staged on this domain: workers only run the joins. *)
     let rec stage n =
       List.map
         (fun c ->
-          let join =
+          let cj =
             Plan_cache.stage_child_join ?order:(order_of c) cache graph
               maximality tree c
           in
-          { join; fresh = Plan_cache.fresh_slots join; below = stage c })
+          {
+            join = Plan_cache.extensions ~budget cj;
+            fresh = Plan_cache.fresh_slots cj;
+            below = stage c;
+          })
         (Wdpt.Pattern_tree.children tree n)
     in
-    let staged = stage root in
-    let runners ~budget ?worker () =
-      List.map (map_join (Plan_cache.extensions ~budget ?worker)) staged
-    in
+    let joins = stage root in
     let out =
       Array.make
         (Array.length (Encoded_hom.variables root_source))
         Encoded_hom.unassigned
     in
     let root_fresh = Array.of_list (Encoded_hom.own_slots root_source) in
-    let answer b = emit out [ (root_fresh, [ b ]) ] sink in
-    match pool with
-    | Some pool when Parallel.Pool.size pool > 1 ->
-        (* One root match per item: its joins run on a worker, with a
-           private {!Plan_cache.worker} (relaxed-verdict memos and
-           counters) and budget view (shared fuel pool and
-           cancellation); its answers are emitted on this domain, in
-           root-match order, so the answers and the [Budget.solution]
-           sequence are those of one domain. *)
-        let n = Parallel.Pool.size pool in
-        let wbudgets = Budget.fork budget n in
-        let workers = Array.init n (fun _ -> Plan_cache.worker cache graph) in
-        Fun.protect
-          ~finally:(fun () ->
-            Budget.join budget wbudgets;
-            Array.iter (Plan_cache.absorb_worker cache tree) workers)
-          (fun () ->
-            Parallel.Pool.fold_ordered pool
-              ~init:(fun slot ->
-                runners ~budget:wbudgets.(slot) ~worker:workers.(slot) ())
-              ~f:expand
-              ~merge:(fun () b -> answer b)
-              () roots)
-    | _ ->
-        let joins = runners ~budget () in
-        List.iter (fun r -> answer (expand joins r)) roots
+    List.iter (fun r -> emit out [ (root_fresh, [ expand joins r ]) ] sink) roots
   end
 
 (* Rows of a UNION forest, deduplicated across trees. Every emitted row
@@ -124,7 +100,7 @@ module Rows = Hashtbl.Make (struct
 end)
 
 let iter_rows ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache
-    ?(domains = 1) ?(optimize = `Off) forest graph f =
+    ?(optimize = `Off) forest graph f =
   (* One plan cache across the whole forest: the trees share the
      store's encoding and unary candidate domains. *)
   let cache = match cache with Some c -> c | None -> Plan_cache.create () in
@@ -166,17 +142,11 @@ let iter_rows ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache
             answer ()
           end
   in
-  let run pool =
-    List.iter
-      (fun tree ->
-        walk_tree ~budget ~maximality ~cache ~pool ~optimize tree graph
-          (tree_sink tree))
-      forest
-  in
-  (* one borrowed pool across the whole forest, so domains spawn (at
-     most) once per evaluation, not once per tree *)
-  if domains <= 1 then run None
-  else Parallel.Pool.borrow ~domains (fun pool -> run (Some pool));
+  List.iter
+    (fun tree ->
+      walk_tree ~budget ~maximality ~cache ~optimize tree graph
+        (tree_sink tree))
+    forest;
   Plan_cache.record_answers cache ~rows:!rows ~answers:!answers
 
 let mapping_of dict vars row =
@@ -192,22 +162,20 @@ let mapping_of dict vars row =
   in
   go (Array.length row - 1) Variable.Map.empty
 
-let solutions ?budget ?maximality ?cache ?domains ?optimize forest graph =
+let solutions ?budget ?maximality ?cache ?optimize forest graph =
   let cache = match cache with Some c -> c | None -> Plan_cache.create () in
   let dict =
     Encoded.Encoded_graph.dictionary (Plan_cache.encoded cache graph)
   in
   let vars = variables forest in
   let acc = ref Sparql.Mapping.Set.empty in
-  iter_rows ?budget ?maximality ~cache ?domains ?optimize forest graph
-    (fun row ->
+  iter_rows ?budget ?maximality ~cache ?optimize forest graph (fun row ->
       Option.iter
         (fun mu -> acc := Sparql.Mapping.Set.add mu !acc)
         (mapping_of dict vars row));
   !acc
 
-let count ?budget ?maximality ?cache ?domains ?optimize forest graph =
+let count ?budget ?maximality ?cache ?optimize forest graph =
   let n = ref 0 in
-  iter_rows ?budget ?maximality ?cache ?domains ?optimize forest graph
-    (fun _ -> incr n);
+  iter_rows ?budget ?maximality ?cache ?optimize forest graph (fun _ -> incr n);
   !n

@@ -8,7 +8,8 @@
     a node match are the product of its children's alternatives, and
     the walk builds each answer exactly once. Each child join runs once
     per parent row ({!Plan_cache.extensions}); the answers are only
-    assembled when they are emitted.
+    assembled when they are emitted. The walk is sequential: one
+    evaluation runs on its caller's thread.
 
     Everything runs on dictionary ids: node patterns are compiled once
     per (tree, graph epoch) into a {!Plan_cache.t}, rows are flat int
@@ -50,7 +51,7 @@ val variables : Wdpt.Pattern_forest.t -> Variable.t array
 
 val iter_rows :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
-  ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
+  ?cache:Plan_cache.t -> ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> (int array -> unit) -> unit
 (** [iter_rows forest graph f] calls [f] once per distinct answer, with
     a live row over {!variables}[ forest]: the dictionary id of each
@@ -65,28 +66,18 @@ val iter_rows :
     One {!Plan_cache.t} is shared across the whole forest — pass
     [cache] to supply your own (e.g. a plan's cache, to reuse compiled
     sources and pebble games across calls, or to read its stats
-    afterwards).
-
-    [domains] (default 1) sets the total parallelism: with
-    [domains > 1] a borrowed domain pool ({!Parallel.Pool.borrow}) runs
-    the child joins of each root match on a worker, each with a
-    private {!Plan_cache.worker}, and the answers are emitted on the
-    calling domain in root-match order: the rows and their order are
-    identical to [domains:1] for every [n] (tested). Budgets propagate:
-    workers draw from a shared fuel pool and a deadline or cancellation
-    on any domain stops the others within one lease
-    ({!Resource.Budget.fork}). *)
+    afterwards). *)
 
 val solutions :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
-  ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
+  ?cache:Plan_cache.t -> ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.Set.t
 (** {!iter_rows}, decoded. Equals {!Wdpt.Semantics.solutions} under
     either maximality (tested). *)
 
 val count :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
-  ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
+  ?cache:Plan_cache.t -> ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> int
 (** Number of distinct answers: {!iter_rows} with a counter, decoding
     nothing. *)

@@ -1,8 +1,7 @@
 (** The counters of the pebble side of the Lemma-1 child tests.
 
-    The games themselves, their per-store unary candidate domains, the
-    lock under which pool workers compile them and the verdict memos all
-    live in {!Plan_cache}'s per-store entry, next to the encoded store
+    The games themselves, their per-store unary candidate domains and
+    the verdict memos all live in {!Plan_cache}'s per-store entry, next to the encoded store
     they are compiled against, and die with it. What is left here is
     the record {!Plan_cache.stats} reports them in, kept as its own
     module because the bench harness and the server read it by this

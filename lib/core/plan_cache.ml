@@ -49,10 +49,9 @@ let add_joins a b =
     pebble_answers = a.pebble_answers + b.pebble_answers;
   }
 
-(* Counters of one node's child joins and child tests, mutated only by
-   the domain that owns them: the cache's caller, or one worker until
-   [absorb_worker]. The same record sums an entry ([entry_tally]) and
-   keeps what evicted entries counted ([t.retired]). *)
+(* Counters of one node's child joins and child tests. The same record
+   sums an entry ([entry_tally]) and keeps what evicted entries counted
+   ([t.retired]). *)
 type tally = {
   mutable t_runs : int;
   mutable t_extensions : int;
@@ -61,10 +60,10 @@ type tally = {
   mutable t_misses : int;  (* relaxed verdicts from a game run *)
   mutable t_families : int;
   mutable t_evictions : int;
-  mutable t_compiled : int;  (* games compiled by this owner *)
+  mutable t_compiled : int;  (* games compiled for this node *)
   mutable t_decision_hits : int;  (* join orders from the entry's table *)
   mutable t_decision_misses : int;
-  mutable t_unary_hits : int;  (* entry sums only: the store's unary cache *)
+  mutable t_unary_hits : int;  (* unary-cache lookups of those compiles *)
   mutable t_unary_misses : int;
 }
 
@@ -106,13 +105,6 @@ let joins_of tl =
     pebble_answers = tl.t_hits + tl.t_misses;
   }
 
-(* A node's relaxed-verdict memo and counters, on the cache or on a
-   worker. Verdicts are keyed on [k] and the row's ids at the node's own
-   slots. *)
-type memo = { relaxed_verdicts : (int list, bool) Hashtbl.t; tally : tally }
-
-let new_memo () = { relaxed_verdicts = Hashtbl.create 64; tally = new_tally () }
-
 (* Cap on each per-node verdict memo: past this, new verdicts are
    computed but not remembered. A node this wide is one whose verdicts
    rarely repeat anyway. *)
@@ -123,7 +115,6 @@ let verdict_limit = 1 lsl 16
    variables it shares with its ancestors, so the game, its parameters
    and the verdict keys are fixed per node. *)
 type node_state = {
-  id : Wdpt.Pattern_tree.node;
   source : Encoded.Encoded_hom.source;
   slots : int array;
       (* the node's own slots: a fold with [pre] depends on the prefix
@@ -134,9 +125,10 @@ type node_state = {
   shared : Tgraphs.Gtgraph.t;  (* (pat n, vars shared with the ancestors) *)
   shared_slots : int array;  (* the game's parameters, in its order *)
   mutable domain : int option;  (* the cap's base, once computed *)
-  games : (int, Encoded.Encoded_pebble.t) Hashtbl.t;
-      (* per k; read and written under the entry's [games_lock] *)
-  memo : memo;
+  games : (int, Encoded.Encoded_pebble.t) Hashtbl.t;  (* per k *)
+  verdicts : (int list, bool) Hashtbl.t;
+      (* relaxed verdicts, keyed on [k] and the row's ids at [slots] *)
+  tally : tally;
 }
 
 (* Per-tree compiled artefacts. Every node pattern of a tree is compiled
@@ -155,10 +147,9 @@ type entry = {
   enc : Encoded.Encoded_graph.t;
   unary : Encoded.Encoded_pebble.unary_cache;
       (* µ-independent unary candidate domains, scanned once per store
-         and shared by every game compiled against it *)
-  games_lock : Mutex.t;
-      (* guards [unary] and every node's [games]: pool workers compile
-         games the first time a cap trips *)
+         and shared by every game compiled against it. Only [game] reads
+         it, so [stats] (the server's /stats, outside the plan's lock)
+         never does. *)
   decisions : (string, Optimizer.Join_order.decision) Hashtbl.t;
       (* join orders by {!Optimizer.Join_order.signature}: isomorphic
          node joins of any tree are planned once per store *)
@@ -226,12 +217,8 @@ let create ?(plan_capacity = default_plan_capacity) () =
 let entry_tally e =
   let sum = new_tally () in
   List.iter
-    (fun (_, ts) ->
-      Hashtbl.iter (fun _ ns -> add_tally sum ns.memo.tally) ts.nodes)
+    (fun (_, ts) -> Hashtbl.iter (fun _ ns -> add_tally sum ns.tally) ts.nodes)
     e.trees;
-  let hits, misses = Encoded.Encoded_pebble.unary_cache_stats e.unary in
-  sum.t_unary_hits <- hits;
-  sum.t_unary_misses <- misses;
   sum
 
 let entry_for t graph =
@@ -255,7 +242,6 @@ let entry_for t graph =
               epoch;
               enc;
               unary = Encoded.Encoded_pebble.create_unary_cache ();
-              games_lock = Mutex.create ();
               decisions = Hashtbl.create 16;
               trees = [];
             }
@@ -326,7 +312,6 @@ let node_in t e tree n =
       in
       let ns =
         {
-          id = n;
           source;
           slots = Array.of_list (Encoded.Encoded_hom.own_slots source);
           fresh = slots_of (Variable.Set.diff (Tgraphs.Tgraph.vars pat) above);
@@ -336,7 +321,8 @@ let node_in t e tree n =
           shared_slots = slots_of shared;
           domain = None;
           games = Hashtbl.create 2;
-          memo = new_memo ();
+          verdicts = Hashtbl.create 64;
+          tally = new_tally ();
         }
       in
       Hashtbl.add ts.nodes n ns;
@@ -364,7 +350,7 @@ let node_decision ?budget t graph tree n =
       let bound v = bound_arr.(v) in
       let patterns = Encoded.Encoded_hom.patterns ns.source in
       let key = Optimizer.Join_order.signature ~bound patterns in
-      let tl = ns.memo.tally in
+      let tl = ns.tally in
       let d =
         match Hashtbl.find_opt e.decisions key with
         | Some d ->
@@ -404,37 +390,6 @@ let exact_cap t graph tree n k =
   in
   pow 1 (k + 1)
 
-(* A worker: one pool slot's private memos and counters for the nodes
-   of the entry it was made on, folded back by [absorb_worker]. *)
-type worker = {
-  w_entry : entry;
-  memos : (Wdpt.Pattern_tree.node, memo) Hashtbl.t;
-}
-
-let worker t graph = { w_entry = entry_for t graph; memos = Hashtbl.create 8 }
-
-let absorb_worker t tree w =
-  (* an entry evicted meanwhile has had its counters retired already *)
-  let live = List.memq w.w_entry t.entries in
-  Hashtbl.iter
-    (fun n memo ->
-      add_tally
-        (if live then (node_in t w.w_entry tree n).memo.tally else t.retired)
-        memo.tally)
-    w.memos;
-  Hashtbl.reset w.memos
-
-let memo_of ?worker ns =
-  match worker with
-  | None -> ns.memo
-  | Some w -> (
-      match Hashtbl.find_opt w.memos ns.id with
-      | Some m -> m
-      | None ->
-          let m = new_memo () in
-          Hashtbl.add w.memos ns.id m;
-          m)
-
 let key_of slots assignment =
   Array.fold_right (fun s acc -> assignment.(s) :: acc) slots []
 
@@ -446,30 +401,35 @@ let pebble_test t graph ~k tree n =
   { p_state = node_in t e tree n; k; p_entry = e }
 
 (* The existential (k+1)-pebble game of the test's node, compiled against
-   its store on first use and counted on [tl]. Lookup and compile run
-   under the entry's lock, so every domain may call it. *)
-let game pt tl =
+   its store on first use. The node's tally counts the compile and the
+   unary-cache lookups it made. *)
+let game pt =
   let e = pt.p_entry and ns = pt.p_state in
-  Mutex.protect e.games_lock @@ fun () ->
   match Hashtbl.find_opt ns.games pt.k with
   | Some game -> game
   | None ->
+      let tl = ns.tally in
+      let hits, misses = Encoded.Encoded_pebble.unary_cache_stats e.unary in
       let game =
         Encoded.Encoded_pebble.compile ~unary:e.unary ~k:(pt.k + 1) ns.shared
           e.enc
       in
+      let hits', misses' = Encoded.Encoded_pebble.unary_cache_stats e.unary in
       tl.t_compiled <- tl.t_compiled + 1;
+      tl.t_unary_hits <- tl.t_unary_hits + hits' - hits;
+      tl.t_unary_misses <- tl.t_unary_misses + misses' - misses;
       Hashtbl.add ns.games pt.k game;
       game
 
-(* The relaxed test against one memo, for a key already built. The game
-   is compiled only on the first memo miss. *)
-let relaxed ~budget pt memo =
-  let tl = memo.tally in
-  let game = lazy (game pt tl) in
+(* The relaxed test of the node, for a key already built. The game is
+   compiled only on the first memo miss. *)
+let relaxed ~budget pt =
+  let ns = pt.p_state in
+  let tl = ns.tally in
+  let game = lazy (game pt) in
   fun key assignment ->
     let key = pt.k :: key in
-    match Hashtbl.find_opt memo.relaxed_verdicts key with
+    match Hashtbl.find_opt ns.verdicts key with
     | Some v ->
         tl.t_hits <- tl.t_hits + 1;
         v
@@ -478,18 +438,18 @@ let relaxed ~budget pt memo =
         let before = Encoded.Encoded_pebble.stats_families_explored () in
         let v =
           Encoded.Encoded_pebble.run ~budget (Lazy.force game)
-            ~mu:(Array.map (Array.get assignment) pt.p_state.shared_slots)
+            ~mu:(Array.map (Array.get assignment) ns.shared_slots)
         in
         tl.t_families <-
           tl.t_families
           + (Encoded.Encoded_pebble.stats_families_explored () - before);
-        if Hashtbl.length memo.relaxed_verdicts < verdict_limit then
-          Hashtbl.replace memo.relaxed_verdicts key v
+        if Hashtbl.length ns.verdicts < verdict_limit then
+          Hashtbl.replace ns.verdicts key v
         else tl.t_evictions <- tl.t_evictions + 1;
         v
 
-let run_pebble ?(budget = Budget.unlimited) ?worker pt =
-  let test = relaxed ~budget pt (memo_of ?worker pt.p_state) in
+let run_pebble ?(budget = Budget.unlimited) pt =
+  let test = relaxed ~budget pt in
   fun assignment ->
     Budget.tick budget;
     test (key_of pt.p_state.slots assignment) assignment
@@ -515,9 +475,8 @@ let stage_child_join ?order t graph maximality tree n =
 
 let fresh_slots cj = cj.state.fresh
 
-let extensions ?(budget = Budget.unlimited) ?worker cj =
-  let memo = memo_of ?worker cj.state in
-  let tl = memo.tally in
+let extensions ?(budget = Budget.unlimited) cj =
+  let tl = cj.state.tally in
   let join ~first budget row =
     Encoded.Encoded_hom.fold ~budget ?order:cj.order ~pre:row cj.state.source
       ~init:[]
@@ -530,7 +489,7 @@ let extensions ?(budget = Budget.unlimited) ?worker cj =
     match cj.relaxed_test with
     | None -> whole budget
     | Some pt ->
-        let may_extend = relaxed ~budget pt memo in
+        let may_extend = relaxed ~budget pt in
         fun row ->
           (* the cap bounds the search for a first extension; past it
              the rest of the join is output *)
@@ -558,7 +517,7 @@ let record_answers t ~rows ~answers =
   t.rows <- t.rows + rows;
   t.answers <- t.answers + answers
 
-let node_joins t graph tree n = joins_of (node_state t graph tree n).memo.tally
+let node_joins t graph tree n = joins_of (node_state t graph tree n).tally
 
 let stats t =
   let all = new_tally () in

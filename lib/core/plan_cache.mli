@@ -8,8 +8,7 @@
     unique per construction):
     - the dictionary-encoded copy of the graph;
     - the store's µ-independent unary candidate domains, shared by every
-      pebble game compiled against it, and the lock under which pool
-      workers compile games;
+      pebble game compiled against it;
     - a table of join orders keyed on {!Optimizer.Join_order.signature},
       so isomorphic node joins of any of the plan's trees are planned
       once per store;
@@ -27,7 +26,12 @@
     {!stats} covers the plan's whole history.
 
     All artefacts are compiled on demand, so a cache costs nothing until
-    the first evaluation touches it. *)
+    the first evaluation touches it.
+
+    A cache is single-writer: one evaluation at a time may use it (the
+    server holds a per-plan lock around each). {!stats} may be read
+    concurrently with an evaluation; it reads counters only, never the
+    compiled artefacts. *)
 
 open Rdf
 
@@ -126,18 +130,6 @@ val exact_cap :
     dictionary; at least 2), saturating at [max_int - 1]. Memoised per
     node for [graph]'s epoch. Not configurable. *)
 
-type worker
-(** One pool slot's private side of the child joins: relaxed-verdict
-    memos and counters per node, made for one store entry. *)
-
-val worker : t -> Graph.t -> worker
-(** A worker for [graph]'s entry, made on the caller's domain. *)
-
-val absorb_worker : t -> Wdpt.Pattern_tree.t -> worker -> unit
-(** Fold a worker's counters (joins of [tree]'s nodes) into the cache
-    after the workers quiesced, and empty the worker. Counters of an
-    entry evicted meanwhile go to the retired totals. *)
-
 type pebble_test
 (** Node [n]'s relaxed child test at [k]: the game on
     [(pat(n), shared)], [shared] being [n]'s variables on its ancestor
@@ -151,16 +143,15 @@ val pebble_test :
     if [k < 1]. *)
 
 val run_pebble :
-  ?budget:Resource.Budget.t -> ?worker:worker -> pebble_test -> int array ->
-  bool
+  ?budget:Resource.Budget.t -> pebble_test -> int array -> bool
 (** The relaxed test [(pat(T') ∪ pat(n), vars(T')) →µ_{k+1} G] for the
     flat id assignment µ over the tree's variable table, pure pebble
     game with no exact search first. µ must cover [vars(T')] for a
     subtree [T'] that [n] is a child of, and µ(pat T') ⊆ G must already
     hold — the anchor half of the test, which both callers prove before
     asking (the join built µ, or {!Wdpt.Subtree.matching} found T^µ).
-    Verdicts are memoized per node and [k], keyed on µ|shared, on the
-    cache or on [worker]; the game is compiled on the first miss.
+    Verdicts are memoized per node and [k], keyed on µ|shared; the game
+    is compiled on the first miss.
     Budget-transparent: ticks once per call, plus the game's ticks. *)
 
 type child_join
@@ -171,8 +162,7 @@ val stage_child_join :
   ?order:int array ->
   t -> Graph.t -> maximality -> Wdpt.Pattern_tree.t ->
   Wdpt.Pattern_tree.node -> child_join
-(** Stage node [n]'s child join. Touches the cache's tables, so call it
-    on the caller's domain; [order] is the join's tie-break order
+(** Stage node [n]'s child join; [order] is the join's tie-break order
     ({!Encoded.Encoded_hom.fold}). Under [`Pebble k] it stages
     {!pebble_test} too, with its check of [k]. *)
 
@@ -182,8 +172,7 @@ val fresh_slots : child_join -> int array
     there. *)
 
 val extensions :
-  ?budget:Resource.Budget.t -> ?worker:worker -> child_join -> int array ->
-  int array list
+  ?budget:Resource.Budget.t -> child_join -> int array -> int array list
 (** [extensions cj row]: every extension of the parent row [row] (a flat
     id row over the tree's variable table, binding at least [n]'s
     ancestors) by a homomorphism of [pat n], as fresh rows; [[]] when
@@ -205,7 +194,7 @@ val extensions :
 
     Budget-transparent: ticks once per call, and every join and game
     tick is charged to [budget]. Counts the join, its extensions and
-    any tripped cap on the cache or on [worker]. *)
+    any tripped cap on the node. *)
 
 val record_answers : t -> rows:int -> answers:int -> unit
 (** Add one evaluation's emitted rows and distinct answers to

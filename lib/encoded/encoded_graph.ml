@@ -68,8 +68,8 @@ and union_info = {
   u_total : int;  (* live triples across all members *)
   u_lock : Mutex.t;
       (* guards member forcing, the touched flags and [u_merged]:
-         worker domains route queries concurrently, and OCaml [Lazy]
-         is not safe under parallel forcing *)
+         server threads route queries concurrently, and OCaml [Lazy]
+         is not safe under concurrent forcing *)
   mutable u_merged : arrays option;
       (* globally sorted permutations, materialized only if something
          needs positional access across the whole set (the writer,
@@ -270,8 +270,8 @@ end)
 
 let registered : t Registered.t = Registered.create 8
 
-(* Guards [cache] and [registered]: worker domains resolve stores
-   through [of_graph_cached] while the main domain may [register] or
+(* Guards [cache] and [registered]: server threads resolve stores
+   through [of_graph_cached] while another thread may [register] or
    [clear_cache], so every touch of either table is serialized. *)
 let cache_lock = Mutex.create ()
 

@@ -87,7 +87,7 @@ val union :
     owning member (so only that member's pages fault in), a
     predicate-free pattern fans out over all members, and positional
     access ([nth_*]) materializes a one-shot k-way merge. Safe to share
-    across domains — member forcing and the merge are serialized on an
+    across threads — member forcing and the merge are serialized on an
     internal lock. *)
 
 val members_touched : t -> int option
@@ -123,7 +123,7 @@ val epoch : t -> int
 val clear_cache : unit -> unit
 (** Drop every entry of the {!of_graph_cached} memo and the
     {!register}ed-store table (mainly for tests and benchmarks). Safe
-    while evaluations are in flight, including on worker domains: a
+    while evaluations are in flight on other threads: a
     dropped mmap'd store stays alive — and its file mapped — for as
     long as any live evaluation still holds it; a deferred graph handle
     resolved after the drop falls back to its (slow but exact)

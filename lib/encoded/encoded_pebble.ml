@@ -1,11 +1,8 @@
 open Rdf
 
-(* Families-explored counter. Domain-local so concurrent [run]s on a
-   domain pool don't race: each domain accumulates its own count, and
-   callers read/reset the counter of the domain their runs happened on. *)
-let explored_key = Domain.DLS.new_key (fun () -> ref 0)
-let stats_families_explored () = !(Domain.DLS.get explored_key)
-let reset_stats () = Domain.DLS.get explored_key := 0
+let explored = ref 0
+let stats_families_explored () = !explored
+let reset_stats () = explored := 0
 
 let unknown_id = -2
 
@@ -330,7 +327,6 @@ let run ?(budget = Resource.Budget.unlimited) t ~mu =
         in
         Encoded_graph.mem t.graph (value ra, value rb, value rc)
       in
-      let explored = Domain.DLS.get explored_key in
       let alive : unit Tbl.t = Tbl.create 4096 in
       let key_of_dom dom_vars =
         let len = List.length dom_vars in

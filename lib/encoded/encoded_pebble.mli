@@ -80,8 +80,6 @@ val wins :
     {!Pebble.Pebble_game.wins} over the encoded store. *)
 
 val stats_families_explored : unit -> int
-(** Families enumerated by {!run} since the last {!reset_stats} — {e on
-    the calling domain}: the counter is domain-local, so runs executed
-    on a pool worker accumulate into that worker's counter. *)
+(** Families enumerated by {!run} since the last {!reset_stats}. *)
 
 val reset_stats : unit -> unit

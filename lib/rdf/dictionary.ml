@@ -12,10 +12,10 @@
    cost of a term is paid at most once per process, and a store that is
    never decoded never materialises a single term.
 
-   Domain safety: heap dictionaries are built single-threaded and are
+   Thread safety: heap dictionaries are built single-threaded and are
    read-only afterwards, so their lookup/decode paths stay lock-free.
    View-backed dictionaries mutate their memo tables on the read path
-   (and parallel evaluation decodes on worker domains), so every path
+   (and the server's threads decode concurrently), so every path
    that touches a view dictionary's mutable state runs under [lock]. *)
 
 type view = {

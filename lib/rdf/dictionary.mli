@@ -35,7 +35,7 @@ val of_view : view -> t
 
     View-backed dictionaries memoize on the read path, so {!find},
     {!term_of} and {!intern} on them are serialized behind an internal
-    mutex and are safe to call from concurrent worker domains (the view
+    mutex and are safe to call from concurrent threads (the view
     closures themselves must be pure, as required above). Heap
     dictionaries ({!create}, {!of_graph}, …) take no lock: build them
     before fanning out and treat them as read-only while shared. *)

@@ -22,7 +22,10 @@
     exact computation under a slice and fall back when it trips (see
     [Wd_core.Engine.plan]). The shared {!unlimited} budget never trips and
     costs one branch per tick, so un-budgeted callers pay essentially
-    nothing. *)
+    nothing.
+
+    Evaluation is sequential, so a budget is spent by one thread at a
+    time; only {!cancel} may come from another. *)
 
 type t
 
@@ -55,56 +58,28 @@ val with_phase : t -> string -> (unit -> 'a) -> 'a
     Kernels wrap their entry points so {!Exhausted} can say {e where} the
     budget went. No-op on {!unlimited}. *)
 
-val fork : t -> int -> t array
-(** [fork b n] makes [n] worker views of [b] for a parallel region
-    (raises [Invalid_argument] on [n ≤ 0]). All remaining fuel of [b]
-    moves into one shared atomic pool that the views — and [b] itself,
-    until {!join} — drain in small leases ({!deadline_check_interval}
-    ticks at a time), so the group's collective spending honours the
-    original fuel limit to within one lease per member. The deadline is
-    shared by value; the {e solution cap stays on [b] alone}, because
-    answers are only counted on the calling domain in merge order. When
-    any member trips a limit (or {!cancel} is called on one), a shared
-    flag stops every sibling at its next lease boundary or
-    deadline-check tick — at most {!deadline_check_interval} ticks away.
-    Forking {!unlimited} just returns unlimited views. *)
-
-val join : t -> t array -> unit
-(** [join b workers] dissolves the group made by [fork b]: the workers'
-    tick counts fold into [b]'s {!spent}, unleased pool fuel and every
-    member's unspent lease return to [b], and [b] goes back to ticking
-    against its own counter. Call exactly once per [fork], also on
-    exception paths; harmless if the group never ran. *)
-
 val cancel : t -> unit
-(** Halt this budget — and, if it belongs to a fork group, every member
-    of the group — at the next sync point: a lease boundary or a
-    deadline-check tick, at most {!deadline_check_interval} ticks away.
-    Safe to call from another thread (the server's drain path cancels
-    in-flight request budgets this way). Cancellation is permanent and
-    survives {!join}. No-op on {!unlimited}. *)
+(** Halt this budget at its next deadline-check tick, at most
+    {!deadline_check_interval} ticks away. Safe to call from another
+    thread (the server's drain path cancels in-flight request budgets
+    this way). Cancellation is permanent. No-op on {!unlimited}. *)
 
 val replenish : ?cap:int -> t -> int -> unit
 (** [replenish b n] adds [n] fuel units to [b]'s account, clamped so the
     account never exceeds [cap] (default: effectively unbounded) and an
-    account above [cap] is left unchanged. On a budget enrolled in a
-    fork group the fuel goes into the group's {e shared pool} — a
-    member's already-leased fuel is never touched, so workers cannot
-    observe a refill mid-lease. No-op on {!unlimited}, on budgets
+    account above [cap] is left unchanged. No-op on {!unlimited}, on budgets
     without a fuel limit, and for [n ≤ 0]. This is an account transfer,
     not work: {!spent} is unaffected. *)
 
 val try_withdraw : t -> int -> bool
-(** [try_withdraw b n] atomically removes [n] fuel units from [b]'s
-    account (the shared pool when enrolled) if at least [n] are
-    available, returning whether it did. Always [true] on {!unlimited}
+(** [try_withdraw b n] removes [n] fuel units from [b]'s account if at
+    least [n] are available, returning whether it did. Always [true] on {!unlimited}
     and on budgets without a fuel limit; raises [Invalid_argument] on
     negative [n]. Together with {!replenish} this turns a budget into
     the token-bucket account behind {!Token_bucket}. *)
 
 val fuel_left : t -> int option
-(** The fuel currently available to this budget alone — its remaining
-    lease when enrolled in a fork group — or [None] when fuel is
+(** The fuel currently available to this budget, or [None] when fuel is
     unlimited. Observability hook for refill tests and [/stats]. *)
 
 val capped : t -> int -> (t -> 'a) -> 'a option
@@ -116,9 +91,8 @@ val capped : t -> int -> (t -> 'a) -> 'a option
     every tick [f] spends is charged to [b] ({!spent} and fuel). Caps do
     not nest: calling [capped] on [b'] inside [f] raises
     [Invalid_argument]. On a limited budget [b' = b]; on {!unlimited}
-    [b'] is a fresh view with no other limit. Works on {!fork} views
-    (each view carries its own cap). The engine's child joins run
-    under it until their first extension. *)
+    [b'] is a fresh view with no other limit. The engine's child joins
+    run under it until their first extension. *)
 
 val uncap : t -> unit
 (** Inside {!capped}'s [f], called on the budget [f] received: lift the

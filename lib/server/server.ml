@@ -26,7 +26,6 @@ type config = {
   host : string;
   port : int;  (* 0 = ephemeral, see [port] *)
   workers : int;
-  domains : int;  (* parallelism inside one evaluation *)
   queue_capacity : int;
   admission : Admission.config;
   max_request_bytes : int;
@@ -461,10 +460,7 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
               evict_entry t key;
               E.fail (E.Internal "poisoned plan-cache entry (injected)")
             end;
-            let answers =
-              Engine.solutions ~budget ~domains:t.config.domains entry.plan
-                graph
-            in
+            let answers = Engine.solutions ~budget entry.plan graph in
             Json.to_string (results_json ~canon entry.plan answers))
       in
       match outcome with
@@ -853,8 +849,8 @@ let install_signal_handlers t =
 let run config =
   let t = start config in
   install_signal_handlers t;
-  Fmt.pr "wdsparql: listening on http://%s:%d (workers %d, domains %d)@."
-    config.host t.port config.workers config.domains;
+  Fmt.pr "wdsparql: listening on http://%s:%d (workers %d)@." config.host
+    t.port config.workers;
   (match Faults.to_string config.faults with
   | "" -> ()
   | spec -> Fmt.pr "wdsparql: fault injection armed: %s@." spec);

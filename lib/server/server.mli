@@ -8,6 +8,11 @@
     docs/ROBUSTNESS.md for the overload policy and the HTTP ↔
     error-taxonomy table.
 
+    Each request is evaluated on the worker thread that serves it, one
+    query on one core: concurrency comes from serving requests side by
+    side. Requests for the same canonical query share one compiled plan
+    and take turns on it under the plan's lock.
+
     Routes: [GET/POST /sparql?query=…] (SPARQL JSON results),
     [GET/POST /analyze?query=…] (the static analyzer's JSON report),
     [GET /health], [GET /stats]. *)
@@ -21,7 +26,6 @@ type config = {
   host : string;
   port : int;  (** 0 = pick an ephemeral port; see {!port} *)
   workers : int;  (** worker threads handling connections *)
-  domains : int;  (** parallelism inside a single evaluation *)
   queue_capacity : int;  (** accept-queue watermark *)
   admission : Admission.config;
   max_request_bytes : int;

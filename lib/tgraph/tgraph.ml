@@ -5,6 +5,7 @@ type t = Index.t
 let of_triples = Index.of_triples
 let empty = Index.empty
 let union = Index.union
+let add_triples = Index.add_triples
 let triples = Index.triples
 let cardinal = Index.cardinal
 let mem = Index.mem
@@ -18,7 +19,7 @@ let iris = Index.iris
 
 let apply f t = Index.of_triples (List.map (Triple.subst f) (triples t))
 
-let rename_avoiding ~keep ~avoid s =
+let renaming ~keep ~avoid s =
   let forbidden =
     ref (Variable.Set.union (vars s) (Variable.Set.union keep avoid))
   in
@@ -35,7 +36,10 @@ let rename_avoiding ~keep ~avoid s =
         substitution := Variable.Map.add v (Term.Var fresh) !substitution
       end)
     (vars s);
-  let subst = !substitution in
+  !substitution
+
+let rename_avoiding ~keep ~avoid s =
+  let subst = renaming ~keep ~avoid s in
   (apply (fun v -> Variable.Map.find_opt v subst) s, subst)
 
 let freeze_prefix = "urn:frozen:"

@@ -14,6 +14,10 @@ type t = Index.t
 val of_triples : Triple.t list -> t
 val empty : t
 val union : t -> t -> t
+
+val add_triples : t -> Triple.t list -> t
+(** [add_triples s l] is [s ∪ l], built as one index. *)
+
 val triples : t -> Triple.t list
 val cardinal : t -> int
 val mem : t -> Triple.t -> bool
@@ -35,6 +39,11 @@ val rename_avoiding :
     [keep] to a fresh variable not in [avoid ∪ keep] (and not otherwise
     used), returning the renamed t-graph and the substitution used. This is
     the renaming [ρ_Δ] of Section 3.1. *)
+
+val renaming :
+  keep:Variable.Set.t -> avoid:Variable.Set.t -> t -> Term.t Variable.Map.t
+(** The substitution {!rename_avoiding} applies, without building the
+    renamed t-graph. *)
 
 val freeze_prefix : string
 (** IRI prefix used by {!freeze}. *)

@@ -44,21 +44,28 @@ let context forest subtree =
   let pat = Subtree.pat subtree in
   { pat; x = Tgraph.vars pat; forest_vars = Pattern_forest.vars forest }
 
+(* The children's labels are renamed triple by triple and added to
+   pat(T) at once, so S_∆ builds one index. *)
 let s_delta_in forest c delta =
   let avoid = ref c.forest_vars in
-  let parts =
-    List.map
+  let renamed =
+    List.concat_map
       (fun (i, child) ->
-        let tree = List.nth forest i in
-        let renamed, _subst =
-          Tgraph.rename_avoiding ~keep:c.x ~avoid:!avoid
-            (Pattern_tree.pat tree child)
+        let label = Pattern_tree.pat (List.nth forest i) child in
+        let subst = Tgraph.renaming ~keep:c.x ~avoid:!avoid label in
+        let triples =
+          List.map
+            (Triple.subst (fun v -> Variable.Map.find_opt v subst))
+            (Tgraph.triples label)
         in
-        avoid := Variable.Set.union !avoid (Tgraph.vars renamed);
-        renamed)
+        avoid :=
+          List.fold_left
+            (fun acc t -> Variable.Set.union (Triple.vars t) acc)
+            !avoid triples;
+        triples)
       delta
   in
-  Gtgraph.make (List.fold_left Tgraph.union c.pat parts) c.x
+  Gtgraph.make (Tgraph.add_triples c.pat renamed) c.x
 
 (* ∆ is valid when no unassigned supporting witness maps into S_∆. *)
 let valid_in support c delta s_d =

@@ -881,8 +881,7 @@ let test_codebase_lint_overlay () =
 
 (* PR 10 satellite: a module that creates a Mutex advertises multi-domain
    use — every mutation of its top-level Hashtbls must then take the
-   lock, or it is a data race. lib/parallel owns the locking discipline
-   and is exempt. *)
+   lock, or it is a data race. *)
 let test_codebase_lint_domain_safety () =
   check Alcotest.bool "satisfiability.ml is in the kernel manifest" true
     (List.mem "analysis/satisfiability.ml" Lint_rules.kernel_modules);
@@ -902,11 +901,6 @@ let test_codebase_lint_domain_safety () =
       (* no mutex, no multi-domain claim: a plain table is fine *)
       ( "rdf/plain.ml",
         "let table = Hashtbl.create 7\nlet put k v = Hashtbl.add table k v\n" );
-      (* the parallel runtime is exempt *)
-      ( "parallel/pool.ml",
-        "let lock = Mutex.create ()\n\
-         let table = Hashtbl.create 7\n\
-         let put k v = Hashtbl.replace table k v\n" );
     ]
     (fun root ->
       let violations = Lint_rules.check_tree ~manifest:[] ~root () in

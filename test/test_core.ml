@@ -248,8 +248,29 @@ let test_at_most_matches_of_forest () =
         [ 1; 2; 3; 4 ])
     forests
 
+(* S_∆ composed the old way: each renamed child label built as a t-graph
+   of its own and unioned into pat(T) one at a time. *)
+let s_delta_by_unions forest subtree delta =
+  let pat = Wdpt.Subtree.pat subtree in
+  let x = Tgraphs.Tgraph.vars pat in
+  let avoid = ref (Wdpt.Pattern_forest.vars forest) in
+  let parts =
+    List.map
+      (fun (i, child) ->
+        let renamed, _ =
+          Tgraphs.Tgraph.rename_avoiding ~keep:x ~avoid:!avoid
+            (Wdpt.Pattern_tree.pat (List.nth forest i) child)
+        in
+        avoid := Rdf.Variable.Set.union !avoid (Tgraphs.Tgraph.vars renamed);
+        renamed)
+      delta
+  in
+  Tgraphs.Gtgraph.make (List.fold_left Tgraphs.Tgraph.union pat parts) x
+
 (* T2's families: the lazy level reports the same profile rows — exact
-   per-member ctws and per-subtree levels — as the eager computation. *)
+   per-member ctws and per-subtree levels — as the eager computation.
+   On the frontier forests, GtG and every S_∆ equal the old composition
+   by unions. *)
 let test_profile_rows_unchanged () =
   let families =
     [
@@ -276,7 +297,34 @@ let test_profile_rows_unchanged () =
             row.Domination_width.level)
         (Domination_width.profile forest)
         (subtrees forest))
-    families
+    families;
+  let frontier =
+    List.map Query_families.f_k [ 4; 6; 8; 10 ]
+    @ List.map
+        (fun t -> [ t ])
+        (List.map Query_families.clique_child [ 3; 4; 5 ]
+        @ List.map Query_families.comb_query [ 3; 4 ]
+        @ List.map Query_families.path_query [ 4; 5; 6 ]
+        @ List.map Query_families.star_query [ 4; 5; 6 ])
+  in
+  List.iter
+    (fun forest ->
+      List.iter
+        (fun st ->
+          let by_unions = s_delta_by_unions forest st in
+          check Alcotest.bool "GtG = the composition by unions" true
+            (List.equal Tgraphs.Gtgraph.equal
+               (Wdpt.Children_assignment.gtg forest st)
+               (List.map by_unions (Wdpt.Children_assignment.valid forest st)));
+          List.iter
+            (fun delta ->
+              check Alcotest.bool "S_∆ = the composition by unions" true
+                (Tgraphs.Gtgraph.equal
+                   (Wdpt.Children_assignment.s_delta forest st delta)
+                   (by_unions delta)))
+            (Wdpt.Children_assignment.all forest st))
+        (subtrees forest))
+    frontier
 
 (* Definition-2 dw through the GtG scan, whatever the forest's shape:
    [of_forest] returns bw on one tree, so Proposition 5 is checked

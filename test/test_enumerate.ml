@@ -1,6 +1,6 @@
 (* The top-down walk and the id-row writer. The contract under test:
    [Enumerate.solutions] equals the reference evaluator under every
-   maximality, domain count and optimizer mode, UNION forests included;
+   maximality and optimizer mode, UNION forests included;
    [Enumerate.count] counts the same answers without decoding them; a
    tripped cap hands the child to the pebble game, which refutes it; a
    single tree builds each answer once; and the writer's bytes are
@@ -26,30 +26,23 @@ let seeds =
 let configurations =
   List.concat_map
     (fun maximality ->
-      List.concat_map
-        (fun domains ->
-          List.map
-            (fun optimize -> (maximality, domains, optimize))
-            [ `On; `Off ])
-        [ 1; 2; 4 ])
+      List.map (fun optimize -> (maximality, optimize)) [ `On; `Off ])
     [ `Hom; `Pebble 1; `Pebble 2 ]
 
 let walk_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40
-       ~name:"solutions = Sparql.Eval over maximality x domains x optimize"
+       ~name:"solutions = Sparql.Eval over maximality x optimize"
        seeds (fun (gseed, qseed) ->
          let g = Testutil.graph_of_seed ~nodes:6 ~preds:2 ~triples:16 gseed in
          let p = Testutil.wd_pattern_of_seed ~union:2 ~triples:6 qseed in
          let forest = Wdpt.Pattern_forest.of_algebra p in
          let reference = Sparql.Eval.eval p g in
          List.for_all
-           (fun (maximality, domains, optimize) ->
-             let got =
-               Enumerate.solutions ~maximality ~domains ~optimize forest g
-             in
+           (fun (maximality, optimize) ->
+             let got = Enumerate.solutions ~maximality ~optimize forest g in
              Sparql.Mapping.Set.equal got reference
-             && Enumerate.count ~maximality ~domains ~optimize forest g
+             && Enumerate.count ~maximality ~optimize forest g
                 = Sparql.Mapping.Set.cardinal reference)
            configurations))
 
@@ -64,18 +57,15 @@ let test_refuter () =
     Sparql.Eval.eval (Wdpt.Pattern_forest.to_algebra forest) g
   in
   List.iter
-    (fun (maximality, domains, optimize) ->
+    (fun (maximality, optimize) ->
       let cache = Plan_cache.create () in
-      let got =
-        Enumerate.solutions ~maximality ~domains ~optimize ~cache forest g
-      in
+      let got = Enumerate.solutions ~maximality ~optimize ~cache forest g in
       let s = Plan_cache.stats cache in
       let label =
-        Printf.sprintf "%s, %d domain(s), optimize %s"
+        Printf.sprintf "%s, optimize %s"
           (match maximality with
           | `Hom -> "hom"
           | `Pebble k -> Printf.sprintf "pebble %d" k)
-          domains
           (if optimize = `On then "on" else "off")
       in
       check Alcotest.bool ("answers = Sparql.Eval: " ^ label) true
@@ -88,7 +78,8 @@ let test_refuter () =
     configurations
 
 (* A single tree emits each answer once; the comb's joins are one per
-   parent row and child. *)
+   parent row and child, and each finds its first extension (or runs
+   out) well inside the cap, so no pebble game is compiled. *)
 let test_one_row_per_answer () =
   let tree = Workload.Query_families.comb_query 3 in
   let g = Generator.random_graph ~seed:3 ~n:12 ~predicates:[ "p"; "t" ] ~m:40 in
@@ -97,6 +88,11 @@ let test_one_row_per_answer () =
   let s = Plan_cache.stats cache in
   check Alcotest.bool "non-trivial answers" true
     (Sparql.Mapping.Set.cardinal answers > 1);
+  check Alcotest.bool "answers match the reference" true
+    (Sparql.Mapping.Set.equal answers
+       (Sparql.Eval.eval (Wdpt.Pattern_forest.to_algebra [ tree ]) g));
+  check Alcotest.int "no pebble game compiled" 0
+    s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled;
   check Alcotest.int "rows = answers"
     (Sparql.Mapping.Set.cardinal answers) s.Plan_cache.rows;
   check (Alcotest.float 0.) "one candidate per answer" 1.

@@ -130,9 +130,9 @@ let test_identity_stable () =
 (* Differential evaluation: heap store vs mapped store                 *)
 (* ------------------------------------------------------------------ *)
 
-let solutions ?(domains = 1) ~optimize pattern graph =
+let solutions ~optimize pattern graph =
   let plan = Wd_core.Engine.plan ~optimize pattern in
-  Wd_core.Engine.solutions ~domains plan graph
+  Wd_core.Engine.solutions plan graph
 
 let test_differential () =
   let cases = 200 in
@@ -168,10 +168,9 @@ let test_differential () =
         end)
   done
 
-(* Cache eviction while a mapped store is in use, including on worker
-   domains: dropping the registry must never invalidate a live
-   evaluation, and a handle resolved after the drop falls back to its
-   exact term-level decode. *)
+(* Cache eviction while a mapped store is in use: dropping the registry
+   must never invalidate a live evaluation, and a handle resolved after
+   the drop falls back to its exact term-level decode. *)
 let test_clear_cache_mid_life () =
   let g = graph_of 7 in
   let pattern =
@@ -181,15 +180,15 @@ let test_clear_cache_mid_life () =
   with_store_file (E.of_graph g) (fun path ->
       let h = Storage.load_graph path in
       let reference = solutions ~optimize:true pattern g in
-      let before = solutions ~domains:2 ~optimize:true pattern h in
+      let before = solutions ~optimize:true pattern h in
       E.clear_cache ();
       Gc.full_major ();
       (* registry is gone: this resolution falls back to encoding the
          handle's decoded triples — answers must not change *)
-      let after = solutions ~domains:2 ~optimize:true pattern h in
+      let after = solutions ~optimize:true pattern h in
       (* a fresh load re-registers and must agree too *)
-      let reloaded = solutions ~domains:2 ~optimize:true pattern
-          (Storage.load_graph path)
+      let reloaded =
+        solutions ~optimize:true pattern (Storage.load_graph path)
       in
       Alcotest.(check bool) "before eviction" true
         (Sparql.Mapping.Set.equal reference before);
@@ -382,7 +381,7 @@ let test_overlapping_sections () =
             ]))
 
 (* Regression: view-backed dictionaries memoize decodes and reverse
-   lookups on the read path, so concurrent access from worker domains
+   lookups on the read path, so concurrent access (the server's threads)
    must be serialized — unsynchronized Hashtbl mutation can lose
    entries, answer wrongly, or loop. Hammer one loaded store's
    dictionary from several domains at once, staggered so first-decode
@@ -567,7 +566,7 @@ let () =
         [
           Alcotest.test_case "200 cases: mapped = heap (optimize on/off)"
             `Quick test_differential;
-          Alcotest.test_case "cache eviction mid-life (domains=2)" `Quick
+          Alcotest.test_case "cache eviction mid-life" `Quick
             test_clear_cache_mid_life;
           Alcotest.test_case "deferred handle: term index never forced"
             `Quick test_deferred_index_never_forced;

@@ -282,8 +282,6 @@ let test_unary_sharing () =
 (* Retired counters across eviction churn (PR 6)                       *)
 (* ------------------------------------------------------------------ *)
 
-module Pool = Parallel.Pool
-
 (* A (tree, child, candidates) triple for driving child joins directly:
    the root of the test pattern with its OPTIONAL child, and every
    match of the root in [g] as an id assignment over the tree's
@@ -302,31 +300,28 @@ let child_test_setup cache g =
 
 let join_count s = s.Plan_cache.joins.Plan_cache.runs
 
-(* Worker counters pending at eviction time (a server thread
-   mid-evaluation when another store pushes the entry out) must reach
-   the retired totals, not be dropped with the entry. *)
-let test_eviction_absorbs_worker_views () =
+(* The counters of an entry pushed out by another store (a server plan
+   across a reload) must reach the retired totals, not be dropped with
+   the entry. *)
+let test_eviction_retires_counters () =
   let cache = Plan_cache.create ~plan_capacity:1 () in
   let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
   let tree, child, candidates = child_test_setup cache g1 in
-  let w = Plan_cache.worker cache g1 in
   let exact =
-    Plan_cache.extensions ~worker:w
+    Plan_cache.extensions
       (Plan_cache.stage_child_join cache g1 `Hom tree child)
   in
   let relaxed =
-    Plan_cache.run_pebble ~worker:w
-      (Plan_cache.pebble_test cache g1 ~k:2 tree child)
+    Plan_cache.run_pebble (Plan_cache.pebble_test cache g1 ~k:2 tree child)
   in
   List.iter (fun a -> ignore (exact a); ignore (relaxed a)) candidates;
   let before = Plan_cache.stats cache in
   (* evicting g1's entry by touching a second store at capacity 1 *)
   ignore (Plan_cache.encoded cache g2);
-  Plan_cache.absorb_worker cache tree w;
   let after = Plan_cache.stats cache in
   let n = List.length candidates in
   check Alcotest.int "one eviction" 1 after.Plan_cache.plan_evictions;
-  check Alcotest.int "the un-absorbed child joins survive eviction" n
+  check Alcotest.int "the evicted entry's child joins survive eviction" n
     after.Plan_cache.joins.runs;
   check Alcotest.int "... and the relaxed lookups" n
     (after.Plan_cache.pebble.Wd_core.Pebble_cache.hits
@@ -338,14 +333,12 @@ let test_eviction_absorbs_worker_views () =
   (* a release (the server's, after a reload) drops the live entry the
      same way, without counting an eviction *)
   let tree2, child2, candidates2 = child_test_setup cache g2 in
-  let w2 = Plan_cache.worker cache g2 in
   let exact2 =
-    Plan_cache.extensions ~worker:w2
+    Plan_cache.extensions
       (Plan_cache.stage_child_join cache g2 `Hom tree2 child2)
   in
   List.iter (fun a -> ignore (exact2 a)) candidates2;
   Plan_cache.release cache;
-  Plan_cache.absorb_worker cache tree2 w2;
   let released = Plan_cache.stats cache in
   check Alcotest.int "a release leaves no live entry" 0
     released.Plan_cache.live_entries;
@@ -360,10 +353,8 @@ let test_eviction_absorbs_worker_views () =
    exactly the child joins, pebble answers and verdict lookups of two
    plans that each stay on one store. Eviction may force recompilation,
    never lose counters, and every total is monotone run over run. On the
-   clique fixture the cap trips, so the game answers too; at 2 domains
-   every join runs on a {!Plan_cache.worker} whose counters reach the
-   entry through [absorb_worker] and the retired tally through
-   eviction. *)
+   clique fixture the cap trips, so the game answers too, and its
+   counters reach the retired tally through eviction. *)
 let test_retired_reconcile_churn () =
   let g1 = tournament 1 and g2 = tournament 2 in
   let churn = Engine.plan ~plan_capacity:1 clique_pattern in
@@ -378,7 +369,7 @@ let test_retired_reconcile_churn () =
   let compiled s = s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled in
   let last = ref (0, 0) in
   let run plan g =
-    let a, s = Engine.solutions_stats ~domains:2 plan g in
+    let a, s = Engine.solutions_stats plan g in
     check Alcotest.bool "answers match the reference" true
       (set_equal a (clique_reference g));
     Option.get s
@@ -421,44 +412,40 @@ let test_retired_reconcile_churn () =
     sc.Plan_cache.plan_evictions
 
 (* ------------------------------------------------------------------ *)
-(* absorb_worker under a worker crash                                 *)
+(* Counters across a crashed evaluation                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A worker raising mid-batch must not lose or double-count merged
-   stats: the pool quiesces every chunk before re-raising, so the
-   absorb that follows sees exactly the completed joins. *)
-let test_absorb_worker_crash () =
-  let cache = Plan_cache.create () in
-  let tree, child, candidates = child_test_setup cache graph in
-  check Alcotest.bool "enough candidates to spread over workers" true
-    (List.length candidates >= 16);
-  let cj = Plan_cache.stage_child_join cache graph (`Pebble 2) tree child in
-  let items = List.mapi (fun i a -> (i, a)) candidates in
-  let completed = Atomic.make 0 in
-  Pool.with_pool ~domains:4 @@ fun pool ->
-  let workers =
-    Array.init (Pool.size pool) (fun _ -> Plan_cache.worker cache graph)
+(* An evaluation that raises mid-walk (here its sink) must not lose or
+   double-count the child joins it ran: the next evaluation on the same
+   cache is exact, and its joins add exactly one clean walk's. *)
+let test_crash_mid_walk () =
+  let forest = Wdpt.Pattern_forest.of_algebra pattern in
+  let walk cache sink =
+    Wd_core.Enumerate.iter_rows ~maximality:(`Pebble 2) ~cache forest graph
+      sink
   in
+  let clean = Plan_cache.create () in
+  walk clean ignore;
+  let clean_joins = join_count (Plan_cache.stats clean) in
+  let cache = Plan_cache.create () in
+  let emitted = ref 0 in
   (match
-     Pool.fold_ordered pool
-       ~init:(fun slot -> Plan_cache.extensions ~worker:workers.(slot) cj)
-       ~f:(fun test (i, a) ->
-         if i = 7 then failwith "crash";
-         let r = test a in
-         Atomic.incr completed;
-         r)
-       ~merge:(fun acc r -> r :: acc)
-       [] items
+     walk cache (fun _ ->
+         incr emitted;
+         if !emitted = 3 then failwith "crash")
    with
-  | _ -> Alcotest.fail "the worker's exception was swallowed"
+  | () -> Alcotest.fail "the sink's exception was swallowed"
   | exception Failure msg -> check Alcotest.string "crash" "crash" msg);
-  Array.iter (Plan_cache.absorb_worker cache tree) workers;
-  let s = Plan_cache.stats cache in
-  check Alcotest.int "absorbed joins = completed joins (none lost)"
-    (Atomic.get completed) (join_count s);
-  (* absorb empties the workers: running it again must add nothing *)
-  Array.iter (Plan_cache.absorb_worker cache tree) workers;
-  check Alcotest.int "re-absorbing double-counts nothing" (join_count s)
+  let crashed = join_count (Plan_cache.stats cache) in
+  check Alcotest.bool "the crashed walk ran some joins, not all" true
+    (crashed > 0 && crashed < clean_joins);
+  check Alcotest.int "reading the counters again adds nothing" crashed
+    (join_count (Plan_cache.stats cache));
+  check Alcotest.bool "the next evaluation is exact" true
+    (set_equal (Wd_core.Enumerate.solutions ~cache forest graph)
+       (reference graph));
+  check Alcotest.int "... and adds exactly one walk's joins"
+    (crashed + clean_joins)
     (join_count (Plan_cache.stats cache))
 
 (* ------------------------------------------------------------------ *)
@@ -628,13 +615,12 @@ let test_k_check () =
 
 module Enumerate = Wd_core.Enumerate
 
-(* Capped joins are exact at any domain count: the game only ever
-   refutes a child, which is sound, and a child it cannot refute is
-   joined in full. *)
+(* Capped joins are exact: the game only ever refutes a child, which is
+   sound, and a child it cannot refute is joined in full. *)
 let portfolio_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:120
-       ~name:"Pebble dw = Hom = algebra, at 1 and 2 domains"
+       ~name:"Pebble dw = Hom = algebra"
        (QCheck.make
           ~print:(fun (g, q) ->
             Printf.sprintf "graph seed %d, query seed %d" g q)
@@ -646,11 +632,10 @@ let portfolio_differential =
          let dw = Wd_core.Domination_width.of_forest forest in
          let reference = Sparql.Eval.eval p g in
          List.for_all
-           (fun (maximality, domains) ->
+           (fun maximality ->
              set_equal reference
-               (Enumerate.solutions ~maximality ~domains ~optimize:`On forest
-                  g))
-           [ (`Hom, 1); (`Pebble dw, 1); (`Pebble dw, 2) ]))
+               (Enumerate.solutions ~maximality ~optimize:`On forest g))
+           [ `Hom; `Pebble dw ]))
 
 (* A cap that trips: F_6's clique child cannot embed in the tournament,
    and the search for it outgrows |adom|^2 ticks, so the pebble game
@@ -658,25 +643,17 @@ let portfolio_differential =
 let test_cap_trips () =
   let g = tournament 3 in
   let expected = clique_reference g in
-  List.iter
-    (fun domains ->
-      let cache = Plan_cache.create () in
-      let got =
-        Enumerate.solutions ~maximality:(`Pebble 1) ~domains ~cache
-          clique_forest g
-      in
-      let s = Plan_cache.stats cache in
-      let label = Printf.sprintf " (%d domain(s))" domains in
-      check Alcotest.bool ("answers = Wdpt.Semantics" ^ label) true
-        (set_equal got expected);
-      check Alcotest.bool ("the cap tripped" ^ label) true
-        (s.Plan_cache.joins.capped > 0);
-      check Alcotest.bool ("the pebble game answered" ^ label) true
-        (s.Plan_cache.joins.pebble_answers > 0);
-      check Alcotest.bool ("the cheap children stayed under the cap" ^ label)
-        true
-        (s.Plan_cache.joins.runs > s.Plan_cache.joins.capped))
-    [ 1; 2 ];
+  let cache = Plan_cache.create () in
+  let got =
+    Enumerate.solutions ~maximality:(`Pebble 1) ~cache clique_forest g
+  in
+  let s = Plan_cache.stats cache in
+  check Alcotest.bool "answers = Wdpt.Semantics" true (set_equal got expected);
+  check Alcotest.bool "the cap tripped" true (s.Plan_cache.joins.capped > 0);
+  check Alcotest.bool "the pebble game answered" true
+    (s.Plan_cache.joins.pebble_answers > 0);
+  check Alcotest.bool "the cheap children stayed under the cap" true
+    (s.Plan_cache.joins.runs > s.Plan_cache.joins.capped);
   (* the cap is the game's own bound d^(k+1), d the largest candidate
      domain of the child's game: the whole dictionary for F_6's
      unconstrained clique variables; T3's self-loop child has no
@@ -749,15 +726,15 @@ let () =
         ] );
       ( "retired",
         [
-          Alcotest.test_case "eviction absorbs worker views" `Quick
-            test_eviction_absorbs_worker_views;
+          Alcotest.test_case "eviction retires node counters" `Quick
+            test_eviction_retires_counters;
           Alcotest.test_case "churn reconciles with no-churn" `Quick
             test_retired_reconcile_churn;
         ] );
       ( "crash",
         [
-          Alcotest.test_case "absorb_worker after worker crash" `Quick
-            test_absorb_worker_crash;
+          Alcotest.test_case "counters after a crash mid-walk" `Quick
+            test_crash_mid_walk;
         ] );
       ( "per node",
         [

@@ -152,54 +152,6 @@ let test_standalone_cancel () =
   Budget.cancel Budget.unlimited;
   Budget.tick Budget.unlimited
 
-(* Satellite: forked children never observe a refill mid-lease — the
-   refill lands in the shared pool, a worker's current lease is
-   untouched, and the extra fuel only becomes spendable at the next
-   lease boundary. *)
-let test_fork_refill_mid_lease () =
-  let lease = Budget.deadline_check_interval in
-  let b = Budget.make ~fuel:200 () in
-  let views = Budget.fork b 1 in
-  let v = views.(0) in
-  for _ = 1 to 32 do Budget.tick v done;
-  (* the first tick leased [lease] units; 32 ticks in, the lease holds
-     lease - 32 *)
-  check Alcotest.(option int) "mid-lease balance" (Some (lease - 32))
-    (Budget.fuel_left v);
-  Budget.replenish b 64;
-  check Alcotest.(option int) "refill is invisible mid-lease"
-    (Some (lease - 32))
-    (Budget.fuel_left v);
-  (* ... but it is spendable at the next lease boundary: the group's
-     ticks total exactly (200 + 64) - 1, same contract as make ~fuel *)
-  let ticks = ref 32 in
-  (try
-     while true do
-       Budget.tick v;
-       incr ticks
-     done
-   with Budget.Exhausted _ -> ());
-  check Alcotest.int "group total = original + refill - 1" (200 + 64 - 1)
-    !ticks
-
-let test_fork_refill_join_conservation () =
-  let b = Budget.make ~fuel:100 () in
-  let views = Budget.fork b 2 in
-  for _ = 1 to 10 do Budget.tick views.(0) done;
-  Budget.replenish b 50;
-  Budget.join b views;
-  check Alcotest.int "spending folded into the parent" 10 (Budget.spent b);
-  (* the parent reclaimed everything unspent: 100 + 50 - 10 = 140 units
-     permit exactly 139 more ticks *)
-  let ticks = ref 0 in
-  (try
-     while true do
-       Budget.tick b;
-       incr ticks
-     done
-   with Budget.Exhausted _ -> ());
-  check Alcotest.int "unspent + refill returned on join" 139 !ticks
-
 (* [capped]: a local tick cap inside a budget, the exact-first
    maximality test's bound. *)
 let spin b n = for _ = 1 to n do Budget.tick b done
@@ -255,21 +207,6 @@ let test_capped_charges_outer () =
   check Alcotest.(option unit) "the cap is cleared after a rejected nesting"
     (Some ())
     (Budget.capped b 10 (fun b -> spin b 10))
-
-let test_capped_fork_view () =
-  let b = Budget.make ~fuel:500 () in
-  let views = Budget.fork b 2 in
-  let v = views.(0) in
-  check Alcotest.(option unit) "cap trips on a view" None
-    (Budget.capped v 10 (fun v -> spin v 20));
-  check Alcotest.(option unit) "view completes under a cap" (Some ())
-    (Budget.capped views.(1) 10 (fun v -> spin v 10));
-  check Alcotest.int "view charged" 11 (Budget.spent v);
-  (* the group's shared fuel still fires inside a cap *)
-  exhausts (fun () -> Budget.capped v 1_000_000 (fun v -> spin v 1_000));
-  Budget.join b views;
-  check Alcotest.bool "capped ticks fold into the parent" true
-    (Budget.spent b >= 21)
 
 module Token_bucket = Resource.Token_bucket
 
@@ -518,6 +455,38 @@ let budget_transparency =
          && Sparql.Mapping.Set.equal unbudgeted planned))
 
 (* ------------------------------------------------------------------ *)
+(* Budgets inside the engine's evaluation                              *)
+(* ------------------------------------------------------------------ *)
+
+let social_pattern =
+  Sparql.Parser.parse_exn
+    "{ ?a p:knows ?b . OPTIONAL { ?b p:email ?m } OPTIONAL { ?a p:knows ?c } }"
+
+let test_evaluation_exhaustion_phase () =
+  let big = Generator.social ~seed:21 ~people:80 in
+  let plan = Wd_core.Engine.plan social_pattern in
+  match Wd_core.Engine.solutions ~budget:(Budget.make ~fuel:500 ()) plan big with
+  | _ -> Alcotest.fail "a 500-tick budget should not cover this evaluation"
+  | exception Budget.Exhausted { phase; spent } ->
+      check Alcotest.bool "phase names an evaluation stage" true
+        (List.mem phase [ "enumerate"; "pebble"; "hom" ]);
+      check Alcotest.bool "spent is positive" true (spent > 0)
+
+let test_evaluation_deadline_prompt () =
+  let big = Generator.social ~seed:22 ~people:150 in
+  let plan = Wd_core.Engine.plan social_pattern in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Wd_core.Engine.solutions ~budget:(Budget.make ~timeout:0.02 ()) plan big
+   with
+  | _ -> () (* finished under the deadline: nothing to time *)
+  | exception Budget.Exhausted _ -> ());
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool
+    (Printf.sprintf "evaluation stopped promptly (%.3fs)" elapsed)
+    true (elapsed < 5.0)
+
+(* ------------------------------------------------------------------ *)
 (* Deadline smoke: tier-1 proof that a hard query stops on time        *)
 (* ------------------------------------------------------------------ *)
 
@@ -570,7 +539,6 @@ let () =
             test_capped_outer_limits;
           Alcotest.test_case "capped: ticks charged outside" `Quick
             test_capped_charges_outer;
-          Alcotest.test_case "capped: fork views" `Quick test_capped_fork_view;
         ] );
       ( "refill",
         [
@@ -578,10 +546,6 @@ let () =
             test_replenish_standalone;
           Alcotest.test_case "try_withdraw" `Quick test_try_withdraw;
           Alcotest.test_case "standalone cancel" `Quick test_standalone_cancel;
-          Alcotest.test_case "fork: refill invisible mid-lease" `Quick
-            test_fork_refill_mid_lease;
-          Alcotest.test_case "fork: refill conserved across join" `Quick
-            test_fork_refill_join_conservation;
           Alcotest.test_case "token bucket basics" `Quick
             test_token_bucket_basic;
           Alcotest.test_case "token bucket fractional carry" `Quick
@@ -604,6 +568,8 @@ let () =
           Alcotest.test_case "domination width" `Quick test_domination_width;
           Alcotest.test_case "pebble eval (cached)" `Quick test_pebble_eval;
           Alcotest.test_case "enumerate" `Quick test_enumerate;
+          Alcotest.test_case "engine evaluation phase" `Quick
+            test_evaluation_exhaustion_phase;
         ] );
       ( "degradation",
         [
@@ -616,5 +582,7 @@ let () =
           Alcotest.test_case "hard query stops on time" `Quick test_deadline_smoke;
           Alcotest.test_case "one-tree star finishes in time" `Quick
             test_one_tree_within_deadline;
+          Alcotest.test_case "evaluation stops on time" `Quick
+            test_evaluation_deadline_prompt;
         ] );
     ]

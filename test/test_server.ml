@@ -297,7 +297,6 @@ let smoke_config () =
     host = "127.0.0.1";
     port = 0;
     workers = 2;
-    domains = 1;
     queue_capacity = 4;
     admission =
       {

@@ -77,8 +77,6 @@ let kernel_modules =
     "core/domination_width.ml";
     "core/enumerate.ml";
     "core/plan_cache.ml";
-    "csp/core_of.ml";
-    "csp/hom.ml";
     "encoded/encoded_hom.ml";
     "encoded/encoded_pebble.ml";
     "graphtheory/treewidth.ml";
@@ -187,16 +185,14 @@ let forbidden_sleeps ~rel stripped =
                needle allowance;
          })
 
-(* Shared-state discipline for the multi-domain build: a module that
-   creates its own [Mutex.t] is advertising that it is touched from more
-   than one domain, so every mutation of one of its top-level hash
+(* Shared-state discipline: a module that creates its own [Mutex.t] is
+   advertising that it is touched from more than one thread (the
+   server's workers), so every mutation of one of its top-level hash
    tables must be under a lock — an unguarded [Hashtbl.replace]/[add]
-   next to a mutex is a data race waiting for a second domain. The
+   next to a mutex is a race waiting for a second thread. The
    check is lexical: from the mutation, scan back to the top-level
    binding it lives in; a [Mutex.protect] or [Mutex.lock] in between
-   counts as the guard. lib/parallel houses the concurrency primitives
-   themselves and is exempt. *)
-let domain_safety_allowed rel = under "parallel/" rel
+   counts as the guard. *)
 
 let is_ident s =
   s <> ""
@@ -237,8 +233,7 @@ let table_of_line line =
           if is_ident name then Some name else None
 
 let unguarded_table_mutations ~rel stripped =
-  if domain_safety_allowed rel then []
-  else if not (contains ~needle:"Mutex.create" stripped) then []
+  if not (contains ~needle:"Mutex.create" stripped) then []
   else begin
     let lines = Array.of_list (String.split_on_char '\n' stripped) in
     (* byte offset where each line starts, for the backward scans *)

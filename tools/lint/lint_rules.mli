@@ -18,12 +18,12 @@
       injected slow-client stall; [server/server.ml] 2, the drain-time
       waits of [join]; 0 everywhere else) — a thread waiting for work
       blocks on a [Condition.t] instead;
-    - a module (outside [lib/parallel]) that creates a [Mutex.t] must
+    - a module that creates a [Mutex.t] must
       not mutate a top-level [Hashtbl] unguarded: every
       [Hashtbl.replace]/[Hashtbl.add] on a [let name = Hashtbl.create …]
       table needs a [Mutex.protect]/[Mutex.lock] between the enclosing
       top-level binding's start and the mutation — the mutex advertises
-      multi-domain use, so a bare mutation is a data race.
+      multi-threaded use, so a bare mutation is a race.
 
     Matching is performed on source text with OCaml comments and string
     literals blanked out, so mentions in documentation or error messages
