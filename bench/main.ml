@@ -921,6 +921,27 @@ let t7 () =
   Fmt.pr "width 1 — the tractable regime is where practice lives; the@.";
   Fmt.pr "frontier instances of F1/F2 are adversarial by design.@."
 
+(* Minor-heap words one call of [f] allocates, averaged over [runs]
+   calls after a warm-up call. *)
+let words_per_call ?(runs = 20) f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int runs
+
+(* Mean nanoseconds per call of [f i] over [n] calls, [i] in [0, n):
+   the median of three such means. *)
+let ns_per_call n f =
+  let _, t =
+    time_median (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Sys.opaque_identity (f i))
+        done)
+  in
+  t /. float_of_int n *. 1e9
+
 let a4 () =
   header "A4" "ablation: hash-indexed terms vs dictionary-encoded sorted arrays"
     "DESIGN.md: the two storage backends (Rdf.Index vs Encoded_graph)";
@@ -929,7 +950,8 @@ let a4 () =
   let enc, t_build = time_median (fun () -> Encoded.Encoded_graph.of_graph g) in
   Fmt.pr "graph: %d triples; encoded build: %.2f ms@.@." (Rdf.Graph.cardinal g)
     (ms t_build);
-  Fmt.pr "%-28s %12s %12s %9s@." "query" "term(ms)" "encoded(ms)" "answers";
+  Fmt.pr "%-20s %10s %12s %9s %14s %14s@." "query" "term(ms)" "encoded(ms)"
+    "answers" "words/ans term" "words/ans enc";
   let queries =
     [
       ("2-hop knows", "{ ?a p:knows ?b . ?b p:knows ?c }");
@@ -939,25 +961,66 @@ let a4 () =
       ("star", "{ ?a p:knows ?b . ?a p:email ?m . ?a p:livesIn ?t }");
     ]
   in
+  let index = Rdf.Graph.to_index g in
   List.iter
     (fun (name, src) ->
       let source =
         Tgraphs.Tgraph.of_triples
           (Sparql.Algebra.triples (Sparql.Parser.parse_exn src))
       in
-      let n_term, t_term =
-        time_median (fun () ->
-            Tgraphs.Homomorphism.count ~source ~target:(Rdf.Graph.to_index g) ())
-      in
+      let term () = Tgraphs.Homomorphism.count ~source ~target:index () in
+      let n_term, t_term = time_median term in
       let compiled = Encoded.Encoded_hom.compile source enc in
-      let n_enc, t_enc =
-        time_median (fun () -> Encoded.Encoded_hom.count compiled)
-      in
+      let encoded () = Encoded.Encoded_hom.count compiled in
+      let n_enc, t_enc = time_median encoded in
       assert (n_term = n_enc);
+      let per_answer w = w /. float_of_int (max 1 n_term) in
+      let w_term = per_answer (words_per_call term)
+      and w_enc = per_answer (words_per_call encoded) in
       record ~experiment:"A4" ~metric:(name ^ ".term_ms") (ms t_term);
       record ~experiment:"A4" ~metric:(name ^ ".encoded_ms") (ms t_enc);
-      Fmt.pr "%-28s %12.3f %12.3f %9d@." name (ms t_term) (ms t_enc) n_term)
+      record ~experiment:"A4" ~metric:(name ^ ".term_words_per_answer") w_term;
+      record ~experiment:"A4" ~metric:(name ^ ".encoded_words_per_answer")
+        w_enc;
+      Fmt.pr "%-20s %10.3f %12.3f %9d %14.0f %14.0f@." name (ms t_term)
+        (ms t_enc) n_term w_term w_enc)
     queries;
+  (* The probe under every join: one (p, o)-bound [match_count], two
+     binary searches, on each backend a store can have. Recorded, not
+     gated — a section read at an untyped Bigarray kind, or a
+     polymorphic comparison, shows up here as a number. *)
+  let wds = Filename.temp_file "bench_a4" ".wds" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ wds; Storage.seg_path wds 1 ])
+  @@ fun () ->
+  Storage.save enc wds;
+  let mapped = Storage.load wds in
+  let node i = Rdf.Term.iri (Printf.sprintf "person:%d" i) in
+  let knows = Rdf.Term.iri "p:knows" in
+  ignore
+    (Storage.append
+       ~adds:
+         (List.init 16 (fun i ->
+              Rdf.Triple.make (node (people + i)) knows (node i)))
+       ~dels:[] wds);
+  let overlay = Storage.load wds in
+  Fmt.pr "@.%-28s %12s@." "probe: match_count (p, o)" "ns/call";
+  List.iter
+    (fun (backend, store) ->
+      let dict = Encoded.Encoded_graph.dictionary store in
+      let id t = Option.get (Rdf.Dictionary.find dict t) in
+      let p = id knows in
+      let objects = Array.init 64 (fun i -> id (node (i mod people))) in
+      let ns =
+        ns_per_call 10_000 (fun i ->
+            Encoded.Encoded_graph.match_count store ~p ~o:objects.(i land 63) ())
+      in
+      record ~experiment:"A4" ~metric:("probe." ^ backend ^ "_ns") ns;
+      Fmt.pr "%-28s %12.0f@." backend ns)
+    [ ("heap", enc); ("mmap", mapped); ("overlay", overlay) ];
   Fmt.pr "@.shape: identical counts (cross-checked); the encoded engine@.";
   Fmt.pr "avoids term hashing and allocation in the inner join loop.@."
 

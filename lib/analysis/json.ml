@@ -9,7 +9,7 @@ type t =
 
 (* ---------------- printing ---------------- *)
 
-let escape_string b s =
+let write_string b s =
   Buffer.add_char b '"';
   String.iter
     (fun c ->
@@ -41,7 +41,7 @@ let rec write b = function
       in
       if String.contains s 'n' then Buffer.add_string b "null"
       else Buffer.add_string b s
-  | String s -> escape_string b s
+  | String s -> write_string b s
   | List items ->
       Buffer.add_char b '[';
       List.iteri
@@ -55,7 +55,7 @@ let rec write b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          escape_string b k;
+          write_string b k;
           Buffer.add_char b ':';
           write b v)
         fields;

@@ -19,6 +19,10 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering. *)
 
+val write_string : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal, quotes included: the bytes
+    {!to_string} prints for [String s]. *)
+
 val pp : t Fmt.t
 (** Same rendering as {!to_string}. *)
 

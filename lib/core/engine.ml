@@ -90,19 +90,22 @@ let count ?budget plan graph =
     ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph
 
 let answer_rows ?budget plan graph =
-  let rows = ref [] in
-  Enumerate.iter_rows ?budget ~maximality:(maximality plan)
-    ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph (fun row ->
-      rows := Array.copy row :: !rows);
   let dict =
-    Encoded.Encoded_graph.dictionary (Plan_cache.encoded plan.cache graph)
+    lazy
+      (Encoded.Encoded_graph.dictionary (Plan_cache.encoded plan.cache graph))
   in
   let iri id =
-    match Rdf.Dictionary.term_of dict id with
+    match Rdf.Dictionary.term_of (Lazy.force dict) id with
     | Rdf.Term.Iri i -> i
-    | Rdf.Term.Var _ -> invalid_arg "Engine.answer_rows: a variable in the store"
+    | Rdf.Term.Var _ ->
+        (* a graph is ground, so only a damaged store can answer one *)
+        Wdsparql_error.fail
+          (Wdsparql_error.Internal
+             "Engine.answer_rows: a variable in the store")
   in
-  Row_writer.of_rows (Enumerate.variables plan.forest) iri !rows
+  Row_writer.of_iter (Enumerate.variables plan.forest) iri
+    (Enumerate.iter_rows ?budget ~maximality:(maximality plan)
+       ~optimize:(optimize plan) ~cache:plan.cache plan.forest graph)
 
 let pp_width_source ppf = function
   | Exact -> Fmt.string ppf "exact"

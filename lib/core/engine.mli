@@ -112,8 +112,11 @@ val count : ?budget:Resource.Budget.t -> plan -> Graph.t -> int
     and no answer set is built. *)
 
 val answer_rows : ?budget:Resource.Budget.t -> plan -> Graph.t -> Row_writer.t
-(** The answers as id rows, ready for the CLI's writer: the same
-    answers as {!solutions}, with no term set built. *)
+(** The answers as id rows, ready for the CLI's writer and the server's
+    JSON body: the same answers as {!solutions}, written into the
+    {!Row_writer} arena straight from the walk's sink, with no term set
+    built. Raises [Wdsparql_error.Error (Internal _)] if an answer binds
+    a variable term, which only a damaged store can hold. *)
 
 val pp_width_source : width_source Fmt.t
 val pp_plan : plan Fmt.t

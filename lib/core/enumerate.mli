@@ -16,8 +16,8 @@
     arrays over the tree's variable table, and a parent's row is the
     child join's prefix. Answers reach a row sink ({!iter_rows}) as id
     rows over the forest's variable table; {!solutions} decodes them
-    into a {!Sparql.Mapping.Set.t}, and the CLI writes them as they
-    are ({!Row_writer}).
+    into a {!Sparql.Mapping.Set.t}, and the CLI and the server write
+    them as they are ({!Row_writer}).
 
     The maximality side of a child join:
     - [`Hom] (default): the join alone;

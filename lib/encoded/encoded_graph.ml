@@ -10,9 +10,12 @@ type predicate_stats = {
    store, [of_views] — possibly an overlay merging a base store with
    delta segments). Every access below goes through [clen]/[cget], so
    binary search, range iteration and the statistics scans are byte-for-
-   byte the same code on both backends. The view indirection is a
-   closure call per probe — noise next to the comparisons of the binary
-   searches it feeds. *)
+   byte the same code on both backends. What a probe costs is the
+   comparison and the read behind [fget]: a polymorphic [compare] on a
+   freshly rotated tuple, or a Bigarray section read at an unknown kind
+   (a C call per element), costs several times the whole search, so the
+   keys below are compared as ints in place and the store types its
+   sections. *)
 type flat_view = { fn : int; fget : int -> int * int * int }
 
 type cells = Heap of (int * int * int) array | View of flat_view
@@ -78,9 +81,33 @@ and union_info = {
 
 and member = { m_store : t Lazy.t; mutable m_touched : bool }
 
-let rot_spo (s, p, o) = (s, p, o)
-let rot_pos (s, p, o) = (p, o, s)
-let rot_osp (s, p, o) = (o, s, p)
+(* The sort order of a permutation: its key is the triple rotated so
+   that the named positions come first. *)
+type perm = Spo | Pos | Osp
+
+let key perm ((s, p, o) as t) =
+  match perm with Spo -> t | Pos -> (p, o, s) | Osp -> (o, s, p)
+
+let compare3 (a1 : int) (a2 : int) (a3 : int) (b1 : int) (b2 : int)
+    (b3 : int) =
+  if a1 <> b1 then if a1 < b1 then -1 else 1
+  else if a2 <> b2 then if a2 < b2 then -1 else 1
+  else if a3 <> b3 then if a3 < b3 then -1 else 1
+  else 0
+
+(* The [perm] key of the raw triple (s, p, o) against (k1, k2, k3),
+   without building the rotated tuple. *)
+let compare_key perm (s, p, o) k1 k2 k3 =
+  match perm with
+  | Spo -> compare3 s p o k1 k2 k3
+  | Pos -> compare3 p o s k1 k2 k3
+  | Osp -> compare3 o s p k1 k2 k3
+
+let compare_in perm a (s, p, o) =
+  match perm with
+  | Spo -> compare_key perm a s p o
+  | Pos -> compare_key perm a p o s
+  | Osp -> compare_key perm a o s p
 
 (* ------------------------------------------------------------------ *)
 (* The canonical builder                                               *)
@@ -400,50 +427,45 @@ let members_touched t =
                (fun n m -> if m.m_touched then n + 1 else n)
                0 u.u_members))
 
-(* First index whose rotated key is >= [key]. *)
-let lower_bound arr rot key =
-  let lo = ref 0 and hi = ref (clen arr) in
+(* First index of [lo, hi) whose [perm] key is >= (k1, k2, k3). *)
+let lower_bound arr perm lo hi k1 k2 k3 =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare (rot (cget arr mid)) key < 0 then lo := mid + 1 else hi := mid
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_key perm (cget arr mid) k1 k2 k3 < 0 then lo := mid + 1
+    else hi := mid
   done;
   !lo
 
-(* The half-open range of triples whose rotated key starts with the bound
-   prefix (k1, maybe k2, maybe k3). *)
-let range arr rot k1 k2 k3 =
-  let low =
-    ( k1,
-      Option.value ~default:min_int k2,
-      Option.value ~default:min_int k3 )
-  in
-  let high =
-    ( k1,
-      Option.value ~default:max_int k2,
-      Option.value ~default:max_int k3 )
-  in
-  let start = lower_bound arr rot low in
-  (* upper: first strictly greater than the max-filled prefix *)
-  let stop =
-    let lo = ref start and hi = ref (clen arr) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if compare (rot (cget arr mid)) high <= 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  (start, stop)
+(* First index of [lo, hi) whose [perm] key is > (k1, k2, k3). *)
+let upper_bound arr perm lo hi k1 k2 k3 =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_key perm (cget arr mid) k1 k2 k3 <= 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* The half-open range of triples whose [perm] key starts with the bound
+   prefix (k1, maybe k2, maybe k3): an unbound key position spans every
+   int. *)
+let range arr perm k1 k2 k3 =
+  let lo2, hi2 = match k2 with Some k -> (k, k) | None -> (min_int, max_int) in
+  let lo3, hi3 = match k3 with Some k -> (k, k) | None -> (min_int, max_int) in
+  let start = lower_bound arr perm 0 (clen arr) k1 lo2 lo3 in
+  (start, upper_bound arr perm start (clen arr) k1 hi2 hi3)
 
 (* Pick the permutation whose sort order makes the bound positions a
    prefix. (s,o)-bound must use OSP: in SPO the object would not be part
    of the prefix and the range would over-approximate. *)
 let choose a ?s ?p ?o () =
   match s, p, o with
-  | Some s, Some p, _ -> Some (a.a_spo, rot_spo, s, Some p, o)
-  | Some s, None, Some o -> Some (a.a_osp, rot_osp, o, Some s, None)
-  | Some s, None, None -> Some (a.a_spo, rot_spo, s, None, None)
-  | None, Some p, _ -> Some (a.a_pos, rot_pos, p, o, None)
-  | None, None, Some o -> Some (a.a_osp, rot_osp, o, None, None)
+  | Some s, Some p, _ -> Some (a.a_spo, Spo, s, Some p, o)
+  | Some s, None, Some o -> Some (a.a_osp, Osp, o, Some s, None)
+  | Some s, None, None -> Some (a.a_spo, Spo, s, None, None)
+  | None, Some p, _ -> Some (a.a_pos, Pos, p, o, None)
+  | None, None, Some o -> Some (a.a_osp, Osp, o, None, None)
   | None, None, None -> None
 
 (* Query entry points: a flat store binary-searches its own arrays; a
@@ -455,8 +477,9 @@ let rec mem t (s, p, o) =
   match t.rep with
   | Union u -> mem (force_member u (u.u_owner p)) (s, p, o)
   | Flat a ->
-      let start, stop = range a.a_spo rot_spo s (Some p) (Some o) in
-      stop > start
+      let n = clen a.a_spo in
+      let i = lower_bound a.a_spo Spo 0 n s p o in
+      i < n && compare_key Spo (cget a.a_spo i) s p o = 0
 
 let rec iter_matching t ?s ?p ?o ~f () =
   match t.rep with
@@ -473,8 +496,8 @@ let rec iter_matching t ?s ?p ?o ~f () =
           for i = 0 to clen a.a_spo - 1 do
             f (cget a.a_spo i)
           done
-      | Some (arr, rot, k1, k2, k3) ->
-          let start, stop = range arr rot k1 k2 k3 in
+      | Some (arr, perm, k1, k2, k3) ->
+          let start, stop = range arr perm k1 k2 k3 in
           for i = start to stop - 1 do
             f (cget arr i)
           done)
@@ -500,8 +523,8 @@ let rec match_count t ?s ?p ?o () =
   | Flat a -> (
       match choose a ?s ?p ?o () with
       | None -> clen a.a_spo
-      | Some (arr, rot, k1, k2, k3) ->
-          let start, stop = range arr rot k1 k2 k3 in
+      | Some (arr, perm, k1, k2, k3) ->
+          let start, stop = range arr perm k1 k2 k3 in
           stop - start)
 
 (* ------------------------------------------------------------------ *)
@@ -528,7 +551,7 @@ let count_runs proj arr start stop =
 
 let count_distinct_unsorted proj arr start stop =
   let col = Array.init (stop - start) (fun i -> proj (cget arr (start + i))) in
-  Array.sort compare col;
+  Array.sort Int.compare col;
   let n = ref 0 and prev = ref min_int in
   Array.iter
     (fun v ->
@@ -563,7 +586,7 @@ let rec predicate_stats t p =
                    within which distinct objects are runs of the o
                    column; distinct subjects need a sort of the s
                    column. *)
-                let start, stop = range a.a_pos rot_pos p None None in
+                let start, stop = range a.a_pos Pos p None None in
                 {
                   triples = stop - start;
                   distinct_objects =

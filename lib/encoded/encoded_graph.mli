@@ -17,6 +17,21 @@ type flat_view = { fn : int; fget : int -> int * int * int }
     [Bigarray] — the join, pebble and statistics code paths are
     backend-blind. [fget] must be pure and total on [0, fn). *)
 
+type perm =
+  | Spo
+  | Pos
+  | Osp
+(** The sort order of one index permutation: by (s, p, o), (p, o, s) or
+    (o, s, p) — the triple's {!key} under it, compared lexicographically
+    as ints. *)
+
+val key : perm -> int * int * int -> int * int * int
+(** [key perm (s, p, o)]: the raw triple rotated into [perm]'s order. *)
+
+val compare_in : perm -> int * int * int -> int * int * int -> int
+(** [compare_in perm a b] compares the keys of the raw triples [a] and
+    [b] under [perm], on ints and without building either key. *)
+
 type predicate_stats = {
   triples : int;  (** number of triples with this predicate *)
   distinct_subjects : int;

@@ -186,28 +186,66 @@ let fold ?(budget = Resource.Budget.unlimited) ?order ?pre source ~init ~f =
        did not change keep their cached score instead of being re-counted
        at every depth. *)
     let score = Array.make npat 0 and stale = Array.make npat true in
-    let select () =
+    (* With one unused pattern left there is nothing to choose between:
+       it is taken without counting its range (the join walks that range
+       next anyway), and its score stays stale for a later selection
+       that does compare it. *)
+    let select depth =
       let best = ref (-1) in
-      for i = 0 to npat - 1 do
-        if not used.(i) then begin
-          if stale.(i) then begin
-            score.(i) <- count_pat i;
-            stale.(i) <- false
-          end;
-          if
-            !best < 0
-            || score.(i) < score.(!best)
-            || (score.(i) = score.(!best) && rank.(i) < rank.(!best))
-          then best := i
-        end
-      done;
+      if depth = npat - 1 then begin
+        for i = 0 to npat - 1 do
+          if not used.(i) then best := i
+        done
+      end
+      else
+        for i = 0 to npat - 1 do
+          if not used.(i) then begin
+            if stale.(i) then begin
+              score.(i) <- count_pat i;
+              stale.(i) <- false
+            end;
+            if
+              !best < 0
+              || score.(i) < score.(!best)
+              || (score.(i) = score.(!best) && rank.(i) < rank.(!best))
+            then best := i
+          end
+        done;
       !best
+    in
+    (* The variables bound at every depth, innermost last: a triple binds
+       [trail.(mark) .. trail.(!top - 1)] and unbinds them when it is
+       done. A slot is bound at most once along the search path, so
+       [nvars] entries suffice. *)
+    let trail = Array.make nvars 0 and top = ref 0 in
+    let unify pterm value =
+      match pterm with
+      | Const id -> id = value
+      | Var v ->
+          let cur = assignment.(v) in
+          if cur = value then true
+          else if cur = unassigned then begin
+            assignment.(v) <- value;
+            trail.(!top) <- v;
+            incr top;
+            true
+          end
+          else false
+    in
+    (* only the patterns touching a variable bound by this triple can
+       have changed their match count — flag them stale and let the next
+       selection that actually considers them recompute; unbinding
+       changes the same counts back *)
+    let touch_bound mark =
+      for k = mark to !top - 1 do
+        List.iter (fun i -> stale.(i) <- true) touch.(trail.(k))
+      done
     in
     let rec go depth acc =
       if depth = npat then f acc assignment
       else begin
         Resource.Budget.tick budget;
-        let best = select () in
+        let best = select depth in
         used.(best) <- true;
         let ((ps, pp, po) as pat) = pats.(best) in
         let s, p, o = pattern_lookup assignment pat in
@@ -216,41 +254,20 @@ let fold ?(budget = Resource.Budget.unlimited) ?order ?pre source ~init ~f =
         Encoded_graph.iter_matching graph ?s ?p ?o
           ~f:(fun (ts, tp, to_) ->
             if !continue_ then begin
-              (* unify the wildcard positions; record which variables we
-                 bind here so we can undo *)
-              let bound_here = ref [] in
-              let unify_pos pterm value =
-                match pterm with
-                | Const id -> id = value
-                | Var v ->
-                    if assignment.(v) = value then true
-                    else if assignment.(v) = unassigned then begin
-                      assignment.(v) <- value;
-                      bound_here := v :: !bound_here;
-                      true
-                    end
-                    else false
-              in
-              let ok = unify_pos ps ts && unify_pos pp tp && unify_pos po to_ in
-              (* only the patterns touching a variable bound by THIS
-                 triple can have changed their match count — flag them
-                 stale and let the next selection that actually considers
-                 them recompute; unbinding changes the same counts back *)
-              let touch_bound () =
-                List.iter
-                  (fun v -> List.iter (fun i -> stale.(i) <- true) touch.(v))
-                  !bound_here
-              in
-              if ok then begin
-                touch_bound ();
+              let mark = !top in
+              if unify ps ts && unify pp tp && unify po to_ then begin
+                touch_bound mark;
                 (match go (depth + 1) !acc with
                 | acc', `Continue -> acc := acc'
                 | acc', `Stop ->
                     acc := acc';
                     continue_ := false);
-                touch_bound ()
+                touch_bound mark
               end;
-              List.iter (fun v -> assignment.(v) <- unassigned) !bound_here
+              for k = mark to !top - 1 do
+                assignment.(trail.(k)) <- unassigned
+              done;
+              top := mark
             end)
           ();
         used.(best) <- false;

@@ -11,6 +11,7 @@
 module Budget = Resource.Budget
 module Engine = Wd_core.Engine
 module Plan_cache = Wd_core.Plan_cache
+module Row_writer = Wd_core.Row_writer
 module Pebble_cache = Wd_core.Pebble_cache
 module Json = Analysis.Json
 module Canonical = Analysis.Canonical
@@ -330,40 +331,67 @@ let respond t conn ~deadline ?headers ~status body =
   | () -> count_status t status
   | exception (Io.Timeout | Io.Disconnected) -> Atomic.incr t.disconnects
 
-(* The plan's solutions bind canonical variable names; [canon] is the
-   requesting query's bijection, renaming heads and bindings back to the
-   names the client wrote. *)
-let results_json ~canon plan answers =
-  let vars =
-    List.map
-      (Canonical.original_var canon)
-      (Rdf.Variable.Set.elements (Wdpt.Pattern_forest.vars plan.Engine.forest))
-    |> List.sort_uniq Rdf.Variable.compare
+(* The SPARQL-JSON body of a request's answers, written straight from
+   the id rows: byte for byte what [Json.to_string] prints for the
+   results document of the decoded answer set. The rows bind canonical
+   variable names and come in [Mapping.compare] order of those; [canon]
+   is the requesting query's bijection, renaming heads and bindings back
+   to the names the client wrote, and each row's bindings follow the
+   order of those names, as the renamed mapping lists them. Each
+   distinct IRI and each variable name is escaped once. *)
+let results_body ~canon rows =
+  let names =
+    Array.map (Canonical.original_var canon) (Row_writer.variables rows)
   in
-  let binding mu =
-    Json.Obj
-      (List.map
-         (fun (v, iri) ->
-           ( Rdf.Variable.to_string v,
-             Json.Obj
-               [ ("type", Json.String "uri");
-                 ("value", Json.String (Rdf.Iri.to_string iri)) ] ))
-         (Sparql.Mapping.to_list (Canonical.rename_back canon mu)))
+  let order = Array.init (Array.length names) Fun.id in
+  Array.sort (fun a b -> Rdf.Variable.compare names.(a) names.(b)) order;
+  let render f x =
+    let b = Buffer.create 64 in
+    f b x;
+    Buffer.contents b
   in
-  Json.Obj
-    [ ( "head",
-        Json.Obj
-          [ ( "vars",
-              Json.List
-                (List.map
-                   (fun v -> Json.String (Rdf.Variable.to_string v))
-                   vars) ) ] );
-      ( "results",
-        Json.Obj
-          [ ( "bindings",
-              Json.List
-                (List.map binding (Sparql.Mapping.Set.elements answers)) ) ]
-      ) ]
+  let name b v = Json.write_string b (Rdf.Variable.to_string v) in
+  let keys =
+    Array.map
+      (render (fun b v ->
+           name b v;
+           Buffer.add_char b ':'))
+      names
+  in
+  let values =
+    Array.map
+      (render (fun b iri ->
+           Buffer.add_string b {|{"type":"uri","value":|};
+           Json.write_string b (Rdf.Iri.to_string iri);
+           Buffer.add_char b '}'))
+      (Row_writer.iris rows)
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf {|{"head":{"vars":[|};
+  Array.iteri
+    (fun j k ->
+      if j > 0 then Buffer.add_char buf ',';
+      name buf names.(k))
+    order;
+  Buffer.add_string buf {|]},"results":{"bindings":[|};
+  for i = 0 to Row_writer.cardinal rows - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf '{';
+    let first = ref true in
+    Array.iter
+      (fun k ->
+        let r = Row_writer.binding rows i k in
+        if r >= 0 then begin
+          if not !first then Buffer.add_char buf ',';
+          first := false;
+          Buffer.add_string buf keys.(k);
+          Buffer.add_string buf values.(r)
+        end)
+      order;
+    Buffer.add_char buf '}'
+  done;
+  Buffer.add_string buf "]}}";
+  Buffer.contents buf
 
 let query_of_request req =
   match List.assoc_opt "query" req.Http.query with
@@ -460,8 +488,7 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
               evict_entry t key;
               E.fail (E.Internal "poisoned plan-cache entry (injected)")
             end;
-            let answers = Engine.solutions ~budget entry.plan graph in
-            Json.to_string (results_json ~canon entry.plan answers))
+            results_body ~canon (Engine.answer_rows ~budget entry.plan graph))
       in
       match outcome with
       | `Draining ->

@@ -106,3 +106,21 @@ val stats_json : t -> Analysis.Json.t
 val run : config -> unit
 (** [start] + {!install_signal_handlers} + {!join}: print the listening
     line, serve until signalled, flush the final stats to stdout. *)
+
+(** {2 The [/sparql] pipeline, piece by piece} *)
+
+val compile_plan :
+  budget:Resource.Budget.t -> Sparql.Algebra.t -> Wd_core.Engine.plan
+(** The plan a request's entry holds, from its canonical pattern
+    ({!Analysis.Canonical.of_pattern}): the pruned residual, planned with
+    the static analyzer's width hints. *)
+
+val results_body :
+  canon:Analysis.Canonical.t -> Wd_core.Row_writer.t -> string
+(** The [/sparql] response body for the answer rows of [canon]'s plan
+    ({!Wd_core.Engine.answer_rows}): SPARQL JSON results, with heads and
+    bindings renamed back to the query's own variable names. The bytes
+    are those of {!Analysis.Json.to_string} on the document built from
+    the decoded answer set: head variables sorted, bindings in
+    {!Sparql.Mapping.compare} order of the canonical answers, each
+    binding's variables in name order (tested). *)

@@ -8,27 +8,20 @@
 
 module E = Encoded.Encoded_graph
 
-let compare_ids (a1, a2, a3) (b1, b2, b3) =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c
-  else
-    let c = Int.compare a2 b2 in
-    if c <> 0 then c else Int.compare a3 b3
-
-(* First index of [v] whose rotated triple is >= [key] (rot-sorted
-   view). *)
-let view_lower_bound v rot key =
+(* First index of [v] whose triple is >= [triple] in [perm] order
+   ([perm]-sorted view). *)
+let view_lower_bound v perm triple =
   let lo = ref 0 and hi = ref v.E.fn in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_ids (rot (v.E.fget mid)) key < 0 then lo := mid + 1
+    let mid = (!lo + !hi) lsr 1 in
+    if E.compare_in perm (v.E.fget mid) triple < 0 then lo := mid + 1
     else hi := mid
   done;
   !lo
 
-let view_mem v rot triple =
-  let i = view_lower_bound v rot (rot triple) in
-  i < v.E.fn && v.E.fget i = triple
+let view_mem v perm triple =
+  let i = view_lower_bound v perm triple in
+  i < v.E.fn && E.compare_in perm (v.E.fget i) triple = 0
 
 (* Fold an ordered chain of (adds, dels) segments over a base membership
    predicate into one net delta: [adds] absent from the base, [dels]
@@ -60,12 +53,12 @@ let compose ?(budget = Resource.Budget.unlimited) ~base_mem ~segments () =
     state;
   (Array.of_list !net_adds, Array.of_list !net_dels)
 
-(* The merged view of [base] (rot-sorted) with [adds] (absent from base)
+(* The merged view of [base] ([perm]-sorted) with [adds] (absent from base)
    inserted and [dels] (present in base) suppressed.
 
    Precomputed per delta entry:
    - [del_pos.(d)]: the base positions of the deleted triples, sorted.
-   - [add_at.(j)]: the merged position of the j-th add (in rot order):
+   - [add_at.(j)]: the merged position of the j-th add (in [perm] order):
      its survivor rank in the base (lower bound minus deletions before
      it) plus the j adds that precede it.
 
@@ -76,20 +69,19 @@ let compose ?(budget = Resource.Budget.unlimited) ~base_mem ~segments () =
    d] is non-decreasing, so "smallest d with del_pos.(d) > q + d" is a
    monotone predicate and the position is q + d. Probe cost O(log Δ) on
    top of the base view's own cost. *)
-let merge ?(budget = Resource.Budget.unlimited) ~base ~rot ~adds ~dels () =
-  let by_rot a b = compare_ids (rot a) (rot b) in
+let merge ?(budget = Resource.Budget.unlimited) ~base ~perm ~adds ~dels () =
   let adds = Array.copy adds and dels = Array.copy dels in
-  Array.sort by_rot adds;
-  Array.sort by_rot dels;
+  Array.sort (E.compare_in perm) adds;
+  Array.sort (E.compare_in perm) dels;
   let n_adds = Array.length adds and n_dels = Array.length dels in
   let del_pos =
     Array.map
       (fun t ->
         Resource.Budget.tick budget;
-        view_lower_bound base rot (rot t))
+        view_lower_bound base perm t)
       dels
   in
-  Array.sort compare del_pos;
+  Array.sort Int.compare del_pos;
   (* deletions strictly before base position [b] *)
   let dels_before b =
     let lo = ref 0 and hi = ref n_dels in
@@ -103,7 +95,7 @@ let merge ?(budget = Resource.Budget.unlimited) ~base ~rot ~adds ~dels () =
     Array.mapi
       (fun j t ->
         Resource.Budget.tick budget;
-        let b = view_lower_bound base rot (rot t) in
+        let b = view_lower_bound base perm t in
         b - dels_before b + j)
       adds
   in

@@ -9,24 +9,20 @@
     O(log Δ) on top of the base probe. Both entry points tick the
     resource budget once per delta entry (budget-lint kernel). *)
 
-val compare_ids : int * int * int -> int * int * int -> int
-(** Lexicographic order of id triples, on ints — the order of every
-    sorted permutation once its key is rotated first. *)
-
 val view_lower_bound :
   Encoded.Encoded_graph.flat_view ->
-  (int * int * int -> int * int * int) ->
+  Encoded.Encoded_graph.perm ->
   int * int * int ->
   int
-(** First index of the rot-sorted view whose rotated triple is >= the
-    given rotated key. *)
+(** First index of the [perm]-sorted view whose triple is >= the given
+    raw triple in [perm] order. *)
 
 val view_mem :
   Encoded.Encoded_graph.flat_view ->
-  (int * int * int -> int * int * int) ->
+  Encoded.Encoded_graph.perm ->
   int * int * int ->
   bool
-(** Exact membership of a raw triple in a rot-sorted view. *)
+(** Exact membership of a raw triple in a [perm]-sorted view. *)
 
 val compose :
   ?budget:Resource.Budget.t ->
@@ -44,12 +40,12 @@ val compose :
 val merge :
   ?budget:Resource.Budget.t ->
   base:Encoded.Encoded_graph.flat_view ->
-  rot:(int * int * int -> int * int * int) ->
+  perm:Encoded.Encoded_graph.perm ->
   adds:(int * int * int) array ->
   dels:(int * int * int) array ->
   unit ->
   Encoded.Encoded_graph.flat_view
-(** The merged view of [base] (sorted by [rot]) with [adds] inserted and
+(** The merged view of [base] (sorted in [perm] order) with [adds] inserted and
     [dels] suppressed. Requires what {!compose} guarantees: every add
     absent from the base, every del present, adds and dels disjoint. The
     input arrays are copied; the result is a pure view safe to share

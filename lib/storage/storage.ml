@@ -202,13 +202,6 @@ let deserialize_term path s =
           corrupt "invalid variable name in dictionary blob")
     | _ -> corrupt "unknown term tag in dictionary blob"
 
-(* The three permutation keys (duplicated from Encoded_graph, which
-   keeps them private — three one-liners are cheaper than widening that
-   API). *)
-let rot_spo (s, p, o) = (s, p, o)
-let rot_pos (s, p, o) = (p, o, s)
-let rot_osp (s, p, o) = (o, s, p)
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -447,6 +440,13 @@ let validate_sections path ~size ~table ~expected =
       end)
     order
 
+(* The mapped sections, at their concrete kind and layout. A section
+   typed only as [(_, _, _) A1.t] compiles every [A1.get] into a generic
+   C call that dispatches on the kind at run time; at a known kind the
+   read is an inline load, still bounds-checked. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+type chars = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
+
 let map_section path fd kind ~pos ~bytes ~elt_bytes =
   if bytes = 0 then None
   else
@@ -469,7 +469,7 @@ let verify_payload h fd ~expect =
         ~bytes:payload_bytes ~elt_bytes:1
     with
     | None -> fnv_basis
-    | Some bytes ->
+    | Some (bytes : chars) ->
         let hash = ref fnv_basis in
         for i = 0 to payload_bytes - 1 do
           hash := fnv_byte !hash (Char.code (A1.get bytes i))
@@ -546,7 +546,8 @@ let read_section ic h k =
    scan would defeat the O(pages touched) load), so a corrupt blob
    surfaces as [Store_error Corrupt] at first touch, never a crash —
    every mapping access below is bounds-checked by Bigarray. *)
-let dict_view path ~offsets ~term_sort ~blob ~blob_len ~n_terms =
+let dict_view path ~(offsets : ints) ~(term_sort : ints option)
+    ~(blob : chars option) ~blob_len ~n_terms =
   let entry id =
     let lo = A1.get offsets id and hi = A1.get offsets (id + 1) in
     if lo < 0 || hi < lo || hi > blob_len then
@@ -604,7 +605,7 @@ let dict_view path ~offsets ~term_sort ~blob ~blob_len ~n_terms =
 (* Ids leave the store here, so each is range-checked against the
    dictionary: a corrupt one would otherwise surface far away, as a raw
    [Invalid_argument] from the dictionary at decode. *)
-let triple_view path ~n_terms section n =
+let triple_view path ~n_terms (section : ints option) n =
   match section with
   | None ->
       {
@@ -630,7 +631,7 @@ let triple_view path ~n_terms section n =
    predicates, a tiny section) so binary search is sound. A predicate
    with no row genuinely has no triples: the writer emits a row for
    every distinct predicate. *)
-let stats_seed ~pstats h =
+let stats_seed ~(pstats : ints option) h =
   let path = h.f_path in
   let n_preds = h.f_words.(b_preds) in
   let zero = { E.triples = 0; distinct_subjects = 0; distinct_objects = 0 } in
@@ -843,13 +844,13 @@ let load_store ?verify path =
           in
           let adds, dels =
             Overlay.compose
-              ~base_mem:(fun t -> Overlay.view_mem b.b_spo rot_spo t)
+              ~base_mem:(fun t -> Overlay.view_mem b.b_spo E.Spo t)
               ~segments:(List.map (fun sd -> (sd.sd_adds, sd.sd_dels)) segs)
               ()
           in
-          let spo = Overlay.merge ~base:b.b_spo ~rot:rot_spo ~adds ~dels ()
-          and pos = Overlay.merge ~base:b.b_pos ~rot:rot_pos ~adds ~dels ()
-          and osp = Overlay.merge ~base:b.b_osp ~rot:rot_osp ~adds ~dels () in
+          let spo = Overlay.merge ~base:b.b_spo ~perm:E.Spo ~adds ~dels ()
+          and pos = Overlay.merge ~base:b.b_pos ~perm:E.Pos ~adds ~dels ()
+          and osp = Overlay.merge ~base:b.b_osp ~perm:E.Osp ~adds ~dels () in
           (* Stats under the overlay: predicates the delta never touched
              keep their exact base rows; touched predicates (and the
              global distinct counts) fall back to the encoded layer's
@@ -1109,8 +1110,8 @@ let append ?(adds = []) ?(dels = []) path =
       Array.of_list
         (List.map (fun t -> Option.get (encode_opt t)) (TS.elements dels_n))
     in
-    Array.sort Overlay.compare_ids add_ids;
-    Array.sort Overlay.compare_ids del_ids;
+    Array.sort (E.compare_in E.Spo) add_ids;
+    Array.sort (E.compare_in E.Spo) del_ids;
     let new_total = Rdf.Dictionary.size dict in
     let new_terms =
       Array.init (new_total - parent_terms) (fun i ->

@@ -917,6 +917,44 @@ let test_codebase_lint_domain_safety () =
              && Astring.String.is_infix ~affix:"table" s)
            rendered))
 
+(* The store's probe kernels compare ids monomorphically: a bare
+   [compare] there is flagged, a qualified or longer name is not, and
+   the rest of the tree is not checked. *)
+let test_codebase_lint_compare () =
+  check Alcotest.bool "the range search is a probe kernel" true
+    (List.mem "encoded/encoded_graph.ml" Lint_rules.probe_kernels);
+  with_scratch_tree
+    [
+      (* seeded violations: line 2 here, lines 1 and 2 in the overlay *)
+      ( "encoded/encoded_graph.ml",
+        "let a = 1\nlet lt x y = compare x y < 0\n" );
+      ( "storage/overlay.ml",
+        "let s xs = Array.sort compare xs\nlet t = Stdlib.compare\n" );
+      (* monomorphic and longer names, comments and strings are fine *)
+      ( "encoded/encoded_hom.ml",
+        "let c = Int.compare 1 2\nlet d = compare_key\n\
+         let e = \"compare\" (* compare *)\n" );
+      (* outside the probe kernels, compare is not this rule's business *)
+      ("core/other.ml", "let s xs = List.sort compare xs\n");
+    ]
+    (fun root ->
+      let violations = Lint_rules.check_tree ~manifest:[] ~root () in
+      let rendered =
+        List.map (Fmt.str "%a" Lint_rules.pp_violation) violations
+      in
+      check
+        Alcotest.(list string)
+        "exactly the seeded compares, with file:line"
+        [ "encoded/encoded_graph.ml:2"; "storage/overlay.ml:1";
+          "storage/overlay.ml:2" ]
+        (List.map
+           (fun v -> Printf.sprintf "%s:%d" v.Lint_rules.path v.Lint_rules.line)
+           violations);
+      check Alcotest.bool "the message names the fix" true
+        (List.for_all
+           (fun s -> Astring.String.is_infix ~affix:"Int.compare" s)
+           rendered))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -993,5 +1031,7 @@ let () =
             `Quick test_codebase_lint_overlay;
           Alcotest.test_case "mutexed modules lock their tables" `Quick
             test_codebase_lint_domain_safety;
+          Alcotest.test_case "probe kernels compare ids monomorphically"
+            `Quick test_codebase_lint_compare;
         ] );
     ]

@@ -555,6 +555,123 @@ let test_reload_releases_stores () =
       Alcotest.(check int) "dropping the last handle releases its store"
         baseline (E.registered_live ()))
 
+(* ------------------------------------------------------------------ *)
+(* The range search on every bound mask and backend                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [match_count], [iter_matching] and [mem] of [store] against a linear
+   filter over [truth], the store's triple set, on every bound mask of
+   (s, p, o), with keys at 0, at the largest id, at the absent-term
+   sentinel and at the positions of a few stored triples. *)
+let check_range_search ~ctx store truth =
+  let dict = E.dictionary store in
+  let id term = Option.get (Rdf.Dictionary.find dict term) in
+  let ids =
+    List.map
+      (fun t -> Rdf.Triple.(id t.s, id t.p, id t.o))
+      (TS.elements truth)
+  in
+  let largest = Rdf.Dictionary.size dict - 1 in
+  let absent = Encoded.Encoded_hom.absent_id in
+  let picks = List.filteri (fun i _ -> i mod 7 = 0) ids in
+  let keys proj =
+    List.sort_uniq Int.compare (0 :: largest :: absent :: List.map proj picks)
+  in
+  let ks = keys (fun (s, _, _) -> s)
+  and kp = keys (fun (_, p, _) -> p)
+  and ko = keys (fun (_, _, o) -> o) in
+  let opts bound k = if bound then List.map Option.some k else [ None ] in
+  let agrees q = function None -> true | Some k -> k = q in
+  let sorted l = List.sort (E.compare_in E.Spo) l in
+  for mask = 0 to 7 do
+    List.iter
+      (fun s ->
+        List.iter
+          (fun p ->
+            List.iter
+              (fun o ->
+                let expected =
+                  List.filter
+                    (fun (ts, tp, to_) ->
+                      agrees ts s && agrees tp p && agrees to_ o)
+                    ids
+                in
+                let what =
+                  let pp = function None -> "_" | Some k -> string_of_int k in
+                  Printf.sprintf "%s (%s, %s, %s)" ctx (pp s) (pp p) (pp o)
+                in
+                Alcotest.(check int) (what ^ ": match_count")
+                  (List.length expected)
+                  (E.match_count store ?s ?p ?o ());
+                let got = ref [] in
+                E.iter_matching store ?s ?p ?o
+                  ~f:(fun t -> got := t :: !got)
+                  ();
+                Alcotest.(check (list (triple int int int)))
+                  (what ^ ": iter_matching") (sorted expected) (sorted !got);
+                match s, p, o with
+                | Some s, Some p, Some o ->
+                    Alcotest.(check bool) (what ^ ": mem") (expected <> [])
+                      (E.mem store (s, p, o))
+                | _ -> ())
+              (opts (mask land 4 <> 0) ko))
+          (opts (mask land 2 <> 0) kp))
+      (opts (mask land 1 <> 0) ks)
+  done;
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (ctx ^ ": every triple is a member") true
+        (E.mem store t))
+    ids
+
+(* [compare_in] orders raw triples as their rotated keys order. *)
+let perm_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"compare_in = order of the rotated keys"
+       QCheck.(pair (triple small_int small_int small_int)
+                 (triple small_int small_int small_int))
+       (fun (a, b) ->
+         List.for_all
+           (fun perm ->
+             Int.compare (E.compare_in perm a b) 0
+             = Int.compare (compare (E.key perm a) (E.key perm b)) 0)
+           [ E.Spo; E.Pos; E.Osp ]))
+
+let range_search_backends =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25
+       ~name:"range search = linear filter on every backend"
+       QCheck.(int_range 1 100_000)
+       (fun seed ->
+         let g0 = base_graph seed in
+         let pool = Rdf.Graph.triples (add_pool seed) in
+         let truth0 = TS.of_list (Rdf.Graph.triples g0) in
+         check_range_search ~ctx:"heap" (E.of_graph g0) truth0;
+         with_dir (fun dir ->
+             let path = Filename.concat dir "r.wds" in
+             Storage.save (E.of_graph g0) path;
+             E.clear_cache ();
+             check_range_search ~ctx:"mmap" (Storage.load path) truth0;
+             let manifest = Filename.concat dir "r.wdm" in
+             ignore (Storage.shard ~slices:3 ~src:path manifest);
+             E.clear_cache ();
+             check_range_search ~ctx:"shard" (Storage.load manifest) truth0;
+             let adds = List.filteri (fun i _ -> i mod 2 = 0) pool in
+             let dels =
+               List.filteri (fun i _ -> i mod 3 = 0) (TS.elements truth0)
+               |> List.filter (fun t -> not (List.mem t adds))
+             in
+             ignore (Storage.append ~adds ~dels path);
+             let more = List.filteri (fun i _ -> i mod 2 = 1) pool in
+             ignore (Storage.append ~adds:more ~dels:[] path);
+             let truth =
+               TS.union (TS.diff truth0 (TS.of_list dels))
+                 (TS.of_list (adds @ more))
+             in
+             E.clear_cache ();
+             check_range_search ~ctx:"overlay" (Storage.load path) truth);
+         true))
+
 let () =
   Alcotest.run "delta"
     [
@@ -586,6 +703,7 @@ let () =
           Alcotest.test_case "manifest corruption is structured" `Quick
             test_manifest_fuzz;
         ] );
+      ("range", [ perm_order; range_search_backends ]);
       ( "magic",
         [
           Alcotest.test_case "short files: Truncated vs Bad_magic" `Quick

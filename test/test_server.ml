@@ -564,6 +564,263 @@ let test_drain_with_queued () =
         (Astring.String.is_infix ~affix:"draining" resp));
   check Alcotest.int "every server descriptor closed" fd_baseline (Io.live ())
 
+(* ------------------------------------------------------------------ *)
+(* Response bodies written from id rows                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Canonical = Analysis.Canonical
+module Engine = Wd_core.Engine
+
+(* The oracle: the body as the server built it from the decoded answer
+   set, through a [Json.t] tree. *)
+let results_json ~canon plan answers =
+  let vars =
+    List.map
+      (Canonical.original_var canon)
+      (Rdf.Variable.Set.elements (Wdpt.Pattern_forest.vars plan.Engine.forest))
+    |> List.sort_uniq Rdf.Variable.compare
+  in
+  let binding mu =
+    Json.Obj
+      (List.map
+         (fun (v, iri) ->
+           ( Rdf.Variable.to_string v,
+             Json.Obj
+               [ ("type", Json.String "uri");
+                 ("value", Json.String (Rdf.Iri.to_string iri)) ] ))
+         (Sparql.Mapping.to_list (Canonical.rename_back canon mu)))
+  in
+  Json.Obj
+    [ ( "head",
+        Json.Obj
+          [ ( "vars",
+              Json.List
+                (List.map
+                   (fun v -> Json.String (Rdf.Variable.to_string v))
+                   vars) ) ] );
+      ( "results",
+        Json.Obj
+          [ ( "bindings",
+              Json.List
+                (List.map binding (Sparql.Mapping.Set.elements answers)) ) ]
+      ) ]
+
+(* Both bodies of one query on one graph, from the plan a request
+   compiles: (oracle, written from rows). *)
+let bodies g query =
+  let canon = Canonical.of_pattern (Sparql.Parser.parse_exn query) in
+  let plan =
+    Server.compile_plan ~budget:Budget.unlimited canon.Canonical.pattern
+  in
+  ( Json.to_string (results_json ~canon plan (Engine.solutions plan g)),
+    Server.results_body ~canon (Engine.answer_rows plan g) )
+
+let response_body raw =
+  match Astring.String.cut ~sep:"\r\n\r\n" raw with
+  | Some (_, body) -> body
+  | None -> Alcotest.failf "response without a body: %S" raw
+
+(* Each query's body, computed directly and served over HTTP by a
+   server on [g], against the oracle. *)
+let check_bodies g queries =
+  let config =
+    {
+      (smoke_config ()) with
+      Server.graph = g;
+      admission =
+        { (smoke_config ()).Server.admission with
+          Admission.global_fuel = None;
+          request_fuel = 10_000_000 };
+    }
+  in
+  let t = Server.start config in
+  let port = Server.port t in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.initiate_drain t;
+      ignore (join_within ~seconds:5. t))
+    (fun () ->
+      List.iter
+        (fun q ->
+          let oracle, direct = bodies g q in
+          check Alcotest.string ("rows body = oracle: " ^ q) oracle direct;
+          let raw = post_query ~port q in
+          check Alcotest.int ("200: " ^ q) 200 (response_status raw);
+          check Alcotest.string ("served body = oracle: " ^ q) oracle
+            (response_body raw))
+        queries)
+
+(* A small University store in the shape of the serve-hot data:
+   professors with and without mail, courses nobody teaches. *)
+let university () =
+  let st = Random.State.make [| 5 |] and acc = ref [] in
+  let add s p o =
+    acc :=
+      Rdf.Triple.make (Rdf.Term.iri s) (Rdf.Term.iri p) (Rdf.Term.iri o)
+      :: !acc
+  in
+  for u = 0 to 1 do
+    let uni = Printf.sprintf "uni:%02d" u in
+    add uni "u:type" "c:University";
+    for d = 0 to 1 do
+      let dept = Printf.sprintf "dept:%02d_%d" u d in
+      let course c = Printf.sprintf "course:%02d_%d_%02d" u d c in
+      let prof f = Printf.sprintf "prof:%02d_%d_%d" u d f in
+      add dept "u:type" "c:Department";
+      add dept "u:subOrgOf" uni;
+      for c = 0 to 5 do
+        add (course c) "u:type" "c:Course"
+      done;
+      for f = 0 to 3 do
+        add (prof f) "u:type" "c:Professor";
+        add (prof f) "u:worksFor" dept;
+        add (prof f) "u:teacherOf" (course (Random.State.int st 6));
+        add (prof f) "u:teacherOf" (course (Random.State.int st 6));
+        if f mod 2 = 0 then
+          add (prof f) "u:email" (Printf.sprintf "mailto:prof_%02d_%d_%d" u d f)
+      done;
+      for s = 0 to 7 do
+        let student = Printf.sprintf "student:%02d_%d_%02d" u d s in
+        add student "u:type" "c:Student";
+        add student "u:memberOf" dept;
+        add student "u:advisor" (prof (Random.State.int st 4));
+        add student "u:takesCourse" (course (Random.State.int st 6));
+        add student "u:takesCourse" (course (Random.State.int st 6))
+      done
+    done
+  done;
+  Rdf.Graph.of_triples !acc
+
+(* The serve-hot templates, as the benchmark spells them: a group is
+   leading triples then OPTIONAL groups, "$C" the constant. *)
+type item = T of string * string * string | Opt of item list
+
+let serve_hot_templates =
+  let t s p o = T (s, p, o) in
+  [
+    ( "prof:00_1_2",
+      [ t "$C" "u:worksFor" "?d"; Opt [ t "$C" "u:email" "?m" ] ] );
+    ( "prof:00_1_2",
+      [ t "$C" "u:teacherOf" "?c"; Opt [ t "?p" "u:teacherOf" "?c" ] ] );
+    ( "student:01_0_03",
+      [ t "$C" "u:advisor" "?p"; t "?p" "u:worksFor" "?d";
+        Opt [ t "?p" "u:email" "?m" ] ] );
+    ( "student:01_0_03",
+      [ t "$C" "u:takesCourse" "?c"; Opt [ t "?p" "u:teacherOf" "?c" ] ] );
+    ("student:01_0_03", [ t "$C" "u:memberOf" "?d"; t "?d" "u:subOrgOf" "?u" ]);
+    ("dept:00_1", [ t "$C" "u:subOrgOf" "?u"; t "?p" "u:worksFor" "$C" ]);
+    ("prof:01_1_1", [ t "?s" "u:advisor" "$C"; t "$C" "u:worksFor" "?d" ]);
+    ("dept:01_0", [ t "?p" "u:worksFor" "$C"; Opt [ t "?p" "u:email" "?m" ] ]);
+    ( "prof:00_0_1",
+      [ t "$C" "u:type" "c:Professor"; t "$C" "u:teacherOf" "?c";
+        Opt [ t "$C" "u:email" "?m" ] ] );
+    ( "student:00_1_05",
+      [ t "$C" "u:advisor" "?p"; Opt [ t "?p" "u:email" "?m" ];
+        Opt [ t "?p" "u:teacherOf" "?c" ] ] );
+    ( "student:00_1_05",
+      [ t "$C" "u:type" "c:Student"; t "$C" "u:memberOf" "?d";
+        Opt [ t "$C" "u:advisor" "?p"; Opt [ t "?p" "u:email" "?m" ] ] ] );
+    ("dept:00_0", [ t "?p" "u:worksFor" "$C"; t "?p" "u:teacherOf" "?c" ]);
+    ( "dept:00_0",
+      [ t "?s" "u:memberOf" "$C"; Opt [ t "?s" "u:advisor" "?a" ] ] );
+    ( "dept:01_1",
+      [ t "?s" "u:memberOf" "$C"; t "?s" "u:takesCourse" "?c";
+        Opt [ t "?p" "u:teacherOf" "?c" ] ] );
+    ( "uni:01",
+      [ t "?d" "u:subOrgOf" "$C"; t "?p" "u:worksFor" "?d";
+        Opt [ t "?p" "u:teacherOf" "?c" ]; Opt [ t "?p" "u:email" "?m" ] ] );
+    ( "uni:00",
+      [ t "?d" "u:subOrgOf" "$C"; t "?s" "u:memberOf" "?d";
+        Opt [ t "?s" "u:advisor" "?a" ] ] );
+  ]
+
+let rec map_items f =
+  List.map (function
+    | T (s, p, o) -> T (f s, f p, f o)
+    | Opt g -> Opt (map_items f g))
+
+let rec render items =
+  "{ "
+  ^ String.concat " "
+      (List.map
+         (function
+           | T (s, p, o) -> Printf.sprintf "%s %s %s ." s p o
+           | Opt g -> "OPTIONAL " ^ render g)
+         items)
+  ^ " }"
+
+(* As written; with the leading triples reversed (or, for a single
+   leading triple, alpha-renamed); alpha-renamed. *)
+let spellings (constant, body) =
+  let body = map_items (fun s -> if s = "$C" then constant else s) body in
+  let rename suffix =
+    map_items (fun s -> if s.[0] = '?' then s ^ suffix else s) body
+  in
+  let lead, rest =
+    List.partition (function T _ -> true | Opt _ -> false) body
+  in
+  let second =
+    if List.length lead > 1 then List.rev lead @ rest else rename "2"
+  in
+  List.map render [ body; second; rename "1" ]
+
+let test_bodies_serve_hot () =
+  let queries = List.concat_map spellings serve_hot_templates in
+  check Alcotest.int "16 templates in three spellings" 48
+    (List.length queries);
+  let g = university () in
+  List.iter
+    (fun q ->
+      check Alcotest.bool ("answers something: " ^ q) false
+        (Astring.String.is_infix ~affix:{|"bindings":[]|} (fst (bodies g q))))
+    queries;
+  check_bodies g queries
+
+let test_bodies_queries_dir () =
+  let dir = "../queries" in
+  let queries =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".rq")
+    |> List.sort String.compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat dir f)
+             In_channel.input_all)
+    (* FILTER queries are outside the engine's fragment *)
+    |> List.filter (fun q ->
+           Sparql.Algebra.is_core (Sparql.Parser.parse_exn q))
+  in
+  check Alcotest.bool "the corpus has core queries" true (queries <> []);
+  check_bodies (Rdf.Generator.social ~seed:1 ~people:30) queries
+
+(* Hand-made corners: an OPTIONAL left unbound, a row two UNION branches
+   both produce, an empty answer, IRIs that need JSON escaping, and
+   variables whose names sort against their canonical order. *)
+let test_bodies_corners () =
+  let triple s p o =
+    Rdf.Triple.make (Rdf.Term.iri s) (Rdf.Term.iri p) (Rdf.Term.iri o)
+  in
+  let g =
+    Rdf.Graph.of_triples
+      [
+        triple "n:a" "q:r" "n:b";
+        triple "n:a" "q:t" "n:b";
+        triple "n:b" "q:s" "n:c";
+        triple "n:c" "q:r" "n:d";
+        triple "n:e" "q:r" "n:quote\"back\\slash";
+        triple "n:e" "q:r" "n:ctl\001\031tab\tnl\n";
+        triple "n:e" "q:r" "n:caf\xc3\xa9-\xe2\x86\xa6";
+      ]
+  in
+  check_bodies g
+    [
+      "{ ?x q:r ?y OPTIONAL { ?y q:s ?z } }";
+      "{ { ?x q:r ?y } UNION { ?x q:t ?y } }";
+      "{ ?x q:none ?y }";
+      "{ ?x q:none ?y OPTIONAL { ?y q:s ?z } }";
+      "{ n:e q:r ?v }";
+      "{ ?zz q:r ?a OPTIONAL { ?a q:s ?m OPTIONAL { ?m q:r ?b } } }";
+    ]
+
 let () =
   Alcotest.run "server"
     [
@@ -596,6 +853,15 @@ let () =
           Alcotest.test_case "serve, shed, reject, drain" `Quick test_smoke;
           Alcotest.test_case "reload picks up appended segments" `Quick
             test_reload_picks_up_segments;
+        ] );
+      ( "bodies",
+        [
+          Alcotest.test_case "serve-hot templates = Json oracle" `Quick
+            test_bodies_serve_hot;
+          Alcotest.test_case "queries/*.rq = Json oracle" `Quick
+            test_bodies_queries_dir;
+          Alcotest.test_case "corners = Json oracle" `Quick
+            test_bodies_corners;
         ] );
       ( "drain",
         [

@@ -122,6 +122,15 @@ let mmap_needles = [ "Unix.map_file"; "Bigarray." ]
 
 let mmap_allowed rel = under "storage/" rel
 
+(* The store's probe kernels — the range search, the join's inner loop
+   and the overlay's merged view — compare ids on every probe. A bare
+   [compare] there is the polymorphic one (a C call that walks its
+   arguments, and for tuples a fresh allocation to feed it), which cost
+   several times the probe it sat in; ids are compared with
+   [Int.compare] or a monomorphic helper instead. *)
+let probe_kernels =
+  [ "encoded/encoded_graph.ml"; "encoded/encoded_hom.ml"; "storage/overlay.ml" ]
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -304,6 +313,40 @@ let unguarded_table_mutations ~rel stripped =
       tables
   end
 
+let ident_char c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+(* [compare] as a whole word, unqualified or qualified by [Stdlib]:
+   [Int.compare] and [compare_key] do not count. *)
+let bare_compares ~rel stripped =
+  if not (List.mem rel probe_kernels) then []
+  else
+    let n = String.length stripped and word = String.length "compare" in
+    let ends_word off =
+      off + word >= n || not (ident_char stripped.[off + word])
+    in
+    let unqualified off =
+      off = 0
+      || (not (ident_char stripped.[off - 1]) && stripped.[off - 1] <> '.')
+      || (off >= 7 && String.sub stripped (off - 7) 7 = "Stdlib.")
+    in
+    List.filter_map
+      (fun (off, line) ->
+        if unqualified off && ends_word off then
+          Some
+            {
+              path = rel;
+              line;
+              message =
+                "polymorphic compare in a probe kernel: compare ids with \
+                 Int.compare or a monomorphic helper";
+            }
+        else None)
+      (occurrences ~needle:"compare" stripped)
+
 let default_wins_allowed = wins_allowed
 
 let check_file ?(manifest = kernel_modules) ?(wins_allowed = wins_allowed)
@@ -400,6 +443,7 @@ let check_file ?(manifest = kernel_modules) ?(wins_allowed = wins_allowed)
   @ forbidden_mmap
   @ forbidden_sleeps ~rel stripped
   @ unguarded_table_mutations ~rel stripped
+  @ bare_compares ~rel stripped
 
 let check_tree ?(manifest = kernel_modules)
     ?(wins_allowed = default_wins_allowed) ~root () =

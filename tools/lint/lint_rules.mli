@@ -23,7 +23,11 @@
       [Hashtbl.replace]/[Hashtbl.add] on a [let name = Hashtbl.create …]
       table needs a [Mutex.protect]/[Mutex.lock] between the enclosing
       top-level binding's start and the mutation — the mutex advertises
-      multi-threaded use, so a bare mutation is a race.
+      multi-threaded use, so a bare mutation is a race;
+    - no polymorphic [compare] in the store's probe kernels
+      ({!probe_kernels}): ids there are compared with [Int.compare] or
+      a monomorphic helper, since the polymorphic one costs more than
+      the probe it sits in.
 
     Matching is performed on source text with OCaml comments and string
     literals blanked out, so mentions in documentation or error messages
@@ -42,6 +46,10 @@ val strip : string -> string
 val kernel_modules : string list
 (** Paths relative to the scanned root ([lib/]) of the modules housing
     exponential search: these must tick a budget. *)
+
+val probe_kernels : string list
+(** Paths relative to the scanned root of the modules whose inner loops
+    probe the store: no bare [compare] there. *)
 
 val wins_allowed : string -> bool
 (** Whether this root-relative path may call [Pebble_game.wins]. *)
