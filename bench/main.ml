@@ -1016,11 +1016,62 @@ let a4 () =
       let objects = Array.init 64 (fun i -> id (node (i mod people))) in
       let ns =
         ns_per_call 10_000 (fun i ->
-            Encoded.Encoded_graph.match_count store ~p ~o:objects.(i land 63) ())
+            Encoded.Encoded_graph.match_count store Encoded.Encoded_graph.unbound
+              p objects.(i land 63))
       in
       record ~experiment:"A4" ~metric:("probe." ^ backend ^ "_ns") ns;
       Fmt.pr "%-28s %12.0f@." backend ns)
     [ ("heap", enc); ("mmap", mapped); ("overlay", overlay) ];
+  (* The answer path a CLI [eval] runs, warm: the top-down walk, the
+     row ranking and sort ([Engine.answer_rows]) and the byte writer
+     ([Row_writer.write]), on the comb4 and star6 shapes over a graph of
+     out-degree 2 per predicate, as the frontier workload has them.
+     Recorded, not gated. *)
+  let shape_graph ~nodes preds =
+    let st = Random.State.make [| nodes; 17 |] in
+    let node i = Rdf.Term.iri (Printf.sprintf "n:%d" i) in
+    List.concat_map
+      (fun pr ->
+        List.concat
+          (List.init nodes (fun i ->
+               let a = Random.State.int st nodes in
+               let b = (a + 1 + Random.State.int st (nodes - 1)) mod nodes in
+               List.map
+                 (fun j -> Rdf.Triple.make (node i) (Rdf.Term.iri ("p:" ^ pr)) (node j))
+                 [ a; b ])))
+      preds
+    |> Rdf.Graph.of_triples
+  in
+  let nodes = if !fast then 20 else 30 in
+  Fmt.pr "@.%-28s %9s %10s %14s@." "answer path (warm)" "answers" "ms"
+    "words/answer";
+  List.iter
+    (fun (name, tree, preds) ->
+      let g = shape_graph ~nodes preds in
+      let plan =
+        Wd_core.Engine.plan (Wdpt.Pattern_forest.to_algebra [ tree ])
+      in
+      let buf = Buffer.create 65536 in
+      let run () =
+        Buffer.clear buf;
+        let rows = Wd_core.Engine.answer_rows plan g in
+        Wd_core.Row_writer.write buf rows;
+        Wd_core.Row_writer.cardinal rows
+      in
+      let answers = run () in
+      let _, t = time_median ~runs:5 run in
+      let words = words_per_call ~runs:5 run /. float_of_int (max 1 answers) in
+      record ~experiment:"A4" ~metric:("answer_path." ^ name ^ "_ms") (ms t);
+      record ~experiment:"A4"
+        ~metric:("answer_path." ^ name ^ "_words_per_answer")
+        words;
+      Fmt.pr "%-28s %9d %10.3f %14.1f@." name answers (ms t) words)
+    [
+      ("comb4", Query_families.comb_query 4, [ "p"; "t" ]);
+      ( "star6",
+        Query_families.star_query 6,
+        List.init 7 (Printf.sprintf "c%d") );
+    ];
   Fmt.pr "@.shape: identical counts (cross-checked); the encoded engine@.";
   Fmt.pr "avoids term hashing and allocation in the inner join loop.@."
 
@@ -1902,7 +1953,8 @@ let a12 () =
         if
           (a.E.triples, a.E.distinct_subjects, a.E.distinct_objects)
           <> (b.E.triples, b.E.distinct_subjects, b.E.distinct_objects)
-          || E.match_count mono ~p:id () <> E.match_count overlay ~p:vid ()
+          || E.match_count mono E.unbound id E.unbound
+             <> E.match_count overlay E.unbound vid E.unbound
         then stats_ok := false
   done;
   if not !stats_ok then begin

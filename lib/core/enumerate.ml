@@ -9,44 +9,86 @@ type optimize = [ `Off | `On ]
 let variables forest =
   Array.of_list (Variable.Set.elements (Wdpt.Pattern_forest.vars forest))
 
-(* A tree's child joins, staged in tree shape: [join] extends a parent
-   row ({!Plan_cache.extensions}). *)
+(* A tree's child joins, staged in tree shape: [join] streams the
+   extensions of a parent row ({!Plan_cache.extensions}). *)
 type node_join = {
-  join : int array -> int array list;
+  join : int array -> (int array -> unit) -> unit;
   fresh : int array;
-  below : node_join list;
+  below : node_join array;
 }
 
-(* One node match and, per child, the slots the child introduces and
-   its extensions of the match ([] when the child is left out).
-   Children share only ancestor variables, so the answers below a match
-   are the product of its children's alternatives: this form holds each
-   node match once, and the product is only walked when emitting. *)
-type branch = { row : int array; kids : (int array * branch list) list }
+(* One node match, as the values of the slots its node introduces, and
+   per child, the slots the child introduces and its alternatives below
+   the match ([alts = []] when the child is left out). Children share
+   only ancestor variables, so the answers below a match are the product
+   of its children's alternatives: this form holds each node match
+   once, and the product is only walked when emitting. *)
+type branch = { vals : int array; kids : kid array }
+and kid = { slots : int array; alts : branch list }
 
-let rec expand joins row =
-  {
-    row;
-    kids =
-      List.map (fun nj -> (nj.fresh, List.map (expand nj.below) (nj.join row)))
-        joins;
-  }
+(* The branch of the live row [row] matching a node whose fresh slots
+   are [fresh] and whose children are staged as [below]: each child's
+   join runs on [row] while it is live, and only the fresh values are
+   kept. *)
+let rec branch fresh below row =
+  let vals = Array.make (Array.length fresh) 0 in
+  for i = 0 to Array.length fresh - 1 do
+    vals.(i) <- row.(fresh.(i))
+  done;
+  let kids = Array.make (Array.length below) no_kid in
+  for c = 0 to Array.length below - 1 do
+    let nj = below.(c) in
+    let alts = ref [] in
+    nj.join row (fun ext -> alts := branch nj.fresh nj.below ext :: !alts);
+    kids.(c) <- { slots = nj.fresh; alts = !alts }
+  done;
+  { vals; kids }
 
-(* Walk the product of [pending]'s alternatives, writing each chosen
-   match's fresh slots into [out]. Between calls every slot outside the
-   current choice is unassigned, so a left-out child leaves its whole
-   subtree unbound. *)
-let rec emit out pending sink =
-  match pending with
-  | [] -> sink out
-  | (_, []) :: rest -> emit out rest sink
-  | (fresh, alts) :: rest ->
-      List.iter
-        (fun b ->
-          Array.iter (fun s -> out.(s) <- b.row.(s)) fresh;
-          emit out (b.kids @ rest) sink)
-        alts;
-      Array.iter (fun s -> out.(s) <- Encoded_hom.unassigned) fresh
+and no_kid = { slots = [||]; alts = [] }
+
+(* The walk of the product: [out] is the answer being built, and
+   [stack.(0 .. sp - 1)] the children still to choose an alternative
+   for, the next on top. Between answers every slot outside the current
+   choice is unassigned, so a left-out child leaves its whole subtree
+   unbound. *)
+type emitter = { out : int array; stack : kid array; sink : int array -> unit }
+
+(* [emit e sp] emits every answer over [stack.(0 .. sp - 1)] and leaves
+   those entries as it found them: each level overwrites only the slot
+   it popped and the ones above, and puts its own back, whether it chose
+   an alternative or left its child out. *)
+let rec emit e sp =
+  if sp = 0 then e.sink e.out
+  else begin
+    let k = e.stack.(sp - 1) in
+    (match k.alts with
+    | [] -> emit e (sp - 1)
+    | alts ->
+        emit_alts e sp k.slots alts;
+        let out = e.out and slots = k.slots in
+        for i = 0 to Array.length slots - 1 do
+          out.(slots.(i)) <- Encoded_hom.unassigned
+        done);
+    e.stack.(sp - 1) <- k
+  end
+
+and emit_alts e sp slots = function
+  | [] -> ()
+  | b :: rest ->
+      let out = e.out in
+      for i = 0 to Array.length slots - 1 do
+        out.(slots.(i)) <- b.vals.(i)
+      done;
+      let kids = b.kids in
+      let n = Array.length kids in
+      for j = 0 to n - 1 do
+        e.stack.(sp - 1 + j) <- kids.(n - 1 - j)
+      done;
+      emit e (sp - 1 + n);
+      emit_alts e sp slots rest
+
+let rec nodes joins =
+  Array.fold_left (fun acc nj -> acc + nodes nj.below) (Array.length joins) joins
 
 (* The top-down walk of one tree (Pérez et al.): each root match is
    extended by each of a child's extensions, and the child is dropped
@@ -67,27 +109,38 @@ let walk_tree ~budget ~maximality ~cache ~optimize tree graph sink =
   in
   if roots <> [] then begin
     let rec stage n =
-      List.map
-        (fun c ->
-          let cj =
-            Plan_cache.stage_child_join ?order:(order_of c) cache graph
-              maximality tree c
-          in
-          {
-            join = Plan_cache.extensions ~budget cj;
-            fresh = Plan_cache.fresh_slots cj;
-            below = stage c;
-          })
-        (Wdpt.Pattern_tree.children tree n)
+      Array.of_list
+        (List.map
+           (fun c ->
+             let cj =
+               Plan_cache.stage_child_join ?order:(order_of c) cache graph
+                 maximality tree c
+             in
+             {
+               join = Plan_cache.extensions ~budget cj;
+               fresh = Plan_cache.fresh_slots cj;
+               below = stage c;
+             })
+           (Wdpt.Pattern_tree.children tree n))
     in
     let joins = stage root in
-    let out =
-      Array.make
-        (Array.length (Encoded_hom.variables root_source))
-        Encoded_hom.unassigned
+    (* every pending child is a distinct node below the root *)
+    let e =
+      {
+        out =
+          Array.make
+            (Array.length (Encoded_hom.variables root_source))
+            Encoded_hom.unassigned;
+        stack = Array.make (nodes joins + 1) no_kid;
+        sink;
+      }
     in
     let root_fresh = Array.of_list (Encoded_hom.own_slots root_source) in
-    List.iter (fun r -> emit out [ (root_fresh, [ expand joins r ]) ] sink) roots
+    List.iter
+      (fun r ->
+        e.stack.(0) <- { slots = root_fresh; alts = [ branch root_fresh joins r ] };
+        emit e 1)
+      roots
   end
 
 (* Rows of a UNION forest, deduplicated across trees. Every emitted row
@@ -132,7 +185,9 @@ let iter_rows ?(budget = Budget.unlimited) ?(maximality = `Hom) ?cache
     Array.fill row 0 (Array.length row) Encoded_hom.unassigned;
     fun out ->
       incr rows;
-      Array.iteri (fun i s -> row.(s) <- out.(i)) into;
+      for i = 0 to Array.length into - 1 do
+        row.(into.(i)) <- out.(i)
+      done;
       match seen with
       | None -> answer ()
       | Some seen ->

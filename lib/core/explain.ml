@@ -36,16 +36,16 @@ let actual_count enc triple =
   let dict = Encoded.Encoded_graph.dictionary enc in
   let pos t =
     match t with
-    | Term.Var _ -> Ok None
+    | Term.Var _ -> Ok Encoded.Encoded_graph.unbound
     | t -> (
         match Dictionary.find dict t with
-        | Some id -> Ok (Some id)
+        | Some id -> Ok id
         | None -> Error ())
   in
   match
     (pos triple.Triple.s, pos triple.Triple.p, pos triple.Triple.o)
   with
-  | Ok s, Ok p, Ok o -> Encoded.Encoded_graph.match_count enc ?s ?p ?o ()
+  | Ok s, Ok p, Ok o -> Encoded.Encoded_graph.match_count enc s p o
   | _ -> 0
 
 (* {!Rdf.Stats.estimated_matches}, read off the encoded store's

@@ -477,41 +477,48 @@ let fresh_slots cj = cj.state.fresh
 
 let extensions ?(budget = Budget.unlimited) cj =
   let tl = cj.state.tally in
-  let join ~first budget row =
-    Encoded.Encoded_hom.fold ~budget ?order:cj.order ~pre:row cj.state.source
-      ~init:[]
-      ~f:(fun acc ext ->
-        if acc = [] then first budget;
-        (Array.copy ext :: acc, `Continue))
+  (* One search per staged join, run once per parent row: [found]
+     counts a run's extensions, [sink] is the caller's, and [pending] is
+     the row the capped run extends. The cap's view of [budget] is built
+     here once, not per row. *)
+  let found = ref 0 and sink = ref ignore and pending = ref [||] in
+  let view = Budget.cap_view budget in
+  let search =
+    Encoded.Encoded_hom.search ?order:cj.order cj.state.source
+      ~emit:(fun ext ->
+        (* the cap bounds the search for a first extension; past it
+           the rest of the join is output *)
+        if !found = 0 then Budget.uncap view;
+        incr found;
+        !sink ext;
+        false)
   in
-  let whole = join ~first:ignore in
-  let exts =
+  let whole row = Encoded.Encoded_hom.run search budget row in
+  let capped b = Encoded.Encoded_hom.run search b !pending in
+  let join =
     match cj.relaxed_test with
-    | None -> whole budget
-    | Some pt ->
+    | None -> whole
+    | Some pt -> (
         let may_extend = relaxed ~budget pt in
         fun row ->
-          (* the cap bounds the search for a first extension; past it
-             the rest of the join is output *)
-          match
-            Budget.capped budget cj.cap (fun b -> join ~first:Budget.uncap b row)
-          with
-          | Some exts -> exts
+          pending := row;
+          match Budget.capped view cj.cap capped with
+          | Some () -> ()
           | None ->
               tl.t_capped <- tl.t_capped + 1;
               (* Spoiler winning proves that no extension exists; a
                  Duplicator win proves nothing, so the child is joined in
                  full *)
-              if may_extend (key_of cj.state.slots row) row then
-                whole budget row
-              else []
+              if may_extend (key_of cj.state.slots row) row then whole row)
   in
-  fun row ->
+  fun row f ->
     Budget.tick budget;
-    let found = exts row in
+    found := 0;
+    sink := f;
+    join row;
+    sink := ignore;
     tl.t_runs <- tl.t_runs + 1;
-    tl.t_extensions <- tl.t_extensions + List.length found;
-    found
+    tl.t_extensions <- tl.t_extensions + !found
 
 let record_answers t ~rows ~answers =
   t.rows <- t.rows + rows;

@@ -172,13 +172,17 @@ val fresh_slots : child_join -> int array
     there. *)
 
 val extensions :
-  ?budget:Resource.Budget.t -> child_join -> int array -> int array list
-(** [extensions cj row]: every extension of the parent row [row] (a flat
-    id row over the tree's variable table, binding at least [n]'s
-    ancestors) by a homomorphism of [pat n], as fresh rows; [[]] when
-    [n] is left out. The empty join is Lemma 1's maximality test: µ
-    restricted to the parent's subtree is maximal for [n] exactly when
-    no extension exists.
+  ?budget:Resource.Budget.t ->
+  child_join -> int array -> (int array -> unit) -> unit
+(** [extensions cj row f] calls [f] on every extension of the parent row
+    [row] (a flat id row over the tree's variable table, binding at
+    least [n]'s ancestors) by a homomorphism of [pat n], and never when
+    [n] is left out. [f] sees the join's live row: it may read it and
+    run the child joins of [n]'s children on it, but must copy what it
+    keeps. The empty join is Lemma 1's maximality test: µ restricted to
+    the parent's subtree is maximal for [n] exactly when no extension
+    exists. Each call of [extensions cj] runs one search staged once per
+    [cj], so a join allocates nothing of its own.
 
     - [`Hom]: one full join.
     - [`Pebble k]: the join runs under a {!Resource.Budget.capped} cap

@@ -1,10 +1,13 @@
 (** Answers as id rows until the wire: distinct rows, sorted, with the
     IRI of every distinct id decoded once and no term set in between.
 
-    The rows are kept in one flat int arena. Every distinct id is ranked
-    by its IRI, and an unbound slot is keyed so that plain lexicographic
-    int order over the slots is {!Sparql.Mapping.compare} order; the
-    rows are sorted and deduplicated on those keys.
+    The rows are kept in a chunked arena of 32-bit slots, each id
+    replaced as it arrives by the index it was first seen at. Every
+    distinct id is then ranked by its IRI, and an unbound slot is keyed
+    so that plain lexicographic int order over the slots is
+    {!Sparql.Mapping.compare} order; the rows are radix-sorted and
+    deduplicated on those keys, in time linear in the slots and the
+    distinct IRIs.
 
     {!write} prints them as the CLI does: the bytes are exactly those of
     [Fmt.pr "%a@." Sparql.Mapping.pp] for each answer, in

@@ -8,20 +8,44 @@ type predicate_stats = {
    see through: either a heap array of id triples (built by [canonical])
    or a closure-provided flat view (an mmap'd section of a compiled
    store, [of_views] — possibly an overlay merging a base store with
-   delta segments). Every access below goes through [clen]/[cget], so
-   binary search, range iteration and the statistics scans are byte-for-
-   byte the same code on both backends. What a probe costs is the
-   comparison and the read behind [fget]: a polymorphic [compare] on a
-   freshly rotated tuple, or a Bigarray section read at an unknown kind
-   (a C call per element), costs several times the whole search, so the
-   keys below are compared as ints in place and the store types its
-   sections. *)
-type flat_view = { fn : int; fget : int -> int * int * int }
+   delta segments). Every access below goes through [clen], [load] and
+   [compare_at], so binary search, range iteration and the statistics
+   scans are byte-for-byte the same code on both backends. What a probe costs is the
+   comparison and the read behind it: a polymorphic [compare] on a
+   freshly rotated tuple, a tuple built per read, or a Bigarray section
+   read at an unknown kind (a C call per element) each cost several
+   times the whole search. So a view compares a triple's key against a
+   probe's in place, reading as few ids as the comparison needs, in one
+   call per search step ([fcompare]), and the store types its sections.
+   A range walk or a scan reads a whole triple in one call into an int
+   array of its own ([fload]). *)
+type flat_view = {
+  fn : int;
+  fload : int -> int array -> unit;
+  fcompare : int -> int -> int -> int -> int;
+}
 
 type cells = Heap of (int * int * int) array | View of flat_view
 
 let clen = function Heap a -> Array.length a | View v -> v.fn
-let cget c i = match c with Heap a -> a.(i) | View v -> v.fget i
+
+(* The [i]-th triple of [c] into [b.(0)], [b.(1)], [b.(2)]. *)
+let load c i (b : int array) =
+  match c with
+  | Heap a ->
+      let s, p, o = a.(i) in
+      b.(0) <- s;
+      b.(1) <- p;
+      b.(2) <- o
+  | View v -> v.fload i b
+
+let cget c i =
+  match c with
+  | Heap a -> a.(i)
+  | View v ->
+      let b = Array.make 3 0 in
+      v.fload i b;
+      (b.(0), b.(1), b.(2))
 
 (* Statistics a compiled store carries precomputed: the save-time cost
    buys O(1) plan-time answers without scanning the mmap'd arrays. The
@@ -109,38 +133,68 @@ let compare_in perm a (s, p, o) =
   | Pos -> compare_key perm a p o s
   | Osp -> compare_key perm a o s p
 
+(* The [perm] key of the [i]-th triple of [c] against (k1, k2, k3). A
+   view is sorted by [perm], the order it compares in. *)
+let compare_at c perm i k1 k2 k3 =
+  match c with
+  | Heap a -> compare_key perm a.(i) k1 k2 k3
+  | View v -> v.fcompare i k1 k2 k3
+
+let compare_view v perm i (s, p, o) =
+  match perm with
+  | Spo -> v.fcompare i s p o
+  | Pos -> v.fcompare i p o s
+  | Osp -> v.fcompare i o s p
+
+let view_of_triples perm a =
+  {
+    fn = Array.length a;
+    fload =
+      (fun i (b : int array) ->
+        let s, p, o = a.(i) in
+        b.(0) <- s;
+        b.(1) <- p;
+        b.(2) <- o);
+    fcompare = (fun i k1 k2 k3 -> compare_key perm a.(i) k1 k2 k3);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* The canonical builder                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One stable counting-sort pass: [perm] reordered by [key.(perm.(i))],
-   every key in [0, range). O(n + range). *)
-let counting_pass ~range key perm =
-  let n = Array.length perm in
+(* One stable counting-sort pass: [src] reordered into [dst] by the key
+   [keys.((stride * j) + at)] of each element [j], every key in
+   [0, range). O(n + range). *)
+let counting_pass ~range keys ~stride ~at src dst =
+  let n = Array.length src in
   let count = Array.make (range + 1) 0 in
   for i = 0 to n - 1 do
-    let k = key.(perm.(i)) + 1 in
+    let k = keys.((stride * src.(i)) + at) + 1 in
     count.(k) <- count.(k) + 1
   done;
   for k = 1 to range do
     count.(k) <- count.(k) + count.(k - 1)
   done;
-  let out = Array.make n 0 in
   for i = 0 to n - 1 do
-    let j = perm.(i) in
-    let k = key.(j) in
-    out.(count.(k)) <- j;
+    let j = src.(i) in
+    let k = keys.((stride * j) + at) in
+    dst.(count.(k)) <- j;
     count.(k) <- count.(k) + 1
-  done;
+  done
+
+(* [perm] stably reordered by [key.(perm.(i))], into a fresh array. *)
+let sort_by ~range key perm =
+  let out = Array.make (Array.length perm) 0 in
+  counting_pass ~range key ~stride:1 ~at:0 perm out;
   out
 
 (* Positions [0, n) ordered lexicographically by (k1, k2, k3): an LSD
    radix sort, least significant column first. *)
 let sort_positions ~range k1 k2 k3 =
   Array.init (Array.length k1) Fun.id
-  |> counting_pass ~range k3
-  |> counting_pass ~range k2
-  |> counting_pass ~range k1
+  |> sort_by ~range k3
+  |> sort_by ~range k2
+  |> sort_by ~range k1
 
 (* The three permutations of the id columns [ss, ps, os] (ids in
    [0, range)), sharing one tuple per triple. A stable pass over a
@@ -151,8 +205,8 @@ let permutations ~range ss ps os =
     Array.init (Array.length ss) (fun i -> (ss.(i), ps.(i), os.(i)))
   in
   let spo = sort_positions ~range ss ps os in
-  let osp = counting_pass ~range os spo in
-  let pos = counting_pass ~range ps osp in
+  let osp = sort_by ~range os spo in
+  let pos = sort_by ~range ps osp in
   let cells perm = Heap (Array.map (fun i -> tuples.(i)) perm) in
   { a_spo = cells spo; a_pos = cells pos; a_osp = cells osp }
 
@@ -372,9 +426,9 @@ let cardinal t =
 
 (* The globally sorted permutations of a store. For a flat store these
    are its arrays; for a shard set they are a one-shot k-way merge over
-   the members, materialized under the union lock — only positional
-   access ([nth_*]: the writer, term-level decode, tests) pays for it,
-   the routed query path never does. *)
+   the members, materialized under the union lock — only whole-index
+   access ([iter_index], [nth_*]: the writer, term-level decode, tests)
+   pays for it, the routed query path never does. *)
 let rec arrays t =
   match t.rep with
   | Flat a -> a
@@ -396,13 +450,14 @@ let rec arrays t =
                   "Encoded_graph: shard members disagree with union total";
               let ss = Array.make n 0 and ps = Array.make n 0 in
               let os = Array.make n 0 and w = ref 0 in
+              let b = Array.make 3 0 in
               Array.iter
                 (fun c ->
                   for i = 0 to clen c - 1 do
-                    let s, p, o = cget c i in
-                    ss.(!w) <- s;
-                    ps.(!w) <- p;
-                    os.(!w) <- o;
+                    load c i b;
+                    ss.(!w) <- b.(0);
+                    ps.(!w) <- b.(1);
+                    os.(!w) <- b.(2);
                     incr w
                   done)
                 spos;
@@ -428,120 +483,207 @@ let members_touched t =
                0 u.u_members))
 
 (* First index of [lo, hi) whose [perm] key is >= (k1, k2, k3). *)
-let lower_bound arr perm lo hi k1 k2 k3 =
+let lower_bound c perm lo hi k1 k2 k3 =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if compare_key perm (cget arr mid) k1 k2 k3 < 0 then lo := mid + 1
-    else hi := mid
+    if compare_at c perm mid k1 k2 k3 < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
 (* First index of [lo, hi) whose [perm] key is > (k1, k2, k3). *)
-let upper_bound arr perm lo hi k1 k2 k3 =
+let upper_bound c perm lo hi k1 k2 k3 =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if compare_key perm (cget arr mid) k1 k2 k3 <= 0 then lo := mid + 1
-    else hi := mid
+    if compare_at c perm mid k1 k2 k3 <= 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* The half-open range of triples whose [perm] key starts with the bound
-   prefix (k1, maybe k2, maybe k3): an unbound key position spans every
-   int. *)
-let range arr perm k1 k2 k3 =
-  let lo2, hi2 = match k2 with Some k -> (k, k) | None -> (min_int, max_int) in
-  let lo3, hi3 = match k3 with Some k -> (k, k) | None -> (min_int, max_int) in
-  let start = lower_bound arr perm 0 (clen arr) k1 lo2 lo3 in
-  (start, upper_bound arr perm start (clen arr) k1 hi2 hi3)
+(* A probe names each position by an id, or [unbound]. Any other
+   negative id (a term absent from the dictionary) stays bound and
+   matches nothing. *)
+let unbound = -1
 
-(* Pick the permutation whose sort order makes the bound positions a
-   prefix. (s,o)-bound must use OSP: in SPO the object would not be part
-   of the prefix and the range would over-approximate. *)
-let choose a ?s ?p ?o () =
-  match s, p, o with
-  | Some s, Some p, _ -> Some (a.a_spo, Spo, s, Some p, o)
-  | Some s, None, Some o -> Some (a.a_osp, Osp, o, Some s, None)
-  | Some s, None, None -> Some (a.a_spo, Spo, s, None, None)
-  | None, Some p, _ -> Some (a.a_pos, Pos, p, o, None)
-  | None, None, Some o -> Some (a.a_osp, Osp, o, None, None)
-  | None, None, None -> None
+(* The permutation whose sort order makes the bound positions of a probe
+   a prefix of its key. (s, o)-bound must use OSP: in SPO the object
+   would not be part of the prefix and the range would over-approximate.
+   The probe's key under it is the rotated (s, p, o), unbound positions
+   last. *)
+let perm_of s p o =
+  if s <> unbound then if p = unbound && o <> unbound then Osp else Spo
+  else if p <> unbound then Pos
+  else if o <> unbound then Osp
+  else Spo
+
+let cells_of a = function Spo -> a.a_spo | Pos -> a.a_pos | Osp -> a.a_osp
+
+let iter_index t perm f =
+  match cells_of (arrays t) perm with
+  | Heap a -> Array.iter (fun (s, p, o) -> f s p o) a
+  | View v ->
+      let b = Array.make 3 0 in
+      for i = 0 to v.fn - 1 do
+        v.fload i b;
+        f b.(0) b.(1) b.(2)
+      done
+
+let key1 perm s p o = match perm with Spo -> s | Pos -> p | Osp -> o
+let key2 perm s p o = match perm with Spo -> p | Pos -> o | Osp -> s
+let key3 perm s p o = match perm with Spo -> o | Pos -> s | Osp -> p
+
+(* An unbound key position spans every int. *)
+let low k = if k = unbound then min_int else k
+let high k = if k = unbound then max_int else k
+
+(* The half-open range [start, stop) of the triples of [c] (sorted by
+   [perm]) whose key starts with the probe's bound prefix. *)
+let range_start c perm k1 k2 k3 =
+  lower_bound c perm 0 (clen c) (low k1) (low k2) (low k3)
+
+let range_stop c perm start k1 k2 k3 =
+  upper_bound c perm start (clen c) (high k1) (high k2) (high k3)
 
 (* Query entry points: a flat store binary-searches its own arrays; a
-   shard set routes predicate-bound patterns to the owning member (the
+   shard set routes predicate-bound probes to the owning member (the
    only one whose pages the probe faults in) and fans predicate-free
-   patterns out over every member. *)
+   probes out over every member. *)
 
-let rec mem t (s, p, o) =
+let arrays_of t = match t.rep with Flat a -> a | Union _ -> arrays t
+
+(* A walk over the triples agreeing with one probe: the range
+   [at + 1, stop) of [cells] still to visit, the triple at [at] loaded
+   into [ids], and under a predicate-free probe of a shard set the next
+   member to search ([fan]; -1 once there is none). A join keeps one
+   cursor per depth, so walking a range allocates nothing. *)
+type cursor = {
+  root : t;
+  mutable cells : cells;
+  mutable at : int;
+  mutable stop : int;
+  mutable fan : int;
+  mutable ps : int;
+  mutable pp : int;
+  mutable po : int;
+  ids : int array;
+}
+
+let cursor t =
+  {
+    root = t;
+    cells = Heap [||];
+    at = 0;
+    stop = 0;
+    fan = -1;
+    ps = unbound;
+    pp = unbound;
+    po = unbound;
+    ids = Array.make 3 0;
+  }
+
+let set_range cur a s p o =
+  let perm = perm_of s p o in
+  let c = cells_of a perm in
+  let k1 = key1 perm s p o and k2 = key2 perm s p o and k3 = key3 perm s p o in
+  let start = range_start c perm k1 k2 k3 in
+  cur.cells <- c;
+  cur.at <- start - 1;
+  cur.stop <- range_stop c perm start k1 k2 k3
+
+let seek cur s p o =
+  cur.ps <- s;
+  cur.pp <- p;
+  cur.po <- o;
+  match cur.root.rep with
+  | Flat a ->
+      cur.fan <- -1;
+      set_range cur a s p o
+  | Union u ->
+      if p <> unbound then begin
+        cur.fan <- -1;
+        set_range cur (arrays_of (force_member u (u.u_owner p))) s p o
+      end
+      else begin
+        cur.fan <- 0;
+        cur.at <- 0;
+        cur.stop <- 0
+      end
+
+let rec next cur =
+  let at = cur.at + 1 in
+  cur.at <- at;
+  if at < cur.stop then begin
+    load cur.cells at cur.ids;
+    true
+  end
+  else if cur.fan < 0 then false
+  else
+    match cur.root.rep with
+    | Union u when cur.fan < Array.length u.u_members ->
+        let m = force_member u cur.fan in
+        cur.fan <- cur.fan + 1;
+        set_range cur (arrays_of m) cur.ps cur.pp cur.po;
+        next cur
+    | _ ->
+        cur.fan <- -1;
+        false
+
+let subject cur = cur.ids.(0)
+let predicate cur = cur.ids.(1)
+let object_ cur = cur.ids.(2)
+
+let rec mem t s p o =
   match t.rep with
-  | Union u -> mem (force_member u (u.u_owner p)) (s, p, o)
+  | Union u -> mem (force_member u (u.u_owner p)) s p o
   | Flat a ->
       let n = clen a.a_spo in
       let i = lower_bound a.a_spo Spo 0 n s p o in
-      i < n && compare_key Spo (cget a.a_spo i) s p o = 0
+      i < n && compare_at a.a_spo Spo i s p o = 0
 
-let rec iter_matching t ?s ?p ?o ~f () =
+let iter_matching t s p o f =
+  let cur = cursor t in
+  seek cur s p o;
+  while next cur do
+    f (subject cur) (predicate cur) (object_ cur)
+  done
+
+let flat_count a s p o =
+  let perm = perm_of s p o in
+  let c = cells_of a perm in
+  let k1 = key1 perm s p o and k2 = key2 perm s p o and k3 = key3 perm s p o in
+  let start = range_start c perm k1 k2 k3 in
+  range_stop c perm start k1 k2 k3 - start
+
+let rec match_count t s p o =
   match t.rep with
-  | Union u -> (
-      match p with
-      | Some pid -> iter_matching (force_member u (u.u_owner pid)) ?s ~p:pid ?o ~f ()
-      | None ->
-          Array.iteri
-            (fun k _ -> iter_matching (force_member u k) ?s ?o ~f ())
-            u.u_members)
-  | Flat a -> (
-      match choose a ?s ?p ?o () with
-      | None ->
-          for i = 0 to clen a.a_spo - 1 do
-            f (cget a.a_spo i)
-          done
-      | Some (arr, perm, k1, k2, k3) ->
-          let start, stop = range arr perm k1 k2 k3 in
-          for i = start to stop - 1 do
-            f (cget arr i)
-          done)
-
-let matching t ?s ?p ?o () =
-  let acc = ref [] in
-  iter_matching t ?s ?p ?o ~f:(fun triple -> acc := triple :: !acc) ();
-  !acc
-
-let rec match_count t ?s ?p ?o () =
-  match t.rep with
-  | Union u -> (
-      match p, s, o with
-      | Some pid, _, _ ->
-          match_count (force_member u (u.u_owner pid)) ?s ~p:pid ?o ()
-      | None, None, None -> u.u_total
-      | None, _, _ ->
-          let n = ref 0 in
-          Array.iteri
-            (fun k _ -> n := !n + match_count (force_member u k) ?s ?o ())
-            u.u_members;
-          !n)
-  | Flat a -> (
-      match choose a ?s ?p ?o () with
-      | None -> clen a.a_spo
-      | Some (arr, perm, k1, k2, k3) ->
-          let start, stop = range arr perm k1 k2 k3 in
-          stop - start)
+  | Flat a -> flat_count a s p o
+  | Union u ->
+      if p <> unbound then match_count (force_member u (u.u_owner p)) s p o
+      else if s = unbound && o = unbound then u.u_total
+      else begin
+        let n = ref 0 in
+        for k = 0 to Array.length u.u_members - 1 do
+          n := !n + match_count (force_member u k) s p o
+        done;
+        !n
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Planner statistics                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Distinct values of one projected position within [start, stop) of a
-   sorted array. When the projection is the array's primary sort key the
+(* Distinct values of position [k] within [start, stop) of a sorted
+   array. When the position is the array's primary sort key the
    distinct values form contiguous runs and a single linear pass counts
    them; otherwise the column is extracted, sorted, and its runs counted.
    Both are one-shot costs — every entry point below memoizes, and
    compiled stores carry the figures precomputed ([stats_seed]) so the
    scans never touch the mmap at all. *)
-let count_runs proj arr start stop =
-  let n = ref 0 and prev = ref min_int in
+let count_runs k arr start stop =
+  let n = ref 0 and prev = ref min_int and b = Array.make 3 0 in
   for i = start to stop - 1 do
-    let v = proj (cget arr i) in
+    load arr i b;
+    let v = b.(k) in
     if !n = 0 || v <> !prev then begin
       incr n;
       prev := v
@@ -549,8 +691,13 @@ let count_runs proj arr start stop =
   done;
   !n
 
-let count_distinct_unsorted proj arr start stop =
-  let col = Array.init (stop - start) (fun i -> proj (cget arr (start + i))) in
+let count_distinct_unsorted k arr start stop =
+  let b = Array.make 3 0 in
+  let col =
+    Array.init (stop - start) (fun i ->
+        load arr (start + i) b;
+        b.(k))
+  in
   Array.sort Int.compare col;
   let n = ref 0 and prev = ref min_int in
   Array.iter
@@ -586,14 +733,13 @@ let rec predicate_stats t p =
                    within which distinct objects are runs of the o
                    column; distinct subjects need a sort of the s
                    column. *)
-                let start, stop = range a.a_pos Pos p None None in
+                let start = range_start a.a_pos Pos p unbound unbound in
+                let stop = range_stop a.a_pos Pos start p unbound unbound in
                 {
                   triples = stop - start;
-                  distinct_objects =
-                    count_runs (fun (_, _, o) -> o) a.a_pos start stop;
+                  distinct_objects = count_runs 2 a.a_pos start stop;
                   distinct_subjects =
-                    count_distinct_unsorted (fun (s, _, _) -> s) a.a_pos start
-                      stop;
+                    count_distinct_unsorted 0 a.a_pos start stop;
                 })
       in
       Hashtbl.replace t.pstats p s;
@@ -606,7 +752,7 @@ let distinct_subjects t =
       | Some { seed_subjects = Some n; _ } -> n
       | _ ->
           let a = arrays t in
-          count_runs (fun (s, _, _) -> s) a.a_spo 0 (clen a.a_spo));
+          count_runs 0 a.a_spo 0 (clen a.a_spo));
   t.subject_count
 
 let distinct_objects t =
@@ -617,7 +763,7 @@ let distinct_objects t =
       | _ ->
           (* a_osp is sorted by (o, s, p), so o runs are contiguous *)
           let a = arrays t in
-          count_runs (fun (_, _, o) -> o) a.a_osp 0 (clen a.a_osp));
+          count_runs 2 a.a_osp 0 (clen a.a_osp));
   t.object_count
 
 let distinct_predicates t =
@@ -627,5 +773,5 @@ let distinct_predicates t =
       | Some { seed_predicates = Some n; _ } -> n
       | _ ->
           let a = arrays t in
-          count_runs (fun (_, p, _) -> p) a.a_pos 0 (clen a.a_pos));
+          count_runs 1 a.a_pos 0 (clen a.a_pos));
   t.predicate_count

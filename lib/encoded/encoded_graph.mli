@@ -9,13 +9,28 @@
 
 type t
 
-type flat_view = { fn : int; fget : int -> int * int * int }
-(** One sorted permutation provided as closures: [fn] triples, [fget i]
-    the i-th raw (s, p, o) id triple in the permutation's sort order.
-    How a compiled on-disk store ([Storage]) exposes its mmap'd index
-    sections without this module knowing about bytes, mappings, or
-    [Bigarray] — the join, pebble and statistics code paths are
-    backend-blind. [fget] must be pure and total on [0, fn). *)
+type flat_view = {
+  fn : int;
+  fload : int -> int array -> unit;
+  fcompare : int -> int -> int -> int -> int;
+}
+(** One sorted permutation provided as closures: [fn] triples;
+    [fload i b] writes the i-th raw id triple, in the permutation's sort
+    order, into [b.(0)] (s), [b.(1)] (p) and [b.(2)] (o); and
+    [fcompare i k1 k2 k3] compares the i-th triple's key under that
+    order (its {!key}) as ints against (k1, k2, k3), negative, zero or
+    positive. How a compiled on-disk store ([Storage]) exposes its
+    mmap'd index sections without this module knowing about bytes,
+    mappings, or [Bigarray] — the join, pebble and statistics code paths
+    are backend-blind.
+
+    Nothing here builds a tuple per read. A search step is one
+    [fcompare] call, which reads the mapped ids in place and only as far
+    as the keys agree; a range walk or a scan loads each triple it
+    visits with one [fload] call into an array of its own. A merged
+    overlay view resolves the position of [i] once per call. Both must
+    be pure and total on [0, fn), and may raise on an id they find
+    damaged (the store's [Store_error Corrupt]). *)
 
 type perm =
   | Spo
@@ -31,6 +46,24 @@ val key : perm -> int * int * int -> int * int * int
 val compare_in : perm -> int * int * int -> int * int * int -> int
 (** [compare_in perm a b] compares the keys of the raw triples [a] and
     [b] under [perm], on ints and without building either key. *)
+
+val view_of_triples : perm -> (int * int * int) array -> flat_view
+(** The view of a heap array of raw triples sorted by [perm]. *)
+
+val compare_view : flat_view -> perm -> int -> int * int * int -> int
+(** [compare_view v perm i t]: {!compare_in} of the [i]-th triple of the
+    [perm]-sorted view [v] against the raw triple [t], in one
+    [fcompare] call. *)
+
+val counting_pass :
+  range:int -> int array -> stride:int -> at:int -> int array -> int array ->
+  unit
+(** [counting_pass ~range keys ~stride ~at src dst]: one stable
+    counting-sort pass, writing the elements of [src] into [dst] ordered
+    by the key [keys.((stride * j) + at)] of each element [j]; every key
+    must lie in [0, range). O(n + range). The store builder sorts its id
+    columns with it, and [Row_writer] its answer rows: LSD radix sorts of
+    one pass per column or digit. *)
 
 type predicate_stats = {
   triples : int;  (** number of triples with this predicate *)
@@ -100,10 +133,10 @@ val union :
 
     Members are forced lazily: a predicate-bound lookup touches only the
     owning member (so only that member's pages fault in), a
-    predicate-free pattern fans out over all members, and positional
-    access ([nth_*]) materializes a one-shot k-way merge. Safe to share
-    across threads — member forcing and the merge are serialized on an
-    internal lock. *)
+    predicate-free pattern fans out over all members, and whole-index
+    access ([iter_index], [nth_*]) materializes a one-shot k-way merge.
+    Safe to share across threads — member forcing and the merge are
+    serialized on an internal lock. *)
 
 val members_touched : t -> int option
 (** [Some n] for a {!union} store: how many member stores have been
@@ -147,23 +180,60 @@ val clear_cache : unit -> unit
 val dictionary : t -> Rdf.Dictionary.t
 val cardinal : t -> int
 
-val mem : t -> int * int * int -> bool
+(** {2 Probes}
 
-val matching :
-  t -> ?s:int -> ?p:int -> ?o:int -> unit -> (int * int * int) list
-(** Triples (as id tuples) agreeing with every bound position. *)
+    A probe names each position of a triple pattern by an id, or by
+    {!unbound} to leave it free. Any other negative id (a term absent
+    from the dictionary, {!Encoded_hom.absent_id}) stays bound and
+    matches nothing. A probe binary-searches the permutation whose sort
+    order puts its bound positions first, and allocates nothing. A shard
+    set ({!union}) sends a probe whose predicate is bound to the owning
+    member only, and one whose predicate is free to every member. *)
 
-val match_count : t -> ?s:int -> ?p:int -> ?o:int -> unit -> int
-(** Cardinality of {!matching}; constant-ish time (two binary searches)
-    for prefix-bound lookups. *)
+val unbound : int
+(** [-1]: a free position of a probe. *)
 
-val iter_matching :
-  t -> ?s:int -> ?p:int -> ?o:int -> f:(int * int * int -> unit) -> unit -> unit
+val mem : t -> int -> int -> int -> bool
+(** [mem t s p o]: whether the ground triple is in the store. *)
+
+val match_count : t -> int -> int -> int -> int
+(** [match_count t s p o]: how many triples agree with every bound
+    position; two binary searches. *)
+
+val iter_matching : t -> int -> int -> int -> (int -> int -> int -> unit) -> unit
+(** [iter_matching t s p o f] calls [f s' p' o'] on each triple agreeing
+    with every bound position, in the order of the permutation searched. *)
+
+type cursor
+(** A reusable walk over the triples agreeing with one probe — what a
+    join keeps per depth, so that walking a range allocates nothing. *)
+
+val cursor : t -> cursor
+(** A cursor over the store's triples, before any {!seek}. *)
+
+val seek : cursor -> int -> int -> int -> unit
+(** [seek c s p o] places [c] before the first triple agreeing with the
+    probe (s, p, o), forgetting any earlier probe. *)
+
+val next : cursor -> bool
+(** Step to the next triple agreeing with the last {!seek}, in the order
+    {!iter_matching} visits them; [false] once there is none. *)
+
+val subject : cursor -> int
+val predicate : cursor -> int
+
+val object_ : cursor -> int
+(** Positions of the triple {!next} last stepped to. *)
+
+val iter_index : t -> perm -> (int -> int -> int -> unit) -> unit
+(** [iter_index t perm f] calls [f s p o] on every raw triple of [t] in
+    [perm]'s sort order, reading each into one buffer for the whole
+    scan — the store writer's, compaction's and decode's sequential
+    access; query code uses the matching API above. *)
 
 val nth_spo : t -> int -> int * int * int
 (** The i-th raw (s, p, o) triple of the SPO permutation — positional
-    access for the store writer (and tests); query code uses the
-    matching API above. *)
+    access, one tuple per read. *)
 
 val nth_pos : t -> int -> int * int * int
 val nth_osp : t -> int -> int * int * int

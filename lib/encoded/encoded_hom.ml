@@ -12,7 +12,7 @@ type pterm =
    an empty range — "matches nothing" falls out of the store with no
    special-casing (the term solver gets the same behaviour from a hash
    probe on a term the index has never seen). *)
-let unassigned = -1
+let unassigned = Encoded_graph.unbound
 let absent_id = -2
 
 type source = {
@@ -25,8 +25,8 @@ type source = {
       (* indices (into [vars]) of the variables of the compiled t-graph;
          the domain of a decoded homomorphism, mirroring the term solver's
          "domain = vars(source)" contract *)
-  touch : int list array;
-      (* incidence: [touch.(v)] lists the indices (into [pats]) of the
+  touch : int array array;
+      (* incidence: [touch.(v)] holds the indices (into [pats]) of the
          patterns mentioning variable slot [v] — what the join re-scores
          when [v] gets bound *)
 }
@@ -79,7 +79,7 @@ let compile ?vars tgraph graph =
       note p;
       note o)
     pats;
-  { graph; pats; vars = var_arr; own; touch }
+  { graph; pats; vars = var_arr; own; touch = Array.map Array.of_list touch }
 
 let graph source = source.graph
 let variables source = source.vars
@@ -123,12 +123,9 @@ let decode_own source assignment =
       else acc)
     Variable.Map.empty source.own
 
-let bound assignment = function
-  | Const id -> Some id
-  | Var v -> if assignment.(v) <> unassigned then Some assignment.(v) else None
-
-let pattern_lookup assignment (s, p, o) =
-  (bound assignment s, bound assignment p, bound assignment o)
+(* The id a pattern position probes with under [row]: a constant, a
+   bound variable's id, or [unassigned] = {!Encoded_graph.unbound}. *)
+let value row = function Const id -> id | Var v -> row.(v)
 
 (* Check that [ord] is a permutation of [0 .. npat-1]. *)
 let validate_order npat ord =
@@ -143,139 +140,192 @@ let validate_order npat ord =
       seen.(i) <- true)
     ord
 
-let fold ?(budget = Resource.Budget.unlimited) ?order ?pre source ~init ~f =
-  Resource.Budget.with_phase budget "hom" @@ fun () ->
-  let { graph; pats; vars; touch; _ } = source in
+(* One join's working state, built once and reset by every [run], so a
+   run allocates nothing of its own: what it returns is up to [emit]. *)
+type search = {
+  src : source;
+  row : int array;  (* the working assignment *)
+  used : bool array;
+  rank : int array;
+      (* breaks score ties (lower = preferred): the position in the
+         join's [order] when one is given, the textual order otherwise *)
+  score : int array;
+  stale : bool array;
+  trail : int array;
+      (* the variables bound at every depth, innermost last: a triple
+         binds [trail.(mark) .. trail.(top - 1)] and unbinds them when it
+         is done. A slot is bound at most once along the search path, so
+         [nvars] entries suffice. *)
+  mutable top : int;
+  cursors : Encoded_graph.cursor array;  (* one per depth *)
+  emit : int array -> bool;
+  mutable budget : Resource.Budget.t;
+  mutable stopped : bool;
+  mutable body : unit -> unit;
+      (* the search from depth 0, built once so that entering the "hom"
+         phase allocates no closure *)
+}
+
+(* Lazily cached scores. A pattern's match count only changes when one
+   of its own variables is (un)bound, so (un)binding [v] marks
+   [touch.(v)] stale — a cheap flag — and the count is recomputed only
+   if the pattern is actually considered at a later selection. Selection
+   is therefore exact fail-first (every compared score reflects the
+   current assignment), but patterns whose variables did not change keep
+   their cached score instead of being re-counted at every depth. With
+   one unused pattern left there is nothing to choose between: it is
+   taken without counting its range (the join walks that range next
+   anyway), and its score stays stale for a later selection that does
+   compare it. *)
+let select st depth =
+  let pats = st.src.pats in
   let npat = Array.length pats in
-  let nvars = Array.length vars in
-  let assignment =
-    match pre with
-    | None -> Array.make nvars unassigned
-    | Some p ->
-        if Array.length p <> nvars then
-          invalid_arg "Encoded_hom.fold: pre has the wrong width";
-        Array.copy p
-  in
-  (* Zero-pattern node: exactly one homomorphism — the prefix itself.
-     Guarded explicitly (not via the depth = npat base case below) so the
-     degenerate shape never reaches the selection machinery. *)
-  if npat = 0 then fst (f init assignment)
-  else begin
-    let used = Array.make npat false in
-    let count_pat i =
-      let s, p, o = pattern_lookup assignment pats.(i) in
-      Encoded_graph.match_count graph ?s ?p ?o ()
-    in
-    (* [rank] breaks score ties (lower = preferred): the position in
-       [order] when one is given, the textual pattern order otherwise. *)
-    let rank =
-      match order with
-      | None -> Array.init npat Fun.id
-      | Some ord ->
-          validate_order npat ord;
-          let rank = Array.make npat 0 in
-          Array.iteri (fun pos i -> rank.(i) <- pos) ord;
-          rank
-    in
-    (* Lazily cached scores. A pattern's match count only changes when
-       one of its own variables is (un)bound, so (un)binding [v] marks
-       [touch.(v)] stale — a cheap flag — and the count is recomputed
-       only if the pattern is actually considered at a later selection.
-       Selection is therefore exact fail-first (every compared score
-       reflects the current assignment), but patterns whose variables
-       did not change keep their cached score instead of being re-counted
-       at every depth. *)
-    let score = Array.make npat 0 and stale = Array.make npat true in
-    (* With one unused pattern left there is nothing to choose between:
-       it is taken without counting its range (the join walks that range
-       next anyway), and its score stays stale for a later selection
-       that does compare it. *)
-    let select depth =
-      let best = ref (-1) in
-      if depth = npat - 1 then begin
-        for i = 0 to npat - 1 do
-          if not used.(i) then best := i
-        done
-      end
-      else
-        for i = 0 to npat - 1 do
-          if not used.(i) then begin
-            if stale.(i) then begin
-              score.(i) <- count_pat i;
-              stale.(i) <- false
-            end;
-            if
-              !best < 0
-              || score.(i) < score.(!best)
-              || (score.(i) = score.(!best) && rank.(i) < rank.(!best))
-            then best := i
-          end
-        done;
-      !best
-    in
-    (* The variables bound at every depth, innermost last: a triple binds
-       [trail.(mark) .. trail.(!top - 1)] and unbinds them when it is
-       done. A slot is bound at most once along the search path, so
-       [nvars] entries suffice. *)
-    let trail = Array.make nvars 0 and top = ref 0 in
-    let unify pterm value =
-      match pterm with
-      | Const id -> id = value
-      | Var v ->
-          let cur = assignment.(v) in
-          if cur = value then true
-          else if cur = unassigned then begin
-            assignment.(v) <- value;
-            trail.(!top) <- v;
-            incr top;
-            true
-          end
-          else false
-    in
-    (* only the patterns touching a variable bound by this triple can
-       have changed their match count — flag them stale and let the next
-       selection that actually considers them recompute; unbinding
-       changes the same counts back *)
-    let touch_bound mark =
-      for k = mark to !top - 1 do
-        List.iter (fun i -> stale.(i) <- true) touch.(trail.(k))
-      done
-    in
-    let rec go depth acc =
-      if depth = npat then f acc assignment
-      else begin
-        Resource.Budget.tick budget;
-        let best = select depth in
-        used.(best) <- true;
-        let ((ps, pp, po) as pat) = pats.(best) in
-        let s, p, o = pattern_lookup assignment pat in
-        let acc = ref acc in
-        let continue_ = ref true in
-        Encoded_graph.iter_matching graph ?s ?p ?o
-          ~f:(fun (ts, tp, to_) ->
-            if !continue_ then begin
-              let mark = !top in
-              if unify ps ts && unify pp tp && unify po to_ then begin
-                touch_bound mark;
-                (match go (depth + 1) !acc with
-                | acc', `Continue -> acc := acc'
-                | acc', `Stop ->
-                    acc := acc';
-                    continue_ := false);
-                touch_bound mark
-              end;
-              for k = mark to !top - 1 do
-                assignment.(trail.(k)) <- unassigned
-              done;
-              top := mark
-            end)
-          ();
-        used.(best) <- false;
-        (!acc, if !continue_ then `Continue else `Stop)
-      end
-    in
-    fst (go 0 init)
+  let used = st.used and score = st.score and rank = st.rank in
+  let best = ref (-1) in
+  if depth = npat - 1 then begin
+    for i = 0 to npat - 1 do
+      if not used.(i) then best := i
+    done
   end
+  else
+    for i = 0 to npat - 1 do
+      if not used.(i) then begin
+        if st.stale.(i) then begin
+          let s, p, o = pats.(i) in
+          let row = st.row in
+          score.(i) <-
+            Encoded_graph.match_count st.src.graph (value row s) (value row p)
+              (value row o);
+          st.stale.(i) <- false
+        end;
+        let b = !best in
+        if
+          b < 0
+          || score.(i) < score.(b)
+          || (score.(i) = score.(b) && rank.(i) < rank.(b))
+        then best := i
+      end
+    done;
+  !best
+
+let unify st pterm value =
+  match pterm with
+  | Const id -> id = value
+  | Var v ->
+      let cur = st.row.(v) in
+      if cur = value then true
+      else if cur = unassigned then begin
+        st.row.(v) <- value;
+        st.trail.(st.top) <- v;
+        st.top <- st.top + 1;
+        true
+      end
+      else false
+
+(* only the patterns touching a variable bound by this triple can have
+   changed their match count — flag them stale and let the next
+   selection that actually considers them recompute; unbinding changes
+   the same counts back *)
+let touch_bound st mark =
+  for k = mark to st.top - 1 do
+    let pats = st.src.touch.(st.trail.(k)) in
+    for j = 0 to Array.length pats - 1 do
+      st.stale.(pats.(j)) <- true
+    done
+  done
+
+let rec go st depth =
+  let pats = st.src.pats in
+  if depth = Array.length pats then begin
+    if st.emit st.row then st.stopped <- true
+  end
+  else begin
+    Resource.Budget.tick st.budget;
+    let best = select st depth in
+    st.used.(best) <- true;
+    let ps, pp, po = pats.(best) in
+    let cur = st.cursors.(depth) and row = st.row in
+    Encoded_graph.seek cur (value row ps) (value row pp) (value row po);
+    while (not st.stopped) && Encoded_graph.next cur do
+      let mark = st.top in
+      if
+        unify st ps (Encoded_graph.subject cur)
+        && unify st pp (Encoded_graph.predicate cur)
+        && unify st po (Encoded_graph.object_ cur)
+      then begin
+        touch_bound st mark;
+        go st (depth + 1);
+        touch_bound st mark
+      end;
+      for k = mark to st.top - 1 do
+        row.(st.trail.(k)) <- unassigned
+      done;
+      st.top <- mark
+    done;
+    st.used.(best) <- false
+  end
+
+let search ?order ~emit source =
+  let npat = Array.length source.pats and nvars = Array.length source.vars in
+  let rank =
+    match order with
+    | None -> Array.init npat Fun.id
+    | Some ord ->
+        validate_order npat ord;
+        let rank = Array.make npat 0 in
+        Array.iteri (fun pos i -> rank.(i) <- pos) ord;
+        rank
+  in
+  let st =
+    {
+      src = source;
+      row = Array.make nvars unassigned;
+      used = Array.make npat false;
+      rank;
+      score = Array.make npat 0;
+      stale = Array.make npat true;
+      trail = Array.make nvars 0;
+      top = 0;
+      cursors =
+        Array.init npat (fun _ -> Encoded_graph.cursor source.graph);
+      emit;
+      budget = Resource.Budget.unlimited;
+      stopped = false;
+      body = ignore;
+    }
+  in
+  st.body <- (fun () -> go st 0);
+  st
+
+let run st budget pre =
+  if Array.length pre <> Array.length st.row then
+    invalid_arg "Encoded_hom.fold: pre has the wrong width";
+  Array.blit pre 0 st.row 0 (Array.length pre);
+  Array.fill st.used 0 (Array.length st.used) false;
+  Array.fill st.stale 0 (Array.length st.stale) true;
+  st.top <- 0;
+  st.stopped <- false;
+  st.budget <- budget;
+  (* a zero-pattern node folds over exactly one homomorphism, the
+     prefix itself: [go] emits it at depth 0 *)
+  Resource.Budget.with_phase budget "hom" st.body;
+  st.budget <- Resource.Budget.unlimited
+
+let fold ?(budget = Resource.Budget.unlimited) ?order ?pre source ~init ~f =
+  let acc = ref init in
+  let st =
+    search ?order source ~emit:(fun row ->
+        let a, c = f !acc row in
+        acc := a;
+        c = `Stop)
+  in
+  let pre =
+    match pre with
+    | Some p -> p
+    | None -> Array.make (Array.length source.vars) unassigned
+  in
+  run st budget pre;
+  !acc
 
 let iter ?budget ?order ?pre source ~f =
   fold ?budget ?order ?pre source ~init:() ~f:(fun () assignment ->

@@ -49,7 +49,9 @@ val own_slots : source -> int list
     slots — the key a caller needs to memoise existence verdicts on. *)
 
 val unassigned : int
-(** Sentinel for a free slot in an assignment array ([-1]). *)
+(** Sentinel for a free slot in an assignment array:
+    {!Encoded_graph.unbound}, so a row's slot probes the store as it
+    stands. *)
 
 val absent_id : int
 (** Sentinel id for a term absent from the dictionary ([-2]); lookups
@@ -89,6 +91,23 @@ val fold :
     over exactly one homomorphism: [pre] itself. Raises
     [Invalid_argument] if [order] is not a permutation of the source's
     patterns. *)
+
+type search
+(** A join over one source prepared once and run many times: its
+    working row, score cache, trail and one store cursor per depth.
+    A {!run} allocates nothing beyond what its [emit] does. Not
+    reentrant: [emit] must not run the same search. *)
+
+val search : ?order:int array -> emit:(int array -> bool) -> source -> search
+(** [search ?order ~emit source]: the join {!fold} runs, with [emit]
+    called on the live row of every homomorphism; [emit] returns [true]
+    to stop the run. [order] and its [Invalid_argument] are as in
+    {!fold}. *)
+
+val run : search -> Resource.Budget.t -> int array -> unit
+(** [run s budget pre]: one join extending [pre] (an assignment of
+    {!variables}'s width, raising [Invalid_argument] otherwise), ticking
+    [budget] as {!fold} does. *)
 
 val iter :
   ?budget:Resource.Budget.t ->

@@ -96,25 +96,21 @@ let key_remove key v =
 
 (* Candidates for the single variable of a unary triple, read off the
    matching range of its constant prefix (instead of testing every term
-   of the universe as the term-level kernel does). Positions: [Some id]
-   is a constant, [None] the variable. *)
+   of the universe as the term-level kernel does). Positions: an id is a
+   constant, {!Encoded_graph.unbound} the variable. *)
 let unary_candidates graph (s, p, o) =
   let acc = ref [] in
-  Encoded_graph.iter_matching graph ?s ?p ?o
-    ~f:(fun (ts, tp, to_) ->
+  Encoded_graph.iter_matching graph s p o (fun ts tp to_ ->
       let value = ref (-1) in
       let ok pos bound =
-        match bound with
-        | Some _ -> true
-        | None ->
-            if !value < 0 then begin
-              value := pos;
-              true
-            end
-            else !value = pos
+        if bound <> Encoded_graph.unbound then true
+        else if !value < 0 then begin
+          value := pos;
+          true
+        end
+        else !value = pos
       in
-      if ok ts s && ok tp p && ok to_ o then acc := !value :: !acc)
-    ();
+      if ok ts s && ok tp p && ok to_ o then acc := !value :: !acc);
   Array.of_list (List.sort_uniq compare !acc)
 
 (* A unary-candidate cache shared across the compiles of one
@@ -125,7 +121,7 @@ let unary_candidates graph (s, p, o) =
    against one store epoch — [Wd_core.Plan_cache] owns one per entry.
    Not thread-safe: callers serialise compiles (or use a private one). *)
 type unary_cache = {
-  table : (int option * int option * int option, int array) Hashtbl.t;
+  table : (int * int * int, int array) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -213,8 +209,8 @@ let prepare ?unary g graph =
       match free_ids pat with
       | [ v ] when not (has_prm pat) ->
           let pos = function
-            | Cst i -> Some i
-            | Fv _ -> None
+            | Cst i -> i
+            | Fv _ -> Encoded_graph.unbound
             | Prm _ -> assert false
           in
           let a, b, c = pat in
@@ -275,7 +271,7 @@ let run ?(budget = Resource.Budget.unlimited) t ~mu =
       let ra = subst a and rb = subst b and rc = subst c in
       match ra, rb, rc with
       | Rc x, Rc y, Rc z ->
-          if !ground_ok && not (Encoded_graph.mem t.graph (x, y, z)) then
+          if !ground_ok && not (Encoded_graph.mem t.graph x y z) then
             ground_ok := false
       | _ ->
           let fv =
@@ -309,9 +305,9 @@ let run ?(budget = Resource.Budget.unlimited) t ~mu =
         match fv with
         | [ v ] when has_prm ->
             let pos = function
-              | Cst i -> Some i
-              | Prm j -> Some mu.(j)
-              | Fv _ -> None
+              | Cst i -> i
+              | Prm j -> mu.(j)
+              | Fv _ -> Encoded_graph.unbound
             in
             let narrowed = unary_candidates t.graph (pos a, pos b, pos c) in
             cands.(v) <- intersect_sorted cands.(v) narrowed
@@ -325,7 +321,7 @@ let run ?(budget = Resource.Budget.unlimited) t ~mu =
           | Rc i -> i
           | Rv v -> assign.(v)
         in
-        Encoded_graph.mem t.graph (value ra, value rb, value rc)
+        Encoded_graph.mem t.graph (value ra) (value rb) (value rc)
       in
       let alive : unit Tbl.t = Tbl.create 4096 in
       let key_of_dom dom_vars =

@@ -5,14 +5,17 @@ let fmax1 n = float_of_int (max 1 n)
 
 let estimate graph ~bound (s, p, o) =
   let const = function H.Const id -> Some id | H.Var _ -> None in
+  let probe = function H.Const id -> id | H.Var _ -> G.unbound in
   let is_bound_var = function H.Var v -> bound v | H.Const _ -> false in
-  let cs = const s and cp = const p and co = const o in
+  let cp = const p in
   (* Exact base: the range count over the constant positions — two binary
      searches on the right sorted permutation, O(1) in the pattern. A
      constant absent from the dictionary is a negative sentinel whose
      range is empty, so impossible patterns estimate 0 with no special
      case. *)
-  let base = float_of_int (G.match_count graph ?s:cs ?p:cp ?o:co ()) in
+  let base =
+    float_of_int (G.match_count graph (probe s) (probe p) (probe o))
+  in
   (* Per-position selectivity of the bound variables, under per-predicate
      uniformity when the predicate is a constant: a bound subject divides
      by the predicate's distinct subject count, a bound object by its

@@ -131,22 +131,32 @@ let solution b =
     end
   end
 
+(* A match rather than [Fun.protect], which allocates two closures per
+   call: the engine enters a phase once per child join. *)
 let with_phase b label f =
   if not b.limited then f ()
   else begin
     let saved = b.phase in
     b.phase <- label;
-    Fun.protect ~finally:(fun () -> b.phase <- saved) f
+    match f () with
+    | x ->
+        b.phase <- saved;
+        x
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        b.phase <- saved;
+        Printexc.raise_with_backtrace e bt
   end
+
+(* an unlimited budget has nothing to charge, so a cap runs on a fresh
+   limit-free view of its own *)
+let cap_view b =
+  if b.limited then b
+  else { unlimited with limited = true; halted = Atomic.make false }
 
 let capped b n f =
   if n < 0 then invalid_arg "Budget.capped: negative cap";
-  (* an unlimited budget has nothing to charge, so the cap runs on a
-     fresh limit-free view of its own *)
-  let b =
-    if b.limited then b
-    else { unlimited with limited = true; halted = Atomic.make false }
-  in
+  let b = cap_view b in
   if b.cap_left <> max_int then invalid_arg "Budget.capped: nested cap";
   b.cap_left <- min n (max_int - 1);
   match f b with

@@ -91,8 +91,15 @@ val capped : t -> int -> (t -> 'a) -> 'a option
     every tick [f] spends is charged to [b] ({!spent} and fuel). Caps do
     not nest: calling [capped] on [b'] inside [f] raises
     [Invalid_argument]. On a limited budget [b' = b]; on {!unlimited}
-    [b'] is a fresh view with no other limit. The engine's child joins
-    run under it until their first extension. *)
+    [b'] is a fresh view with no other limit, or [b] itself when it is
+    a {!cap_view}. The engine's child joins run under it until their
+    first extension. *)
+
+val cap_view : t -> t
+(** The budget {!capped} runs [f] on: [b] itself when it is limited,
+    otherwise a fresh view with no limit of its own. Build it once and
+    pass it to every {!capped} call of a loop, so that no call builds
+    one. *)
 
 val uncap : t -> unit
 (** Inside {!capped}'s [f], called on the budget [f] received: lift the

@@ -420,16 +420,18 @@ let query_of_request req =
       end
   | None -> None
 
-(* Classify what escapes a request's evaluation. *)
+(* Classify what escapes a request's evaluation. An exception no error
+   type names is a bug, answered as one: a 500, on this request only. *)
 let attempt f =
   match f () with
   | v -> Ok v
-  | exception E.Error e -> Error e
-  | exception Budget.Exhausted { phase; spent } ->
-      Error (E.Budget_exhausted { phase; spent })
   | exception Wdpt.Translate.Not_well_designed v ->
       Error
         (E.Not_well_designed (Fmt.str "%a" Sparql.Well_designed.pp_violation v))
+  | exception e -> (
+      match E.of_exn e with
+      | Some err -> Error err
+      | None -> Error (E.Internal (Printexc.to_string e)))
 
 (* Admit, register for drain cancellation, run, release — on all
    paths. *)
@@ -744,27 +746,29 @@ let maybe_reload t =
             release_stores t
         | exception _ -> Atomic.incr t.reload_failures)
 
+(* Once draining, queued requests are not evaluated — they get a prompt
+   503 instead of silently timing out in the queue. *)
+let run_job t job =
+  if Atomic.get t.stop then
+    let conn, _, _ = job in
+    Fun.protect
+      ~finally:(fun () -> Io.close conn)
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 1.0 in
+        let status, body = simple_error "draining" 503 "server is draining" in
+        respond t conn ~deadline ~headers:(retry_after 1.) ~status body)
+  else begin
+    maybe_reload t;
+    handle_conn t job
+  end
+
 let worker_loop t =
   let rec serve () =
     match pop_job t with
     | Some job ->
-        (* once draining, queued requests are not evaluated — they get a
-           prompt 503 instead of silently timing out in the queue *)
-        (if Atomic.get t.stop then
-           let conn, _, _ = job in
-           Fun.protect
-             ~finally:(fun () -> Io.close conn)
-             (fun () ->
-               let deadline = Unix.gettimeofday () +. 1.0 in
-               let status, body =
-                 simple_error "draining" 503 "server is draining"
-               in
-               respond t conn ~deadline ~headers:(retry_after 1.) ~status
-                 body)
-         else begin
-           maybe_reload t;
-           handle_conn t job
-         end);
+        (* what one connection raises closes that connection (both paths
+           of [run_job] close it), and the worker takes the next job *)
+        (try run_job t job with _ -> ());
         serve ()
     | None -> ()
   in

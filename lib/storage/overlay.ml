@@ -14,14 +14,14 @@ let view_lower_bound v perm triple =
   let lo = ref 0 and hi = ref v.E.fn in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if E.compare_in perm (v.E.fget mid) triple < 0 then lo := mid + 1
+    if E.compare_view v perm mid triple < 0 then lo := mid + 1
     else hi := mid
   done;
   !lo
 
 let view_mem v perm triple =
   let i = view_lower_bound v perm triple in
-  i < v.E.fn && E.compare_in perm (v.E.fget i) triple = 0
+  i < v.E.fn && E.compare_view v perm i triple = 0
 
 (* Fold an ordered chain of (adds, dels) segments over a base membership
    predicate into one net delta: [adds] absent from the base, [dels]
@@ -62,8 +62,9 @@ let compose ?(budget = Resource.Budget.unlimited) ~base_mem ~segments () =
      its survivor rank in the base (lower bound minus deletions before
      it) plus the j adds that precede it.
 
-   A probe [fget i] then needs only binary searches over the delta
-   arrays: if [i] is some [add_at.(j)] the answer is that add; otherwise
+   A probe of position [i] ([fload i] or [fcompare i ...]) then needs
+   only binary searches over the delta arrays, once per call: if [i] is
+   some [add_at.(j)] the answer is that add; otherwise
    [i] names the q-th surviving base triple (q = i minus the adds before
    i), whose base position is recovered from [del_pos] — [del_pos.(d) -
    d] is non-decreasing, so "smallest d with del_pos.(d) > q + d" is a
@@ -100,7 +101,9 @@ let merge ?(budget = Resource.Budget.unlimited) ~base ~perm ~adds ~dels () =
       adds
   in
   let fn = base.E.fn - n_dels + n_adds in
-  let fget i =
+  (* Merged position [i] as [-1 - j] for the j-th add, or as its base
+     position. *)
+  let resolve i =
     (* binary search add_at for i; exact hit -> that add, otherwise the
        search's lower bound counts the adds placed before position i *)
     let lo = ref 0 and hi = ref n_adds in
@@ -108,7 +111,7 @@ let merge ?(budget = Resource.Budget.unlimited) ~base ~perm ~adds ~dels () =
       let mid = (!lo + !hi) / 2 in
       if add_at.(mid) < i then lo := mid + 1 else hi := mid
     done;
-    if !lo < n_adds && add_at.(!lo) = i then adds.(!lo)
+    if !lo < n_adds && add_at.(!lo) = i then -1 - !lo
     else
       let q = i - !lo in
       let lo = ref 0 and hi = ref n_dels in
@@ -116,6 +119,16 @@ let merge ?(budget = Resource.Budget.unlimited) ~base ~perm ~adds ~dels () =
         let mid = (!lo + !hi) / 2 in
         if del_pos.(mid) <= q + mid then lo := mid + 1 else hi := mid
       done;
-      base.E.fget (q + !lo)
+      q + !lo
   in
-  { E.fn; fget }
+  let added = E.view_of_triples perm adds in
+  let fload i b =
+    let r = resolve i in
+    if r < 0 then added.E.fload (-1 - r) b else base.E.fload r b
+  in
+  let fcompare i k1 k2 k3 =
+    let r = resolve i in
+    if r < 0 then added.E.fcompare (-1 - r) k1 k2 k3
+    else base.E.fcompare r k1 k2 k3
+  in
+  { E.fn; fload; fcompare }

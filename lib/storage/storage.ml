@@ -225,14 +225,15 @@ let dict_sections ser =
   ( words_section (Array.length starts) (Array.get starts),
     String.concat "" (Array.to_list ser) )
 
-let triples_section n nth =
-  let b = Bytes.create (24 * n) in
-  for i = 0 to n - 1 do
-    let s, p, o = nth i in
-    Bytes.set_int64_le b (24 * i) (Int64.of_int s);
-    Bytes.set_int64_le b ((24 * i) + 8) (Int64.of_int p);
-    Bytes.set_int64_le b ((24 * i) + 16) (Int64.of_int o)
-  done;
+(* [n] raw triples, as [iter] calls its argument on them. *)
+let triples_section n iter =
+  let b = Bytes.create (24 * n) and i = ref 0 in
+  iter (fun s p o ->
+      let at = 24 * !i in
+      Bytes.set_int64_le b at (Int64.of_int s);
+      Bytes.set_int64_le b (at + 8) (Int64.of_int p);
+      Bytes.set_int64_le b (at + 16) (Int64.of_int o);
+      incr i);
   Bytes.unsafe_to_string b
 
 (* Persist the enclosing directory entry (after a rename). Best-effort:
@@ -344,29 +345,27 @@ let write_store enc path =
       List.iter (add_word pstats) [ !pred; !triples; !subjects; !objects ]
     end
   in
-  for i = 0 to n - 1 do
-    let s, p, o = E.nth_pos enc i in
-    if p <> !pred then begin
-      close_row ();
-      pred := p;
-      triples := 0;
-      subjects := 0;
-      objects := 0;
-      last_obj := -1
-    end;
-    incr triples;
-    if o <> !last_obj then begin
-      incr objects;
-      last_obj := o
-    end;
-    if last_pred.(s) <> p then begin
-      incr subjects;
-      last_pred.(s) <- p
-    end
-  done;
+  E.iter_index enc E.Pos (fun s p o ->
+      if p <> !pred then begin
+        close_row ();
+        pred := p;
+        triples := 0;
+        subjects := 0;
+        objects := 0;
+        last_obj := -1
+      end;
+      incr triples;
+      if o <> !last_obj then begin
+        incr objects;
+        last_obj := o
+      end;
+      if last_pred.(s) <> p then begin
+        incr subjects;
+        last_pred.(s) <- p
+      end);
   close_row ();
   (* Index sections: the raw tuples of each permutation, in its order. *)
-  let index nth = triples_section n (nth enc) in
+  let index perm = triples_section n (E.iter_index enc perm) in
   write_file base_kind path
     ~words:
       [|
@@ -383,9 +382,9 @@ let write_store enc path =
         offsets;
         words_section n_terms (Array.get order);
         blob;
-        index E.nth_spo;
-        index E.nth_pos;
-        index E.nth_osp;
+        index E.Spo;
+        index E.Pos;
+        index E.Osp;
         Buffer.contents pstats;
       |]
 
@@ -605,26 +604,49 @@ let dict_view path ~(offsets : ints) ~(term_sort : ints option)
 (* Ids leave the store here, so each is range-checked against the
    dictionary: a corrupt one would otherwise surface far away, as a raw
    [Invalid_argument] from the dictionary at decode. *)
-let triple_view path ~n_terms (section : ints option) n =
+let triple_view path ~n_terms ~perm (section : ints option) n =
   match section with
   | None ->
+      let empty _ = fail path Err.Corrupt "probe into an empty index" in
       {
         E.fn = 0;
-        fget = (fun _ -> fail path Err.Corrupt "probe into an empty index");
+        fload = (fun i _ -> empty i);
+        fcompare = (fun i _ _ _ -> empty i);
       }
   | Some a ->
+      let check id =
+        if id < 0 || id >= n_terms then
+          fail path Err.Corrupt "index id out of range"
+      in
+      (* where the permutation's first, second and third key sit *)
+      let j1, j2, j3 = E.key perm (0, 1, 2) in
       {
         E.fn = n;
-        fget =
-          (fun i ->
-            let s = A1.get a (3 * i)
-            and p = A1.get a ((3 * i) + 1)
-            and o = A1.get a ((3 * i) + 2) in
-            if
-              s lor p lor o < 0 || s >= n_terms || p >= n_terms
-              || o >= n_terms
-            then fail path Err.Corrupt "index id out of range";
-            (s, p, o));
+        fload =
+          (fun i (b : int array) ->
+            let at = 3 * i in
+            let s = A1.get a at and p = A1.get a (at + 1)
+            and o = A1.get a (at + 2) in
+            check s;
+            check p;
+            check o;
+            b.(0) <- s;
+            b.(1) <- p;
+            b.(2) <- o);
+        fcompare =
+          (fun i k1 k2 k3 ->
+            let at = 3 * i in
+            let x = A1.get a (at + j1) in
+            check x;
+            if x <> k1 then if x < k1 then -1 else 1
+            else
+              let x = A1.get a (at + j2) in
+              check x;
+              if x <> k2 then if x < k2 then -1 else 1
+              else
+                let x = A1.get a (at + j3) in
+                check x;
+                if x <> k3 then if x < k3 then -1 else 1 else 0);
       }
 
 (* Per-predicate rows, pid-ascending; checked eagerly (rows = distinct
@@ -696,14 +718,16 @@ let map_base h ic =
     | None -> fail path Err.Corrupt "dictionary offsets section empty"
   in
   let n_terms = h.f_words.(b_terms) in
-  let index k = triple_view path ~n_terms (ints k) h.f_words.(b_triples) in
+  let index perm k =
+    triple_view path ~n_terms ~perm (ints k) h.f_words.(b_triples)
+  in
   {
     b_dict =
       dict_view path ~offsets ~term_sort:(ints 1)
         ~blob:(map Bigarray.char 1 2) ~blob_len:(snd h.f_table.(2)) ~n_terms;
-    b_spo = index 3;
-    b_pos = index 4;
-    b_osp = index 5;
+    b_spo = index E.Spo 3;
+    b_pos = index E.Pos 4;
+    b_osp = index E.Osp 5;
     b_seed = stats_seed ~pstats:(ints 6) h;
   }
 
@@ -1037,10 +1061,9 @@ let load_graph ?verify path =
     Rdf.Graph.deferred ~epoch:(E.epoch enc) (fun () ->
         let dict = E.dictionary enc in
         let acc = ref [] in
-        for i = E.cardinal enc - 1 downto 0 do
-          acc := Rdf.Dictionary.decode_triple dict (E.nth_spo enc i) :: !acc
-        done;
-        Rdf.Index.of_triples !acc)
+        E.iter_index enc E.Spo (fun s p o ->
+            acc := Rdf.Dictionary.decode_triple dict (s, p, o) :: !acc);
+        Rdf.Index.of_triples (List.rev !acc))
   in
   E.register graph enc;
   graph
@@ -1085,7 +1108,7 @@ let append ?(adds = []) ?(dels = []) path =
     | _ -> None
   in
   let present tr =
-    match encode_opt tr with Some t -> E.mem enc t | None -> false
+    match encode_opt tr with Some (s, p, o) -> E.mem enc s p o | None -> false
   in
   (* Normalize against the live overlay: adds already present and
      deletions of absent triples drop out (a triple both added and
@@ -1120,7 +1143,10 @@ let append ?(adds = []) ?(dels = []) path =
     let parent_stamp = -1 - E.epoch enc in
     let file = seg_path path (n_existing + 1) in
     let offsets, blob = dict_sections new_terms in
-    let triples arr = triples_section (Array.length arr) (Array.get arr) in
+    let triples arr =
+      triples_section (Array.length arr) (fun f ->
+          Array.iter (fun (s, p, o) -> f s p o) arr)
+    in
     let seg_stamp =
       write_file segment_kind file
         ~words:
@@ -1147,8 +1173,11 @@ let append ?(adds = []) ?(dels = []) path =
 (* The live triples of [enc], as overlay ids straight from its SPO
    view, rebuilt in canonical id space — no term-level decode. *)
 let canonical enc =
-  E.canonical ~identity:0 (E.dictionary enc)
-    (Array.init (E.cardinal enc) (E.nth_spo enc))
+  let spo = Array.make (E.cardinal enc) (0, 0, 0) and i = ref 0 in
+  E.iter_index enc E.Spo (fun s p o ->
+      spo.(!i) <- (s, p, o);
+      incr i);
+  E.canonical ~identity:0 (E.dictionary enc) spo
 
 type compact_result = { folded : int; compact_stamp : int }
 
@@ -1194,19 +1223,14 @@ let shard ?(slices = 8) ~src out =
   in
   (* Partition each permutation by the predicate's slice: filtering a
      sorted sequence preserves its order, so members need no re-sort. *)
-  let parts nth =
+  let parts perm =
     let acc = Array.make slices [] in
-    for i = n - 1 downto 0 do
-      let s, p, o = nth enc i in
-      let k = slice_of p in
-      acc.(k) <- (s, p, o) :: acc.(k)
-    done;
-    Array.map Array.of_list acc
+    E.iter_index enc perm (fun s p o ->
+        let k = slice_of p in
+        acc.(k) <- (s, p, o) :: acc.(k));
+    Array.map (fun l -> Array.of_list (List.rev l)) acc
   in
-  let spo = parts E.nth_spo
-  and pos = parts E.nth_pos
-  and osp = parts E.nth_osp in
-  let heap arr = { E.fn = Array.length arr; fget = (fun i -> arr.(i)) } in
+  let spo = parts E.Spo and pos = parts E.Pos and osp = parts E.Osp in
   let dir = Filename.dirname out in
   let member_file k = Printf.sprintf "%s.s%d" (Filename.basename out) k in
   let stamps =
@@ -1214,8 +1238,11 @@ let shard ?(slices = 8) ~src out =
         (* Every member carries the full dictionary (ids stay global);
            only its index and statistics sections are slice-local. *)
         let m =
-          E.of_views ~identity:0 ~dict ~spo:(heap spo.(k)) ~pos:(heap pos.(k))
-            ~osp:(heap osp.(k)) ()
+          E.of_views ~identity:0 ~dict
+            ~spo:(E.view_of_triples E.Spo spo.(k))
+            ~pos:(E.view_of_triples E.Pos pos.(k))
+            ~osp:(E.view_of_triples E.Osp osp.(k))
+            ()
         in
         write_store m (Filename.concat dir (member_file k)))
   in

@@ -104,7 +104,7 @@ let matching tree graph mu =
   let mem triple =
     let { Triple.s; p; o } = Sparql.Mapping.apply mu triple in
     match (id s, id p, id o) with
-    | Some s, Some p, Some o -> Encoded.Encoded_graph.mem enc (s, p, o)
+    | Some s, Some p, Some o -> Encoded.Encoded_graph.mem enc s p o
     | _ -> false
   in
   let admit n =

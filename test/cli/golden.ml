@@ -34,6 +34,10 @@ let expected forest graph =
       (List.map (Fmt.str "%a@." Sparql.Mapping.pp)
          (Sparql.Mapping.Set.elements answers))
 
+(* [WDSPARQL eval] streams its rows in chunks of 64 KiB, so the larger
+   instances must print more than four of them. *)
+let chunked = 4 * 65536
+
 let () =
   let exe = Sys.argv.(1) in
   let tournament n =
@@ -44,13 +48,21 @@ let () =
   in
   let module Q = Workload.Query_families in
   let stars = List.init 6 (Printf.sprintf "c%d") in
+  let big preds m =
+    Rdf.Generator.random_graph ~seed:7 ~n:30 ~predicates:preds ~m
+  in
   List.iter
-    (fun (name, forest, graph) ->
+    (fun (name, forest, graph, least) ->
       let data = name ^ ".nt" and query = name ^ ".rq" in
       write data (Rdf.Ntriples.to_string graph);
       write query
         (Sparql.Printer.to_string (Wdpt.Pattern_forest.to_algebra forest));
       let want = expected forest graph in
+      if String.length want <= least then begin
+        Printf.eprintf "%s: %d bytes, not more than %d\n" name
+          (String.length want) least;
+        exit 1
+      end;
       let got = run exe [ "eval"; "-d"; data; "-q"; query ] in
       if got <> want then begin
         Printf.eprintf "%s: output differs\n--- want\n%s--- got\n%s" name
@@ -58,10 +70,15 @@ let () =
         exit 1
       end)
     [
-      ("f4", Q.f_k 4, tournament 8);
-      ("f6", Q.f_k 6, tournament 9);
-      ("clique_child3", [ Q.clique_child 3 ], tournament 8);
-      ("comb3", [ Q.comb_query 3 ], shapes [ "p"; "t" ]);
-      ("star5", [ Q.star_query 5 ], shapes stars);
-      ("path4", [ Q.path_query 4 ], shapes [ "p" ]);
+      ("f4", Q.f_k 4, tournament 8, 0);
+      ("f6", Q.f_k 6, tournament 9, 0);
+      ("clique_child3", [ Q.clique_child 3 ], tournament 8, 0);
+      ("comb3", [ Q.comb_query 3 ], shapes [ "p"; "t" ], 0);
+      ("star5", [ Q.star_query 5 ], shapes stars, 0);
+      ("path4", [ Q.path_query 4 ], shapes [ "p" ], 0);
+      ("comb4", [ Q.comb_query 4 ], big [ "p"; "t" ] 120, chunked);
+      ( "star6",
+        [ Q.star_query 6 ],
+        big (List.init 7 (Printf.sprintf "c%d")) 400,
+        chunked );
     ]

@@ -955,6 +955,39 @@ let test_codebase_lint_compare () =
            (fun s -> Astring.String.is_infix ~affix:"Int.compare" s)
            rendered))
 
+(* The answer path is held to the same rule: the product walk and the
+   row writer handle every answer, so a seeded bare [compare] in either
+   is flagged. *)
+let test_codebase_lint_compare_answer_path () =
+  List.iter
+    (fun rel ->
+      check Alcotest.bool (rel ^ " is a probe kernel") true
+        (List.mem rel Lint_rules.probe_kernels))
+    [ "core/enumerate.ml"; "core/row_writer.ml" ];
+  with_scratch_tree
+    [
+      ( "core/row_writer.ml",
+        "let sort order = Array.stable_sort compare order
+" );
+      ("core/enumerate.ml", "let rows = 0
+let same a b = compare a b = 0
+");
+      (* an IRI comparison is monomorphic *)
+      ("core/engine.ml", "let c = Rdf.Iri.compare
+");
+    ]
+    (fun root ->
+      let violations = Lint_rules.check_tree ~manifest:[] ~root () in
+      check
+        Alcotest.(list string)
+        "exactly the seeded compares, with file:line"
+        [ "core/enumerate.ml:2"; "core/row_writer.ml:1" ]
+        (List.sort String.compare
+           (List.map
+              (fun v ->
+                Printf.sprintf "%s:%d" v.Lint_rules.path v.Lint_rules.line)
+              violations)))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1033,5 +1066,7 @@ let () =
             test_codebase_lint_domain_safety;
           Alcotest.test_case "probe kernels compare ids monomorphically"
             `Quick test_codebase_lint_compare;
+          Alcotest.test_case "the answer path compares ids monomorphically"
+            `Quick test_codebase_lint_compare_answer_path;
         ] );
     ]

@@ -96,8 +96,8 @@ let check_equivalent ~ctx overlay mono =
           (b.E.triples, b.E.distinct_subjects, b.E.distinct_objects);
         Alcotest.(check int)
           (ctx ^ ": match_count ?p")
-          (E.match_count mono ~p:id ())
-          (E.match_count overlay ~p:vid ())
+          (E.match_count mono E.unbound id E.unbound)
+          (E.match_count overlay E.unbound vid E.unbound)
   done;
   (* membership agrees triple for triple (and the overlay holds nothing
      extra — the cardinals already matched) *)
@@ -105,7 +105,7 @@ let check_equivalent ~ctx overlay mono =
     let s, p, o = E.nth_spo mono i in
     let enc t = Option.get (Rdf.Dictionary.find dv (Rdf.Dictionary.term_of dm t)) in
     Alcotest.(check bool) (ctx ^ ": mem") true
-      (E.mem overlay (enc s, enc p, enc o))
+      (E.mem overlay (enc s) (enc p) (enc o))
   done
 
 let check_answers ~ctx ~seed handle mono_graph =
@@ -418,12 +418,12 @@ let test_shard_lazy_routing () =
       let pid =
         Option.get (Rdf.Dictionary.find dict (Rdf.Term.iri "p:q0"))
       in
-      ignore (E.match_count sharded ~p:pid ());
-      ignore (E.iter_matching sharded ~p:pid ~f:(fun _ -> ()) ());
+      ignore (E.match_count sharded E.unbound pid E.unbound);
+      E.iter_matching sharded E.unbound pid E.unbound (fun _ _ _ -> ());
       Alcotest.(check (option int)) "one member touched" (Some 1)
         (E.members_touched sharded);
       (* a predicate-free scan fans out to all members *)
-      ignore (E.match_count sharded ~s:0 ());
+      ignore (E.match_count sharded 0 E.unbound E.unbound);
       Alcotest.(check (option int)) "fan-out touches all" (Some 4)
         (E.members_touched sharded))
 
@@ -582,6 +582,7 @@ let check_range_search ~ctx store truth =
   and ko = keys (fun (_, _, o) -> o) in
   let opts bound k = if bound then List.map Option.some k else [ None ] in
   let agrees q = function None -> true | Some k -> k = q in
+  let probe = function None -> E.unbound | Some k -> k in
   let sorted l = List.sort (E.compare_in E.Spo) l in
   for mask = 0 to 7 do
     List.iter
@@ -602,17 +603,16 @@ let check_range_search ~ctx store truth =
                 in
                 Alcotest.(check int) (what ^ ": match_count")
                   (List.length expected)
-                  (E.match_count store ?s ?p ?o ());
+                  (E.match_count store (probe s) (probe p) (probe o));
                 let got = ref [] in
-                E.iter_matching store ?s ?p ?o
-                  ~f:(fun t -> got := t :: !got)
-                  ();
+                E.iter_matching store (probe s) (probe p) (probe o)
+                  (fun s p o -> got := (s, p, o) :: !got);
                 Alcotest.(check (list (triple int int int)))
                   (what ^ ": iter_matching") (sorted expected) (sorted !got);
                 match s, p, o with
                 | Some s, Some p, Some o ->
                     Alcotest.(check bool) (what ^ ": mem") (expected <> [])
-                      (E.mem store (s, p, o))
+                      (E.mem store s p o)
                 | _ -> ())
               (opts (mask land 4 <> 0) ko))
           (opts (mask land 2 <> 0) kp))
@@ -621,7 +621,8 @@ let check_range_search ~ctx store truth =
   List.iter
     (fun t ->
       Alcotest.(check bool) (ctx ^ ": every triple is a member") true
-        (E.mem store t))
+        (let s, p, o = t in
+         E.mem store s p o))
     ids
 
 (* [compare_in] orders raw triples as their rotated keys order. *)

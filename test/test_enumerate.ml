@@ -116,6 +116,50 @@ let test_one_row_per_answer () =
   in
   check_node Wdpt.Pattern_tree.root
 
+(* A root with children X, Y and Z, Z with children K0 and K1, where X
+   has two extensions, Y none, and Z's extensions differ on whether K0
+   extends them. The walk skips the left-out Y while later siblings
+   still have alternatives to choose, so each child it reaches must be
+   the one of its own node match, not a child some deeper node pushed
+   in its place. Every order of the root's children is tried. *)
+let test_left_out_sibling () =
+  let t s p o = Triple.make (Term.iri s) (Term.iri p) (Term.iri o) in
+  let g =
+    Graph.of_triples
+      [
+        t "n:r" "p:r" "n:a";
+        t "n:r" "p:x" "n:x1";
+        t "n:r" "p:x" "n:x2";
+        t "n:r" "p:z" "n:z1";
+        t "n:r" "p:z" "n:z2";
+        t "n:z1" "p:k0" "n:k1";
+        t "n:z1" "p:k0" "n:k2";
+        t "n:z2" "p:k1" "n:k3";
+      ]
+  in
+  let x = "OPTIONAL { ?r p:x ?x }"
+  and y = "OPTIONAL { ?r p:y ?y }"
+  and z =
+    "OPTIONAL { ?r p:z ?z OPTIONAL { ?z p:k0 ?k0 } OPTIONAL { ?z p:k1 ?k1 } }"
+  in
+  List.iter
+    (fun (a, b, c) ->
+      let src = Printf.sprintf "{ ?r p:r ?a %s %s %s }" a b c in
+      let p = Sparql.Parser.parse_exn src in
+      let forest = Wdpt.Pattern_forest.of_algebra p in
+      let reference = Sparql.Eval.eval p g in
+      check Alcotest.int ("six answers: " ^ src) 6
+        (Sparql.Mapping.Set.cardinal reference);
+      List.iter
+        (fun (maximality, optimize) ->
+          check Testutil.mapping_set ("solutions: " ^ src) reference
+            (Enumerate.solutions ~maximality ~optimize forest g);
+          check Alcotest.int ("count: " ^ src)
+            (Sparql.Mapping.Set.cardinal reference)
+            (Enumerate.count ~maximality ~optimize forest g))
+        configurations)
+    [ (x, y, z); (x, z, y); (y, x, z); (y, z, x); (z, x, y); (z, y, x) ]
+
 (* [max_solutions] still trips inside the walk, before the answer set is
    complete. *)
 let test_solution_cap () =
@@ -224,6 +268,86 @@ let writer_golden =
          Row_writer.cardinal t = Sparql.Mapping.Set.cardinal set
          && writer_bytes vars iri rows = fmt_bytes set))
 
+(* The writer at scale: up to 5,000 rows of widths 0–12, with ids drawn
+   sparsely from [0, 2^40) and many sharing their low 12 bits, so they
+   collide modulo any table size up to 4,096. Rows repeat, as a UNION
+   forest's do. *)
+let scale_gen =
+  let open QCheck.Gen in
+  int_range 0 12 >>= fun width ->
+  int_range 1 300 >>= fun n_iris ->
+  let iri_names =
+    Array.init n_iris (fun j ->
+        if j mod 3 = 0 then Printf.sprintf "n:%d" j
+        else Printf.sprintf "http://example.org/%s%d" (String.make (j mod 37) 'x') j)
+  in
+  list_repeat n_iris
+    (map2 (fun hi lo -> (hi lsl 12) lor lo) (int_bound ((1 lsl 28) - 1)) (int_bound 3))
+  >>= fun ids ->
+  (* a dictionary holds each IRI once, under one id *)
+  let ids = Array.of_list (List.sort_uniq Int.compare ids) in
+  let vars =
+    Array.init width (fun i -> Variable.of_string (Printf.sprintf "v%02d" i))
+  in
+  let row =
+    array_repeat width
+      (frequency
+         [ (1, return (-1)); (4, map (Array.get ids) (int_bound (Array.length ids - 1))) ])
+  in
+  int_range 1 2500 >>= fun n_distinct ->
+  array_repeat n_distinct row >>= fun distinct ->
+  int_range 0 5000 >>= fun n ->
+  list_repeat n (map (Array.get distinct) (int_bound (n_distinct - 1)))
+  >|= fun rows ->
+  let name = Hashtbl.create 64 in
+  Array.iteri (fun j id -> Hashtbl.replace name id iri_names.(j)) ids;
+  (vars, name, rows)
+
+let writer_at_scale =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40
+       ~name:"writer at scale: bytes, cardinal and bindings = Mapping.Set"
+       (QCheck.make
+          ~print:(fun (vars, _, rows) ->
+            Printf.sprintf "width %d, %d rows" (Array.length vars)
+              (List.length rows))
+          scale_gen)
+       (fun (vars, name, rows) ->
+         let iri id = Iri.of_string (Hashtbl.find name id) in
+         let set =
+           Sparql.Mapping.Set.of_list
+             (List.map
+                (fun row ->
+                  let m = ref Sparql.Mapping.empty in
+                  Array.iteri
+                    (fun i id ->
+                      if id >= 0 then
+                        m := Sparql.Mapping.add vars.(i) (iri id) !m)
+                    row;
+                  !m)
+                rows)
+         in
+         let t = Row_writer.of_rows vars iri rows in
+         let iris = Row_writer.iris t in
+         let bindings_agree () =
+           List.for_all2
+             (fun i mu ->
+               let ok = ref true in
+               Array.iteri
+                 (fun k v ->
+                   let r = Row_writer.binding t i k in
+                   match Sparql.Mapping.find v mu with
+                   | None -> if r <> -1 then ok := false
+                   | Some x -> if r < 0 || not (Iri.equal iris.(r) x) then ok := false)
+                 vars;
+               !ok)
+             (List.init (Row_writer.cardinal t) Fun.id)
+             (Sparql.Mapping.Set.elements set)
+         in
+         Row_writer.cardinal t = Sparql.Mapping.Set.cardinal set
+         && bindings_agree ()
+         && writer_bytes vars iri rows = fmt_bytes set))
+
 (* Hand-picked rows on the margin: a binding that ends exactly where
    Format breaks, one past it, and the last binding, which always goes
    on a line of its own. *)
@@ -315,12 +439,15 @@ let () =
             test_refuter;
           Alcotest.test_case "one row per answer on a tree" `Quick
             test_one_row_per_answer;
+          Alcotest.test_case "a left-out sibling keeps the walk's order"
+            `Quick test_left_out_sibling;
           Alcotest.test_case "max_solutions trips in the walk" `Quick
             test_solution_cap;
         ] );
       ( "writer",
         [
           writer_golden;
+          writer_at_scale;
           Alcotest.test_case "bindings on the margin" `Quick test_writer_margin;
           Alcotest.test_case "engine rows print the old bytes" `Quick
             test_engine_rows;

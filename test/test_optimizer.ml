@@ -159,9 +159,8 @@ let rescore_all ?pre source =
   in
   let used = Array.make npat false and out = ref [] in
   let value = function
-    | Encoded_hom.Const id -> Some id
-    | Encoded_hom.Var v ->
-        if asg.(v) = Encoded_hom.unassigned then None else Some asg.(v)
+    | Encoded_hom.Const id -> id
+    | Encoded_hom.Var v -> asg.(v)
   in
   let rec go depth =
     if depth = npat then out := Array.copy asg :: !out
@@ -171,8 +170,7 @@ let rescore_all ?pre source =
         (fun i (s, p, o) ->
           if not used.(i) then begin
             let c =
-              Encoded_graph.match_count graph ?s:(value s) ?p:(value p)
-                ?o:(value o) ()
+              Encoded_graph.match_count graph (value s) (value p) (value o)
             in
             if c < !best_count then begin
               best := i;
@@ -182,9 +180,8 @@ let rescore_all ?pre source =
         pats;
       used.(!best) <- true;
       let ps, pp, po = pats.(!best) in
-      Encoded_graph.iter_matching graph ?s:(value ps) ?p:(value pp)
-        ?o:(value po)
-        ~f:(fun (ts, tp, to_) ->
+      Encoded_graph.iter_matching graph (value ps) (value pp) (value po)
+        (fun ts tp to_ ->
           let bound = ref [] in
           let unify pt x =
             match pt with
@@ -199,8 +196,7 @@ let rescore_all ?pre source =
                       end
           in
           if unify ps ts && unify pp tp && unify po to_ then go (depth + 1);
-          List.iter (fun v -> asg.(v) <- Encoded_hom.unassigned) !bound)
-        ();
+          List.iter (fun v -> asg.(v) <- Encoded_hom.unassigned) !bound);
       used.(!best) <- false
     end
   in

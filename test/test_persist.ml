@@ -84,16 +84,16 @@ let test_roundtrip () =
         (* match_count probes across binding shapes *)
         for probe = 0 to 20 do
           let id k = (probe * 7 + k) mod max 1 (Rdf.Dictionary.size d) in
-          let s = id 0 and p = id 1 and o = id 2 in
-          Alcotest.(check int) "count ?s" (E.match_count enc ~s ())
-            (E.match_count l ~s ());
-          Alcotest.(check int) "count ?p" (E.match_count enc ~p ())
-            (E.match_count l ~p ());
-          Alcotest.(check int) "count ?so" (E.match_count enc ~s ~o ())
-            (E.match_count l ~s ~o ());
+          let s = id 0 and p = id 1 and o = id 2 and u = E.unbound in
+          Alcotest.(check int) "count ?s" (E.match_count enc s u u)
+            (E.match_count l s u u);
+          Alcotest.(check int) "count ?p" (E.match_count enc u p u)
+            (E.match_count l u p u);
+          Alcotest.(check int) "count ?so" (E.match_count enc s u o)
+            (E.match_count l s u o);
           Alcotest.(check int) "count ?spo"
-            (E.match_count enc ~s ~p ~o ())
-            (E.match_count l ~s ~p ~o ())
+            (E.match_count enc s p o)
+            (E.match_count l s p o)
         done;
         (* the graph handle forces the term-level decode lazily and must
            reproduce the source graph exactly *)
@@ -318,7 +318,8 @@ let test_bit_flips () =
               (structured_only (fun () ->
                    let enc = Storage.load tmp in
                    let d = E.dictionary enc in
-                   E.iter_matching enc ~f:ignore ();
+                   E.iter_matching enc E.unbound E.unbound E.unbound
+                     (fun _ _ _ -> ());
                    for i = 0 to E.cardinal enc - 1 do
                      List.iter
                        (fun nth ->
@@ -331,6 +332,76 @@ let test_bit_flips () =
                    ignore (E.distinct_subjects enc)));
             pos := !pos + step
           done))
+
+(* Ids out of range inside an index section: one at [n_terms] and one
+   negative, each written alone into each of the three index sections,
+   halfway through it where the range searches look first. Loaded
+   without [~verify], probes under all 8 bound masks and an evaluation
+   may fail only with [Store_error Corrupt]: a search compares the ids
+   it reads in place, and every read checks its id's range, so no id a
+   probe hands on is outside the dictionary. *)
+let test_corrupt_ids () =
+  let g = graph_of 13 in
+  let enc = E.of_graph g in
+  let corrupt_only f =
+    match f () with
+    | _ -> true
+    | exception Err.Error (Err.Store_error { fault = Err.Corrupt; _ }) -> true
+    | exception _ -> false
+  in
+  let pattern =
+    Sparql.Parser.parse_exn "{ ?a p:q0 ?b OPTIONAL { ?b p:q1 ?c } }"
+  in
+  with_store_file enc (fun path ->
+      let whole = read_file path in
+      (* the term count is the second count word; the section table
+         starts at byte 80, one (offset, length) pair per section, and
+         sections 3-5 are the spo, pos and osp indexes *)
+      let word at = Int64.to_int (String.get_int64_le whole at) in
+      let n_terms = word 32 in
+      let tmp = Filename.temp_file "wdsparql_ids" ".wds" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+        (fun () ->
+          List.iter
+            (fun section ->
+              let off = word (80 + (16 * section))
+              and len = word (80 + (16 * section) + 8) in
+              let mid = off + (24 * (len / 24 / 2)) in
+              List.iter
+                (fun (what, at, id) ->
+                  let b = Bytes.of_string whole in
+                  Bytes.set_int64_le b at (Int64.of_int id);
+                  write_file tmp (Bytes.to_string b);
+                  let ctx = Printf.sprintf "section %d, %s" section what in
+                  let l = Storage.load tmp in
+                  List.iter
+                    (fun i ->
+                      let ks, kp, ko = E.nth_spo enc i in
+                      for mask = 0 to 7 do
+                        let key bit k = if mask land bit <> 0 then k else E.unbound in
+                        let s = key 1 ks and p = key 2 kp and o = key 4 ko in
+                        Alcotest.(check bool)
+                          (Printf.sprintf "%s: match_count, mask %d" ctx mask)
+                          true
+                          (corrupt_only (fun () -> E.match_count l s p o));
+                        Alcotest.(check bool)
+                          (Printf.sprintf "%s: iter_matching, mask %d" ctx mask)
+                          true
+                          (corrupt_only (fun () ->
+                               E.iter_matching l s p o (fun s p o ->
+                                   ignore
+                                     (Rdf.Dictionary.decode_triple
+                                        (E.dictionary l) (s, p, o)))))
+                      done)
+                    [ 0; E.cardinal enc / 2; E.cardinal enc - 1 ];
+                  Alcotest.(check bool) (ctx ^ ": evaluation") true
+                    (corrupt_only (fun () ->
+                         Wd_core.Engine.answer_rows
+                           (Wd_core.Engine.plan pattern)
+                           (Storage.load_graph tmp))))
+                [ ("id >= n_terms", mid, n_terms); ("negative id", mid + 8, -3) ])
+            [ 3; 4; 5 ]))
 
 (* The reader rejects a store claiming a future format version. *)
 let test_version_gate () =
@@ -577,6 +648,8 @@ let () =
             test_truncation;
           Alcotest.test_case "bit flips: header and payload" `Quick
             test_bit_flips;
+          Alcotest.test_case "corrupt ids stay structured on the search path"
+            `Quick test_corrupt_ids;
           Alcotest.test_case "future version rejected" `Quick
             test_version_gate;
           Alcotest.test_case "overlapping sections rejected" `Quick

@@ -314,7 +314,7 @@ let test_eviction_retires_counters () =
   let relaxed =
     Plan_cache.run_pebble (Plan_cache.pebble_test cache g1 ~k:2 tree child)
   in
-  List.iter (fun a -> ignore (exact a); ignore (relaxed a)) candidates;
+  List.iter (fun a -> exact a ignore; ignore (relaxed a)) candidates;
   let before = Plan_cache.stats cache in
   (* evicting g1's entry by touching a second store at capacity 1 *)
   ignore (Plan_cache.encoded cache g2);
@@ -337,7 +337,7 @@ let test_eviction_retires_counters () =
     Plan_cache.extensions
       (Plan_cache.stage_child_join cache g2 `Hom tree2 child2)
   in
-  List.iter (fun a -> ignore (exact2 a)) candidates2;
+  List.iter (fun a -> exact2 a ignore) candidates2;
   Plan_cache.release cache;
   let released = Plan_cache.stats cache in
   check Alcotest.int "a release leaves no live entry" 0

@@ -513,6 +513,60 @@ let server_field t key =
   | Some v -> Option.value ~default:(-1) (Json.to_int v)
   | None -> Alcotest.failf "stats lack server.%s" key
 
+(* An exception no error type names, raised inside an evaluation (here
+   [Not_found], from a graph handle whose term index cannot be built),
+   is a 500 for that request only: every worker lives on, so afterwards
+   [workers + 1] concurrent requests are all answered. *)
+let test_unclassified_exception () =
+  let workers = 2 in
+  let broken =
+    Rdf.Graph.deferred
+      ~epoch:(Rdf.Graph.epoch (Rdf.Generator.social ~seed:5 ~people:2))
+      (fun () -> raise Not_found)
+  in
+  let base = smoke_config () in
+  let config =
+    {
+      base with
+      Server.graph = broken;
+      workers;
+      queue_capacity = 8;
+      admission =
+        { base.Server.admission with global_fuel = None; max_inflight = 8 };
+    }
+  in
+  let t = Server.start config in
+  let port = Server.port t in
+  let query = "{ ?a p:knows ?b }" in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.initiate_drain t;
+      ignore (join_within ~seconds:5. t))
+    (fun () ->
+      (* as many failures as there are workers: each would end one *)
+      for _ = 1 to workers do
+        let r = post_query ~port query in
+        check Alcotest.int "an unclassified exception is a 500" 500
+          (response_status r);
+        check Alcotest.bool "reported as internal" true
+          (Astring.String.is_infix ~affix:"internal" r)
+      done;
+      let answered = Atomic.make 0 and statuses = Array.make (workers + 1) 0 in
+      let clients =
+        List.init (workers + 1) (fun i ->
+            Thread.create
+              (fun () ->
+                statuses.(i) <- response_status (post_query ~port query);
+                Atomic.incr answered)
+              ())
+      in
+      wait_until ~seconds:5. ~what:"workers + 1 concurrent requests answered"
+        (fun () -> Atomic.get answered = workers + 1);
+      List.iter Thread.join clients;
+      Array.iter
+        (check Alcotest.int "each concurrent request is a 500" 500)
+        statuses)
+
 let connect ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -853,6 +907,8 @@ let () =
           Alcotest.test_case "serve, shed, reject, drain" `Quick test_smoke;
           Alcotest.test_case "reload picks up appended segments" `Quick
             test_reload_picks_up_segments;
+          Alcotest.test_case "an unclassified exception is a 500" `Quick
+            test_unclassified_exception;
         ] );
       ( "bodies",
         [

@@ -113,7 +113,10 @@ let test_encoded_matching () =
   let dict = Encoded.Encoded_graph.dictionary enc in
   let id term = Option.get (Rdf.Dictionary.find dict term) in
   check Alcotest.int "cardinal" 4 (Encoded.Encoded_graph.cardinal enc);
-  let count ?s ?p ?o () = Encoded.Encoded_graph.match_count enc ?s ?p ?o () in
+  let count ?s ?p ?o () =
+    let probe = Option.value ~default:Encoded.Encoded_graph.unbound in
+    Encoded.Encoded_graph.match_count enc (probe s) (probe p) (probe o)
+  in
   check Alcotest.int "all" 4 (count ());
   check Alcotest.int "by s" 3 (count ~s:(id (Term.iri "n:a")) ());
   check Alcotest.int "by p" 3 (count ~p:(id (Term.iri "p:knows")) ());
@@ -133,8 +136,8 @@ let test_encoded_matching () =
     (count ~s:(id (Term.iri "n:b")) ~p:(id (Term.iri "p:mail"))
        ~o:(id (Term.iri "n:c")) ());
   check Alcotest.bool "mem" true
-    (Encoded.Encoded_graph.mem enc
-       (id (Term.iri "n:a"), id (Term.iri "p:knows"), id (Term.iri "n:b")))
+    (Encoded.Encoded_graph.mem enc (id (Term.iri "n:a"))
+       (id (Term.iri "p:knows")) (id (Term.iri "n:b")))
 
 let encoded_matches_index =
   qcheck ~count:80 "encoded match counts = index match counts"
@@ -144,14 +147,15 @@ let encoded_matches_index =
       let idx = Graph.to_index g in
       let terms = Term.Set.elements (Rdf.Index.terms idx) in
       let id term = Option.get (Rdf.Dictionary.find dict term) in
+      let u = Encoded.Encoded_graph.unbound in
       List.for_all
         (fun t ->
           Rdf.Index.match_count idx ~s:t ()
-          = Encoded.Encoded_graph.match_count enc ~s:(id t) ()
+          = Encoded.Encoded_graph.match_count enc (id t) u u
           && Rdf.Index.match_count idx ~p:t ()
-             = Encoded.Encoded_graph.match_count enc ~p:(id t) ()
+             = Encoded.Encoded_graph.match_count enc u (id t) u
           && Rdf.Index.match_count idx ~o:t ()
-             = Encoded.Encoded_graph.match_count enc ~o:(id t) ())
+             = Encoded.Encoded_graph.match_count enc u u (id t))
         terms)
 
 (* The canonical builder against the builder it replaced: intern every

@@ -123,13 +123,20 @@ let mmap_needles = [ "Unix.map_file"; "Bigarray." ]
 let mmap_allowed rel = under "storage/" rel
 
 (* The store's probe kernels — the range search, the join's inner loop
-   and the overlay's merged view — compare ids on every probe. A bare
-   [compare] there is the polymorphic one (a C call that walks its
-   arguments, and for tuples a fresh allocation to feed it), which cost
-   several times the probe it sat in; ids are compared with
-   [Int.compare] or a monomorphic helper instead. *)
+   and the overlay's merged view — compare ids on every probe, and the
+   answer path — the product walk and the row writer's ranking and
+   sort — on every answer. A bare [compare] there is the polymorphic one
+   (a C call that walks its arguments, and for tuples a fresh allocation
+   to feed it), which cost several times the probe it sat in; ids are
+   compared with [Int.compare] or a monomorphic helper instead. *)
 let probe_kernels =
-  [ "encoded/encoded_graph.ml"; "encoded/encoded_hom.ml"; "storage/overlay.ml" ]
+  [
+    "encoded/encoded_graph.ml";
+    "encoded/encoded_hom.ml";
+    "storage/overlay.ml";
+    "core/enumerate.ml";
+    "core/row_writer.ml";
+  ]
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in

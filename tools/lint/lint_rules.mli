@@ -49,7 +49,7 @@ val kernel_modules : string list
 
 val probe_kernels : string list
 (** Paths relative to the scanned root of the modules whose inner loops
-    probe the store: no bare [compare] there. *)
+    probe the store or handle every answer: no bare [compare] there. *)
 
 val wins_allowed : string -> bool
 (** Whether this root-relative path may call [Pebble_game.wins]. *)
