@@ -1813,9 +1813,7 @@ let a12 () =
   Fmt.pr "incremental path appends one segment (never rewriting the base)@.";
   Fmt.pr "and reloads through the overlay; the baseline recompiles the@.";
   Fmt.pr "whole store. Both end in a cold time-to-first-solution, and the@.";
-  Fmt.pr "two stores are checked answer- and statistics-identical. A shard@.";
-  Fmt.pr "of the same store then shows the p-bound query maps only the@.";
-  Fmt.pr "members that own its predicates.@.@.";
+  Fmt.pr "two stores are checked answer- and statistics-identical.@.@.";
   (* The ratio needs a base big enough that recompiling it dominates
      the fixed cold-query cost both paths share — the fast tier is
      larger here than in A11 for that reason. *)
@@ -1825,18 +1823,12 @@ let a12 () =
   let wds = Filename.temp_file "bench_a12" ".wds" in
   let inc = Filename.temp_file "bench_a12_inc" ".wds" in
   let whole = Filename.temp_file "bench_a12_full" ".wds" in
-  let man = Filename.temp_file "bench_a12_man" ".man" in
-  let slices = 8 in
   let cleanup () =
-    let chained =
-      List.concat_map
-        (fun p -> [ p; Storage.seg_path p 1; Storage.seg_path p 2 ])
-        [ wds; inc; whole ]
-    in
-    let members = List.init slices (fun k -> Printf.sprintf "%s.s%d" man k) in
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
-      (chained @ (man :: members))
+      (List.concat_map
+         (fun p -> [ p; Storage.seg_path p 1; Storage.seg_path p 2 ])
+         [ wds; inc; whole ])
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   Storage.save (Encoded.Encoded_graph.of_graph g) wds;
@@ -1973,29 +1965,6 @@ let a12 () =
   end;
   record ~experiment:"A12" ~metric:"compact_stamp_equal" 1.0;
   Fmt.pr "@.compact(base + 1k segment) stamp == fresh compile stamp: ok@.";
-  (* lazy-shard ablation: the p-bound query must fault in only the
-     members owning its two predicates, not the whole shard set *)
-  ignore (Storage.shard ~slices ~src:whole man);
-  Encoded.Encoded_graph.clear_cache ();
-  let sharded = Storage.load man in
-  let graph =
-    Rdf.Graph.deferred ~epoch:(E.epoch sharded) (fun () ->
-        failwith "A12: sharded handle left the encoded path")
-  in
-  E.register graph sharded;
-  ignore (full graph);
-  let touched =
-    Option.value ~default:slices (E.members_touched sharded)
-  in
-  Fmt.pr "shard ablation: %d of %d members touched by the p-bound query@."
-    touched slices;
-  record ~experiment:"A12" ~metric:"shard_members_touched" (float touched);
-  record ~experiment:"A12" ~metric:"shard_slices" (float slices);
-  if touched >= slices then begin
-    Fmt.epr "A12: p-bound query mapped all %d members — routing is eager@."
-      slices;
-    exit 1
-  end;
   (* hard gate: small-delta updates must be >= 10x cheaper end to end,
      at the median of the alternating pairs. The 1k-delta point is
      informative under --fast (the base graph is small enough that

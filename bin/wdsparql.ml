@@ -602,8 +602,8 @@ let compile_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"DATA"
           ~doc:"Input to compile: a Turtle file (duplicate triples are \
-                dropped), or an existing store — plain, chained or \
-                sharded — whose live triples are rewritten canonically: \
+                dropped), or an existing store — plain or chained — \
+                whose live triples are rewritten canonically: \
                 the output is the file compact would leave, byte for \
                 byte.")
   in
@@ -671,7 +671,6 @@ let store_info_cmd =
       match i.Storage.chain with
       | Storage.Single -> "store"
       | Storage.Chained _ -> "store (chained)"
-      | Storage.Sharded _ -> "shard manifest"
     in
     Fmt.pr "%s %s@." kind file;
     Fmt.pr "  format version   %d@." i.Storage.version;
@@ -705,22 +704,14 @@ let store_info_cmd =
               s.Storage.seg_adds s.Storage.seg_dels s.Storage.seg_new_terms
               s.Storage.seg_stamp s.Storage.seg_chain_stamp
               s.Storage.seg_bytes)
-          segs
-    | Storage.Sharded { slices; members } ->
-        Fmt.pr "  chain            %d shard slice(s)@." slices;
-        List.iter
-          (fun m ->
-            Fmt.pr "    slice %-3d %s  %d triple(s), stamp %#x, %d bytes@."
-              m.Storage.mem_slice m.Storage.mem_file m.Storage.mem_triples
-              m.Storage.mem_stamp m.Storage.mem_bytes)
-          members);
+          segs);
     if verify then Fmt.pr "  checksum         OK@."
   in
   Cmd.v
     (Cmd.info "store-info"
        ~doc:"Print a compiled store's header summary — counts, per-section \
              byte sizes, content stamp, stable identity, and the delta \
-             segment chain or shard members — without loading its data.")
+             segment chain — without loading its data.")
     Term.(const run $ file_arg $ verify_arg)
 
 let append_cmd =
@@ -790,39 +781,6 @@ let compact_cmd =
              compiling the same triples from scratch — same content \
              stamp.")
     Term.(const run $ store_arg)
-
-let shard_cmd =
-  let store_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"STORE" ~doc:"Compiled store to split.")
-  in
-  let out_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Manifest output path.")
-  in
-  let slices_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "slices" ] ~docv:"N"
-          ~doc:"Member stores to split into (by predicate hash).")
-  in
-  let run store out slices =
-    handle @@ fun () ->
-    let r = Storage.shard ~slices ~src:store out in
-    Fmt.pr "sharded %s: %d member(s) behind manifest %s, stamp %#x@." store
-      r.Storage.sh_slices r.Storage.sh_file r.Storage.sh_stamp
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:"Split a compiled store into member stores partitioned by \
-             predicate hash, behind a small manifest. Loading the manifest \
-             maps members lazily: a predicate-bound query touches only the \
-             owning member's file.")
-    Term.(const run $ store_arg $ out_arg $ slices_arg)
 
 let serve_cmd =
   let port_arg =
@@ -970,6 +928,6 @@ let () =
             eval_cmd; check_cmd; width_cmd; validate_cmd; analyze_cmd;
             explain_cmd;
             stats_cmd; containment_cmd; optimize_cmd; clique_cmd; fuzz_cmd;
-            compile_cmd; store_info_cmd; append_cmd; compact_cmd; shard_cmd;
+            compile_cmd; store_info_cmd; append_cmd; compact_cmd;
             serve_cmd;
           ]))

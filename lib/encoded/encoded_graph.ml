@@ -60,17 +60,16 @@ type stats_seed = {
   seed_predicate : int -> predicate_stats option;
 }
 
-(* The three permutations of one flat (non-sharded) store. *)
-type arrays = { a_spo : cells; a_pos : cells; a_osp : cells }
-
 type t = {
   identity : int;
       (* heap stores: the source graph's positive Graph.epoch; mapped
-         stores: the negative content-stamp identity (for a shard set,
-         of the manifest stamp folding the member stamps) — either way,
-         what every cross-evaluation cache keys on *)
+         stores: the negative content-stamp identity — either way, what
+         every cross-evaluation cache keys on *)
   dict : Rdf.Dictionary.t;
-  rep : rep;
+  (* the three permutations, each sorted by its [perm] key *)
+  spo : cells;
+  pos : cells;
+  osp : cells;
   seed : stats_seed option;
   (* Planner statistics, derived lazily from the sorted arrays above and
      memoized on the store (stores are immutable, so once computed a
@@ -81,29 +80,6 @@ type t = {
   mutable object_count : int;
   mutable predicate_count : int;
 }
-
-and rep =
-  | Flat of arrays
-  | Union of union_info
-      (* a shard set: member stores split by predicate, loaded lazily —
-         a query bound on a predicate touches only that predicate's
-         member *)
-
-and union_info = {
-  u_members : member array;  (* indexed by slice *)
-  u_owner : int -> int;  (* predicate id -> owning member index *)
-  u_total : int;  (* live triples across all members *)
-  u_lock : Mutex.t;
-      (* guards member forcing, the touched flags and [u_merged]:
-         server threads route queries concurrently, and OCaml [Lazy]
-         is not safe under concurrent forcing *)
-  mutable u_merged : arrays option;
-      (* globally sorted permutations, materialized only if something
-         needs positional access across the whole set (the writer,
-         term-level decode) — never on the routed query path *)
-}
-
-and member = { m_store : t Lazy.t; mutable m_touched : bool }
 
 (* The sort order of a permutation: its key is the triple rotated so
    that the named positions come first. *)
@@ -208,13 +184,15 @@ let permutations ~range ss ps os =
   let osp = sort_by ~range os spo in
   let pos = sort_by ~range ps osp in
   let cells perm = Heap (Array.map (fun i -> tuples.(i)) perm) in
-  { a_spo = cells spo; a_pos = cells pos; a_osp = cells osp }
+  (cells spo, cells pos, cells osp)
 
-let make ~identity ~dict ?seed rep =
+let make ~identity ~dict ?seed (spo, pos, osp) =
   {
     identity;
     dict;
-    rep;
+    spo;
+    pos;
+    osp;
     seed;
     pstats = Hashtbl.create 16;
     subject_count = -1;
@@ -289,7 +267,7 @@ let canonical ~identity dict ids =
   let cut a = Array.sub a 0 !live in
   make ~identity
     ~dict:(Rdf.Dictionary.of_terms (List.rev !fresh_terms))
-    (Flat (permutations ~range:!next (cut ss) (cut ps) (cut os)))
+    (permutations ~range:!next (cut ss) (cut ps) (cut os))
 
 let of_triples ~identity triples =
   let dict = Rdf.Dictionary.create () in
@@ -304,23 +282,7 @@ let of_graph graph =
 let of_views ~identity ~dict ~spo ~pos ~osp ?stats () =
   if spo.fn <> pos.fn || pos.fn <> osp.fn then
     invalid_arg "Encoded_graph.of_views: permutations disagree on length";
-  make ~identity ~dict ?seed:stats
-    (Flat { a_spo = View spo; a_pos = View pos; a_osp = View osp })
-
-let union ~identity ~dict ~members ~owner ~total ?stats () =
-  if total < 0 then invalid_arg "Encoded_graph.union: negative total";
-  if Array.length members = 0 then
-    invalid_arg "Encoded_graph.union: no members";
-  make ~identity ~dict ?seed:stats
-    (Union
-       {
-         u_members =
-           Array.map (fun m -> { m_store = m; m_touched = false }) members;
-         u_owner = owner;
-         u_total = total;
-         u_lock = Mutex.create ();
-         u_merged = None;
-       })
+  make ~identity ~dict ?seed:stats (View spo, View pos, View osp)
 
 (* Bounded MRU memo for [of_graph], keyed on the graph's epoch: graphs
    are immutable and each constructed store carries a globally unique
@@ -411,76 +373,10 @@ let of_graph_cached graph =
 let epoch t = t.identity
 let dictionary t = t.dict
 
-(* Force one member (clamping a wild owner index to member 0, whose
-   ranges for a foreign predicate are simply empty) and record the touch
-   for the lazy-mapping ablation. *)
-let force_member u k =
-  let k = if k < 0 || k >= Array.length u.u_members then 0 else k in
-  Mutex.protect u.u_lock (fun () ->
-      let m = u.u_members.(k) in
-      m.m_touched <- true;
-      Lazy.force m.m_store)
-
-let cardinal t =
-  match t.rep with Flat a -> clen a.a_spo | Union u -> u.u_total
-
-(* The globally sorted permutations of a store. For a flat store these
-   are its arrays; for a shard set they are a one-shot k-way merge over
-   the members, materialized under the union lock — only whole-index
-   access ([iter_index], [nth_*]: the writer, term-level decode, tests)
-   pays for it, the routed query path never does. *)
-let rec arrays t =
-  match t.rep with
-  | Flat a -> a
-  | Union u ->
-      Mutex.protect u.u_lock (fun () ->
-          match u.u_merged with
-          | Some a -> a
-          | None ->
-              let spos =
-                Array.map
-                  (fun m ->
-                    m.m_touched <- true;
-                    (arrays (Lazy.force m.m_store)).a_spo)
-                  u.u_members
-              in
-              let n = u.u_total in
-              if Array.fold_left (fun k c -> k + clen c) 0 spos <> n then
-                invalid_arg
-                  "Encoded_graph: shard members disagree with union total";
-              let ss = Array.make n 0 and ps = Array.make n 0 in
-              let os = Array.make n 0 and w = ref 0 in
-              let b = Array.make 3 0 in
-              Array.iter
-                (fun c ->
-                  for i = 0 to clen c - 1 do
-                    load c i b;
-                    ss.(!w) <- b.(0);
-                    ps.(!w) <- b.(1);
-                    os.(!w) <- b.(2);
-                    incr w
-                  done)
-                spos;
-              (* member ids are global, so one id range sorts them all *)
-              let a =
-                permutations ~range:(Rdf.Dictionary.size t.dict) ss ps os
-              in
-              u.u_merged <- Some a;
-              a)
-
-let nth_spo t i = cget (arrays t).a_spo i
-let nth_pos t i = cget (arrays t).a_pos i
-let nth_osp t i = cget (arrays t).a_osp i
-
-let members_touched t =
-  match t.rep with
-  | Flat _ -> None
-  | Union u ->
-      Some
-        (Mutex.protect u.u_lock (fun () ->
-             Array.fold_left
-               (fun n m -> if m.m_touched then n + 1 else n)
-               0 u.u_members))
+let cardinal t = clen t.spo
+let nth_spo t i = cget t.spo i
+let nth_pos t i = cget t.pos i
+let nth_osp t i = cget t.osp i
 
 (* First index of [lo, hi) whose [perm] key is >= (k1, k2, k3). *)
 let lower_bound c perm lo hi k1 k2 k3 =
@@ -516,10 +412,10 @@ let perm_of s p o =
   else if o <> unbound then Osp
   else Spo
 
-let cells_of a = function Spo -> a.a_spo | Pos -> a.a_pos | Osp -> a.a_osp
+let cells_of t = function Spo -> t.spo | Pos -> t.pos | Osp -> t.osp
 
 let iter_index t perm f =
-  match cells_of (arrays t) perm with
+  match cells_of t perm with
   | Heap a -> Array.iter (fun (s, p, o) -> f s p o) a
   | View v ->
       let b = Array.make 3 0 in
@@ -544,101 +440,47 @@ let range_start c perm k1 k2 k3 =
 let range_stop c perm start k1 k2 k3 =
   upper_bound c perm start (clen c) (high k1) (high k2) (high k3)
 
-(* Query entry points: a flat store binary-searches its own arrays; a
-   shard set routes predicate-bound probes to the owning member (the
-   only one whose pages the probe faults in) and fans predicate-free
-   probes out over every member. *)
-
-let arrays_of t = match t.rep with Flat a -> a | Union _ -> arrays t
-
 (* A walk over the triples agreeing with one probe: the range
-   [at + 1, stop) of [cells] still to visit, the triple at [at] loaded
-   into [ids], and under a predicate-free probe of a shard set the next
-   member to search ([fan]; -1 once there is none). A join keeps one
-   cursor per depth, so walking a range allocates nothing. *)
+   [at + 1, stop) of [cells] still to visit, and the triple at [at]
+   loaded into [ids]. A join keeps one cursor per depth, so walking a
+   range allocates nothing. *)
 type cursor = {
-  root : t;
+  store : t;
   mutable cells : cells;
   mutable at : int;
   mutable stop : int;
-  mutable fan : int;
-  mutable ps : int;
-  mutable pp : int;
-  mutable po : int;
   ids : int array;
 }
 
 let cursor t =
-  {
-    root = t;
-    cells = Heap [||];
-    at = 0;
-    stop = 0;
-    fan = -1;
-    ps = unbound;
-    pp = unbound;
-    po = unbound;
-    ids = Array.make 3 0;
-  }
+  { store = t; cells = Heap [||]; at = 0; stop = 0; ids = Array.make 3 0 }
 
-let set_range cur a s p o =
+let seek cur s p o =
   let perm = perm_of s p o in
-  let c = cells_of a perm in
+  let c = cells_of cur.store perm in
   let k1 = key1 perm s p o and k2 = key2 perm s p o and k3 = key3 perm s p o in
   let start = range_start c perm k1 k2 k3 in
   cur.cells <- c;
   cur.at <- start - 1;
   cur.stop <- range_stop c perm start k1 k2 k3
 
-let seek cur s p o =
-  cur.ps <- s;
-  cur.pp <- p;
-  cur.po <- o;
-  match cur.root.rep with
-  | Flat a ->
-      cur.fan <- -1;
-      set_range cur a s p o
-  | Union u ->
-      if p <> unbound then begin
-        cur.fan <- -1;
-        set_range cur (arrays_of (force_member u (u.u_owner p))) s p o
-      end
-      else begin
-        cur.fan <- 0;
-        cur.at <- 0;
-        cur.stop <- 0
-      end
-
-let rec next cur =
+let next cur =
   let at = cur.at + 1 in
   cur.at <- at;
   if at < cur.stop then begin
     load cur.cells at cur.ids;
     true
   end
-  else if cur.fan < 0 then false
-  else
-    match cur.root.rep with
-    | Union u when cur.fan < Array.length u.u_members ->
-        let m = force_member u cur.fan in
-        cur.fan <- cur.fan + 1;
-        set_range cur (arrays_of m) cur.ps cur.pp cur.po;
-        next cur
-    | _ ->
-        cur.fan <- -1;
-        false
+  else false
 
 let subject cur = cur.ids.(0)
 let predicate cur = cur.ids.(1)
 let object_ cur = cur.ids.(2)
 
-let rec mem t s p o =
-  match t.rep with
-  | Union u -> mem (force_member u (u.u_owner p)) s p o
-  | Flat a ->
-      let n = clen a.a_spo in
-      let i = lower_bound a.a_spo Spo 0 n s p o in
-      i < n && compare_at a.a_spo Spo i s p o = 0
+let mem t s p o =
+  let n = clen t.spo in
+  let i = lower_bound t.spo Spo 0 n s p o in
+  i < n && compare_at t.spo Spo i s p o = 0
 
 let iter_matching t s p o f =
   let cur = cursor t in
@@ -647,26 +489,12 @@ let iter_matching t s p o f =
     f (subject cur) (predicate cur) (object_ cur)
   done
 
-let flat_count a s p o =
+let match_count t s p o =
   let perm = perm_of s p o in
-  let c = cells_of a perm in
+  let c = cells_of t perm in
   let k1 = key1 perm s p o and k2 = key2 perm s p o and k3 = key3 perm s p o in
   let start = range_start c perm k1 k2 k3 in
   range_stop c perm start k1 k2 k3 - start
-
-let rec match_count t s p o =
-  match t.rep with
-  | Flat a -> flat_count a s p o
-  | Union u ->
-      if p <> unbound then match_count (force_member u (u.u_owner p)) s p o
-      else if s = unbound && o = unbound then u.u_total
-      else begin
-        let n = ref 0 in
-        for k = 0 to Array.length u.u_members - 1 do
-          n := !n + match_count (force_member u k) s p o
-        done;
-        !n
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Planner statistics                                                  *)
@@ -709,38 +537,28 @@ let count_distinct_unsorted k arr start stop =
     col;
   !n
 
-let rec predicate_stats t p =
+let predicate_stats t p =
   match Hashtbl.find_opt t.pstats p with
   | Some s -> s
   | None ->
+      let seeded =
+        match t.seed with None -> None | Some seed -> seed.seed_predicate p
+      in
       let s =
-        match t.rep with
-        | Union u ->
-            (* the owning member holds every triple of this predicate,
-               so its row (or scan) is exact for the whole set *)
-            predicate_stats (force_member u (u.u_owner p)) p
-        | Flat a -> (
-            let seeded =
-              match t.seed with
-              | None -> None
-              | Some seed -> seed.seed_predicate p
-            in
-            match seeded with
-            | Some s -> s
-            | None ->
-                (* a_pos stores raw (s, p, o) tuples sorted by (p, o, s):
-                   the predicate's triples are one contiguous block,
-                   within which distinct objects are runs of the o
-                   column; distinct subjects need a sort of the s
-                   column. *)
-                let start = range_start a.a_pos Pos p unbound unbound in
-                let stop = range_stop a.a_pos Pos start p unbound unbound in
-                {
-                  triples = stop - start;
-                  distinct_objects = count_runs 2 a.a_pos start stop;
-                  distinct_subjects =
-                    count_distinct_unsorted 0 a.a_pos start stop;
-                })
+        match seeded with
+        | Some s -> s
+        | None ->
+            (* pos stores raw (s, p, o) tuples sorted by (p, o, s): the
+               predicate's triples are one contiguous block, within which
+               distinct objects are runs of the o column; distinct
+               subjects need a sort of the s column. *)
+            let start = range_start t.pos Pos p unbound unbound in
+            let stop = range_stop t.pos Pos start p unbound unbound in
+            {
+              triples = stop - start;
+              distinct_objects = count_runs 2 t.pos start stop;
+              distinct_subjects = count_distinct_unsorted 0 t.pos start stop;
+            }
       in
       Hashtbl.replace t.pstats p s;
       s
@@ -750,9 +568,7 @@ let distinct_subjects t =
     t.subject_count <-
       (match t.seed with
       | Some { seed_subjects = Some n; _ } -> n
-      | _ ->
-          let a = arrays t in
-          count_runs 0 a.a_spo 0 (clen a.a_spo));
+      | _ -> count_runs 0 t.spo 0 (clen t.spo));
   t.subject_count
 
 let distinct_objects t =
@@ -761,9 +577,8 @@ let distinct_objects t =
       (match t.seed with
       | Some { seed_objects = Some n; _ } -> n
       | _ ->
-          (* a_osp is sorted by (o, s, p), so o runs are contiguous *)
-          let a = arrays t in
-          count_runs 2 a.a_osp 0 (clen a.a_osp));
+          (* osp is sorted by (o, s, p), so o runs are contiguous *)
+          count_runs 2 t.osp 0 (clen t.osp));
   t.object_count
 
 let distinct_predicates t =
@@ -771,7 +586,5 @@ let distinct_predicates t =
     t.predicate_count <-
       (match t.seed with
       | Some { seed_predicates = Some n; _ } -> n
-      | _ ->
-          let a = arrays t in
-          count_runs 1 a.a_pos 0 (clen a.a_pos));
+      | _ -> count_runs 1 t.pos 0 (clen t.pos));
   t.predicate_count

@@ -117,32 +117,6 @@ val of_views :
     multiset sorted by (s,p,o), (p,o,s) and (o,s,p) keys respectively;
     raises [Invalid_argument] if their lengths disagree. *)
 
-val union :
-  identity:int ->
-  dict:Rdf.Dictionary.t ->
-  members:t Lazy.t array ->
-  owner:(int -> int) ->
-  total:int ->
-  ?stats:stats_seed -> unit -> t
-(** A sharded store: the union of [members], which must partition the
-    triple set {e by predicate} — every triple of a given predicate id
-    [p] lives in member [owner p] (an index into [members], clamped to
-    member 0 if out of range). [dict] is the shared dictionary (every
-    member of a shard set carries the full term table, so ids are
-    global). [total] is the live triple count across all members.
-
-    Members are forced lazily: a predicate-bound lookup touches only the
-    owning member (so only that member's pages fault in), a
-    predicate-free pattern fans out over all members, and whole-index
-    access ([iter_index], [nth_*]) materializes a one-shot k-way merge.
-    Safe to share across threads — member forcing and the merge are
-    serialized on an internal lock. *)
-
-val members_touched : t -> int option
-(** [Some n] for a {!union} store: how many member stores have been
-    forced so far (the lazy-mapping ablation counter). [None] for flat
-    stores. *)
-
 val register : Rdf.Graph.t -> t -> unit
 (** [register graph store] makes [store] what {!of_graph_cached}
     resolves [graph] to, outside the MRU churn: a {!Rdf.Graph.deferred}
@@ -186,9 +160,7 @@ val cardinal : t -> int
     {!unbound} to leave it free. Any other negative id (a term absent
     from the dictionary, {!Encoded_hom.absent_id}) stays bound and
     matches nothing. A probe binary-searches the permutation whose sort
-    order puts its bound positions first, and allocates nothing. A shard
-    set ({!union}) sends a probe whose predicate is bound to the owning
-    member only, and one whose predicate is free to every member. *)
+    order puts its bound positions first, and allocates nothing. *)
 
 val unbound : int
 (** [-1]: a free position of a probe. *)

@@ -5,7 +5,6 @@ type store_fault =
   | Checksum_mismatch
   | Corrupt
   | Delta_chain_broken of { expected_parent : int; found_parent : int }
-  | Manifest_mismatch of { member : string }
 
 type t =
   | Parse_error of { source : string; line : int; col : int; msg : string }
@@ -65,8 +64,6 @@ let pp_store_fault ppf = function
         "delta segment does not extend this base (segment expects parent \
          stamp %#x, chain is at %#x)"
         found_parent expected_parent
-  | Manifest_mismatch { member } ->
-      Fmt.pf ppf "shard member %s disagrees with the manifest" member
 
 let pp ppf = function
   | Parse_error { source; line; col; msg } ->

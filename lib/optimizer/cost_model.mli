@@ -6,11 +6,10 @@
     distinct-value counts ({!Encoded.Encoded_graph.predicate_stats}) —
     no sampling, no regexes, real cardinalities. The estimator is
     backend-blind: the statistics may come from a heap encode, a mapped
-    store's precomputed [pstats] rows, a base-plus-segments overlay
-    (rows patched incrementally per delta), or a shard union (per-member
-    rows behind manifest-wide totals) — [lib/storage] keeps all of them
-    exact, and the differential suites assert it, so the planner never
-    degrades on a composed source. *)
+    store's precomputed [pstats] rows, or a base-plus-segments overlay
+    (rows patched incrementally per delta) — [lib/storage] keeps all of
+    them exact, and the differential suites assert it, so the planner
+    never degrades on a composed source. *)
 
 val estimate :
   Encoded.Encoded_graph.t ->

@@ -29,8 +29,8 @@ val of_view : view -> t
 
     The view closures need not read a single array: [lib/storage] hands
     in views composed from a base store plus its delta segments (the
-    segment dictionary-growth blocks extend the id space past the base),
-    and shard members share one manifest-wide view. The contract is only
+    segment dictionary-growth blocks extend the id space past the base).
+    The contract is only
     what the signature says — total, pure, and [view_size]-dense.
 
     View-backed dictionaries memoize on the read path, so {!find},

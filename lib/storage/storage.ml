@@ -2,16 +2,14 @@
    mmap reader. This module owns every byte-layout and mapping concern;
    the rest of the codebase sees the result only through the closure
    views of [Rdf.Dictionary.of_view] and [Encoded.Encoded_graph.of_views]
-   / [union] — a lint rule (tools/lint) keeps [Unix.map_file]/[Bigarray]
-   confined here.
+   — a lint rule (tools/lint) keeps [Unix.map_file]/[Bigarray] confined
+   here.
 
-   Three file kinds share one container (see [kind] below):
+   Two file kinds share one container (see [kind] below):
    - base stores, the v1 layout (unchanged byte for byte in v2);
    - delta segments [<base>.d1, .d2, ...]: append-only add/delete logs
      with their own dictionary-growth block, chained by parent stamp
-     and merged at load through [Overlay] into the same flat views;
-   - shard manifests naming member stores split by predicate hash
-     slice, loaded as a lazily-forced [Encoded_graph.union]. *)
+     and merged at load through [Overlay] into the same flat views. *)
 
 module E = Encoded.Encoded_graph
 module Err = Wdsparql_error
@@ -70,20 +68,6 @@ let s_dels = 3
 let s_new_terms = 4
 let s_parent_terms = 5
 
-(* Manifest words. *)
-let m_members = 0
-let m_slices = 1
-let m_stamp = 2
-let m_triples = 3
-let m_terms = 4
-let m_distinct = 5
-
-let check_distinct ~terms ~first h =
-  for i = first to first + 2 do
-    if h.f_words.(i) > h.f_words.(terms) then
-      fail h.f_path Err.Corrupt "distinct-count statistics out of range"
-  done
-
 let base_kind =
   {
     k_magic = "WDSTORE1";
@@ -99,7 +83,12 @@ let base_kind =
         ("osp-index", Sized (b_triples, 24, 0));
         ("pred-stats", Sized (b_preds, 32, 0));
       |];
-    k_check = check_distinct ~terms:b_terms ~first:b_distinct;
+    k_check =
+      (fun h ->
+        for i = b_distinct to b_distinct + 2 do
+          if h.f_words.(i) > h.f_words.(b_terms) then
+            fail h.f_path Err.Corrupt "distinct-count statistics out of range"
+        done);
   }
 
 let segment_kind =
@@ -117,33 +106,23 @@ let segment_kind =
     k_check = ignore;
   }
 
-let manifest_kind =
-  {
-    k_magic = "WDSMANI1";
-    k_words = 8;
-    k_stamp = m_stamp;
-    k_sections = [| ("member-table", Free) |];
-    k_check =
-      (fun h ->
-        let members = h.f_words.(m_members) in
-        if members < 1 || members <> h.f_words.(m_slices) then
-          fail h.f_path Err.Corrupt
-            "manifest member count disagrees with slices";
-        (* each member record is at least four words *)
-        if members > h.f_bytes / 32 then
-          fail h.f_path Err.Truncated "file too short for the member table";
-        check_distinct ~terms:m_terms ~first:m_distinct h);
-  }
+(* The magic of the shard manifests earlier versions wrote. No reader
+   takes one any more, but it is still recognised, so that such a file
+   fails as a store (naming what to do) and never reaches the Turtle
+   parser. *)
+let retired_magic = "WDSMANI1"
 
-(* What a file's leading bytes make it: a kind, by its magic; [`Short],
-   a proper prefix of a magic (a store cut off mid-write, or empty); or
-   foreign. *)
+(* What a file's leading bytes make it: a kind, by its magic; [`Retired],
+   an old shard manifest; [`Short], a proper prefix of a magic (a store
+   cut off mid-write, or empty); or foreign. *)
 let classify head =
-  let kinds = [ base_kind; segment_kind; manifest_kind ] in
+  let kinds = [ base_kind; segment_kind ] in
+  let magics = retired_magic :: List.map (fun k -> k.k_magic) kinds in
   let is_prefix a b = String.starts_with ~prefix:a b in
   match List.find_opt (fun k -> is_prefix k.k_magic head) kinds with
   | Some k -> `Kind k
-  | None when List.exists (fun k -> is_prefix head k.k_magic) kinds -> `Short
+  | None when is_prefix retired_magic head -> `Retired
+  | None when List.exists (is_prefix head) magics -> `Short
   | None -> `Foreign
 
 (* ------------------------------------------------------------------ *)
@@ -167,9 +146,7 @@ let identity_of_stamp stamp = -1 - stamp
 
 (* The chain stamp after applying one segment: fold the parent chain
    stamp and the segment's payload stamp. Associating left over the
-   chain gives every (base, segment list) prefix a distinct identity,
-   and a shard manifest folds member stamps the same way (its payload
-   contains them), so composed identities compose. *)
+   chain gives every (base, segment list) prefix a distinct identity. *)
 let fold_stamp chain seg =
   let b = Bytes.create 16 in
   Bytes.set_int64_le b 0 (Int64.of_int chain);
@@ -490,6 +467,10 @@ let with_file ?(verify = false) kind path f =
       let head = really_input_string ic (min size header_size) in
       (match classify head with
       | `Kind k when k == kind -> ()
+      | `Retired ->
+          fail path Err.Bad_magic
+            "shard manifests were removed; load or compile the source store \
+             instead"
       | `Short -> fail path Err.Truncated "file shorter than the store magic"
       | _ -> fail path Err.Bad_magic "not a compiled store");
       if size < header_size then fail path Err.Truncated "incomplete header";
@@ -533,8 +514,8 @@ let with_file ?(verify = false) kind path f =
           ~expect:words.(kind.k_stamp);
       f h ic)
 
-(* The small sections of segments and manifests are read eagerly
-   through the channel, no mapping needed. *)
+(* The small sections of segments are read eagerly through the channel,
+   no mapping needed. *)
 let read_section ic h k =
   let off, len = h.f_table.(k) in
   seek_in ic off;
@@ -704,7 +685,7 @@ type base = {
   b_seed : E.stats_seed;
 }
 
-(* Map the sections of an open base store (or shard member). *)
+(* Map the sections of an open base store. *)
 let map_base h ic =
   let path = h.f_path and fd = Unix.descr_of_in_channel ic in
   let map kind elt_bytes k =
@@ -826,7 +807,7 @@ let with_chain ?verify path f =
 (* Loading: base store (possibly under a segment chain)                *)
 (* ------------------------------------------------------------------ *)
 
-let load_store ?verify path =
+let load ?verify path =
   with_chain ?verify path (fun h ic ~chain_stamp ~terms steps ->
       let b = map_base h ic in
       let identity = identity_of_stamp chain_stamp in
@@ -900,157 +881,8 @@ let load_store ?verify path =
           E.of_views ~identity ~dict ~spo ~pos ~osp ~stats ())
 
 (* ------------------------------------------------------------------ *)
-(* Shard manifests                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type member_rec = {
-  mr_slice : int;
-  mr_stamp : int;
-  mr_triples : int;
-  mr_file : string;  (* relative to the manifest's directory *)
-}
-
-let read_manifest ?verify path =
-  with_file ?verify manifest_kind path (fun h ic ->
-      let table = read_section ic h 0 in
-      let len = String.length table in
-      let cursor = ref 0 in
-      let next_word () =
-        if !cursor + 8 > len then
-          fail path Err.Corrupt "manifest member table truncated";
-        let v = Int64.to_int (String.get_int64_le table !cursor) in
-        cursor := !cursor + 8;
-        v
-      in
-      let records =
-        List.init h.f_words.(m_members) (fun _ ->
-            let slice = next_word () in
-            let stamp = next_word () in
-            let triples = next_word () in
-            let plen = next_word () in
-            if plen <= 0 || plen > len - !cursor then
-              fail path Err.Corrupt "manifest member path out of range";
-            let file = String.sub table !cursor plen in
-            cursor := !cursor + plen + ((8 - (plen mod 8)) mod 8);
-            if
-              slice < 0 || slice >= h.f_words.(m_slices) || stamp < 0
-              || triples < 0
-            then fail path Err.Corrupt "manifest member record out of range";
-            { mr_slice = slice; mr_stamp = stamp; mr_triples = triples;
-              mr_file = file })
-      in
-      (h, records))
-
-(* A member must exist, carry the pinned stamp and the full dictionary,
-   and have no trailing delta segments (those would make its content
-   diverge from the stamp the manifest folded). *)
-let check_member manifest_path ~dir ~terms ~verify r =
-  let mp = Filename.concat dir r.mr_file in
-  let mismatch msg =
-    fail manifest_path (Err.Manifest_mismatch { member = r.mr_file }) msg
-  in
-  if not (Sys.file_exists mp) then mismatch "member store is missing";
-  (match discover_segments mp with
-  | [] -> ()
-  | _ -> mismatch "member store has delta segments (compact or re-shard)");
-  with_file ~verify base_kind mp (fun h _ ->
-      let w = h.f_words in
-      if w.(b_stamp) <> r.mr_stamp then
-        mismatch
-          (Printf.sprintf "member stamp %#x, manifest pins %#x" w.(b_stamp)
-             r.mr_stamp);
-      if w.(b_terms) <> terms then
-        mismatch "member dictionary disagrees with the manifest";
-      if w.(b_triples) <> r.mr_triples then
-        mismatch "member triple count disagrees with the manifest";
-      h)
-
-let load_manifest ?(verify = false) path =
-  let mh, records = read_manifest ~verify path in
-  let w = mh.f_words in
-  let slices = w.(m_slices) and n_terms = w.(m_terms) in
-  let dir = Filename.dirname path in
-  List.iter
-    (fun r -> ignore (check_member path ~dir ~terms:n_terms ~verify r))
-    records;
-  let by_slice = Array.make slices None in
-  List.iter
-    (fun r ->
-      if by_slice.(r.mr_slice) <> None then
-        fail path Err.Corrupt "manifest member slices not a permutation";
-      by_slice.(r.mr_slice) <- Some r)
-    records;
-  let slot k =
-    match by_slice.(k) with
-    | Some r -> r
-    | None -> fail path Err.Corrupt "manifest member slices not a permutation"
-  in
-  let members_sum =
-    List.fold_left (fun acc r -> acc + r.mr_triples) 0 records
-  in
-  if members_sum <> w.(m_triples) then
-    fail path Err.Corrupt "member triple counts disagree with the manifest total";
-  let with_member k f =
-    with_file base_kind (Filename.concat dir (slot k).mr_file) (fun h ic ->
-        f h (map_base h ic))
-  in
-  (* Shared dictionary: every member carries the full term table, so ids
-     are global — serve it from slice 0's sections, mapped on first
-     touch. The Dictionary wrapper serializes view calls, so the lazy
-     force is domain-safe. *)
-  let dict_view0 = lazy (with_member 0 (fun _ b -> b.b_dict)) in
-  let dict =
-    Rdf.Dictionary.of_view
-      {
-        Rdf.Dictionary.view_size = n_terms;
-        view_term =
-          (fun id -> (Lazy.force dict_view0).Rdf.Dictionary.view_term id);
-        view_find =
-          (fun t -> (Lazy.force dict_view0).Rdf.Dictionary.view_find t);
-      }
-  in
-  let load_member k =
-    lazy
-      (with_member k (fun h b ->
-           E.of_views
-             ~identity:(identity_of_stamp h.f_words.(b_stamp))
-             ~dict ~spo:b.b_spo ~pos:b.b_pos ~osp:b.b_osp ~stats:b.b_seed ()))
-  in
-  (* Slice routing hashes the predicate's serialized bytes — identical
-     in every store that contains the term, so the route is
-     id-independent and stable across compiles. *)
-  let owner p =
-    if p < 0 || p >= n_terms then 0
-    else
-      fnv_string fnv_basis (serialize_term (Rdf.Dictionary.term_of dict p))
-      mod slices
-  in
-  let stats =
-    {
-      E.seed_subjects = Some w.(m_distinct);
-      seed_objects = Some w.(m_distinct + 1);
-      seed_predicates = Some w.(m_distinct + 2);
-      seed_predicate = (fun _ -> None)
-      (* per-predicate rows live in the owning member; the union layer
-         routes there *);
-    }
-  in
-  E.union
-    ~identity:(identity_of_stamp w.(m_stamp))
-    ~dict
-    ~members:(Array.init slices load_member)
-    ~owner ~total:w.(m_triples) ~stats ()
-
-(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let is_manifest path =
-  match sniff path with `Kind k -> k == manifest_kind | _ -> false
-
-let load ?(verify = false) path =
-  if is_manifest path then load_manifest ~verify path
-  else load_store ~verify path
 
 let load_graph ?verify path =
   let enc = load ?verify path in
@@ -1070,12 +902,13 @@ let load_graph ?verify path =
 
 let looks_like_store path =
   match sniff path with
-  | `Kind k -> k == base_kind || k == manifest_kind
+  | `Kind k -> k == base_kind
+  | `Retired -> true
   | `Short | `Foreign -> false
   | exception (Err.Error _ | Sys_error _) -> false
 
 (* ------------------------------------------------------------------ *)
-(* Append / compact / shard                                            *)
+(* Append / compact                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type append_result = {
@@ -1087,13 +920,8 @@ type append_result = {
 }
 
 let append ?(adds = []) ?(dels = []) path =
-  if is_manifest path then
-    Err.fail
-      (Err.Invalid_input
-         "cannot append to a shard manifest — append to a plain store and \
-          re-shard, or query the members directly");
   let n_existing = List.length (discover_segments path) in
-  let enc = load_store path in
+  let enc = load path in
   let dict = E.dictionary enc in
   let parent_terms = Rdf.Dictionary.size dict in
   let module TS = Rdf.Triple.Set in
@@ -1182,8 +1010,6 @@ let canonical enc =
 type compact_result = { folded : int; compact_stamp : int }
 
 let compact path =
-  if is_manifest path then
-    Err.fail (Err.Invalid_input "cannot compact a shard manifest");
   let segs = discover_segments path in
   (* The canonical rebuild assigns the ids a fresh compile of the same
      triples would, so the compacted stamp equals the monolithic one.
@@ -1191,96 +1017,10 @@ let compact path =
      are unlinked after, and a crash in the window leaves segments whose
      parent stamp no longer matches — the next load fails loudly with
      [Delta_chain_broken] instead of replaying stale deltas. *)
-  let stamp = write_store (canonical (load_store path)) path in
+  let stamp = write_store (canonical (load path)) path in
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) segs;
   fsync_dir path;
   { folded = List.length segs; compact_stamp = stamp }
-
-type shard_result = {
-  sh_file : string;
-  sh_slices : int;
-  sh_stamp : int;
-  sh_members : string list;
-}
-
-let shard ?(slices = 8) ~src out =
-  if slices < 1 || slices > 4096 then
-    Err.fail (Err.Invalid_input "shard slice count must be between 1 and 4096");
-  let enc = load src in
-  let dict = E.dictionary enc in
-  let n = E.cardinal enc in
-  let slice_memo = Hashtbl.create 64 in
-  let slice_of p =
-    match Hashtbl.find_opt slice_memo p with
-    | Some k -> k
-    | None ->
-        let k =
-          fnv_string fnv_basis (serialize_term (Rdf.Dictionary.term_of dict p))
-          mod slices
-        in
-        Hashtbl.replace slice_memo p k;
-        k
-  in
-  (* Partition each permutation by the predicate's slice: filtering a
-     sorted sequence preserves its order, so members need no re-sort. *)
-  let parts perm =
-    let acc = Array.make slices [] in
-    E.iter_index enc perm (fun s p o ->
-        let k = slice_of p in
-        acc.(k) <- (s, p, o) :: acc.(k));
-    Array.map (fun l -> Array.of_list (List.rev l)) acc
-  in
-  let spo = parts E.Spo and pos = parts E.Pos and osp = parts E.Osp in
-  let dir = Filename.dirname out in
-  let member_file k = Printf.sprintf "%s.s%d" (Filename.basename out) k in
-  let stamps =
-    List.init slices (fun k ->
-        (* Every member carries the full dictionary (ids stay global);
-           only its index and statistics sections are slice-local. *)
-        let m =
-          E.of_views ~identity:0 ~dict
-            ~spo:(E.view_of_triples E.Spo spo.(k))
-            ~pos:(E.view_of_triples E.Pos pos.(k))
-            ~osp:(E.view_of_triples E.Osp osp.(k))
-            ()
-        in
-        write_store m (Filename.concat dir (member_file k)))
-  in
-  let records = Buffer.create 256 in
-  List.iteri
-    (fun k stamp ->
-      let file = member_file k in
-      add_word records k;
-      add_word records stamp;
-      add_word records (Array.length spo.(k));
-      add_word records (String.length file);
-      Buffer.add_string records file;
-      Buffer.add_string records
-        (String.make ((8 - (String.length file mod 8)) mod 8) '\000'))
-    stamps;
-  (* The stamp covers the member table — and with it every member's
-     stamp — so the manifest identity folds the member identities. *)
-  let stamp =
-    write_file manifest_kind out
-      ~words:
-        [|
-          slices;
-          slices;
-          0 (* stamp *);
-          n;
-          Rdf.Dictionary.size dict;
-          E.distinct_subjects enc;
-          E.distinct_objects enc;
-          E.distinct_predicates enc;
-        |]
-      ~sections:[| Buffer.contents records |]
-  in
-  {
-    sh_file = out;
-    sh_slices = slices;
-    sh_stamp = stamp;
-    sh_members = List.init slices member_file;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Info                                                                *)
@@ -1298,18 +1038,7 @@ type segment_info = {
   seg_bytes : int;
 }
 
-type member_info = {
-  mem_file : string;
-  mem_slice : int;
-  mem_stamp : int;
-  mem_triples : int;
-  mem_bytes : int;
-}
-
-type chain =
-  | Single
-  | Chained of segment_info list
-  | Sharded of { slices : int; members : member_info list }
+type chain = Single | Chained of segment_info list
 
 type info = {
   version : int;
@@ -1333,72 +1062,38 @@ let sections_of kind h =
        kind.k_sections h.f_table)
 
 let info ?(verify = false) path =
-  if is_manifest path then begin
-    let mh, records = read_manifest ~verify path in
-    let w = mh.f_words in
-    let dir = Filename.dirname path in
-    let members =
-      List.map
-        (fun r ->
-          let h = check_member path ~dir ~terms:w.(m_terms) ~verify r in
-          {
-            mem_file = r.mr_file;
-            mem_slice = r.mr_slice;
-            mem_stamp = r.mr_stamp;
-            mem_triples = r.mr_triples;
-            mem_bytes = h.f_bytes;
-          })
-        records
-    in
-    {
-      version = format_version;
-      triples = w.(m_triples);
-      base_triples = w.(m_triples);
-      terms = w.(m_terms);
-      predicates = w.(m_distinct + 2);
-      stamp = w.(m_stamp);
-      chain_stamp = w.(m_stamp);
-      identity = identity_of_stamp w.(m_stamp);
-      file_bytes = mh.f_bytes;
-      total_bytes =
-        mh.f_bytes + List.fold_left (fun a m -> a + m.mem_bytes) 0 members;
-      sections = sections_of manifest_kind mh;
-      chain = Sharded { slices = w.(m_slices); members };
-    }
-  end
-  else
-    with_chain ~verify path (fun h _ ~chain_stamp ~terms steps ->
-        let w = h.f_words in
-        let segs =
-          List.map
-            (fun (sd, seg_chain_stamp) ->
-              let sw = sd.sd.f_words in
-              {
-                seg_file = sd.sd.f_path;
-                seg_adds = sw.(s_adds);
-                seg_dels = sw.(s_dels);
-                seg_new_terms = sw.(s_new_terms);
-                seg_stamp = sw.(s_stamp);
-                seg_chain_stamp;
-                seg_bytes = sd.sd.f_bytes;
-              })
-            steps
-        in
-        {
-          version = format_version;
-          triples =
-            List.fold_left
-              (fun live s -> live + s.seg_adds - s.seg_dels)
-              w.(b_triples) segs;
-          base_triples = w.(b_triples);
-          terms;
-          predicates = w.(b_preds);
-          stamp = w.(b_stamp);
-          chain_stamp;
-          identity = identity_of_stamp chain_stamp;
-          file_bytes = h.f_bytes;
-          total_bytes =
-            h.f_bytes + List.fold_left (fun a s -> a + s.seg_bytes) 0 segs;
-          sections = sections_of base_kind h;
-          chain = (match segs with [] -> Single | l -> Chained l);
-        })
+  with_chain ~verify path (fun h _ ~chain_stamp ~terms steps ->
+      let w = h.f_words in
+      let segs =
+        List.map
+          (fun (sd, seg_chain_stamp) ->
+            let sw = sd.sd.f_words in
+            {
+              seg_file = sd.sd.f_path;
+              seg_adds = sw.(s_adds);
+              seg_dels = sw.(s_dels);
+              seg_new_terms = sw.(s_new_terms);
+              seg_stamp = sw.(s_stamp);
+              seg_chain_stamp;
+              seg_bytes = sd.sd.f_bytes;
+            })
+          steps
+      in
+      {
+        version = format_version;
+        triples =
+          List.fold_left
+            (fun live s -> live + s.seg_adds - s.seg_dels)
+            w.(b_triples) segs;
+        base_triples = w.(b_triples);
+        terms;
+        predicates = w.(b_preds);
+        stamp = w.(b_stamp);
+        chain_stamp;
+        identity = identity_of_stamp chain_stamp;
+        file_bytes = h.f_bytes;
+        total_bytes =
+          h.f_bytes + List.fold_left (fun a s -> a + s.seg_bytes) 0 segs;
+        sections = sections_of base_kind h;
+        chain = (match segs with [] -> Single | l -> Chained l);
+      })

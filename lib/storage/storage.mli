@@ -5,7 +5,7 @@
 
     {2 File layout (format version 2)}
 
-    Three file kinds share one container (diagram in
+    Two file kinds share one container (diagram in
     [docs/PERFORMANCE.md]): an 8-byte magic, the format version, a
     byte-order mark, N count words from byte 24, a table of K (offset,
     length) pairs, zero padding to 256 bytes, then the K sections, each
@@ -17,8 +17,6 @@
                               distinct-s distinct-o distinct-p    dict-blob spo pos osp pstats
  delta segment   WDSDELT1  6  parent stamp adds dels           4  new-dict-offsets
                               new-terms parent-terms              new-dict-blob adds dels
- shard manifest  WDSMANI1  8  members slices stamp triples     1  member-table
-                              terms distinct-s distinct-o distinct-p
     v}
 
     - [dict-offsets] delimits each term's bytes in [dict-blob], where a
@@ -36,20 +34,16 @@
       over the base through positional overlay views ({!Overlay}) —
       O(Δ log n) setup, no rewrite of the base; {!append} writes one in
       O(Δ).
-    - {b Shard manifests} name member stores that partition the triples
-      by predicate hash slice, each pinned by its content stamp. {!load}
-      wraps them into a lazily-forced union — a predicate-bound query
-      maps only the owning member.
 
     Content stamps are FNV-1a hashes of the payload folded to 62 bits;
-    the identity of a chained or sharded store folds the member stamps,
-    so every distinct (base, segments) prefix and every manifest has a
-    distinct stable identity.
+    the identity of a chained store folds the segment stamps, so every
+    distinct (base, segments) prefix has a distinct stable identity.
 
     {2 Failure discipline}
 
     Every way a file can be unusable raises {!Wdsparql_error.Store_error}
-    with the precise fault: wrong magic ({!Wdsparql_error.Bad_magic}); a
+    with the precise fault: wrong magic ({!Wdsparql_error.Bad_magic},
+    also for the shard manifests ([WDSMANI1]) earlier versions wrote); a
     file shorter than the magic whose bytes prefix a known magic, or a
     section extending past end-of-file ({!Wdsparql_error.Truncated});
     newer format version; corrupt structure, including a section
@@ -57,13 +51,12 @@
     overlapping sections, and any id outside the dictionary
     ({!Wdsparql_error.Corrupt}); checksum mismatch; a segment whose
     parent stamp does not extend the chain
-    ({!Wdsparql_error.Delta_chain_broken}); a gap in the segment
-    numbering; or a shard member missing or disagreeing with its
-    manifest ({!Wdsparql_error.Manifest_mismatch}). A corrupt store never
+    ({!Wdsparql_error.Delta_chain_broken}); or a gap in the segment
+    numbering. A corrupt store never
     surfaces as a raw [Failure], [Invalid_argument], or a crash inside a
     mapping. Validation is layered: headers, section tables, chain
     linkage and segment ids eagerly at load; dictionary bytes lazily at
-    first decode; base and member index ids as a probe reads them; and
+    first decode; base index ids as a probe reads them; and
     full payloads only under [~verify:true]. *)
 
 type section_info = {
@@ -81,18 +74,9 @@ type segment_info = {
   seg_bytes : int;
 }
 
-type member_info = {
-  mem_file : string;  (** as recorded in the manifest (relative) *)
-  mem_slice : int;
-  mem_stamp : int;
-  mem_triples : int;
-  mem_bytes : int;
-}
-
 type chain =
   | Single  (** a plain base store, no segments *)
   | Chained of segment_info list  (** base + delta segments, in order *)
-  | Sharded of { slices : int; members : member_info list }
 
 type info = {
   version : int;
@@ -100,13 +84,13 @@ type info = {
   base_triples : int;  (** triples in the base file alone *)
   terms : int;  (** dictionary size including segment growth *)
   predicates : int;  (** distinct predicates of the base ([pstats] rows) *)
-  stamp : int;  (** the base (or manifest) file's own content stamp *)
+  stamp : int;  (** the base file's own content stamp *)
   chain_stamp : int;  (** stamp folded over the whole chain; = [stamp]
-                          for [Single] and [Sharded] *)
+                          for [Single] *)
   identity : int;  (** the negative epoch loaded handles carry;
                        [-1 - chain_stamp] *)
-  file_bytes : int;  (** the base (or manifest) file alone *)
-  total_bytes : int;  (** including segments / members *)
+  file_bytes : int;  (** the base file alone *)
+  total_bytes : int;  (** including segments *)
   sections : section_info list;
   chain : chain;
 }
@@ -114,9 +98,10 @@ type info = {
 val format_version : int
 
 val looks_like_store : string -> bool
-(** Whether the file starts with a store or manifest magic — the cheap
-    sniff the CLI uses to accept a compiled store anywhere a Turtle file
-    is. False on any read error. *)
+(** Whether the file starts with a store magic, or the retired shard
+    manifest magic — the cheap sniff the CLI uses to accept a compiled
+    store anywhere a Turtle file is (so an old manifest fails as a store,
+    not as Turtle). False on any read error. *)
 
 val seg_path : string -> int -> string
 (** [seg_path base k] is the path of the k-th delta segment
@@ -137,7 +122,7 @@ val save : Encoded.Encoded_graph.t -> string -> unit
     failure. *)
 
 val canonical : Encoded.Encoded_graph.t -> Encoded.Encoded_graph.t
-(** The live triples of a store — e.g. a loaded chain or shard set —
+(** The live triples of a store — e.g. a loaded chain —
     rebuilt by {!Encoded.Encoded_graph.canonical} straight from their
     ids, with no term-level decode: dead terms drop out and ids become
     those a fresh compile of the same triples assigns. What {!compact}
@@ -152,8 +137,7 @@ val load : ?verify:bool -> string -> Encoded.Encoded_graph.t
     against the chain, and merged over the base through overlay views;
     planner statistics of predicates the delta touches are recomputed
     exactly from the merged views, untouched predicates keep their
-    precomputed rows. If [path] is a shard manifest, members are checked
-    against their pinned stamps and wrapped into a lazy union.
+    precomputed rows.
 
     The result's {!Encoded.Encoded_graph.epoch} is the stable negative
     identity [-1 - chain_stamp], so loading the same file (plus the same
@@ -177,8 +161,8 @@ val load_graph : ?verify:bool -> string -> Rdf.Graph.t
 val info : ?verify:bool -> string -> info
 (** Header, section and chain summary without touching the data sections
     (except under [~verify:true], which checksums every payload).
-    Validates chain linkage and shard-member pins like {!load}, but does
-    not map or decode anything. Same errors as {!load}. *)
+    Validates chain linkage like {!load}, but does not map or decode
+    anything. Same errors as {!load}. *)
 
 (** {2 Incremental updates} *)
 
@@ -200,10 +184,8 @@ val append :
     both lists nets to "present"). Returns [None] — writing nothing —
     if the normalized delta is empty. New terms are interned in
     canonical order, so the segment bytes (and the resulting chain
-    stamp) depend only on the store content and the delta.
-
-    Raises {!Wdsparql_error.Invalid_input} if [path] is a shard
-    manifest (append to the plain store and re-shard instead). *)
+    stamp) depend only on the store content and the delta. Same errors
+    as {!load} on an unusable store. *)
 
 type compact_result = {
   folded : int;  (** segments folded into the base *)
@@ -221,18 +203,3 @@ val compact : string -> compact_result
     stale segments whose parent stamp no longer matches, which the next
     {!load} rejects with {!Wdsparql_error.Delta_chain_broken} instead of
     silently replaying them. *)
-
-type shard_result = {
-  sh_file : string;
-  sh_slices : int;
-  sh_stamp : int;
-  sh_members : string list;  (** member file basenames, slice order *)
-}
-
-val shard : ?slices:int -> src:string -> string -> shard_result
-(** [shard ~src out] splits the store at [src] (chain applied) into
-    [slices] member stores [out.s0 .. out.s<k-1>] partitioned by
-    predicate hash, plus the manifest at [out]. Each member is a
-    complete standalone store carrying the full dictionary (ids stay
-    global across members). [slices] defaults to 8; raises
-    {!Wdsparql_error.Invalid_input} outside [1, 4096]. *)

@@ -1,11 +1,10 @@
-(* Format v2 (lib/storage): delta segments and shard manifests. The
-   load-bearing property is differential — a base store plus any chain
-   of appended segments must be indistinguishable from a monolithic
-   store recompiled from the same triple set: same answers, same
-   counts, same planner statistics (compared through terms; the two id
-   spaces differ). Plus chain validation, compact round-trips, lazy
-   shard routing, and corruption fuzzing of segment and manifest files
-   — damage always surfaces as [Wdsparql_error.Store_error]. *)
+(* Format v2 (lib/storage): delta segments. The load-bearing property
+   is differential — a base store plus any chain of appended segments
+   must be indistinguishable from a monolithic store recompiled from the
+   same triple set: same answers, same counts, same planner statistics
+   (compared through terms; the two id spaces differ). Plus chain
+   validation, compact round-trips, and corruption fuzzing of segment
+   files — damage always surfaces as [Wdsparql_error.Store_error]. *)
 
 module E = Encoded.Encoded_graph
 module Err = Wdsparql_error
@@ -195,6 +194,27 @@ let test_append_differential () =
         done)
   done
 
+(* One append of a whole pool, loaded under [~verify], against the
+   recompile of the union of base and pool. *)
+let test_whole_pool_append () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "s.wds" in
+      let g0 = base_graph 9 in
+      Storage.save (E.of_graph g0) path;
+      let pool = Rdf.Graph.triples (add_pool 90) in
+      ignore (Storage.append ~adds:pool path);
+      let live =
+        TS.elements
+          (TS.union (TS.of_list (Rdf.Graph.triples g0)) (TS.of_list pool))
+      in
+      let mono_graph = Rdf.Graph.of_triples live in
+      let mono = E.of_graph mono_graph in
+      E.clear_cache ();
+      check_equivalent ~ctx:"whole pool" (Storage.load ~verify:true path) mono;
+      E.clear_cache ();
+      check_answers ~ctx:"whole pool" ~seed:9 (Storage.load_graph path)
+        mono_graph)
+
 let test_append_normalization () =
   with_dir (fun dir ->
       let path = Filename.concat dir "s.wds" in
@@ -376,142 +396,51 @@ let test_segment_fuzz () =
       ignore (Storage.load ~verify:true path))
 
 (* ------------------------------------------------------------------ *)
-(* Sharding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_shard_differential () =
-  with_dir (fun dir ->
-      let path = Filename.concat dir "s.wds" in
-      let g0 = base_graph 9 in
-      Storage.save (E.of_graph g0) path;
-      ignore (Storage.append ~adds:(Rdf.Graph.triples (add_pool 90)) path);
-      E.clear_cache ();
-      let overlay = Storage.load path in
-      let live =
-        List.init (E.cardinal overlay) (fun i ->
-            Rdf.Dictionary.decode_triple (E.dictionary overlay)
-              (E.nth_spo overlay i))
-      in
-      let mono_graph = Rdf.Graph.of_triples live in
-      let mono = E.of_graph mono_graph in
-      let man = Filename.concat dir "s.man" in
-      let r = Storage.shard ~slices:4 ~src:path man in
-      Alcotest.(check int) "member files" 4 (List.length r.Storage.sh_members);
-      E.clear_cache ();
-      let sharded = Storage.load ~verify:true man in
-      check_equivalent ~ctx:"sharded" sharded mono;
-      E.clear_cache ();
-      check_answers ~ctx:"sharded" ~seed:9 (Storage.load_graph man) mono_graph)
-
-let test_shard_lazy_routing () =
-  with_dir (fun dir ->
-      let path = Filename.concat dir "s.wds" in
-      Storage.save (E.of_graph (base_graph 11)) path;
-      let man = Filename.concat dir "s.man" in
-      ignore (Storage.shard ~slices:4 ~src:path man);
-      E.clear_cache ();
-      let sharded = Storage.load man in
-      Alcotest.(check (option int)) "nothing touched yet" (Some 0)
-        (E.members_touched sharded);
-      (* a predicate-bound probe forces only the owning member *)
-      let dict = E.dictionary sharded in
-      let pid =
-        Option.get (Rdf.Dictionary.find dict (Rdf.Term.iri "p:q0"))
-      in
-      ignore (E.match_count sharded E.unbound pid E.unbound);
-      E.iter_matching sharded E.unbound pid E.unbound (fun _ _ _ -> ());
-      Alcotest.(check (option int)) "one member touched" (Some 1)
-        (E.members_touched sharded);
-      (* a predicate-free scan fans out to all members *)
-      ignore (E.match_count sharded 0 E.unbound E.unbound);
-      Alcotest.(check (option int)) "fan-out touches all" (Some 4)
-        (E.members_touched sharded))
-
-let test_manifest_fuzz () =
-  with_dir (fun dir ->
-      let path = Filename.concat dir "s.wds" in
-      Storage.save (E.of_graph (base_graph 13)) path;
-      let man = Filename.concat dir "s.man" in
-      ignore (Storage.shard ~slices:3 ~src:path man);
-      let whole = read_file man in
-      let size = String.length whole in
-      (* truncations *)
-      List.iter
-        (fun len ->
-          write_file man (String.sub whole 0 len);
-          Alcotest.(check (option fault_t))
-            (Printf.sprintf "manifest truncated to %d" len)
-            (Some Err.Truncated)
-            (fault_of (fun () -> Storage.load man)))
-        [ 0; 4; 7; 8; 255 ];
-      List.iter
-        (fun len ->
-          write_file man (String.sub whole 0 len);
-          Alcotest.(check bool)
-            (Printf.sprintf "structured at %d" len)
-            true
-            (structured_only (fun () -> Storage.load man)))
-        [ 256; size - 1 ];
-      (* header and member-table bit flips *)
-      let step = max 1 (size / 64) in
-      let pos = ref 0 in
-      while !pos < size do
-        let b = Bytes.of_string whole in
-        Bytes.set b !pos (Char.chr (Char.code (Bytes.get b !pos) lxor 0x20));
-        write_file man (Bytes.to_string b);
-        Alcotest.(check bool)
-          (Printf.sprintf "manifest flip at %d" !pos)
-          true
-          (structured_only (fun () -> Storage.load ~verify:true man));
-        pos := !pos + step
-      done;
-      write_file man whole;
-      (* a member replaced by a different store: stamp pin fires *)
-      let member = Filename.concat dir "s.man.s1" in
-      let member_bytes = read_file member in
-      Storage.save (E.of_graph (base_graph 14)) member;
-      (match fault_of (fun () -> Storage.load man) with
-      | Some (Err.Manifest_mismatch _) -> ()
-      | _ -> Alcotest.fail "tampered member: expected Manifest_mismatch");
-      write_file member member_bytes;
-      (* a member deleted *)
-      Sys.remove member;
-      (match fault_of (fun () -> Storage.load man) with
-      | Some (Err.Manifest_mismatch { member = m }) ->
-          Alcotest.(check string) "names the member" "s.man.s1" m
-      | _ -> Alcotest.fail "missing member: expected Manifest_mismatch");
-      write_file member member_bytes;
-      (* a member with trailing delta segments diverges from its pin *)
-      ignore
-        (Storage.append
-           ~adds:(Rdf.Graph.triples (add_pool 77))
-           member);
-      (match fault_of (fun () -> Storage.load man) with
-      | Some (Err.Manifest_mismatch _) -> ()
-      | _ -> Alcotest.fail "member with segments: expected Manifest_mismatch");
-      Sys.remove (Storage.seg_path member 1);
-      ignore (Storage.load ~verify:true man))
-
-(* ------------------------------------------------------------------ *)
 (* Short-magic discrimination                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Each row fails the same way through every entry point that opens a
+   store, and writes nothing; only the retired shard-manifest magic
+   passes the CLI's store sniff, so such a file fails as a store rather
+   than as Turtle. *)
 let test_short_magic () =
   let tmp = Filename.temp_file "wdsparql_magic" ".wds" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       List.iter
-        (fun (bytes, expected, what) ->
+        (fun (bytes, expected, sniffed, what) ->
           write_file tmp bytes;
-          Alcotest.(check (option fault_t)) what (Some expected)
-            (fault_of (fun () -> Storage.load tmp)))
+          List.iter
+            (fun (entry, f) ->
+              Alcotest.(check (option fault_t)) (what ^ ": " ^ entry)
+                (Some expected) (fault_of f))
+            [
+              ("load", fun () -> ignore (Storage.load tmp));
+              ("info", fun () -> ignore (Storage.info tmp));
+              ("append", fun () -> ignore (Storage.append tmp));
+              ("compact", fun () -> ignore (Storage.compact tmp));
+            ];
+          Alcotest.(check bool) (what ^ ": sniffed as a store") sniffed
+            (Storage.looks_like_store tmp);
+          Alcotest.(check bool) (what ^ ": no segment written") false
+            (Sys.file_exists (Storage.seg_path tmp 1)))
         [
-          ("", Err.Truncated, "empty file is truncated");
-          ("WDS", Err.Truncated, "store-magic prefix is truncated");
-          ("WDSMANI", Err.Truncated, "manifest-magic prefix is truncated");
-          ("XYZ", Err.Bad_magic, "foreign short file is bad magic");
-          ("NOTASTORE!", Err.Bad_magic, "foreign long file is bad magic");
+          ("", Err.Truncated, false, "empty file is truncated");
+          ("WDS", Err.Truncated, false, "store-magic prefix is truncated");
+          ( "WDSMANI",
+            Err.Truncated,
+            false,
+            "manifest-magic prefix is truncated" );
+          ( "WDSMANI1" ^ String.make 248 '\000',
+            Err.Bad_magic,
+            true,
+            "retired shard manifest is bad magic" );
+          ("XYZ", Err.Bad_magic, false, "foreign short file is bad magic");
+          ( "NOTASTORE!",
+            Err.Bad_magic,
+            false,
+            "foreign long file is bad magic" );
         ])
 
 (* ------------------------------------------------------------------ *)
@@ -653,10 +582,6 @@ let range_search_backends =
              Storage.save (E.of_graph g0) path;
              E.clear_cache ();
              check_range_search ~ctx:"mmap" (Storage.load path) truth0;
-             let manifest = Filename.concat dir "r.wdm" in
-             ignore (Storage.shard ~slices:3 ~src:path manifest);
-             E.clear_cache ();
-             check_range_search ~ctx:"shard" (Storage.load manifest) truth0;
              let adds = List.filteri (fun i _ -> i mod 2 = 0) pool in
              let dels =
                List.filteri (fun i _ -> i mod 3 = 0) (TS.elements truth0)
@@ -680,6 +605,8 @@ let () =
         [
           Alcotest.test_case "randomized chains = monolithic recompile"
             `Quick test_append_differential;
+          Alcotest.test_case "whole-pool append = monolithic recompile" `Quick
+            test_whole_pool_append;
           Alcotest.test_case "normalization drops no-op deltas" `Quick
             test_append_normalization;
         ] );
@@ -694,15 +621,6 @@ let () =
             test_chain_validation;
           Alcotest.test_case "segment corruption is structured" `Quick
             test_segment_fuzz;
-        ] );
-      ( "shard",
-        [
-          Alcotest.test_case "manifest = monolithic recompile" `Quick
-            test_shard_differential;
-          Alcotest.test_case "lazy routing touches only the owner" `Quick
-            test_shard_lazy_routing;
-          Alcotest.test_case "manifest corruption is structured" `Quick
-            test_manifest_fuzz;
         ] );
       ("range", [ perm_order; range_search_backends ]);
       ( "magic",
