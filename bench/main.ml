@@ -2126,6 +2126,42 @@ let a13 () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* A14 — width analysis from parse to plan                             *)
+(* ------------------------------------------------------------------ *)
+
+(* What an eval process (or a server plan miss) spends before it reads
+   the store: parse, prune, and Engine.plan, which translates the pattern
+   to its forest and measures dw once. F_k is the frontier's widest
+   forest: dw is the GtG scan over three trees. Recorded, not gated. *)
+let a14 () =
+  header "A14" "width analysis per query: parse, prune, Engine.plan"
+    "Definitions 1-2 (GtG scan), Example 4 (F_k)";
+  Fmt.pr "%-6s %4s %10s %14s@." "query" "dw" "ms" "minor words";
+  List.iter
+    (fun k ->
+      let text =
+        Sparql.Printer.to_string
+          (Wdpt.Pattern_forest.to_algebra (Query_families.f_k k))
+      in
+      let run () =
+        let pattern = Sparql.Parser.parse_exn text in
+        let residual =
+          match (Analysis.Prune.run pattern).Analysis.Prune.outcome with
+          | Analysis.Prune.Pattern r -> r
+          | Analysis.Prune.Empty -> pattern
+        in
+        Wd_core.Engine.plan residual
+      in
+      let plan, t = time_median ~runs:5 run in
+      let words = words_per_call ~runs:5 run in
+      let name = Printf.sprintf "f%d" k in
+      record ~experiment:"A14" ~metric:(name ^ ".plan_ms") (ms t);
+      record ~experiment:"A14" ~metric:(name ^ ".plan_words") words;
+      Fmt.pr "%-6s %4d %10.3f %14.0f@." name
+        plan.Wd_core.Engine.domination_width (ms t) words)
+    [ 4; 6; 8; 10 ]
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
 (* ------------------------------------------------------------------ *)
 
@@ -2227,6 +2263,7 @@ let experiments =
     ("F6", f6); ("F7", f7); ("T6", t6); ("T7", t7);
     ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
     ("A7", a7); ("A10", a10); ("A11", a11); ("A12", a12); ("A13", a13);
+    ("A14", a14);
     ("bechamel", bechamel_suite);
   ]
 

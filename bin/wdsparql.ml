@@ -297,28 +297,29 @@ let eval_cmd =
                 Fmt.pr "plan: skipped — the pattern is unsatisfiable@.";
               `Set Sparql.Mapping.Set.empty
           | Analysis.Prune.Pattern residual ->
-              (* Static width estimation up front: the exact dw it
-                 measures is handed to [Engine.plan] as a hint, so
-                 planning skips its own exponential recomputation; under
-                 a tight budget the static bound is the degradation
-                 target. Measured on the residual — the pattern planned. *)
-              let hints =
-                if Sparql.Algebra.is_core residual then begin
-                  let est =
-                    Analysis.Width_est.estimate ~budget:(fresh_budget spec)
-                      (Wdpt.Pattern_forest.of_algebra residual)
-                  in
-                  if explain then
-                    Fmt.pr "static width: %a@." Analysis.Width_est.pp est;
-                  Analysis.Width_est.hints est
-                end
-                else Wd_core.Engine.no_hints
-              in
               let plan =
-                Wd_core.Engine.plan ~budget:(fresh_budget spec) ~hints ?force
+                Wd_core.Engine.plan ~budget:(fresh_budget spec) ?force
                   ~optimize residual
               in
-              if explain then Fmt.pr "%a@." Wd_core.Engine.pp_plan plan;
+              if explain then begin
+                (* The static bounds are polynomial; the exact dw they
+                   print is the one the plan measured. *)
+                if Sparql.Algebra.is_core residual then begin
+                  let est =
+                    Analysis.Width_est.estimate ~try_exact:false
+                      plan.Wd_core.Engine.forest
+                  in
+                  let dw_exact =
+                    match plan.Wd_core.Engine.width_source with
+                    | Wd_core.Engine.Exact ->
+                        Some plan.Wd_core.Engine.domination_width
+                    | _ -> None
+                  in
+                  Fmt.pr "static width: %a@." Analysis.Width_est.pp
+                    { est with Analysis.Width_est.dw_exact }
+                end;
+                Fmt.pr "%a@." Wd_core.Engine.pp_plan plan
+              end;
               let rows =
                 Wd_core.Engine.answer_rows
                   ~budget:(fresh_budget ~solutions:true spec) plan graph

@@ -153,11 +153,6 @@ let of_source ?graph ?budget ?(source = "query") text =
         (Wdsparql_error.Parse_error
            { source; line = Option.value line ~default:0; col = 0; msg })
 
-let hints r =
-  match r.width with
-  | Width w -> Width_est.hints w
-  | Width_unavailable _ -> Wd_core.Engine.no_hints
-
 let has_findings r = r.diagnostics <> []
 
 let node_spans ~spans tree =

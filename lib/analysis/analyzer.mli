@@ -2,7 +2,7 @@
     evaluation — producing the designedness verdict (well / weakly-well /
     ill), the lint findings of {!Lints}, and the static width estimates of
     {!Width_est}, all with source spans. [wdsparql analyze] is a thin
-    wrapper over this module; [Engine.plan] consumes {!hints}. *)
+    wrapper over this module. *)
 
 open Rdf
 
@@ -48,10 +48,6 @@ val of_source :
   string ->
   (report, Wdsparql_error.t) result
 (** Parse with spans, then {!analyze}. *)
-
-val hints : report -> Wd_core.Engine.hints
-(** The plan hints this analysis justifies; {!Wd_core.Engine.no_hints}
-    when the width machinery does not apply. *)
 
 val has_findings : report -> bool
 

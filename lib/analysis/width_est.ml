@@ -14,15 +14,6 @@ type t = {
   dw_exact : int option;
 }
 
-(* Heuristic bound on [tw(S, X)], with the paper's "1 when the Gaifman
-   graph on vars(S) \ X has no vertices or no edges" convention (matching
-   Gtgraph.tw), but using the polynomial elimination heuristics instead of
-   the exact search. *)
-let gt_tw_upper g =
-  let ug, _ = Gaifman.graph (Gtgraph.x g) (Gtgraph.s g) in
-  if Graphtheory.Ugraph.n ug = 0 || Graphtheory.Ugraph.m ug = 0 then 1
-  else max 1 (Graphtheory.Treewidth.upper_bound ug)
-
 let estimate_tree tree_index tree =
   let node_ests =
     List.filter_map
@@ -33,7 +24,8 @@ let estimate_tree tree_index tree =
             {
               node = n;
               ctw_upper =
-                gt_tw_upper (Wd_core.Branch_treewidth.branch_gtgraph tree n);
+                Gtgraph.tw_upper
+                  (Wd_core.Branch_treewidth.branch_gtgraph tree n);
             })
       (Wdpt.Pattern_tree.nodes tree)
   in

@@ -1,7 +1,9 @@
 (** Static width estimates: polynomial-time upper bounds on the width
     measures, per pattern-forest node, plus (budget permitting) the exact
-    domination width — packaged as {!Wd_core.Engine.hints} so
-    [Engine.plan] can skip its own exponential width computation.
+    domination width — what [wdsparql analyze] and [eval --explain]
+    print. [Engine.plan] measures dw itself; its budget fallback
+    ({!Wd_core.Domination_width.cheap_upper_bound}) takes the same
+    per-node bounds.
 
     Soundness chain for the bounds: for each non-root node [n],
     [ctw(S^br_n, X^br_n) = tw(core(S^br_n, X^br_n)) ≤ tw(S^br_n, X^br_n)]
@@ -39,6 +41,8 @@ val estimate :
     it is the GtG scan over every subtree. *)
 
 val hints : t -> Wd_core.Engine.hints
+(** For the benchmark harness's trace mode only (see
+    {!Wd_core.Engine.hints}). *)
 
 val to_json : t -> Json.t
 

@@ -4,21 +4,23 @@ module Budget = Resource.Budget
 (* The lazy Definition-2 test described in the interface: cheap bounds
    first, a core only where they cannot decide. The tw ≤ k answers,
    ctws and hom tests are memoised per family, so scanning k upward
-   computes each core at most once. *)
+   computes each core at most once; the ctws go through a Cores.Memo. *)
 type family = {
   members : Gtgraph.t array;
   within : (int * int, bool) Hashtbl.t;  (* (j, k): tw(members.(j)) <= k *)
   ctws : int option array;
   maps : (int * int, bool) Hashtbl.t;  (* (j, i): members.(j) -> members.(i) *)
+  memo : Cores.Memo.t;
 }
 
-let family_of members =
+let family_of memo members =
   let members = Array.of_list members in
   {
     members;
     within = Hashtbl.create 16;
     ctws = Array.make (Array.length members) None;
     maps = Hashtbl.create 16;
+    memo;
   }
 
 let tw_within ?budget f j k =
@@ -33,7 +35,7 @@ let ctw ?budget f i =
   match f.ctws.(i) with
   | Some c -> c
   | None ->
-      let c = Cores.ctw ?budget f.members.(i) in
+      let c = Cores.Memo.ctw ?budget f.memo f.members.(i) in
       f.ctws.(i) <- Some c;
       c
 
@@ -71,7 +73,7 @@ let dominated ?budget f k =
   go 0
 
 let dominated_at ?budget family k =
-  dominated ?budget (family_of family) k
+  dominated ?budget (family_of (Cores.Memo.create ()) family) k
 
 (* Domination at k is monotone in k and holds at max tw, so the upward
    scan stops at the least level. *)
@@ -79,7 +81,8 @@ let level ?budget f =
   let rec scan k = if dominated ?budget f k then k else scan (k + 1) in
   scan 1
 
-let domination_level ?budget family = level ?budget (family_of family)
+let domination_level ?budget family =
+  level ?budget (family_of (Cores.Memo.create ()) family)
 
 let of_subtree ?budget forest subtree =
   domination_level ?budget (Wdpt.Children_assignment.gtg forest subtree)
@@ -91,52 +94,76 @@ let subtrees_of ?budget forest =
          List.map (fun st -> (i, st)) (Wdpt.Subtree.all ?budget tree))
        forest)
 
+module Pats = Set.Make (Rdf.Triple.Set)
+
+(* GtG(T) is a function of pat(T) alone: supp(T) depends on
+   vars(T) = vars(pat(T)), and S_∆ on pat(T) and the assigned children.
+   So subtrees of different trees with the same pattern (the roots of
+   f_k's trees, say) share one family, scanned once. *)
+let distinct_families ?budget forest =
+  let seen = ref Pats.empty in
+  List.filter_map
+    (fun (_, st) ->
+      let pat = Wdpt.Subtree.pat_set st in
+      if Pats.mem pat !seen then None
+      else begin
+        seen := Pats.add pat !seen;
+        Some st
+      end)
+    (subtrees_of ?budget forest)
+
+(* The families of one forest share a ctw memo: a member that recurs in
+   another family reuses its core. *)
+let family_of_subtree memo forest st =
+  family_of memo (Wdpt.Children_assignment.gtg forest st)
+
 (* Proposition 5: on a UNION-free pattern (a one-tree forest) dw = bw,
    which needs one branch gtgraph per node instead of a GtG family per
    subtree. On a UNION of trees bw is not dw, so those keep the scan. *)
+
 let of_forest ?(budget = Budget.unlimited) forest =
   Budget.with_phase budget "domination-width" @@ fun () ->
   match forest with
   | [ tree ] -> Branch_treewidth.of_tree ~budget tree
   | _ ->
+      let memo = Cores.Memo.create () in
       List.fold_left
-        (fun acc (_, st) ->
+        (fun acc st ->
           Budget.tick budget;
-          max acc (of_subtree ~budget forest st))
+          max acc (level ~budget (family_of_subtree memo forest st)))
         1
-        (subtrees_of ~budget forest)
+        (distinct_families ~budget forest)
 
 let at_most ?(budget = Budget.unlimited) forest k =
   Budget.with_phase budget "domination-width" @@ fun () ->
   match forest with
   | [ tree ] -> Branch_treewidth.at_most ~budget tree k
   | _ ->
+      let memo = Cores.Memo.create () in
       List.for_all
-        (fun (_, st) ->
+        (fun st ->
           Budget.tick budget;
-          dominated_at ~budget (Wdpt.Children_assignment.gtg forest st) k)
-        (subtrees_of ~budget forest)
+          dominated ~budget (family_of_subtree memo forest st) k)
+        (distinct_families ~budget forest)
 
 let of_pattern ?budget p = of_forest ?budget (Wdpt.Pattern_forest.of_algebra p)
 
 (* Conservative fallback when the exact computation is too expensive:
-   dw(F) ≤ max ctw over GtG members ≤ max tw over members, and every
-   member's pattern is a subgraph of its tree's full pattern, so the
-   heuristic treewidth upper bound of each tree's whole Gaifman graph
-   (existential variables only, which can only shrink it further) bounds
-   them all. Polynomial: two elimination heuristics per tree. *)
+   dw(F) ≤ max ctw over GtG members ≤ max tw over members. A member's
+   existential variables are the private variables of its assigned
+   children, renamed apart, so its tw is the largest tw among the branch
+   gtgraphs of those children. Each tree's children are therefore
+   bounded both by the heuristic bound of each branch gtgraph
+   (Branch_treewidth.upper_bound) and by that of the tree's whole
+   Gaifman graph, which contains every branch's existential part; the
+   tighter of the two is taken per tree. Polynomial: elimination
+   heuristics only. *)
 let cheap_upper_bound forest =
   List.fold_left
     (fun acc tree ->
-      let pat = Wdpt.Subtree.pat (Wdpt.Subtree.full tree) in
-      let gaifman, _ = Gaifman.graph Rdf.Variable.Set.empty pat in
-      let ub =
-        if
-          Graphtheory.Ugraph.n gaifman = 0 || Graphtheory.Ugraph.m gaifman = 0
-        then 1
-        else max 1 (Graphtheory.Treewidth.upper_bound gaifman)
-      in
-      max acc ub)
+      let pat = Wdpt.Pattern_tree.pat_all tree in
+      let whole = Gtgraph.tw_upper (Gtgraph.make pat Rdf.Variable.Set.empty) in
+      max acc (min whole (Branch_treewidth.upper_bound tree)))
     1 forest
 
 type profile = {
@@ -147,9 +174,10 @@ type profile = {
 }
 
 let profile ?budget forest =
+  let memo = Cores.Memo.create () in
   List.map
     (fun (i, st) ->
-      let f = family_of (Wdpt.Children_assignment.gtg forest st) in
+      let f = family_of_subtree memo forest st in
       (* every ctw first: the level's scan then reads them from the memo *)
       let gtg_ctws = List.init (Array.length f.members) (ctw ?budget f) in
       {

@@ -46,8 +46,11 @@ val of_subtree :
 
 val of_forest : ?budget:Resource.Budget.t -> Wdpt.Pattern_forest.t -> int
 (** [dw(F)]: maximum over all subtrees of all trees. Always ≥ 1. On a
-    one-tree forest this is [bw] (Proposition 5); otherwise the GtG scan.
-    Runs under the budget phase ["domination-width"] either way. *)
+    one-tree forest this is [bw] (Proposition 5); otherwise the GtG scan,
+    which scans each distinct [pat(T)] once ([GtG(T)] depends on it
+    alone) and reduces each gtgraph to its core at most once across the
+    forest ({!Tgraphs.Cores.Memo}). Runs under the budget phase
+    ["domination-width"] either way. *)
 
 val at_most : ?budget:Resource.Budget.t -> Wdpt.Pattern_forest.t -> int -> bool
 (** [at_most f k] decides [dw(f) ≤ k] — the recognition problem of
@@ -62,11 +65,13 @@ val of_pattern : ?budget:Resource.Budget.t -> Sparql.Algebra.t -> int
     Raises {!Wdpt.Translate.Not_well_designed} if not well-designed. *)
 
 val cheap_upper_bound : Wdpt.Pattern_forest.t -> int
-(** A polynomial-time conservative bound on [dw(F)]: the heuristic
-    treewidth upper bound of each tree's full Gaifman graph (dw ≤ max
-    member ctw ≤ max member tw ≤ this). The degradation target when
-    {!of_forest} exhausts its budget — running the pebble algorithm at
-    this [k] is still exact, only more expensive than at the true dw. *)
+(** A polynomial-time conservative bound on [dw(F)] (dw ≤ max member ctw
+    ≤ max member tw ≤ this): per tree, the smaller of
+    {!Branch_treewidth.upper_bound} (one heuristic bound per branch
+    gtgraph) and the heuristic bound of the tree's full Gaifman graph;
+    the maximum over trees. The degradation target when {!of_forest}
+    exhausts its budget — running the pebble algorithm at this [k] is
+    still exact, only more expensive than at the true dw. *)
 
 type profile = {
   subtree_members : int list;  (** node ids of the subtree *)

@@ -32,9 +32,7 @@ let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
   let domination_width, width_source =
     match hints.dw_exact with
     | Some dw ->
-        (* The static analyzer already measured the exact width for this
-           pattern; reuse it rather than re-running the exponential
-           computation. *)
+        (* the caller measured the exact width already *)
         (dw, From_hint { exact = true })
     | None -> (
         match Domination_width.of_forest ~budget forest with
@@ -43,9 +41,7 @@ let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
             (* Exact dw ran out of budget: degrade to a polynomial-time
                upper bound. dw(F) never exceeds it, so running the pebble
                game at this k stays exact — just possibly slower than at
-               the true dw. A hinted bound (the analyzer's static
-               branch-treewidth estimate) takes precedence over
-               recomputing the treewidth heuristic. *)
+               the true dw. A caller's hinted bound takes precedence. *)
             match hints.dw_upper with
             | Some ub -> (ub, From_hint { exact = false })
             | None ->

@@ -24,10 +24,10 @@ type algorithm =
 type width_source =
   | Exact  (** the plan's width is the measured domination width *)
   | From_hint of { exact : bool }
-      (** the width came from a static-analysis hint ({!hints}): the
-          analyzer's exact measurement when [exact], its conservative
-          static upper bound otherwise. Either way the exponential
-          in-plan width computation was skipped. *)
+      (** the width came from a caller's {!hints}: their exact
+          measurement when [exact], their upper bound otherwise. Only a
+          plan built with hints carries it; the CLI and the server pass
+          none. *)
   | Fallback_upper_bound of { phase : string; spent : int }
       (** exact domination width exhausted its budget (in [phase], after
           [spent] steps); the plan carries the polynomial-time treewidth
@@ -47,6 +47,12 @@ type hints = {
           of budget *)
 }
 (** Plan hints produced by static analysis ([Analysis.Width_est.hints]).
+    Kept only for the benchmark harness's trace mode
+    ([bench/wdbench/trace.ml]), which times [analysis.width_est] and
+    [core.plan] as separate spans; nothing else in the repository passes
+    them, and they go when that harness stops doing so. {!plan} measures
+    dw itself, and its budget fallback is at least as tight as the
+    analyzer's [dw_upper].
     Soundness contract: [dw_exact] must be the true domination width of
     the pattern and [dw_upper] an upper bound on it — the pebble
     algorithm is exact at any [k >= dw]. *)
@@ -74,14 +80,14 @@ val plan :
   ?budget:Resource.Budget.t -> ?hints:hints -> ?force:algorithm ->
   ?optimize:bool -> ?plan_capacity:int ->
   Sparql.Algebra.t -> plan
-(** Build a plan. By default the pebble algorithm at the query's measured
-    domination width is chosen (always exact); [force] overrides. A
-    [hints.dw_exact] skips the width computation entirely; otherwise, if
-    [budget] runs out during the (exponential) exact domination-width
-    computation, the plan gracefully degrades to [hints.dw_upper] (when
-    given) or a conservative treewidth upper bound, and records the
-    downgrade in [width_source] so that {!pp_plan} and [Explain] surface
-    it. [plan_capacity] bounds how many stores the plan caches compiled
+(** Build a plan: translate the pattern to its forest once and measure
+    its domination width once. By default the pebble algorithm at that
+    width is chosen (always exact); [force] overrides. If [budget] runs
+    out during the (exponential) exact domination-width computation, the
+    plan gracefully degrades to {!Domination_width.cheap_upper_bound},
+    and records the downgrade in [width_source] so that {!pp_plan} and
+    [Explain] surface it. [hints] (see {!hints}) replace the measurement
+    with [hints.dw_exact], or the fallback with [hints.dw_upper]. [plan_capacity] bounds how many stores the plan caches compiled
     artefacts for at once ({!Plan_cache.create}, default 4). Raises
     {!Wdpt.Translate.Not_well_designed} on non-well-designed input. *)
 

@@ -6,6 +6,7 @@ type bucket = { count : int; bucket_triples : Triple.t list }
 type t = {
   epoch : int;
   set : Triple.Set.t;
+  vars : Variable.Set.t;  (* gathered by the build's one pass *)
   by_s : (Term.t, bucket) Hashtbl.t;
   by_p : (Term.t, bucket) Hashtbl.t;
   by_o : (Term.t, bucket) Hashtbl.t;
@@ -41,8 +42,16 @@ let of_set set =
   and by_sp = Hashtbl.create n
   and by_so = Hashtbl.create n
   and by_po = Hashtbl.create n in
+  let vars = ref Variable.Set.empty in
+  let note = function
+    | Term.Var v -> vars := Variable.Set.add v !vars
+    | Term.Iri _ -> ()
+  in
   Triple.Set.iter
     (fun triple ->
+      note triple.Triple.s;
+      note triple.Triple.p;
+      note triple.Triple.o;
       push by_s triple.Triple.s triple;
       push by_p triple.Triple.p triple;
       push by_o triple.Triple.o triple;
@@ -51,7 +60,17 @@ let of_set set =
       push by_po (triple.Triple.p, triple.Triple.o) triple)
     set;
   incr epoch_counter;
-  { epoch = !epoch_counter; set; by_s; by_p; by_o; by_sp; by_so; by_po }
+  {
+    epoch = !epoch_counter;
+    set;
+    vars = !vars;
+    by_s;
+    by_p;
+    by_o;
+    by_sp;
+    by_so;
+    by_po;
+  }
 
 let of_triples list = of_set (Triple.Set.of_list list)
 let empty = of_set Triple.Set.empty
@@ -115,10 +134,7 @@ let terms t =
       List.fold_left (fun acc term -> Term.Set.add term acc) acc (Triple.terms triple))
     t.set Term.Set.empty
 
-let vars t =
-  Triple.Set.fold
-    (fun triple acc -> Variable.Set.union (Triple.vars triple) acc)
-    t.set Variable.Set.empty
+let vars t = t.vars
 
 let iris t =
   Triple.Set.fold

@@ -49,7 +49,8 @@ val terms : t -> Term.Set.t
 (** All terms occurring in any position. *)
 
 val vars : t -> Variable.Set.t
-(** All variables occurring in any triple. *)
+(** All variables occurring in any triple: gathered while the index is
+    built, so reading it costs nothing. *)
 
 val iris : t -> Iri.Set.t
 (** All IRIs occurring in any triple. In the paper's notation, for an RDF

@@ -42,9 +42,9 @@ type config = {
    store at a time and follows the current one across reloads. The plan
    is compiled from the canonical (pruned) pattern, so its solutions
    bind canonical variable names; each request renames them back
-   through its own bijection. The analyzer's width hints are
-   computed once, when the entry is built, and persist in [plan] for
-   all later requests — the cross-call hint persistence the CLI lacks.
+   through its own bijection. The plan's domination width is
+   measured once, when the entry is built, and persists in [plan] for
+   all later requests.
    [lock] serializes evaluations of this entry (the underlying
    Plan_cache is single-writer); distinct queries evaluate
    concurrently. *)
@@ -209,17 +209,9 @@ let compile_plan ~budget pattern =
     | Prune.Pattern residual -> residual
     | Prune.Empty -> pattern
   in
-  (* Static width estimation up front, persisted with the entry: the
-     exact dw it measures lets [Engine.plan] skip its own exponential
-     recomputation for every later request of the same query. *)
-  let hints =
-    if Sparql.Algebra.is_core pattern then
-      Analysis.Width_est.hints
-        (Analysis.Width_est.estimate ~budget
-           (Wdpt.Pattern_forest.of_algebra pattern))
-    else Engine.no_hints
-  in
-  Engine.plan ~budget ~hints ~plan_capacity:1 pattern
+  (* The plan translates the pattern and measures its width once; the
+     entry keeps both for every later request of the same query. *)
+  Engine.plan ~budget ~plan_capacity:1 pattern
 
 let plan_entry_for t ~budget query =
   (* Parse and canonicalize before the cache probe: the key is the

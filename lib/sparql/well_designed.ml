@@ -39,38 +39,69 @@ let pp_violation ppf = function
          fragment (Section 5)"
         Algebra.pp p
 
+(* Each subpattern's variables, computed once bottom up, with whether an
+   OPT lies below: only an OPT reads the [outside] map, so it is built
+   only on the way to one. *)
+type annotated = {
+  vars : Variable.Set.t;
+  has_opt : bool;
+  arms : annotated list;  (* the operands, in syntactic order *)
+}
+
+let rec annotate = function
+  | Algebra.Triple t -> { vars = Triple.vars t; has_opt = false; arms = [] }
+  | Algebra.And (a, b) | Algebra.Union (a, b) ->
+      let a = annotate a and b = annotate b in
+      {
+        vars = Variable.Set.union a.vars b.vars;
+        has_opt = a.has_opt || b.has_opt;
+        arms = [ a; b ];
+      }
+  | Algebra.Opt (a, b) ->
+      let a = annotate a and b = annotate b in
+      { vars = Variable.Set.union a.vars b.vars; has_opt = true; arms = [ a; b ] }
+  | Algebra.Filter (q, _) | Algebra.Select (_, q) ->
+      let q = annotate q in
+      { q with arms = [ q ] }
+
 let check p =
   let ( let* ) = Result.bind in
   (* outside: for each variable occurring outside the current subpattern
      (within the enclosing UNION-free branch), the innermost sibling
      subpattern witnessing that occurrence — kept so a violation can name
-     the re-occurrence, not just the variable. *)
-  let contribute q m =
-    Variable.Set.fold (fun v m -> Variable.Map.add v q m) (Algebra.vars q) m
+     the re-occurrence, not just the variable. Only kept up to date on
+     the way to an OPT, the one reader. *)
+  let contribute ~into (q, qa) m =
+    if into.has_opt then
+      Variable.Set.fold (fun v m -> Variable.Map.add v q m) qa.vars m
+    else m
   in
-  let rec go outside p =
-    match p with
-    | Algebra.Triple _ -> Ok ()
-    | Algebra.Union _ -> Error (Nested_union p)
-    | Algebra.Select _ -> Error (Nested_select p)
-    | Algebra.Filter (q, condition) ->
+  let rec go outside p pa =
+    match (p, pa.arms) with
+    | Algebra.Triple _, _ -> Ok ()
+    | Algebra.Union _, _ -> Error (Nested_union p)
+    | Algebra.Select _, _ -> Error (Nested_select p)
+    | Algebra.Filter (q, condition), [ qa ] ->
         let* () =
-          if Variable.Set.subset (Condition.vars condition) (Algebra.vars q)
-          then Ok ()
+          if Variable.Set.subset (Condition.vars condition) qa.vars then Ok ()
           else Error (Unsafe_filter (condition, p))
         in
-        go outside q
-    | Algebra.And (a, b) ->
-        let* () = go (contribute b outside) a in
-        go (contribute a outside) b
-    | Algebra.Opt (a, b) ->
-        let dangerous =
-          Variable.Set.filter
-            (fun v -> Variable.Map.mem v outside)
-            (Variable.Set.diff (Algebra.vars b) (Algebra.vars a))
+        go outside q qa
+    | Algebra.And (a, b), [ aa; ba ] ->
+        let* () = go (contribute ~into:aa (b, ba) outside) a aa in
+        go (contribute ~into:ba (a, aa) outside) b ba
+    | Algebra.Opt (a, b), [ aa; ba ] ->
+        (* the least variable of vars(b) \ vars(a) occurring outside *)
+        let unsafe =
+          if Variable.Map.is_empty outside then None
+          else
+            Seq.find
+              (fun v ->
+                (not (Variable.Set.mem v aa.vars)) && Variable.Map.mem v outside)
+              (Variable.Set.to_seq ba.vars)
         in
         let* () =
-          match Variable.Set.choose_opt dangerous with
+          match unsafe with
           | Some v ->
               Error
                 (Unsafe_variable
@@ -81,15 +112,16 @@ let check p =
                    })
           | None -> Ok ()
         in
-        let* () = go (contribute b outside) a in
-        go (contribute a outside) b
+        let* () = go (contribute ~into:aa (b, ba) outside) a aa in
+        go (contribute ~into:ba (a, aa) outside) b ba
+    | (Algebra.Filter _ | Algebra.And _ | Algebra.Opt _), _ -> assert false
   in
   (* a single outermost SELECT is allowed *)
   let body = match p with Algebra.Select (_, q) -> q | q -> q in
   List.fold_left
     (fun acc branch ->
       let* () = acc in
-      go Variable.Map.empty branch)
+      go Variable.Map.empty branch (annotate branch))
     (Ok ()) (union_branches body)
 
 let is_well_designed p = Result.is_ok (check p)

@@ -37,3 +37,28 @@ let core ?(budget = Budget.unlimited) g =
   shrink g
 
 let ctw ?(budget = Budget.unlimited) g = Gtgraph.tw ~budget (core ~budget g)
+
+module Memo = struct
+  module Key = Map.Make (struct
+    type t = Variable.Set.t * Triple.Set.t
+
+    let compare (x, s) (x', s') =
+      let c = Variable.Set.compare x x' in
+      if c <> 0 then c else Triple.Set.compare s s'
+  end)
+
+  type t = { mutable ctws : int Key.t }
+
+  let create () = { ctws = Key.empty }
+
+  (* tw ≤ 1 settles ctw = 1 (ctw ≤ tw, and both are at least 1) without
+     a core. *)
+  let ctw ?(budget = Budget.unlimited) m g =
+    let key = (Gtgraph.x g, Index.to_set (Gtgraph.s g)) in
+    match Key.find_opt key m.ctws with
+    | Some c -> c
+    | None ->
+        let c = if Gtgraph.tw_at_most ~budget g 1 then 1 else ctw ~budget g in
+        m.ctws <- Key.add key c m.ctws;
+        c
+end

@@ -18,3 +18,18 @@ val core : ?budget:Resource.Budget.t -> Gtgraph.t -> Gtgraph.t
 val ctw : ?budget:Resource.Budget.t -> Gtgraph.t -> int
 (** [ctw(S, X) = tw(core(S, X))] — the central width measure the paper
     builds domination width from. *)
+
+(** A ctw memo for one width computation. Two gtgraphs with the same [X]
+    and the same triples share an entry, so a gtgraph that recurs across
+    the subtrees or trees of one forest pays for its core once. Not safe
+    to share between threads. *)
+module Memo : sig
+  type t
+
+  val create : unit -> t
+
+  val ctw : ?budget:Resource.Budget.t -> t -> Gtgraph.t -> int
+  (** [ctw g], remembered. Bounds first: when [tw(g) ≤ 1]
+      ({!Gtgraph.tw_at_most}) the answer is 1 and no core is computed. A
+      computation cut short by the budget leaves no entry. *)
+end

@@ -37,10 +37,17 @@ let maps_to_graph t ~mu graph = Option.is_some (hom_to_graph t ~mu graph)
 
 let subgraph a b = Variable.Set.equal a.x b.x && Tgraph.subset a.s b.s
 
-let tw ?budget t =
+(* [width] of the Gaifman graph on vars(S) \ X, with the paper's 1 for
+   a graph without vertices or edges. *)
+let gaifman_width width t =
   let gaifman, _ = Gaifman.graph t.x t.s in
   if Graphtheory.Ugraph.n gaifman = 0 || Graphtheory.Ugraph.m gaifman = 0 then 1
-  else max 1 (Graphtheory.Treewidth.treewidth ?budget gaifman)
+  else max 1 (width gaifman)
+
+let tw ?budget t =
+  gaifman_width (fun g -> Graphtheory.Treewidth.treewidth ?budget g) t
+
+let tw_upper t = gaifman_width (fun g -> Graphtheory.Treewidth.upper_bound g) t
 
 let tw_at_most ?budget t k =
   k >= 1

@@ -45,6 +45,12 @@ val tw : ?budget:Resource.Budget.t -> t -> int
     [vars(S) \ X], defined as 1 when that graph has no vertices or no
     edges. *)
 
+val tw_upper : t -> int
+(** A polynomial upper bound on {!tw}: the min-fill/min-degree
+    elimination heuristics of {!Graphtheory.Treewidth.upper_bound}, with
+    the same convention of 1 for a Gaifman graph without vertices or
+    edges. *)
+
 val tw_at_most : ?budget:Resource.Budget.t -> t -> int -> bool
 (** [tw_at_most g k] iff [tw g <= k]. Decided by the degeneracy lower
     bound and the elimination-heuristic upper bound; the exact search

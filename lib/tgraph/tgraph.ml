@@ -3,8 +3,20 @@ open Rdf
 type t = Index.t
 
 let of_triples = Index.of_triples
+let of_set = Index.of_set
+let to_set = Index.to_set
 let empty = Index.empty
 let union = Index.union
+
+let union_all = function
+  | [] -> empty
+  | [ t ] -> t
+  | ts ->
+      Index.of_set
+        (List.fold_left
+           (fun acc t -> Triple.Set.union acc (Index.to_set t))
+           Triple.Set.empty ts)
+
 let add_triples = Index.add_triples
 let triples = Index.triples
 let cardinal = Index.cardinal

@@ -12,8 +12,17 @@ open Rdf
 type t = Index.t
 
 val of_triples : Triple.t list -> t
+val of_set : Triple.Set.t -> t
+
+val to_set : t -> Triple.Set.t
+(** The triples as a set (what the index was built from). *)
+
 val empty : t
 val union : t -> t -> t
+
+val union_all : t list -> t
+(** The union of all the t-graphs, built as one index (a one-element list
+    gives its t-graph back). *)
 
 val add_triples : t -> Triple.t list -> t
 (** [add_triples s l] is [s ∪ l], built as one index. *)
@@ -26,7 +35,8 @@ val proper_subset : t -> t -> bool
 val remove : t -> Triple.t -> t
 
 val vars : t -> Variable.Set.t
-(** [vars(S)]: variables appearing in the t-graph. *)
+(** [vars(S)]: variables appearing in the t-graph, gathered once when the
+    t-graph is built ({!Rdf.Index.vars}). *)
 
 val iris : t -> Iri.Set.t
 

@@ -17,7 +17,7 @@ let children t n = t.child_lists.(n)
 let pat t n = t.labels.(n)
 let vars_of_node t n = Tgraph.vars t.labels.(n)
 
-let pat_all t = Array.fold_left Tgraph.union Tgraph.empty t.labels
+let pat_all t = Tgraph.union_all (Array.to_list t.labels)
 let vars t =
   Array.fold_left
     (fun acc l -> Variable.Set.union acc (Tgraph.vars l))

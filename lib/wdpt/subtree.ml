@@ -26,9 +26,14 @@ let members t = NSet.elements t.nodes
 let mem t n = NSet.mem n t.nodes
 
 let pat t =
+  Tgraph.union_all
+    (List.map (Pattern_tree.pat t.tree) (NSet.elements t.nodes))
+
+let pat_set t =
   NSet.fold
-    (fun n acc -> Tgraph.union acc (Pattern_tree.pat t.tree n))
-    t.nodes Tgraph.empty
+    (fun n acc ->
+      Triple.Set.union acc (Tgraph.to_set (Pattern_tree.pat t.tree n)))
+    t.nodes Triple.Set.empty
 
 let vars t =
   NSet.fold

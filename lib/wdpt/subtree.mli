@@ -20,7 +20,10 @@ val members : t -> Pattern_tree.node list
 val mem : t -> Pattern_tree.node -> bool
 
 val pat : t -> Tgraph.t
-(** [pat(T')]: union of member labels. *)
+(** [pat(T')]: union of member labels, built as one index. *)
+
+val pat_set : t -> Triple.Set.t
+(** The triples of [pat(T')], with no index built. *)
 
 val vars : t -> Variable.Set.t
 

@@ -565,6 +565,50 @@ let width_bounds_sound =
           dw <= est.Analysis.Width_est.dw_upper
           && dw = Wd_core.Domination_width.of_forest forest)
 
+(* The budget fallback of an unhinted plan is no looser than the bound
+   the analyzer used to hand it, on a wide star of OPTIONAL children
+   under a UNION, where exact dw scans 2^20 subtrees. *)
+let test_fallback_no_looser_than_hint () =
+  let star =
+    "{ ?x0 p:q ?x1 "
+    ^ String.concat ""
+        (List.init 20 (fun i ->
+             Printf.sprintf "OPTIONAL { ?x0 p:q ?y%d . ?y%d p:q ?z%d } "
+               (i + 1) (i + 1) (i + 1)))
+    ^ "}"
+  in
+  let p, _ = parse ("{ " ^ star ^ " UNION { ?x0 p:r ?x1 } }") in
+  let forest = Wdpt.Pattern_forest.of_algebra p in
+  let hint =
+    (Analysis.Width_est.estimate ~try_exact:false forest)
+      .Analysis.Width_est.dw_upper
+  in
+  let plan =
+    Wd_core.Engine.plan ~budget:(Resource.Budget.make ~fuel:1000 ()) p
+  in
+  (match plan.Wd_core.Engine.width_source with
+  | Wd_core.Engine.Fallback_upper_bound _ -> ()
+  | _ -> Alcotest.fail "expected the budget to run out");
+  check Alcotest.bool
+    (Printf.sprintf "fallback k = %d <= old hinted bound %d"
+       plan.Wd_core.Engine.domination_width hint)
+    true
+    (plan.Wd_core.Engine.domination_width <= hint)
+
+(* The fallback bound is never below the exact dw, nor above the static
+   per-node bound. *)
+let fallback_bound_sound =
+  qcheck ~count:120 "dw <= cheap_upper_bound <= static dw_upper" seed_arb
+    (fun seed ->
+      let forest =
+        Wdpt.Pattern_forest.of_algebra (Testutil.wd_pattern_of_seed seed)
+      in
+      let ub = Wd_core.Domination_width.cheap_upper_bound forest in
+      Wd_core.Domination_width.of_forest forest <= ub
+      && ub
+         <= (Analysis.Width_est.estimate ~try_exact:false forest)
+              .Analysis.Width_est.dw_upper)
+
 let test_plan_consumes_hints () =
   let p, _ = parse "{ ?x p:knows ?y OPTIONAL { ?y p:email ?m } }" in
   (* exact hint: planning skips the dw computation and trusts the value *)
@@ -1043,6 +1087,9 @@ let () =
           width_bounds_sound;
           Alcotest.test_case "Engine.plan consumes hints" `Quick
             test_plan_consumes_hints;
+          Alcotest.test_case "budget fallback no looser than the hint"
+            `Quick test_fallback_no_looser_than_hint;
+          fallback_bound_sound;
         ] );
       ( "codebase-lint",
         [

@@ -507,6 +507,78 @@ let test_classify () =
   | Classify.Not_well_designed -> ()
   | _ -> Alcotest.fail "expected Not_well_designed")
 
+(* ------------------------------------------------------------------ *)
+(* Width parity: the values the widths had before the forest, the GtG  *)
+(* scan and the cores were shared                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* (name, forest, dw, each tree's bw, local width), pinned: the fifteen
+   frontier shapes and the well-designed queries/*.rq. *)
+let frontier_widths =
+  let module Q = Query_families in
+  [
+    ("f4", Q.f_k 4, 1, [ 3; 1; 1 ], 3);
+    ("f6", Q.f_k 6, 1, [ 5; 1; 1 ], 5);
+    ("f8", Q.f_k 8, 1, [ 7; 1; 1 ], 7);
+    ("f10", Q.f_k 10, 1, [ 9; 1; 1 ], 9);
+    ("clique_child3", [ Q.clique_child 3 ], 2, [ 2 ], 2);
+    ("clique_child4", [ Q.clique_child 4 ], 3, [ 3 ], 3);
+    ("clique_child5", [ Q.clique_child 5 ], 4, [ 4 ], 4);
+    ("comb3", [ Q.comb_query 3 ], 1, [ 1 ], 1);
+    ("comb4", [ Q.comb_query 4 ], 1, [ 1 ], 1);
+    ("path4", [ Q.path_query 4 ], 1, [ 1 ], 1);
+    ("path5", [ Q.path_query 5 ], 1, [ 1 ], 1);
+    ("path6", [ Q.path_query 6 ], 1, [ 1 ], 1);
+    ("star4", [ Q.star_query 4 ], 1, [ 1 ], 1);
+    ("star5", [ Q.star_query 5 ], 1, [ 1 ], 1);
+    ("star6", [ Q.star_query 6 ], 1, [ 1 ], 1);
+  ]
+
+let query_file_widths =
+  [
+    ("colleagues.rq", Some (1, [ 1; 1 ], 1));
+    ("deep_profile.rq", Some (1, [ 1 ], 1));
+    ("profile.rq", Some (1, [ 1 ], 1));
+    ("strangers.rq", None (* not well-designed *));
+  ]
+
+let check_widths name forest (dw, bws, lw) =
+  check Alcotest.int (name ^ ": dw") dw (Domination_width.of_forest forest);
+  check
+    Alcotest.(list int)
+    (name ^ ": bw per tree") bws
+    (List.map (fun tree -> Branch_treewidth.of_tree tree) forest);
+  check Alcotest.int (name ^ ": local width") lw
+    (Local_tractability.width_of_forest forest)
+
+let test_frontier_width_parity () =
+  List.iter
+    (fun (name, forest, dw, bws, lw) -> check_widths name forest (dw, bws, lw))
+    frontier_widths
+
+let test_query_file_width_parity () =
+  let files =
+    Sys.readdir "../queries" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".rq")
+    |> List.sort compare
+  in
+  check Alcotest.(list string) "every query file is pinned"
+    (List.map fst query_file_widths) files;
+  List.iter
+    (fun (file, expected) ->
+      let text =
+        In_channel.with_open_bin (Filename.concat "../queries" file)
+          In_channel.input_all
+      in
+      match (Wdpt.Pattern_forest.of_algebra (parse text), expected) with
+      | forest, Some widths -> check_widths file forest widths
+      | exception Wdpt.Translate.Not_well_designed _ -> (
+          match expected with
+          | None -> ()
+          | Some _ -> Alcotest.failf "%s: not well-designed" file)
+      | _, None -> Alcotest.failf "%s: expected not well-designed" file)
+    query_file_widths
+
 let () =
   Alcotest.run "wd_core"
     [
@@ -549,4 +621,9 @@ let () =
           td_eval_equals_naive;
         ] );
       ("classify", [ Alcotest.test_case "classify" `Quick test_classify ]);
+      ( "width parity",
+        [
+          Alcotest.test_case "frontier shapes" `Slow test_frontier_width_parity;
+          Alcotest.test_case "queries/*.rq" `Quick test_query_file_width_parity;
+        ] );
     ]

@@ -118,6 +118,147 @@ let random_wd_patterns_are_wd =
   qcheck ~count:100 "generated patterns are well-designed" Testutil.wd_pattern
     Well_designed.is_well_designed
 
+(* The check as it was before each subpattern's variables were computed
+   once, bottom up: at every AND/OPT it recomputes both arms' variables.
+   Kept as the oracle of the one-pass check, violation for violation. *)
+let reference_check p =
+  let ( let* ) = Result.bind in
+  let contribute q m =
+    Variable.Set.fold (fun v m -> Variable.Map.add v q m) (Algebra.vars q) m
+  in
+  let rec go outside p =
+    match p with
+    | Algebra.Triple _ -> Ok ()
+    | Algebra.Union _ -> Error (Well_designed.Nested_union p)
+    | Algebra.Select _ -> Error (Well_designed.Nested_select p)
+    | Algebra.Filter (q, condition) ->
+        let* () =
+          if Variable.Set.subset (Condition.vars condition) (Algebra.vars q)
+          then Ok ()
+          else Error (Well_designed.Unsafe_filter (condition, p))
+        in
+        go outside q
+    | Algebra.And (a, b) ->
+        let* () = go (contribute b outside) a in
+        go (contribute a outside) b
+    | Algebra.Opt (a, b) ->
+        let dangerous =
+          Variable.Set.filter
+            (fun v -> Variable.Map.mem v outside)
+            (Variable.Set.diff (Algebra.vars b) (Algebra.vars a))
+        in
+        let* () =
+          match Variable.Set.choose_opt dangerous with
+          | Some v ->
+              Error
+                (Well_designed.Unsafe_variable
+                   {
+                     variable = v;
+                     opt = p;
+                     outside = Variable.Map.find v outside;
+                   })
+          | None -> Ok ()
+        in
+        let* () = go (contribute b outside) a in
+        go (contribute a outside) b
+  in
+  let body = match p with Algebra.Select (_, q) -> q | q -> q in
+  List.fold_left
+    (fun acc branch ->
+      let* () = acc in
+      go Variable.Map.empty branch)
+    (Ok ()) (Well_designed.union_branches body)
+
+(* Random patterns over five variables, so OPT arms often leak one, with
+   UNION, FILTER and SELECT anywhere and sometimes an outermost SELECT. *)
+let any_pattern_of_seed seed =
+  let st = Random.State.make [| seed; 41 |] in
+  let name () = Printf.sprintf "v%d" (Random.State.int st 5) in
+  let term () = if Random.State.int st 5 = 0 then iri_t "c:1" else v (name ()) in
+  let rec condition d =
+    match Random.State.int st (if d = 0 then 2 else 5) with
+    | 0 -> Condition.Bound (Variable.of_string (name ()))
+    | 1 -> Condition.Eq (v (name ()), term ())
+    | 2 -> Condition.Not (condition (d - 1))
+    | 3 -> Condition.And (condition (d - 1), condition (d - 1))
+    | _ -> Condition.Or (condition (d - 1), condition (d - 1))
+  in
+  let rec pattern d =
+    let roll = if d = 0 then 0 else Random.State.int st 20 in
+    if roll < 4 then Algebra.triple (t (term ()) (iri_t "p:p") (term ()))
+    else if roll < 10 then Algebra.and_ (pattern (d - 1)) (pattern (d - 1))
+    else if roll < 16 then Algebra.opt (pattern (d - 1)) (pattern (d - 1))
+    else if roll < 18 then Algebra.union (pattern (d - 1)) (pattern (d - 1))
+    else if roll < 19 then Algebra.filter (pattern (d - 1)) (condition 2)
+    else
+      Algebra.select
+        (Variable.Set.of_list [ Variable.of_string (name ()) ])
+        (pattern (d - 1))
+  in
+  let p = pattern 5 in
+  if Random.State.int st 4 = 0 then
+    Algebra.select (Variable.Set.of_list [ Variable.of_string (name ()) ]) p
+  else p
+
+let any_pattern =
+  QCheck.make ~print:Printer.to_string
+    QCheck.Gen.(map any_pattern_of_seed Testutil.seed_gen)
+
+let one_pass_check_matches_reference =
+  qcheck ~count:1000 "check = reference check on random patterns" any_pattern
+    (fun p -> Well_designed.check p = reference_check p)
+
+let one_pass_check_matches_reference_wd =
+  qcheck ~count:200 "check = reference check on well-designed patterns"
+    Testutil.wd_pattern (fun p ->
+      Well_designed.check p = reference_check p
+      && Well_designed.check p = Ok ())
+
+(* A 5,000-triple AND chain: the check must not be quadratic in it. The
+   bound, 1,000 minor words per triple, is two to three times what the
+   one-pass check allocates on these chains; recomputing both arms'
+   variables at every level took 5 billion words (17 s) on the
+   well-designed left-deep one. *)
+let test_long_and_chain () =
+  let n = 5000 in
+  let x i = v (Printf.sprintf "x%d" i) in
+  let hop i = Algebra.triple (t (x i) (iri_t "p:p") (x (i + 1))) in
+  let left_deep = Algebra.and_all (List.init n hop) in
+  let right_deep =
+    List.fold_right Algebra.and_ (List.init (n - 1) hop) (hop (n - 1))
+  in
+  let words p =
+    let w0 = Gc.minor_words () in
+    let r = Well_designed.check p in
+    (r, Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun (name, chain) ->
+      let r, w = words (Algebra.opt chain (hop n)) in
+      check Alcotest.bool (name ^ ": well-designed") true (r = Ok ());
+      if w > 1000. *. float_of_int n then
+        Alcotest.failf "%s: %.0f minor words for %d triples" name w n)
+    [ ("left-deep", left_deep); ("right-deep", right_deep) ];
+  (* an OPT at the bottom of the chain whose arm leaks ?y to a conjunct
+     at the top *)
+  let leak = Algebra.triple (t (x 1) (iri_t "p:q") (v "y")) in
+  let last = Algebra.triple (t (v "y") (iri_t "p:s") (x 0)) in
+  let opt = Algebra.opt (hop 0) leak in
+  let leaky =
+    Algebra.and_
+      (Algebra.and_all (opt :: List.init (n - 1) (fun i -> hop (i + 1))))
+      last
+  in
+  let r, w = words leaky in
+  (match r with
+  | Error (Well_designed.Unsafe_variable { variable; opt = o; outside }) ->
+      check Alcotest.string "offender" "y" (Variable.to_string variable);
+      check Testutil.algebra "the OPT" opt o;
+      check Testutil.algebra "the re-occurrence" last outside
+  | _ -> Alcotest.fail "expected Unsafe_variable ?y");
+  if w > 1000. *. float_of_int n then
+    Alcotest.failf "leaky chain: %.0f minor words for %d triples" w n
+
 (* ------------------------------------------------------------------ *)
 (* Parser / Printer                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -265,6 +406,9 @@ let () =
           Alcotest.test_case "paper example 1" `Quick test_example1;
           Alcotest.test_case "union placement" `Quick test_union_handling;
           Alcotest.test_case "AND-sibling scope" `Quick test_and_scope;
+          one_pass_check_matches_reference;
+          one_pass_check_matches_reference_wd;
+          Alcotest.test_case "5,000-triple AND chain" `Quick test_long_and_chain;
           random_wd_patterns_are_wd;
         ] );
       ( "parser",

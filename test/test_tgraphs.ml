@@ -276,6 +276,69 @@ let core_subgraph_law =
     Testutil.small_gtgraph (fun g ->
       Tgraph.subset (Gtgraph.s (Cores.core g)) (Gtgraph.s g))
 
+let memo_ctw_law =
+  qcheck ~count:80 "Memo.ctw = ctw, first call and repeat"
+    Testutil.small_gtgraph (fun g ->
+      let memo = Cores.Memo.create () in
+      let c = Cores.ctw g in
+      Cores.Memo.ctw memo g = c
+      && Cores.Memo.ctw memo (Gtgraph.make (Gtgraph.s g) (Gtgraph.x g)) = c)
+
+let test_memo_shares_equal_gtgraphs () =
+  (* two gtgraphs built apart, with the same X and triples, share an
+     entry; a different X does not *)
+  let s () = example3_s' 4 in
+  let memo = Cores.Memo.create () in
+  check Alcotest.int "first" 1 (Cores.Memo.ctw memo (Gtgraph.make (s ()) x3));
+  check Alcotest.int "shared entry" 1
+    (Cores.Memo.ctw ~budget:(Resource.Budget.make ~fuel:1 ()) memo
+       (Gtgraph.make (s ()) x3));
+  check Alcotest.bool "another X is computed" true
+    (match
+       Cores.Memo.ctw ~budget:(Resource.Budget.make ~fuel:1 ()) memo
+         (Gtgraph.make (s ()) (vs [ "x"; "y" ]))
+     with
+    | _ -> false
+    | exception Resource.Budget.Exhausted _ -> true)
+
+let tw_upper_law =
+  qcheck ~count:80 "tw <= tw_upper" Testutil.small_gtgraph (fun g ->
+      Gtgraph.tw g <= Gtgraph.tw_upper g)
+
+(* Tgraph.vars is gathered when the index is built; every constructor
+   must agree with the fold over the triples. *)
+let vars_by_fold s =
+  List.fold_left
+    (fun acc tr -> Variable.Set.union (Triple.vars tr) acc)
+    Variable.Set.empty (Tgraph.triples s)
+
+let cached_vars_law =
+  qcheck ~count:150
+    "cached vars = fold over triples after union, add_triples, remove, apply"
+    (QCheck.pair Testutil.small_tgraph Testutil.small_tgraph) (fun (a, b) ->
+      let same s = Variable.Set.equal (Tgraph.vars s) (vars_by_fold s) in
+      let removed = List.map (Tgraph.remove a) (Tgraph.triples a) in
+      let renamed =
+        Tgraph.apply
+          (fun x ->
+            if Variable.to_string x < "v2" then Some (Term.var "w")
+            else if Variable.to_string x = "v3" then Some (iri "c:9")
+            else None)
+          a
+      in
+      List.for_all same
+        ([
+           a;
+           b;
+           Tgraph.union a b;
+           Tgraph.union_all [ a; b; renamed ];
+           Tgraph.add_triples a (Tgraph.triples b);
+           renamed;
+           Tgraph.of_set (Tgraph.to_set b);
+           Tgraph.empty;
+         ]
+        @ removed))
+
 (* ------------------------------------------------------------------ *)
 (* Tree-decomposition-guided exact test                                *)
 (* ------------------------------------------------------------------ *)
@@ -378,6 +441,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_tgraph_basics;
           Alcotest.test_case "rename_avoiding" `Quick test_rename_avoiding;
           Alcotest.test_case "freeze/thaw" `Quick test_freeze_thaw;
+          cached_vars_law;
         ] );
       ( "homomorphism",
         [
@@ -403,6 +467,10 @@ let () =
           core_laws;
           core_subgraph_law;
           tw_at_most_law;
+          memo_ctw_law;
+          Alcotest.test_case "memo keyed on X and triples" `Quick
+            test_memo_shares_equal_gtgraphs;
+          tw_upper_law;
         ] );
       ( "td-guided test",
         [

@@ -315,6 +315,37 @@ let test_s_delta_renaming () =
   check Alcotest.bool "X = {x,y}" true
     (Variable.Set.equal (Gtgraph.x s_delta) (vs [ "x"; "y" ]))
 
+(* Validity is decided by a subset test on triple sets; the definition
+   asks for a homomorphism of generalised t-graphs from each unassigned
+   witness into (S_∆, vars T). Both, on every assignment of every
+   subtree of random forests. *)
+let validity_is_the_homomorphism_test =
+  qcheck ~count:100 "valid = no unassigned witness maps into S_∆"
+    (QCheck.make ~print:string_of_int Testutil.seed_gen) (fun seed ->
+      let forest =
+        Pattern_forest.of_algebra
+          (Testutil.wd_pattern_of_seed ~triples:7 ~vars:5
+             ~union:(1 + (seed mod 3)) ~depth:3 seed)
+      in
+      List.for_all
+        (fun tree ->
+          List.for_all
+            (fun st ->
+              let x = Subtree.vars st in
+              let support = Children_assignment.supp forest st in
+              let by_definition delta =
+                let s_d = Children_assignment.s_delta forest st delta in
+                List.for_all
+                  (fun (j, w) ->
+                    List.mem_assoc j delta
+                    || not (Gtgraph.maps_to (Gtgraph.make (Subtree.pat w) x) s_d))
+                  support
+              in
+              Children_assignment.valid forest st
+              = List.filter by_definition (Children_assignment.all forest st))
+            (Subtree.all tree))
+        forest)
+
 (* ------------------------------------------------------------------ *)
 (* Semantics: Lemma 1 characterisation                                 *)
 (* ------------------------------------------------------------------ *)
@@ -364,6 +395,7 @@ let () =
         [
           Alcotest.test_case "paper example 4" `Quick test_example4;
           Alcotest.test_case "renaming in S_∆" `Quick test_s_delta_renaming;
+          validity_is_the_homomorphism_test;
         ] );
       ("semantics", [ check_agrees_with_solutions ]);
     ]
